@@ -69,6 +69,9 @@ class Witness:
     def pattern(self, m: int) -> PhasePattern:
         return PhasePattern.from_bits(m, self.pattern_bits)
 
+    def to_json_dict(self) -> dict:
+        return {"I": list(self.I), "J": list(self.J), "P_bits": self.pattern_bits}
+
 
 @dataclass(frozen=True)
 class DistanceReport:
@@ -85,13 +88,6 @@ class DistanceReport:
     fragile: bool
 
     def to_json_dict(self) -> dict:
-        w = None
-        if self.witness is not None:
-            w = {
-                "I": list(self.witness.I),
-                "J": list(self.witness.J),
-                "P_bits": self.witness.pattern_bits,
-            }
         return {
             "m": self.m,
             "n": self.n,
@@ -100,17 +96,21 @@ class DistanceReport:
             "certified_k": self.certified_k,
             "overlap_class": self.overlap_class,
             "overlap": self.overlap,
-            "witness": w,
+            "witness": None if self.witness is None else self.witness.to_json_dict(),
             "fragile": self.fragile,
         }
 
 
 @dataclass(frozen=True)
 class SparkReport:
-    """Result of checking that every set of s-1 columns is independent."""
+    """Result of checking that every set of s-1 columns is independent.
+
+    fragile is set when any rank decision the check made was fragile.
+    """
 
     s: int
     deficient_columns: tuple[int, ...] | None
+    fragile: bool
 
     @property
     def ok(self) -> bool:
@@ -133,13 +133,6 @@ class CertificationReport:
     limiting_witness: object  # Witness, tuple of spark columns, or None
 
     def to_json_dict(self) -> dict:
-        w = None
-        if self.witness is not None:
-            w = {
-                "I": list(self.witness.I),
-                "J": list(self.witness.J),
-                "P_bits": self.witness.pattern_bits,
-            }
         return {
             "m": self.m,
             "n": self.n,
@@ -148,7 +141,7 @@ class CertificationReport:
             "min_rank": self.min_rank,
             "certified": self.certified,
             "spark_ok": self.spark_ok,
-            "witness": w,
+            "witness": None if self.witness is None else self.witness.to_json_dict(),
             "fragile": self.fragile,
         }
 
@@ -186,6 +179,17 @@ def _support_masks(combos: np.ndarray) -> np.ndarray:
     return masks
 
 
+def _smallest_key(hit: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[int, int, int]:
+    """Smallest (lo, hi, code) over the True entries of a (pairs, patterns) mask.
+
+    Each row is one unordered support pair, so (lo, hi) picks one row.
+    """
+    rows = np.flatnonzero(hit.any(axis=1))
+    rows = rows[lo[rows] == lo[rows].min()]
+    row = rows[np.argmin(hi[rows])]
+    return int(lo[row]), int(hi[row]), int(np.argmax(hit[row])) + 1
+
+
 def phase_gen_min_distance(
     A: MeasurementEnsemble,
     max_support: int | None = None,
@@ -193,12 +197,22 @@ def phase_gen_min_distance(
 ) -> DistanceReport:
     """Exhaustive phase-generalized minimum distance of a real ensemble.
 
-    Enumerates ordered support pairs by increasing |I| + |J|, then
-    lexicographically, and sign patterns by their integer code; the
-    reported witness is the first configuration achieving the minimum.
-    When max_support truncates the search below |I| + |J| = m, the report
-    is a certified lower bound on the distance (still sound for
-    certification, possibly conservative).
+    The reported witness is the first configuration achieving the minimum
+    when ordered support pairs run by increasing |I| + |J|, then
+    lexicographically, and sign patterns by their integer code.  When
+    max_support truncates the search below |I| + |J| = m, the report is a
+    certified lower bound on the distance (still sound for certification,
+    possibly conservative).
+
+    Each configuration is enumerated once with its mirror: P [A_I, P A_J] =
+    [P A_I, A_J] is a column permutation of [A_J, P A_I], so (I, J, P) and
+    (J, I, P) have equal rank, and w and l, hence the structural rank, are
+    symmetric too.  Only pairs with |I| < |J|, or |I| = |J| and I <= J,
+    are visited.  With r the position of a support in the lexicographic
+    order of all supports, the key (score, total, min(r_I, r_J),
+    max(r_I, r_J), code) is the smaller of the two mirrored keys in the order above, so
+    the smallest key names the same witness as a scan of every ordered
+    pair.
     """
     if A.field is not Field.REAL:
         raise ValueError("phase-generalized minimum distance is defined for real ensembles only")
@@ -220,65 +234,54 @@ def phase_gen_min_distance(
         # m = 1: no admissible pattern and no valid support pair exists.
         return DistanceReport(m, n, m + 1, m, None, "disjoint", 0, m // 2, False)
 
-    best_key = None  # (score, total, I, J, code)
+    by_size = {a: list(itertools.combinations(range(n), a)) for a in range(1, max_support + 1)}
+    supports = sorted(itertools.chain.from_iterable(by_size.values()))
+    order = {s: r for r, s in enumerate(supports)}
+    combos = {a: np.array(c, dtype=int) for a, c in by_size.items()}
+    masks = {a: _support_masks(c) for a, c in combos.items()}
+    lex_pos = {a: np.array([order[s] for s in c]) for a, c in by_size.items()}
+
+    best_key = None  # (score, total, lo, hi, code)
     cap_key = None  # first full-rank configuration at size t_max
     fragile_any = False
 
     for total in range(2, t_max + 1):
-        for a in range(1, min(total - 1, max_support) + 1):
+        for a in range(max(1, total - max_support), total // 2 + 1):
             b = total - a
-            if b < 1 or b > max_support:
-                continue
-            combos_i = np.array(list(itertools.combinations(range(n), a)), dtype=int)
-            combos_j = np.array(list(itertools.combinations(range(n), b)), dtype=int)
-            ci, cj = len(combos_i), len(combos_j)
-            masks_i = _support_masks(combos_i)
-            masks_j = _support_masks(combos_j)
-            chunk = max(1, _CHUNK_ELEMENTS // max(1, cj * npat * m * total))
-            for lo in range(0, ci, chunk):
-                sel = combos_i[lo : lo + chunk]
-                # stack shape: (chunk, cj, npat, m, a + b)
-                left = entries[:, sel.T].transpose(2, 0, 1)  # (chunk, m, a)
-                right = entries[:, combos_j.T].transpose(2, 0, 1)  # (cj, m, b)
-                stack = np.empty((sel.shape[0], cj, npat, m, total))
-                stack[..., :a] = left[:, None, None, :, :]
-                stack[..., a:] = signs[None, None, :, :, None] * right[None, :, None, :, :]
+            ci, cj = len(combos[a]), len(combos[b])
+            # The stack and the Gram matrices batched_ranks forms from it share the budget.
+            chunk = max(1, _CHUNK_ELEMENTS // (cj * npat * (m + total) * total))
+            for first in range(0, ci, chunk):
+                rows = np.arange(first, min(first + chunk, ci))
+                if a == b:
+                    pi, pj = np.nonzero(np.arange(cj)[None, :] >= rows[:, None])
+                else:
+                    pi, pj = np.nonzero(np.ones((rows.size, cj), dtype=bool))
+                pi += first
+                # stack shape: (pairs, npat, m, a + b)
+                stack = np.empty((pi.size, npat, m, total))
+                stack[..., :a] = entries[:, combos[a][pi].T].transpose(2, 0, 1)[:, None, :, :]
+                right = entries[:, combos[b][pj].T].transpose(2, 0, 1)
+                stack[..., a:] = signs[None, :, :, None] * right[:, None, :, :]
                 ranks, fragile = batched_ranks(stack, tol_rel)
                 fragile_any = fragile_any or bool(fragile.any())
 
                 # Structural rank: total minus the dimension forced by shared
                 # columns meeting an unbalanced sign pattern.
-                w = np.bitwise_count(masks_i[lo : lo + chunk, None] & masks_j[None, :]).astype(int)
-                trivial = np.maximum(w[:, :, None] - l_counts[None, None, :], 0) + np.maximum(
-                    w[:, :, None] - (m - l_counts)[None, None, :], 0
-                )
+                w = np.bitwise_count(masks[a][pi] & masks[b][pj]).astype(int)[:, None]
+                trivial = np.maximum(w - l_counts, 0) + np.maximum(w - (m - l_counts), 0)
                 eligible = ranks < (total - trivial)
+                lo = np.minimum(lex_pos[a][pi], lex_pos[b][pj])
+                hi = np.maximum(lex_pos[a][pi], lex_pos[b][pj])
                 if eligible.any():
-                    flat = np.where(eligible.reshape(-1), ranks.reshape(-1), np.iinfo(np.int64).max)
-                    pos = int(np.argmin(flat))
-                    score = int(flat[pos])
-                    ii, jj, pp = np.unravel_index(pos, ranks.shape)
-                    key = (
-                        score,
-                        total,
-                        tuple(int(v) for v in sel[ii]),
-                        tuple(int(v) for v in combos_j[jj]),
-                        int(pp) + 1,
-                    )
+                    score = int(ranks[eligible].min())
+                    key = (score, total, *_smallest_key(eligible & (ranks == score), lo, hi))
                     if best_key is None or key < best_key:
                         best_key = key
                 if total == t_max:
-                    full = (ranks == t_max) & ~eligible
+                    full = ranks == t_max
                     if full.any():
-                        pos = int(np.argmax(full.reshape(-1)))
-                        ii, jj, pp = np.unravel_index(pos, ranks.shape)
-                        key = (
-                            t_max,
-                            total,
-                            tuple(int(v) for v in sel[ii]),
-                            tuple(int(v) for v in combos_j[jj]),
-                            int(pp) + 1,
-                        )
+                        key = (t_max, total, *_smallest_key(full, lo, hi))
                         if cap_key is None or key < cap_key:
                             cap_key = key
 
@@ -289,7 +292,8 @@ def phase_gen_min_distance(
         # representative exists at size t_max.  Report the cap without witness.
         return DistanceReport(m, n, t_max + 1, t_max, None, "disjoint", 0, t_max // 2, fragile_any)
 
-    score, total, I, J, code = best_key
+    score, total, lo, hi, code = best_key
+    I, J = supports[lo], supports[hi]
     witness = Witness(I=I, J=J, pattern_bits=code)
     overlap_class, overlap = _classify_overlap(I, J)
     d = score + 1
@@ -378,20 +382,24 @@ def spark_at_least(A: MeasurementEnsemble, s: int, tol_rel: float = DEFAULT_RANK
     """Brute-force check that every subset of fewer than s columns is independent.
 
     On failure the first (smallest, then lexicographic) dependent subset is
-    reported.
+    reported.  The report is fragile when any rank decision made on the
+    way was.
     """
     if s < 1 or s > min(A.m, A.n) + 1:
         raise ValueError(f"s must be in [1, min(m, n) + 1], got {s}")
     entries = A.entries
+    fragile_any = False
     for size in range(1, s):
         combos = np.array(list(itertools.combinations(range(A.n), size)), dtype=int)
         stack = entries[:, combos.T].transpose(2, 0, 1)  # (ncombos, m, size)
-        ranks, _ = batched_ranks(stack, tol_rel)
+        ranks, fragile = batched_ranks(stack, tol_rel)
+        fragile_any = fragile_any or bool(fragile.any())
         bad = ranks < size
         if bad.any():
             first = int(np.argmax(bad))
-            return SparkReport(s=s, deficient_columns=tuple(int(c) for c in combos[first]))
-    return SparkReport(s=s, deficient_columns=None)
+            return SparkReport(s=s, deficient_columns=tuple(int(c) for c in combos[first]),
+                               fragile=fragile_any)
+    return SparkReport(s=s, deficient_columns=None, fragile=fragile_any)
 
 
 def certify_unique(A: MeasurementEnsemble, k: int, max_support: int | None = None) -> CertificationReport:
@@ -401,7 +409,8 @@ def certify_unique(A: MeasurementEnsemble, k: int, max_support: int | None = Non
     columns of A are independent (spark condition, covering the P = I
     collision the distance definition excludes).  When not certified the
     binding witness is returned: the distance witness if the d-bound
-    fails, else the deficient spark columns.
+    fails, else the deficient spark columns.  The report is fragile when
+    a rank decision of the distance or of the spark check was.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -412,7 +421,7 @@ def certify_unique(A: MeasurementEnsemble, k: int, max_support: int | None = Non
         spark_ok = spark_report.ok
     else:
         # Fewer than 2k rows or columns: 2k independent columns are impossible.
-        spark_report = SparkReport(s=2 * k + 1, deficient_columns=None)
+        spark_report = SparkReport(s=2 * k + 1, deficient_columns=None, fragile=False)
         spark_ok = False
     certified = k_bound_ok and spark_ok
     limiting: object = None
@@ -429,6 +438,6 @@ def certify_unique(A: MeasurementEnsemble, k: int, max_support: int | None = Non
         certified=certified,
         spark_ok=spark_ok,
         witness=report.witness,
-        fragile=report.fragile,
+        fragile=report.fragile or spark_report.fragile,
         limiting_witness=limiting,
     )

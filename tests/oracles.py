@@ -2,8 +2,10 @@
 
 These deliberately avoid the library's solver machinery: the l0 oracle
 enumerates supports and solves exact square subsystems (k rows with
-nonzero magnitude, solved directly, verified on the remaining rows), and
-the rank oracle is a bare SVD count.  They are slow and simple on purpose.
+nonzero magnitude, solved directly, verified on the remaining rows), the
+rank oracle is a bare SVD count, and the distance oracle enumerates every
+ordered support pair and decides every rank by SVD.  They are slow and
+simple on purpose.
 """
 
 from __future__ import annotations
@@ -11,6 +13,9 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+
+from sparsepr.distance import DistanceReport, Witness
+from sparsepr.model import Field, MeasurementEnsemble
 
 
 def svd_rank(M, tol_rel: float = 1e-10) -> int:
@@ -90,3 +95,123 @@ def classes_match(oracle_classes, solver_classes, tol: float = 1e-8) -> bool:
             return False
         used.add(hit)
     return True
+
+
+def svd_batched_ranks(stack: np.ndarray, tol_rel: float = 1e-10):
+    """Ranks and fragility flags of a (..., m, k) stack, every one by SVD.
+
+    The rank policy of numerics.numerical_rank: singular values above
+    tol_rel * sigma_max count, and a deficient decision whose kept/dropped
+    gap is under 10x is fragile.
+    """
+    s = np.linalg.svd(stack, compute_uv=False)
+    smax = s[..., 0]
+    tol = tol_rel * smax
+    ranks = np.sum(s > tol[..., None], axis=-1)
+    nsv = s.shape[-1]
+    idx_kept = np.clip(ranks - 1, 0, nsv - 1)
+    idx_drop = np.clip(ranks, 0, nsv - 1)
+    kept = np.take_along_axis(s, idx_kept[..., None], axis=-1)[..., 0]
+    dropped = np.where(ranks < nsv, np.take_along_axis(s, idx_drop[..., None], axis=-1)[..., 0], 0.0)
+    fragile = (ranks > 0) & (ranks < nsv) & (dropped > 0) & (kept < 10.0 * dropped)
+    return ranks, fragile
+
+
+def exhaustive_distance(
+    A: MeasurementEnsemble, max_support: int | None = None, tol_rel: float = 1e-10
+) -> DistanceReport:
+    """Phase-generalized minimum distance over every ordered support pair.
+
+    Enumerates ordered pairs (I, J) by increasing |I| + |J|, then
+    lexicographically, and sign patterns by their integer code, deciding
+    every configuration's rank by SVD; the witness is the first
+    configuration achieving the minimum (see sparsepr.distance for the
+    counting rule).
+    """
+    if A.field is not Field.REAL:
+        raise ValueError("phase-generalized minimum distance is defined for real ensembles only")
+    m, n = A.m, A.n
+    if m >= n:
+        raise ValueError(f"distance requires m < n, got m={m}, n={n}")
+    if max_support is None:
+        max_support = m - 1
+    if not (1 <= max_support <= m):
+        raise ValueError("max_support must be in [1, m]")
+    max_support = min(max_support, m - 1, n)
+    t_max = min(m, 2 * max_support)
+
+    if m < 2 or t_max < 2:
+        return DistanceReport(m, n, m + 1, m, None, "disjoint", 0, m // 2, False)
+    codes = np.arange(1, 2 ** (m - 1))
+    signs = np.ones((codes.size, m))
+    signs[:, 1:] = 1.0 - 2.0 * ((codes[:, None] >> np.arange(m - 1)[None, :]) & 1)
+    l_counts = np.sum(signs > 0, axis=1)
+    npat = signs.shape[0]
+    entries = A.entries
+
+    def masks(combos):
+        out = np.zeros(len(combos), dtype=np.uint64)
+        for col in range(combos.shape[1]):
+            out |= np.uint64(1) << combos[:, col].astype(np.uint64)
+        return out
+
+    best_key = None  # (score, total, I, J, code)
+    cap_key = None  # first full-rank configuration at size t_max
+    fragile_any = False
+
+    for total in range(2, t_max + 1):
+        for a in range(1, min(total - 1, max_support) + 1):
+            b = total - a
+            if b < 1 or b > max_support:
+                continue
+            combos_i = np.array(list(itertools.combinations(range(n), a)), dtype=int)
+            combos_j = np.array(list(itertools.combinations(range(n), b)), dtype=int)
+            ci, cj = len(combos_i), len(combos_j)
+            masks_i = masks(combos_i)
+            masks_j = masks(combos_j)
+            chunk = max(1, 4_000_000 // max(1, cj * npat * m * total))
+            for lo in range(0, ci, chunk):
+                sel = combos_i[lo : lo + chunk]
+                left = entries[:, sel.T].transpose(2, 0, 1)
+                right = entries[:, combos_j.T].transpose(2, 0, 1)
+                stack = np.empty((sel.shape[0], cj, npat, m, total))
+                stack[..., :a] = left[:, None, None, :, :]
+                stack[..., a:] = signs[None, None, :, :, None] * right[None, :, None, :, :]
+                ranks, fragile = svd_batched_ranks(stack, tol_rel)
+                fragile_any = fragile_any or bool(fragile.any())
+
+                w = np.bitwise_count(masks_i[lo : lo + chunk, None] & masks_j[None, :]).astype(int)
+                trivial = np.maximum(w[:, :, None] - l_counts[None, None, :], 0) + np.maximum(
+                    w[:, :, None] - (m - l_counts)[None, None, :], 0
+                )
+                eligible = ranks < (total - trivial)
+                if eligible.any():
+                    flat = np.where(eligible.reshape(-1), ranks.reshape(-1), np.iinfo(np.int64).max)
+                    pos = int(np.argmin(flat))
+                    ii, jj, pp = np.unravel_index(pos, ranks.shape)
+                    key = (int(flat[pos]), total, tuple(int(v) for v in sel[ii]),
+                           tuple(int(v) for v in combos_j[jj]), int(pp) + 1)
+                    if best_key is None or key < best_key:
+                        best_key = key
+                if total == t_max:
+                    full = (ranks == t_max) & ~eligible
+                    if full.any():
+                        pos = int(np.argmax(full.reshape(-1)))
+                        ii, jj, pp = np.unravel_index(pos, ranks.shape)
+                        key = (t_max, total, tuple(int(v) for v in sel[ii]),
+                               tuple(int(v) for v in combos_j[jj]), int(pp) + 1)
+                        if cap_key is None or key < cap_key:
+                            cap_key = key
+
+    if best_key is None or (cap_key is not None and cap_key < best_key):
+        best_key = cap_key
+    if best_key is None:
+        return DistanceReport(m, n, t_max + 1, t_max, None, "disjoint", 0, t_max // 2, fragile_any)
+
+    score, total, I, J, code = best_key
+    w = len(set(I) & set(J))
+    overlap_class = "disjoint" if w == 0 else ("full" if I == J else "partial")
+    d = score + 1
+    return DistanceReport(m=m, n=n, d=d, min_rank=score, witness=Witness(I=I, J=J, pattern_bits=code),
+                          overlap_class=overlap_class, overlap=w, certified_k=(d - 1) // 2,
+                          fragile=fragile_any)

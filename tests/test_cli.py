@@ -5,7 +5,17 @@ import jsonschema
 import numpy as np
 import pytest
 
-from sparsepr import Field, SparseVector, generate_ensemble, measure, write_matrix, write_sparse_vector
+from sparsepr import (
+    Field,
+    MeasurementEnsemble,
+    SparseVector,
+    generate_ensemble,
+    measure,
+    phase_gen_min_distance,
+    spark_at_least,
+    write_matrix,
+    write_sparse_vector,
+)
 from sparsepr.cli import main
 
 
@@ -71,6 +81,28 @@ def test_certify_exit_codes(workdir, capsys):
     code3, stdout3, _ = run_cli(capsys, "certify", str(workdir / "A.mat"), "--k", "3")
     assert code3 == 2
     assert json.loads(stdout3)["certified"] is False
+
+
+def test_certify_strict_exits_3_on_fragile_spark(tmp_path, capsys):
+    # columns 0-3 span a plane up to singular values 1.2e-10 and 9e-11, which
+    # straddle the 1e-10 rank threshold: only the spark decision is fragile
+    rng = np.random.default_rng(1)
+    U, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    V, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    entries = np.empty((4, 5))
+    entries[:, :4] = U @ np.diag([1.0, 0.7, 1.2e-10, 9e-11]) @ V.T
+    entries[:, 4] = rng.standard_normal(4)
+    A = MeasurementEnsemble.from_entries(Field.REAL, entries)
+    write_matrix(A, tmp_path / "F.mat")
+    assert not phase_gen_min_distance(A).fragile
+    spark = spark_at_least(A, 5)
+    assert spark.deficient_columns == (0, 1, 2, 3) and spark.fragile
+
+    code, stdout, _ = run_cli(capsys, "certify", str(tmp_path / "F.mat"), "--k", "2")
+    payload = json.loads(stdout)
+    assert code == 2 and payload["fragile"] is True and payload["spark_ok"] is False
+    code_strict, _, _ = run_cli(capsys, "certify", str(tmp_path / "F.mat"), "--k", "2", "--strict")
+    assert code_strict == 3
 
 
 def test_solve_json_and_usage_errors(workdir, capsys):

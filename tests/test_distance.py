@@ -14,7 +14,7 @@ from sparsepr import (
     spark_at_least,
     witness_rank,
 )
-from oracles import svd_rank
+from oracles import exhaustive_distance, svd_rank
 
 CRAFTED = MeasurementEnsemble.from_entries(Field.REAL, [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
 
@@ -41,17 +41,22 @@ def test_distance_rejects_wide_and_complex():
         phase_gen_min_distance(generate_ensemble(Field.COMPLEX, 2, 4, 0))
 
 
+DEGENERATES = [
+    CRAFTED,
+    MeasurementEnsemble.from_entries(Field.REAL, [[1.0, 1.0, 2.0], [2.0, 2.0, 1.0]]),
+    MeasurementEnsemble.from_entries(Field.REAL, np.zeros((2, 4)) + [[1, 1, 1, 1], [1, 1, 1, 1]]),
+    MeasurementEnsemble.from_entries(
+        Field.REAL, [[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0]]
+    ),
+]
+DUPLICATED = MeasurementEnsemble.from_entries(
+    Field.REAL, [[1.0, 1.0, 0.3, -0.7], [2.0, 2.0, 1.1, 0.4], [-0.5, -0.5, 0.9, 1.3]]
+)
+
+
 def test_distance_bound_on_degenerates():
     # d <= m + 1 must hold on crafted degenerate inputs too
-    cases = [
-        CRAFTED,
-        MeasurementEnsemble.from_entries(Field.REAL, [[1.0, 1.0, 2.0], [2.0, 2.0, 1.0]]),
-        MeasurementEnsemble.from_entries(Field.REAL, np.zeros((2, 4)) + [[1, 1, 1, 1], [1, 1, 1, 1]]),
-        MeasurementEnsemble.from_entries(
-            Field.REAL, [[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0]]
-        ),
-    ]
-    for A in cases:
+    for A in DEGENERATES:
         rep = phase_gen_min_distance(A)
         assert 1 <= rep.d <= A.m + 1
         if rep.witness is not None:
@@ -62,11 +67,48 @@ def test_distance_bound_on_degenerates():
 
 def test_duplicated_column_distance():
     # a duplicated column forces a size-3 witness mixing both copies
-    A = MeasurementEnsemble.from_entries(
-        Field.REAL, [[1.0, 1.0, 0.3, -0.7], [2.0, 2.0, 1.1, 0.4], [-0.5, -0.5, 0.9, 1.3]]
-    )
-    rep = phase_gen_min_distance(A)
+    rep = phase_gen_min_distance(DUPLICATED)
     assert rep.d <= 3
+
+
+def _degenerate_corpus():
+    """Seeded small ensembles whose rank decisions sit on or near the threshold.
+
+    Every (m, kind) pair appears twice; m = 6 keeps n = 7 so that the
+    SVD-only oracle stays within a second per ensemble.
+    """
+    rng = np.random.default_rng(20131351)
+    corpus = []
+    for i in range(40):
+        m, kind = 3 + i % 4, i % 5
+        n = 7 if m == 6 else m + int(rng.integers(1, 4))
+        E = rng.standard_normal((m, n))
+        if kind == 0:
+            E[:, -1] = E[:, 0]
+        elif kind == 1:
+            E[:, -1] = E[:, 0] + 1e-9 * rng.standard_normal(m)
+        elif kind == 2:
+            E[:, -1] = E[:, 0] + 1e-11 * rng.standard_normal(m)
+        elif kind == 3:
+            E = np.round(E)
+        else:
+            E[int(rng.integers(m))] = 0.0
+        corpus.append((MeasurementEnsemble.from_entries(Field.REAL, E), None))
+    corpus += [(A, None) for A in (*DEGENERATES, DUPLICATED)]
+    corpus.append((generate_ensemble(Field.REAL, 6, 8, 4), 2))  # max_support < m - 1
+    return corpus
+
+
+def test_distance_matches_exhaustive_oracle_on_degenerates():
+    # d, min_rank, witness, overlap fields and fragile all equal the SVD-only scan
+    for A, max_support in _degenerate_corpus():
+        got = phase_gen_min_distance(A, max_support=max_support)
+        assert got == exhaustive_distance(A, max_support=max_support), (A.entries, max_support)
+
+
+def test_distance_matches_exhaustive_oracle_on_generic_sweep(generic_distance_sweep):
+    for (k, seed), (A, rep) in generic_distance_sweep.items():
+        assert rep == exhaustive_distance(A), (k, seed)
 
 
 def test_spark_examples():
@@ -76,7 +118,7 @@ def test_spark_examples():
         Field.REAL, [[1.0, 1.0, 0.2], [0.5, 0.5, 1.0], [2.0, 2.0, 0.1]]
     )
     rep = spark_at_least(dup, 3)
-    assert not rep.ok and rep.deficient_columns == (0, 1)
+    assert not rep.ok and rep.deficient_columns == (0, 1) and not rep.fragile
     assert spark_at_least(CRAFTED, 3).ok
 
 

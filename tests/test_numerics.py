@@ -9,7 +9,9 @@ from sparsepr import (
     null_space_vector,
     numerical_rank,
 )
-from oracles import svd_rank
+from sparsepr import numerics
+from sparsepr.numerics import batched_ranks
+from oracles import svd_batched_ranks, svd_rank
 
 
 def test_rank_simple_cases():
@@ -101,3 +103,49 @@ def test_null_space_vector_examples():
 def test_null_space_vector_rejects_full_rank():
     with pytest.raises(ValueError):
         null_space_vector(np.eye(3))
+
+
+def _rank_stacks():
+    """Seeded stacks per shape: generic, duplicated or near-duplicated column,
+    integer entries, extreme scales, and singular values spread down to 1e-12."""
+    rng = np.random.default_rng(17)
+    for shape in [(6, 6), (6, 4), (7, 7), (4, 6), (3, 1), (1, 3), (8, 8)]:
+        t = min(shape)
+        base = rng.standard_normal((500, *shape))
+        dup = base.copy()
+        dup[:, :, -1] = dup[:, :, 0]
+        near = base.copy()
+        near[:, :, -1] = near[:, :, 0] + 1e-9 * rng.standard_normal(shape[0])
+        scaled = base * 10.0 ** rng.uniform(-160, 160, size=(500, 1, 1))
+        u, _, vt = np.linalg.svd(base)
+        s = 10.0 ** rng.uniform(-12, 0, size=(500, t))
+        s[:, 0] = 1.0
+        spread = (u[..., :t] * s[:, None, :]) @ vt[..., :t, :]
+        for stack in (base, dup, near, np.round(base), scaled, spread, np.zeros((3, *shape))):
+            yield shape, stack
+
+
+def test_batched_ranks_match_svd_policy():
+    # the full-rank screen may skip SVDs but never changes a rank or fragile flag
+    for shape, stack in _rank_stacks():
+        ranks, fragile = batched_ranks(stack)
+        want_ranks, want_fragile = svd_batched_ranks(stack)
+        assert np.array_equal(ranks, want_ranks), shape
+        assert np.array_equal(fragile, want_fragile), shape
+    stack = np.random.default_rng(3).standard_normal((400, 2, 6, 6))
+    ranks, fragile = batched_ranks(stack)
+    assert ranks.shape == fragile.shape == (400, 2)
+    assert np.array_equal(ranks, svd_batched_ranks(stack)[0])
+
+
+def test_batched_ranks_send_only_unproven_matrices_to_svd(monkeypatch):
+    sent = []
+    real = numerics._svd_ranks
+    monkeypatch.setattr(numerics, "_svd_ranks", lambda stack, tol: sent.append(len(stack)) or real(stack, tol))
+    generic = np.random.default_rng(5).standard_normal((1000, 6, 6))
+    batched_ranks(generic)
+    assert sum(sent) < 50  # most well-conditioned matrices are proven full rank
+    sent.clear()
+    generic[:, :, 5] = generic[:, :, 0]
+    assert np.all(batched_ranks(generic)[0] == 5)
+    assert sum(sent) == 1000  # deficiency is only ever decided by the SVD
