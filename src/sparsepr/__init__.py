@@ -20,10 +20,8 @@ from .model import (
     write_sparse_vector,
 )
 from .numerics import (
-    LeastSquaresResult,
     RankDecision,
     hermitian_top_eig,
-    least_squares,
     null_space_vector,
     numerical_rank,
 )
@@ -34,7 +32,6 @@ from .distance import (
     Witness,
     certify_unique,
     phase_gen_min_distance,
-    schur_reduced_block,
     spark_at_least,
     witness_rank,
 )
@@ -48,7 +45,6 @@ from .solver_real import (
 from .solver_complex import (
     CollisionProbe,
     GaussNewtonResult,
-    LiftedSolveReport,
     collision_probe_complex,
     column_magnitude_collision_1sparse,
     refine_gauss_newton,

@@ -124,19 +124,6 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _read_threads_cap() -> int:
-    raw = os.environ.get("SPARSE_PR_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise _UsageError(f"SPARSE_PR_THREADS must be a positive integer, got {raw!r}") from None
-    if cap < 1:
-        raise _UsageError(f"SPARSE_PR_THREADS must be a positive integer, got {raw!r}")
-    return cap
-
-
 def _cmd_gen(args) -> int:
     A = generate_ensemble(Field.from_label(args.field), args.m, args.n, args.seed)
     write_matrix(A, args.output)
@@ -304,7 +291,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise _UsageError("a subcommand is required (gen, measure, dist, certify, solve, collide, sweep)")
-        _read_threads_cap()  # validated; computation is single-threaded
         _log(args)
         return _HANDLERS[args.command](args)
     except _UsageError as exc:

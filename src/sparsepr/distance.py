@@ -48,7 +48,6 @@ __all__ = [
     "CertificationReport",
     "phase_gen_min_distance",
     "witness_rank",
-    "schur_reduced_block",
     "spark_at_least",
     "certify_unique",
     "sign_patterns",
@@ -328,54 +327,6 @@ def witness_rank(
     phases = P.phases.astype(A.field.dtype)
     M = np.concatenate([A.columns(I), phases[:, None] * A.columns(J)], axis=1)
     return numerical_rank(M, tol_rel).rank
-
-
-def schur_reduced_block(
-    A: MeasurementEnsemble,
-    I,
-    J,
-    P: PhasePattern,
-) -> np.ndarray:
-    """Reduced block B of a partial-overlap configuration.
-
-    After splitting the rows by sign and rearranging the columns as
-    [shared, I-only, J-only], the shared columns are eliminated from each
-    row group with a Schur complement, leaving B (stacked from both
-    groups) with the property rank(M) = 2w + rank(B), where w is the
-    overlap size.  Requires at least w rows of each sign and invertible
-    w-by-w pivot blocks (generic position).
-    """
-    I, J = tuple(I), tuple(J)
-    shared = sorted(set(I) & set(J))
-    w = len(shared)
-    if w == 0 or I == J:
-        raise ValueError("Schur reduction applies to partial-overlap configurations")
-    only_i = [i for i in I if i not in shared]
-    only_j = [j for j in J if j not in shared]
-    plus = P.phases.real > 0
-    l = int(plus.sum())
-    m = A.m
-    if l < w or m - l < w:
-        raise ValueError("need at least w rows of each sign for the reduction")
-
-    def reduce_group(rows: np.ndarray, negate_j: bool) -> np.ndarray:
-        cols = shared + only_i + only_j
-        G = A.entries[np.ix_(rows, cols)].copy()
-        if negate_j:
-            G[:, w + len(only_i) :] *= -1.0
-        pivot = G[:w, :w]
-        if np.linalg.matrix_rank(pivot) < w:
-            raise ValueError("singular pivot block; reduction undefined")
-        top_rest = G[:w, w:]
-        bottom_shared = G[w:, :w]
-        bottom_rest = G[w:, w:]
-        return bottom_rest - bottom_shared @ np.linalg.solve(pivot, top_rest)
-
-    rows_plus = np.where(plus)[0]
-    rows_minus = np.where(~plus)[0]
-    C_prime = reduce_group(rows_plus, negate_j=False)
-    D_prime = reduce_group(rows_minus, negate_j=True)
-    return np.vstack([C_prime, D_prime])
 
 
 def spark_at_least(A: MeasurementEnsemble, s: int, tol_rel: float = DEFAULT_RANK_TOL) -> SparkReport:

@@ -334,7 +334,7 @@ def _place(n: int, support, values) -> np.ndarray:
 # Result emission: CSV, JSON, and gnuplot-ready data.
 # ---------------------------------------------------------------------------
 
-_CSV_HEADER = "m,trials,successes,rate,mean_ms,fragile"
+_CSV_HEADER = "m,trials,successes,rate,mean_ms,fragile,heuristic"
 
 
 def _row_fields(row: SweepRow) -> list[str]:
@@ -345,6 +345,7 @@ def _row_fields(row: SweepRow) -> list[str]:
         repr(float(row.rate)),
         repr(float(row.mean_ms)),
         str(row.fragile),
+        str(int(row.heuristic)),
     ]
 
 
@@ -379,7 +380,7 @@ def emit_results(result: SweepResult, fmt: str, path) -> Path:
         header = [
             "# sparsepr sweep",
             "# config: " + json.dumps(result.config.to_json_dict(), sort_keys=True),
-            "# columns: m trials successes rate mean_ms fragile",
+            "# columns: m trials successes rate mean_ms fragile heuristic",
         ]
         lines = header + [" ".join(_row_fields(r)) for r in result.rows]
         text = "\n".join(lines) + "\n"
@@ -393,15 +394,17 @@ def emit_results(result: SweepResult, fmt: str, path) -> Path:
 
 
 def parse_sweep_csv(path) -> list[SweepRow]:
-    """Parse back a CSV written by emit_results (heuristic flag not stored)."""
+    """Parse back a CSV written by emit_results."""
     lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
     if not lines or lines[0] != _CSV_HEADER:
         raise ValueError(f"{path}:1: missing sweep CSV header")
     rows = []
     for i, ln in enumerate(lines[1:], start=2):
         parts = ln.split(",")
-        if len(parts) != 6:
-            raise ValueError(f"{path}:{i}: expected 6 columns, got {len(parts)}")
+        if len(parts) != 7:
+            raise ValueError(f"{path}:{i}: expected 7 columns, got {len(parts)}")
+        if parts[6] not in ("0", "1"):
+            raise ValueError(f"{path}:{i}: heuristic must be 0 or 1, got {parts[6]!r}")
         rows.append(
             SweepRow(
                 m=int(parts[0]),
@@ -410,6 +413,7 @@ def parse_sweep_csv(path) -> list[SweepRow]:
                 rate=float(parts[3]),
                 mean_ms=float(parts[4]),
                 fragile=int(parts[5]),
+                heuristic=parts[6] == "1",
             )
         )
     return rows

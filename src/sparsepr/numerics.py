@@ -18,8 +18,6 @@ __all__ = [
     "RankDecision",
     "numerical_rank",
     "batched_ranks",
-    "LeastSquaresResult",
-    "least_squares",
     "hermitian_top_eig",
     "null_space_vector",
 ]
@@ -169,32 +167,6 @@ def _certified_full_rank(stack: np.ndarray, tol_rel: float) -> np.ndarray:
         _, logdet = np.linalg.slogdet(gram)
         log_rho = 0.5 * logdet + 0.5 * (t - 1) * np.log(max(t - 1, 1)) - 0.5 * t * np.log(fro2)
         return (fro2 >= 1e-280) & (fro2 <= 1e280) & (log_rho > log_tau)
-
-
-@dataclass(frozen=True)
-class LeastSquaresResult:
-    """Minimum-norm least-squares solution with its residual norm.
-
-    degenerate is set when the system matrix is numerically rank deficient;
-    the solution is still returned and the caller decides what to do.
-    """
-
-    x: np.ndarray
-    residual_norm: float
-    degenerate: bool
-
-
-def least_squares(M, b) -> LeastSquaresResult:
-    """Minimize ||Mx - b||_2 for a tall (m >= k) system."""
-    M = np.asarray(M)
-    b = np.asarray(b).reshape(-1)
-    m, k = M.shape
-    if m < k:
-        raise ValueError(f"least_squares expects m >= k, got {m}x{k}")
-    decision = numerical_rank(M)
-    x, *_ = np.linalg.lstsq(M, b, rcond=None)
-    residual = float(np.linalg.norm(M @ x - b))
-    return LeastSquaresResult(x=x, residual_norm=residual, degenerate=decision.rank < k)
 
 
 def hermitian_top_eig(X) -> tuple[np.ndarray, np.ndarray]:

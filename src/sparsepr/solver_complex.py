@@ -28,7 +28,6 @@ from .numerics import hermitian_top_eig
 from .solver_real import SearchStats, SolutionSet, _dedup_insert
 
 __all__ = [
-    "LiftedSolveReport",
     "CollisionProbe",
     "GaussNewtonResult",
     "solve_l0_complex",
@@ -39,6 +38,9 @@ __all__ = [
 
 RANK1_TOL = 1e-6
 PSD_TOL = 1e-8
+# Rows (support pairs x restarts) one block of the collision probe holds,
+# after its first block; bounds the LM kernel's working arrays to a few MB.
+_PROBE_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -336,47 +338,73 @@ def column_magnitude_collision_1sparse(A: MeasurementEnsemble, rel_tol: float = 
     return False
 
 
-def _batched_gauss_newton(A_J: np.ndarray, targets: np.ndarray, x0: np.ndarray, iters: int = 120):
-    """Levenberg-damped Gauss-Newton over a batch of restarts.
+def _batched_levenberg_marquardt(AT: np.ndarray, targets: np.ndarray, x0: np.ndarray, iters: int = 120):
+    """Levenberg-damped Gauss-Newton over a stack of support pairs.
 
-    A_J: (m, k); targets: (R, m) magnitude targets; x0: (R, k) complex
+    AT: (P, k, m), AT[p] = A_J^T of pair p, each C-contiguous (the layout
+    of entries[:, J].T; the BLAS call, and so the rounding, depends on
+    it); targets: (P, R, m) magnitude targets; x0: (P, R, k) complex
     starts.  Steps are accepted per restart only when the objective
-    decreases.  Returns (x, objective) with objective the 2-norm of the
-    magnitude mismatch |A v| - t.
+    decreases; the damping halves after an accepted step and quadruples
+    otherwise, clipped to [1e-12, 1e6].  A pair stops once every one of
+    its restarts reaches a squared objective of 1e-24, or when one of its
+    damped normal-equation systems is singular.  Returns (x, objective)
+    with objective the 2-norm of the magnitude mismatch |A_J v| - t,
+    shape (P, R).
     """
-    R, k = x0.shape
-    x = x0.copy()
-    t2 = targets**2
+    P, R, k = x0.shape
+    m = AT.shape[2]
+    eye = np.eye(2 * k)[None]
 
-    def sq_obj(xc):
-        r = xc @ A_J.T
-        return np.linalg.norm(np.abs(r) ** 2 - t2, axis=1)
+    def sq_obj(xc, ATc, t2c):
+        r = xc @ ATc
+        return np.linalg.norm(np.abs(r) ** 2 - t2c, axis=-1)
 
-    obj = sq_obj(x)
-    lam = np.full(R, 1e-3)
+    x = np.empty_like(x0)
+    # Working arrays hold the live pairs only; a pair that stops is
+    # written back to x and dropped.
+    live = np.arange(P)
+    xs, ats, t2 = x0.copy(), AT, targets**2
+    obj = sq_obj(xs, ats, t2)
+    lam = np.full((P, R), 1e-3)
     for _ in range(iters):
-        r = x @ A_J.T  # (R, m)
-        f = np.abs(r) ** 2 - t2
-        cr = np.conj(r)[:, :, None] * A_J[None, :, :]  # (R, m, k)
-        J = np.concatenate([2.0 * cr.real, -2.0 * cr.imag], axis=2)  # (R, m, 2k)
+        L = live.size
+        r = xs @ ats  # (L, R, m)
+        f = (np.abs(r) ** 2 - t2).reshape(L * R, m)
+        cr = np.conj(r)[..., None] * ats.transpose(0, 2, 1)[:, None]  # (L, R, m, k)
+        J = np.concatenate([2.0 * cr.real, -2.0 * cr.imag], axis=-1).reshape(L * R, m, 2 * k)
         JtJ = np.einsum("rmi,rmj->rij", J, J)
         Jtf = np.einsum("rmi,rm->ri", J, f)
-        A_ = JtJ + lam[:, None, None] * np.eye(2 * k)[None]
+        A_ = JtJ + lam.reshape(L * R)[:, None, None] * eye
+        rhs = -Jtf[..., None]
+        solved = np.ones(L, dtype=bool)
         try:
-            delta = np.linalg.solve(A_, -Jtf[..., None])[..., 0]
+            delta = np.linalg.solve(A_, rhs)[..., 0]
         except np.linalg.LinAlgError:
-            break
-        step = delta[:, :k] + 1j * delta[:, k:]
-        cand = x + step
-        cand_obj = sq_obj(cand)
-        better = cand_obj < obj
-        x[better] = cand[better]
+            delta = np.zeros((L * R, 2 * k))
+            for p in range(L):
+                rows = slice(p * R, (p + 1) * R)
+                try:
+                    delta[rows] = np.linalg.solve(A_[rows], rhs[rows])[..., 0]
+                except np.linalg.LinAlgError:
+                    solved[p] = False
+        step = (delta[:, :k] + 1j * delta[:, k:]).reshape(L, R, k)
+        cand = xs + step
+        cand_obj = sq_obj(cand, ats, t2)
+        better = (cand_obj < obj) & solved[:, None]
+        xs[better] = cand[better]
         obj[better] = cand_obj[better]
         lam = np.where(better, lam * 0.5, lam * 4.0)
         lam = np.clip(lam, 1e-12, 1e6)
-        if np.all(obj <= 1e-24):
-            break
-    mag_obj = np.linalg.norm(np.abs(x @ A_J.T) - targets, axis=1)
+        done = ~solved | np.all(obj <= 1e-24, axis=1)
+        if done.any():
+            x[live[done]] = xs[done]
+            keep = ~done
+            live, xs, ats, t2, obj, lam = live[keep], xs[keep], ats[keep], t2[keep], obj[keep], lam[keep]
+            if live.size == 0:
+                break
+    x[live] = xs
+    mag_obj = np.linalg.norm(np.abs(x @ AT) - targets, axis=-1)
     return x, mag_obj
 
 
@@ -393,25 +421,39 @@ def collision_probe_complex(
     starts (u is resampled per restart).  Finding a non-phase-equivalent
     pair below 1e-8 yields verdict collision_found; otherwise
     no_collision_found.  A negative verdict is evidence, not proof.
+
+    Pairs are scanned in order, I major, and optimized in blocks: first
+    the pairs of the first support I, then about _PROBE_ROWS rows (pairs
+    times restarts) at a time, so an early collision returns after one
+    small block.  Each pair draws its starts from its own seed, so the
+    verdict, objective and pair do not depend on the blocking.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     entries = A.entries.astype(np.complex128)
     n = A.n
+    supports = list(itertools.combinations(range(n), k))
+    S = len(supports)
+    # AT[s] = entries[:, supports[s]].T, C-contiguous (k, m).
+    AT = np.ascontiguousarray(entries[:, np.array(supports, dtype=int).reshape(S, k).T].transpose(2, 1, 0))
     best_obj = np.inf
     best_pair = None
-    supports = list(itertools.combinations(range(n), k))
-    for si, I in enumerate(supports):
-        A_I = entries[:, I]
-        for sj, J in enumerate(supports):
-            A_J = entries[:, J]
-            ss = np.random.SeedSequence(seed, spawn_key=(si, sj))
-            rng = np.random.default_rng(ss)
+    lo, size = 0, S
+    while lo < S * S:
+        pairs = [divmod(p, S) for p in range(lo, min(lo + size, S * S))]
+        lo, size = lo + len(pairs), max(1, _PROBE_ROWS // restarts)
+        U = np.empty((len(pairs), restarts, k), dtype=np.complex128)
+        V0 = np.empty_like(U)
+        for b, (si, sj) in enumerate(pairs):
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(si, sj)))
             u = rng.standard_normal((restarts, k)) + 1j * rng.standard_normal((restarts, k))
-            u /= np.linalg.norm(u, axis=1, keepdims=True)
-            targets = np.abs(u @ A_I.T)  # (R, m)
-            v0 = rng.standard_normal((restarts, k)) + 1j * rng.standard_normal((restarts, k))
-            v, obj = _batched_gauss_newton(A_J, targets, v0)
+            U[b] = u / np.linalg.norm(u, axis=1, keepdims=True)
+            V0[b] = rng.standard_normal((restarts, k)) + 1j * rng.standard_normal((restarts, k))
+        I_idx = [si for si, _ in pairs]
+        J_idx = [sj for _, sj in pairs]
+        V, OBJ = _batched_levenberg_marquardt(AT[J_idx], np.abs(U @ AT[I_idx]), V0)
+        for (si, sj), u, v, obj in zip(pairs, U, V, OBJ):
+            I, J = supports[si], supports[sj]
             order = np.argsort(obj, kind="stable")
             for idx in order:
                 if obj[idx] >= best_obj and obj[idx] > 1e-8:

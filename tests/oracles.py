@@ -3,8 +3,9 @@
 These deliberately avoid the library's solver machinery: the l0 oracle
 enumerates supports and solves exact square subsystems (k rows with
 nonzero magnitude, solved directly, verified on the remaining rows), the
-rank oracle is a bare SVD count, and the distance oracle enumerates every
-ordered support pair and decides every rank by SVD.  They are slow and
+rank oracle is a bare SVD count, the distance oracle enumerates every
+ordered support pair and decides every rank by SVD, and the collision
+probe oracle optimizes one support pair at a time.  They are slow and
 simple on purpose.
 """
 
@@ -15,7 +16,8 @@ import itertools
 import numpy as np
 
 from sparsepr.distance import DistanceReport, Witness
-from sparsepr.model import Field, MeasurementEnsemble
+from sparsepr.model import Field, MeasurementEnsemble, SparseVector, phase_equivalent
+from sparsepr.solver_complex import CollisionProbe
 
 
 def svd_rank(M, tol_rel: float = 1e-10) -> int:
@@ -215,3 +217,92 @@ def exhaustive_distance(
     return DistanceReport(m=m, n=n, d=d, min_rank=score, witness=Witness(I=I, J=J, pattern_bits=code),
                           overlap_class=overlap_class, overlap=w, certified_k=(d - 1) // 2,
                           fragile=fragile_any)
+
+
+def _pairwise_levenberg_marquardt(A_J: np.ndarray, targets: np.ndarray, x0: np.ndarray, iters: int = 120):
+    """Levenberg-damped Gauss-Newton over the restarts of one support pair.
+
+    A_J: (m, k); targets: (R, m) magnitude targets; x0: (R, k) complex
+    starts.  Steps are accepted per restart only when the objective
+    decreases.  Returns (x, objective) with objective the 2-norm of the
+    magnitude mismatch |A v| - t.
+    """
+    R, k = x0.shape
+    x = x0.copy()
+    t2 = targets**2
+
+    def sq_obj(xc):
+        r = xc @ A_J.T
+        return np.linalg.norm(np.abs(r) ** 2 - t2, axis=1)
+
+    obj = sq_obj(x)
+    lam = np.full(R, 1e-3)
+    for _ in range(iters):
+        r = x @ A_J.T  # (R, m)
+        f = np.abs(r) ** 2 - t2
+        cr = np.conj(r)[:, :, None] * A_J[None, :, :]  # (R, m, k)
+        J = np.concatenate([2.0 * cr.real, -2.0 * cr.imag], axis=2)  # (R, m, 2k)
+        JtJ = np.einsum("rmi,rmj->rij", J, J)
+        Jtf = np.einsum("rmi,rm->ri", J, f)
+        A_ = JtJ + lam[:, None, None] * np.eye(2 * k)[None]
+        try:
+            delta = np.linalg.solve(A_, -Jtf[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            break
+        step = delta[:, :k] + 1j * delta[:, k:]
+        cand = x + step
+        cand_obj = sq_obj(cand)
+        better = cand_obj < obj
+        x[better] = cand[better]
+        obj[better] = cand_obj[better]
+        lam = np.where(better, lam * 0.5, lam * 4.0)
+        lam = np.clip(lam, 1e-12, 1e6)
+        if np.all(obj <= 1e-24):
+            break
+    mag_obj = np.linalg.norm(np.abs(x @ A_J.T) - targets, axis=1)
+    return x, mag_obj
+
+
+def pairwise_collision_probe(A: MeasurementEnsemble, k: int, restarts: int, seed: int) -> CollisionProbe:
+    """collision_probe_complex with one kernel call per ordered support pair.
+
+    Same seeding (SeedSequence(seed, spawn_key=(si, sj)) per pair), pair
+    order, filtering and early return as the library's blocked scan.
+    """
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
+    entries = A.entries.astype(np.complex128)
+    n = A.n
+    best_obj = np.inf
+    best_pair = None
+    supports = list(itertools.combinations(range(n), k))
+    for si, I in enumerate(supports):
+        A_I = entries[:, I]
+        for sj, J in enumerate(supports):
+            A_J = entries[:, J]
+            ss = np.random.SeedSequence(seed, spawn_key=(si, sj))
+            rng = np.random.default_rng(ss)
+            u = rng.standard_normal((restarts, k)) + 1j * rng.standard_normal((restarts, k))
+            u /= np.linalg.norm(u, axis=1, keepdims=True)
+            targets = np.abs(u @ A_I.T)  # (R, m)
+            v0 = rng.standard_normal((restarts, k)) + 1j * rng.standard_normal((restarts, k))
+            v, obj = _pairwise_levenberg_marquardt(A_J, targets, v0)
+            order = np.argsort(obj, kind="stable")
+            for idx in order:
+                if obj[idx] >= best_obj and obj[idx] > 1e-8:
+                    break
+                uu = SparseVector(Field.COMPLEX, n, I, u[idx]).canonical()
+                small = np.abs(v[idx]) <= 1e-12
+                if small.any():
+                    continue
+                vv = SparseVector(Field.COMPLEX, n, J, v[idx]).canonical()
+                if phase_equivalent(uu, vv, 1e-6):
+                    continue
+                if obj[idx] < best_obj:
+                    best_obj = float(obj[idx])
+                    best_pair = (uu, vv)
+                if best_obj <= 1e-8:
+                    return CollisionProbe(best_pair, best_obj, restarts, "collision_found")
+                break
+    verdict = "collision_found" if (best_pair is not None and best_obj <= 1e-8) else "no_collision_found"
+    return CollisionProbe(best_pair, best_obj if best_pair else np.inf, restarts, verdict)

@@ -191,15 +191,6 @@ def test_malformed_matrix_diagnostics(workdir, capsys):
     assert code == 1 and "broken.mat:3" in err
 
 
-def test_threads_env_validation(workdir, capsys, monkeypatch):
-    monkeypatch.setenv("SPARSE_PR_THREADS", "2")
-    code, _, _ = run_cli(capsys, "dist", str(workdir / "A.mat"))
-    assert code == 0
-    monkeypatch.setenv("SPARSE_PR_THREADS", "zero")
-    code2, _, err = run_cli(capsys, "dist", str(workdir / "A.mat"))
-    assert code2 == 1 and "SPARSE_PR_THREADS" in err
-
-
 def test_sweep_from_flags(workdir, capsys):
     code, stdout, _ = run_cli(
         capsys, "sweep", "--field", "real", "--n", "7", "--k", "2",

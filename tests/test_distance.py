@@ -10,10 +10,10 @@ from sparsepr import (
     certify_unique,
     generate_ensemble,
     phase_gen_min_distance,
-    schur_reduced_block,
     spark_at_least,
     witness_rank,
 )
+from helpers import schur_reduced_block
 from oracles import exhaustive_distance, svd_rank
 
 CRAFTED = MeasurementEnsemble.from_entries(Field.REAL, [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])

@@ -105,9 +105,17 @@ def test_sweep_determinism_and_emission(tmp_path):
     p2 = emit_results(res1, "csv", tmp_path / "b.csv")
     assert p1.read_bytes() == p2.read_bytes()
     rows = parse_sweep_csv(p1)
-    assert [(r.m, r.trials, r.successes, r.rate, r.mean_ms, r.fragile) for r in rows] == [
-        (r.m, r.trials, r.successes, r.rate, r.mean_ms, r.fragile) for r in res1.rows
+    assert [(r.m, r.trials, r.successes, r.rate, r.mean_ms, r.fragile, r.heuristic) for r in rows] == [
+        (r.m, r.trials, r.successes, r.rate, r.mean_ms, r.fragile, r.heuristic) for r in res1.rows
     ]
+
+    # complex k = 2 at m = 3 < k^2 runs the heuristic path; the flag survives the round trip
+    heur = run_sweep(SweepConfig(Field.COMPLEX, 4, 2, (3, 3), 1, base_seed=11))
+    assert [r.heuristic for r in heur.rows] == [True]
+    assert parse_sweep_csv(emit_results(heur, "csv", tmp_path / "h.csv")) == list(heur.rows)
+    gp_lines = emit_results(heur, "gnuplot", tmp_path / "h.dat").read_text().splitlines()
+    assert gp_lines[2] == "# columns: m trials successes rate mean_ms fragile heuristic"
+    assert gp_lines[3].split()[-1] == "1"
 
     gp = emit_results(res1, "gnuplot", tmp_path / "a.dat")
     text = gp.read_text()
@@ -124,12 +132,12 @@ def test_empty_and_single_row_csv(tmp_path):
 
     cfg = SweepConfig(Field.REAL, 7, 2, (3, 3), 1, base_seed=0)
     empty = emit_results(SweepResult(config=cfg, rows=()), "csv", tmp_path / "empty.csv")
-    assert empty.read_text() == "m,trials,successes,rate,mean_ms,fragile\n"
+    assert empty.read_text() == "m,trials,successes,rate,mean_ms,fragile,heuristic\n"
 
     res = run_sweep(cfg)
     single = emit_results(res, "csv", tmp_path / "one.csv")
     lines = single.read_text().strip().splitlines()
-    assert lines[0] == "m,trials,successes,rate,mean_ms,fragile"
+    assert lines[0] == "m,trials,successes,rate,mean_ms,fragile,heuristic"
     assert len(lines) == 2
 
 

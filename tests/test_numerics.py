@@ -5,12 +5,12 @@ from sparsepr import (
     Field,
     generate_ensemble,
     hermitian_top_eig,
-    least_squares,
     null_space_vector,
     numerical_rank,
 )
 from sparsepr import numerics
 from sparsepr.numerics import batched_ranks
+from helpers import least_squares
 from oracles import svd_batched_ranks, svd_rank
 
 

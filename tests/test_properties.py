@@ -23,8 +23,8 @@ from sparsepr import (
     solve_l0_real,
     witness_rank,
 )
-from sparsepr.numerics import least_squares
 from sparsepr.solver_complex import column_magnitude_collision_1sparse
+from helpers import least_squares
 
 CASES = 100
 

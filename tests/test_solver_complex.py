@@ -14,6 +14,7 @@ from sparsepr import (
     solve_l0_complex,
 )
 from sparsepr.solver_complex import _lifted_support_solve
+from oracles import pairwise_collision_probe
 
 
 def test_hand_example_one_class():
@@ -156,6 +157,48 @@ def test_collision_probe_k2_threshold():
         A = generate_ensemble(Field.COMPLEX, 6, 6, seed)
         probe = collision_probe_complex(A, 2, 100, seed)
         assert probe.verdict == "no_collision_found", f"seed {seed}"
+
+
+def _singular_solve_ensemble():
+    """Column 1 = 2 * column 0, scaled by 1e10.  At that scale lambda * I is
+    lost to rounding, so some damped normal-equation systems are exactly
+    singular, on pairs with each of the six J supports."""
+    E = generate_ensemble(Field.COMPLEX, 6, 4, 7).entries.copy()
+    E[:, 1] = 2.0 * E[:, 0]
+    return MeasurementEnsemble.from_entries(Field.COMPLEX, E * 1e10)
+
+
+PROBE_CORPUS = (
+    [(f"complex-6x4-{s}", generate_ensemble(Field.COMPLEX, 6, 4, s), 2, 8, s) for s in range(40)]
+    + [(f"complex-3x6-{s}", generate_ensemble(Field.COMPLEX, 3, 6, s), 2, 8, s) for s in range(20)]
+    + [(f"complex-6x6-{s}", generate_ensemble(Field.COMPLEX, 6, 6, s), 2, 4, s) for s in range(6)]
+    + [("real-1x2", MeasurementEnsemble.from_entries(Field.REAL, [[1.0, 2.0]]), 1, 5, 0)]
+    + [("singular-solve", _singular_solve_ensemble(), 2, 8, 3)]
+)
+
+
+def _probe_bits(probe):
+    pair = None if probe.pair is None else [(v.support, v.values) for v in probe.pair]
+    return probe.verdict, probe.objective, pair
+
+
+def _same_probe(a, b) -> bool:
+    (va, oa, pa), (vb, ob, pb) = _probe_bits(a), _probe_bits(b)
+    if va != vb or oa != ob or (pa is None) != (pb is None):
+        return False
+    return pa is None or all(sa == sb and np.array_equal(xa, xb) for (sa, xa), (sb, xb) in zip(pa, pb))
+
+
+@pytest.mark.slow
+def test_collision_probe_matches_pairwise_oracle():
+    """The blocked scan reproduces the per-pair scan bit for bit."""
+    verdicts = {}
+    for name, A, k, restarts, seed in PROBE_CORPUS:
+        probe = collision_probe_complex(A, k, restarts, seed)
+        assert _same_probe(probe, pairwise_collision_probe(A, k, restarts, seed)), name
+        verdicts[name] = probe.verdict
+    assert all(verdicts[f"complex-3x6-{s}"] == "collision_found" for s in range(20))
+    assert verdicts["singular-solve"] == "no_collision_found"
 
 
 def test_k1_uniqueness_matches_column_criterion():
