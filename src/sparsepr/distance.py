@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Field, MeasurementEnsemble, PhasePattern
+from .model import Field, MeasurementEnsemble, PhasePattern, sign_table
 from .numerics import DEFAULT_RANK_TOL, batched_ranks, numerical_rank
 
 __all__ = [
@@ -148,16 +148,13 @@ class CertificationReport:
 def sign_patterns(m: int) -> tuple[np.ndarray, np.ndarray]:
     """All admissible sign patterns modulo global flip, as a (npat, m) array.
 
-    Row b-1 holds the pattern with integer code b (first entry +1, bit i of
-    b flips entry i+1); code 0 (the identity) is excluded.  Also returns the
-    per-pattern count of +1 entries.
+    Row b-1 holds the pattern with integer code b (see sign_table); code 0
+    (the identity) is excluded.  Also returns the per-pattern count of +1
+    entries.
     """
     if m < 2:
         return np.zeros((0, m)), np.zeros(0, dtype=int)
-    codes = np.arange(1, 2 ** (m - 1))
-    bits = (codes[:, None] >> np.arange(m - 1)[None, :]) & 1
-    signs = np.ones((codes.size, m))
-    signs[:, 1:] = 1.0 - 2.0 * bits
+    signs = sign_table(m)[1:]
     return signs, np.sum(signs > 0, axis=1).astype(int)
 
 
@@ -284,7 +281,7 @@ def phase_gen_min_distance(
                         if cap_key is None or key < cap_key:
                             cap_key = key
 
-    if best_key is None or (cap_key is not None and cap_key < best_key):
+    if best_key is None:  # an eligible key scores below t_max, so it beats the cap
         best_key = cap_key
     if best_key is None:
         # Degenerate corner: nothing deficient was counted and no full-rank

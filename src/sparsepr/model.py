@@ -229,7 +229,7 @@ class PhasePattern:
 
     @classmethod
     def from_bits(cls, m: int, bits: int) -> "PhasePattern":
-        """Real sign pattern: entry 0 is +1, bit i flips entry i+1."""
+        """Real sign pattern: entry 0 is +1, bit i flips entry i+1 (row bits of sign_table(m))."""
         if not (0 <= bits < 2 ** (m - 1)):
             raise ValueError(f"bits out of range for m={m}")
         phases = np.ones(m)
@@ -248,6 +248,19 @@ class PhasePattern:
             if self.phases[i + 1] < 0:
                 b |= 1 << i
         return b
+
+
+def sign_table(p: int) -> np.ndarray:
+    """All 2^(p-1) real sign patterns of length p >= 1, as a (2^(p-1), p) array.
+
+    Row b holds the pattern PhasePattern.from_bits(p, b): entry 0 is +1 and
+    bit i of b flips entry i+1.
+    """
+    codes = np.arange(2 ** (p - 1))
+    bits = (codes[:, None] >> np.arange(p - 1)[None, :]) & 1
+    table = np.ones((codes.size, p))
+    table[:, 1:] = 1.0 - 2.0 * bits
+    return table
 
 
 @dataclass(frozen=True)

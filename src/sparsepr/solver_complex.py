@@ -44,18 +44,6 @@ _PROBE_ROWS = 4096
 
 
 @dataclass(frozen=True)
-class LiftedSolveReport:
-    """One per-support lifted solve: the Hermitian candidate and its spectrum."""
-
-    support: tuple[int, ...]
-    X: np.ndarray
-    eigenvalues: np.ndarray
-    rank1_defect: float
-    accepted: bool
-    x_hat: SparseVector | None
-
-
-@dataclass(frozen=True)
 class CollisionProbe:
     """Best near-collision found by the optimization probe."""
 
@@ -71,39 +59,29 @@ class GaussNewtonResult:
     residual: float
     iterations: int
     objective_history: tuple[float, ...]
-    diverged: bool
 
 
 def _lift_system(A_I: np.ndarray, k: int) -> np.ndarray:
     """Real m x k^2 system matrix for tr(phi phi^* X) = y^2 over Hermitian X.
 
     Unknown order: k diagonal entries, then (Re, Im) for each off-diagonal
-    pair (p, q) with p < q.
+    pair (p, q) with p < q, in np.triu_indices order.
     """
-    m = A_I.shape[0]
-    phi_outer = np.conj(A_I)[:, :, None] * A_I[:, None, :]  # rows of phi phi^*
-    G = np.empty((m, k * k))
-    for p in range(k):
-        G[:, p] = phi_outer[:, p, p].real
-    col = k
-    for p in range(k):
-        for q in range(p + 1, k):
-            G[:, col] = 2.0 * phi_outer[:, q, p].real
-            G[:, col + 1] = -2.0 * phi_outer[:, q, p].imag
-            col += 2
+    p, q = np.triu_indices(k, 1)
+    off = np.conj(A_I[:, q]) * A_I[:, p]
+    G = np.empty((A_I.shape[0], k * k))
+    G[:, :k] = (np.conj(A_I) * A_I).real
+    G[:, k::2] = 2.0 * off.real
+    G[:, k + 1 :: 2] = -2.0 * off.imag
     return G
 
 
 def _assemble_hermitian(v: np.ndarray, k: int) -> np.ndarray:
+    p, q = np.triu_indices(k, 1)
     X = np.zeros((k, k), dtype=np.complex128)
-    for p in range(k):
-        X[p, p] = v[p]
-    col = k
-    for p in range(k):
-        for q in range(p + 1, k):
-            X[p, q] = v[col] + 1j * v[col + 1]
-            X[q, p] = v[col] - 1j * v[col + 1]
-            col += 2
+    X[np.arange(k), np.arange(k)] = v[:k]
+    X[p, q] = v[k::2] + 1j * v[k + 1 :: 2]
+    X[q, p] = v[k::2] - 1j * v[k + 1 :: 2]
     return X
 
 
@@ -113,7 +91,12 @@ def _lifted_support_solve(
     support: tuple[int, ...],
     n: int,
     tol: float,
-) -> LiftedSolveReport:
+) -> tuple[SparseVector, float] | None:
+    """The canonical class and rank-one defect one support's lift yields, or None.
+
+    The lifted residual is checked first, so X is assembled and
+    eigendecomposed only for a support whose linear system is consistent.
+    """
     k = len(support)
     G = _lift_system(A_I, k)
     rhs = y**2
@@ -121,27 +104,18 @@ def _lifted_support_solve(
     resid = float(np.linalg.norm(G @ v - rhs))
     ymax = float(y.max(initial=0.0))
     resid_tol = tol * max(1.0, ymax**2) * np.sqrt(len(y))  # lifted system lives on y^2 scale
-    tol_abs = tol * max(1.0, ymax)
-    X = _assemble_hermitian(v, k)
-    eigs, v1 = hermitian_top_eig(X)
+    if not resid <= resid_tol:  # also rejects a NaN residual
+        return None
+    eigs, v1 = hermitian_top_eig(_assemble_hermitian(v, k))
     lam1 = float(eigs[0])
     defect = 0.0 if k == 1 or lam1 <= 0 else max(0.0, float(eigs[1])) / lam1
-    accepted = (
-        resid <= resid_tol
-        and lam1 > 0
-        and float(eigs[-1]) >= -PSD_TOL * lam1
-        and defect <= RANK1_TOL
-    )
-    x_hat = None
-    if accepted:
-        x_vals = np.sqrt(lam1) * v1
-        if np.min(np.abs(x_vals)) > tol_abs and _meas_err(A_I, x_vals, y) <= tol_abs:
-            x_hat = SparseVector(Field.COMPLEX, n, support, x_vals).canonical()
-        else:
-            accepted = False
-    return LiftedSolveReport(
-        support=support, X=X, eigenvalues=eigs, rank1_defect=defect, accepted=accepted, x_hat=x_hat
-    )
+    if not (lam1 > 0 and float(eigs[-1]) >= -PSD_TOL * lam1 and defect <= RANK1_TOL):
+        return None
+    tol_abs = tol * max(1.0, ymax)
+    x_vals = np.sqrt(lam1) * v1
+    if np.min(np.abs(x_vals)) > tol_abs and _meas_err(A_I, x_vals, y) <= tol_abs:
+        return SparseVector(Field.COMPLEX, n, support, x_vals).canonical(), defect
+    return None
 
 
 def solve_l0_complex(
@@ -196,23 +170,22 @@ def solve_l0_complex(
             A_I = A.entries[:, support]
             if lifted:
                 stats.patterns_tried += 1
-                report = _lifted_support_solve(A_I, yv, support, A.n, tol)
-                if report.accepted and report.x_hat is not None:
-                    before = len(classes)
-                    _dedup_insert(classes, residuals, report.x_hat, _meas_err(A_I, report.x_hat.values, yv), tol_abs)
-                    if len(classes) > before:
-                        methods.append("lifted")
-                        defects.append(report.rank1_defect)
+                hit = _lifted_support_solve(A_I, yv, support, A.n, tol)
+                found = [] if hit is None else [(hit[0], "lifted", hit[1])]
             else:
                 heuristic_used = True
-                for cand in _refined_support_solve(
-                    A_I, yv, support, A.n, tol_abs, heuristic_restarts, seed, k, stats
-                ):
-                    before = len(classes)
-                    _dedup_insert(classes, residuals, cand, _meas_err(A_I, cand.values, yv), tol_abs)
-                    if len(classes) > before:
-                        methods.append("refined")
-                        defects.append(None)
+                found = [
+                    (cand, "refined", None)
+                    for cand in _refined_support_solve(
+                        A_I, yv, support, A.n, tol_abs, heuristic_restarts, seed, k, stats
+                    )
+                ]
+            for cand, method, defect in found:
+                before = len(classes)
+                _dedup_insert(classes, residuals, cand, _meas_err(A_I, cand.values, yv), tol_abs)
+                if len(classes) > before:
+                    methods.append(method)
+                    defects.append(defect)
         if classes:
             return SolutionSet(
                 k, classes, residuals, stats, heuristic=heuristic_used, methods=methods, rank1_defects=defects
@@ -242,10 +215,7 @@ def _refined_support_solve(
         stats.patterns_tried += 1
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k, _support_key(support), r)))
         x0 = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) * scale
-        res = refine_gauss_newton(A_I, y, x0)
-        if res.diverged:
-            continue
-        x = res.x
+        x = refine_gauss_newton(A_I, y, x0).x
         if np.min(np.abs(x)) > tol_abs and _meas_err(A_I, x, y) <= tol_abs:
             out.append(SparseVector(Field.COMPLEX, n, support, x).canonical())
     return out
@@ -269,8 +239,6 @@ def refine_gauss_newton(
 
     The step length is halved on non-decrease of the objective, so the
     objective is monotonically non-increasing across accepted steps.
-    Divergence (objective above 10x the initial value) is reported for
-    the caller to discard.
     """
     y = as_measurement(y).magnitudes
     x = np.asarray(x_init, dtype=np.complex128).reshape(-1).copy()
@@ -310,10 +278,7 @@ def refine_gauss_newton(
             break
         history.append(obj)
         steps += 1
-    diverged = obj > history[0] * 10 + 1e-30
-    return GaussNewtonResult(
-        x=x, residual=obj, iterations=steps, objective_history=tuple(history), diverged=diverged
-    )
+    return GaussNewtonResult(x=x, residual=obj, iterations=steps, objective_history=tuple(history))
 
 
 def column_magnitude_collision_1sparse(A: MeasurementEnsemble, rel_tol: float = 1e-10) -> bool:

