@@ -31,7 +31,7 @@ from .model import (
 )
 from .numerics import null_space_vector
 from .solver_complex import solve_l0_complex
-from .solver_real import feasible_classes, solve_l0_real
+from .solver_real import _check_tol, feasible_classes, solve_l0_real
 
 __all__ = [
     "SweepConfig",
@@ -76,6 +76,7 @@ class SweepConfig:
             raise ValueError("k must be in [1, n]")
         if lo < self.k:
             raise ValueError(f"solver needs k <= m for every m in range; got k={self.k}, m_range={self.m_range}")
+        _check_tol(self.tol)
 
     def to_json_dict(self) -> dict:
         return {
@@ -91,7 +92,8 @@ class SweepConfig:
     @classmethod
     def from_json_dict(cls, d: dict, source: str = "sweep config") -> "SweepConfig":
         """The config a JSON object describes; a missing or malformed key
-        raises ValueError naming source and the key."""
+        raises ValueError naming source and the key, an invalid config
+        one naming source."""
         if not isinstance(d, dict):
             raise ValueError(f"{source}: expected a JSON object, got {type(d).__name__}")
         values = {}
@@ -104,7 +106,10 @@ class SweepConfig:
                 values[key] = parse(d[key])
             except (AttributeError, TypeError, ValueError):
                 raise ValueError(f"{source}: bad value for {key!r}: {d[key]!r}") from None
-        return cls(**values)
+        try:
+            return cls(**values)
+        except ValueError as exc:
+            raise ValueError(f"{source}: {exc}") from None
 
     def fingerprint(self) -> str:
         blob = json.dumps(self.to_json_dict(), sort_keys=True).encode()

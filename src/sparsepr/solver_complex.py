@@ -26,7 +26,7 @@ import numpy as np
 
 from .model import Field, MeasurementEnsemble, SparseVector, as_measurement, phase_equivalent
 from .numerics import hermitian_top_eig
-from .solver_real import SearchStats, SolutionSet, _dedup_insert
+from .solver_real import SearchStats, SolutionSet, _check_tol, _dedup_insert
 
 __all__ = [
     "CollisionProbe",
@@ -146,6 +146,7 @@ def solve_l0_complex(
         raise ValueError(f"measurement length {y.m} does not match m={A.m}")
     if not (0 <= k_max <= min(A.m, A.n)):
         raise ValueError(f"k_max must be in [0, min(m, n)] = [0, {min(A.m, A.n)}]")
+    _check_tol(tol)
     if heuristic_restarts < 1:
         raise ValueError("heuristic_restarts must be >= 1")
 

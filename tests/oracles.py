@@ -5,7 +5,9 @@ enumerates supports and solves exact square subsystems (k rows with
 nonzero magnitude, solved directly, verified on the remaining rows), the
 rank oracle is a bare SVD count, the distance oracle enumerates every
 ordered support pair and decides every rank by SVD, the collision
-probe oracle optimizes one support pair at a time, the heuristic complex
+probe oracle optimizes one support pair at a time, the full-scan real
+solver runs one SVD and one lstsq against every sign pattern on every
+support, the heuristic complex
 solve oracle refines one start at a time by serial Gauss-Newton with a
 line search, and the Hermitian lift oracles build the lifted system and X
 entry by entry.  They are slow and simple on purpose.
@@ -19,7 +21,9 @@ import numpy as np
 
 from sparsepr.distance import DistanceReport, Witness
 from sparsepr.model import Field, MeasurementEnsemble, SparseVector, phase_equivalent
+from sparsepr.numerics import DEFAULT_RANK_TOL
 from sparsepr.solver_complex import CollisionProbe, _lifted_support_solve, _support_key
+from sparsepr.solver_real import SearchStats, SolutionSet, _dedup_insert, _prepare
 
 
 def svd_rank(M, tol_rel: float = 1e-10) -> int:
@@ -416,3 +420,53 @@ def serial_heuristic_solve(A: MeasurementEnsemble, y: np.ndarray, k_max: int, to
         if classes:
             return k, classes
     return None, []
+
+
+def _full_scan_level(A: MeasurementEnsemble, y: np.ndarray, k: int, tol_abs: float, rhs: np.ndarray,
+                     stats: SearchStats) -> list[tuple[SparseVector, float]]:
+    m, n = A.m, A.n
+    resid_tol = tol_abs * np.sqrt(m)
+    entries = A.entries
+    found: list[SparseVector] = []
+    resids: list[float] = []
+    for I in itertools.combinations(range(n), k):
+        stats.supports_tried += 1
+        stats.patterns_tried += rhs.shape[1]
+        A_I = entries[:, I]
+        s = np.linalg.svd(A_I, compute_uv=False)
+        if s[-1] <= DEFAULT_RANK_TOL * s[0]:
+            continue
+        X, *_ = np.linalg.lstsq(A_I, rhs, rcond=None)
+        R = rhs - A_I @ X
+        ok = (np.linalg.norm(R, axis=0) <= resid_tol) & (np.min(np.abs(X), axis=0) > tol_abs)
+        for col in np.nonzero(ok)[0]:
+            x_hat = SparseVector(Field.REAL, n, I, X[:, col]).canonical()
+            resid = float(np.max(np.abs(np.abs(entries[:, I] @ x_hat.values) - y)))
+            if resid <= tol_abs:
+                _dedup_insert(found, resids, x_hat, resid, tol_abs)
+    return list(zip(found, resids))
+
+
+def full_scan_solve_l0_real(A: MeasurementEnsemble, y, k_max: int, tol: float = 1e-8) -> SolutionSet:
+    """solve_l0_real with every support going through SVD and lstsq."""
+    yv, tol_abs, pos, sign_rhs = _prepare(A, y, k_max, tol)
+    stats = SearchStats()
+    if pos.size == 0:
+        return SolutionSet(0, [SparseVector.zero(Field.REAL, A.n)], [float(yv.max(initial=0.0))], stats)
+    rhs = sign_rhs()
+    for k in range(1, k_max + 1):
+        hits = _full_scan_level(A, yv, k, tol_abs, rhs, stats)
+        if hits:
+            return SolutionSet(k, [h[0] for h in hits], [h[1] for h in hits], stats)
+    return SolutionSet(None, [], [], stats)
+
+
+def full_scan_feasible_classes(A: MeasurementEnsemble, y, k_max: int, tol: float = 1e-8):
+    """feasible_classes with every support going through SVD and lstsq."""
+    yv, tol_abs, pos, sign_rhs = _prepare(A, y, k_max, tol)
+    if pos.size == 0:
+        return [(0, SparseVector.zero(Field.REAL, A.n))]
+    rhs = sign_rhs()
+    stats = SearchStats()
+    return [(k, cand) for k in range(1, k_max + 1)
+            for cand, _resid in _full_scan_level(A, yv, k, tol_abs, rhs, stats)]

@@ -232,3 +232,21 @@ def test_sweep_malformed_config_is_a_usage_error(workdir, capsys, raw, key):
     assert code == 1 and stdout == ""
     assert err.startswith(f"sparsepr: error: {cfg_path}: ")
     assert key is None or repr(key) in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "0", "-1e-8", "inf"])
+def test_solve_and_sweep_reject_bad_tol(workdir, capsys, tol):
+    code, stdout, err = run_cli(capsys, "solve", str(workdir / "A.mat"), str(workdir / "y.txt"),
+                                "--kmax", "2", "--tol", tol)
+    assert code == 1 and stdout == "" and "tol" in err
+    code, stdout, err = run_cli(
+        capsys, "sweep", "--field", "real", "--n", "7", "--k", "2", "--m-range", "4:4",
+        "--trials", "3", "--seed", "5", "--tol", tol, "--outdir", str(workdir / "res"),
+    )
+    assert code == 1 and stdout == "" and "tol" in err
+    cfg_path = workdir / "bad_tol.json"
+    cfg_path.write_text(json.dumps({"field": "real", "n": 7, "k": 2, "m_range": [4, 4], "trials_per_m": 3,
+                                    "base_seed": 1, "tol": float(tol)}))
+    code, stdout, err = run_cli(capsys, "sweep", str(cfg_path), "--outdir", str(workdir / "res"))
+    assert code == 1 and stdout == "" and err.startswith(f"sparsepr: error: {cfg_path}: ") and "tol" in err
+    assert not (workdir / "res").exists()
