@@ -4,6 +4,10 @@ One global policy: numerical rank counts singular values above a relative
 SVD threshold (default 1e-10 of the largest).  Desk-scale Gaussian matrices
 have singular-value gaps many orders above this, so decisions are crisp;
 the gap is recorded anyway so borderline calls can be surfaced as fragile.
+
+Both exact solvers share one least-squares screen (_lstsq_screen): it
+proves, in batch and with an explicit roundoff margin, that most
+candidate systems fail their residual test, so only the rest are solved.
 """
 
 from __future__ import annotations
@@ -167,6 +171,151 @@ def _certified_full_rank(stack: np.ndarray, tol_rel: float) -> np.ndarray:
         _, logdet = np.linalg.slogdet(gram)
         log_rho = 0.5 * logdet + 0.5 * (t - 1) * np.log(max(t - 1, 1)) - 0.5 * t * np.log(fro2)
         return (fro2 >= 1e-280) & (fro2 <= 1e280) & (log_rho > log_tau)
+
+
+def _pivot_rows(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row order of each (m, k) matrix of an (N, m, k) stack under Gaussian
+    elimination with partial pivoting, pivot rows first, and the smallest
+    |pivot| of each (NaN or 0 when the elimination breaks down)."""
+    N, m, k = stack.shape
+    work = stack.copy()
+    order = np.tile(np.arange(m), (N, 1))
+    rows = np.arange(N)
+    min_pivot = np.full(N, np.inf)
+    for j in range(k):
+        p = j + np.argmax(np.abs(work[:, j:, j]), axis=1)
+        for arr in (work, order):
+            top = arr[rows, j].copy()
+            arr[rows, j] = arr[rows, p]
+            arr[rows, p] = top
+        pivot = work[:, j, j]
+        min_pivot = np.minimum(min_pivot, np.abs(pivot))
+        work[:, j + 1:, j:] -= (work[:, j + 1:, j] / pivot[:, None])[:, :, None] * work[:, j, None, j:]
+    return order, min_pivot
+
+
+def _lstsq_screen(stack: np.ndarray, t: np.ndarray, signs: np.ndarray, resid_tol: float) -> np.ndarray:
+    """Mask of the (N, m, k) stack of real matrices M on which the exact
+    residual test may accept.
+
+    The test, shared by both exact solvers: for a right-hand side r with
+    |r| = t (t >= 0, length m) it takes any X -- lstsq's output, of which
+    nothing else is used, so lstsq's rcond truncation needs no case of its
+    own -- computes r - M X or M X - r (the two round alike) and its
+    2-norm, and accepts when that norm is at most resid_tol.  Only the r
+    whose signs on the pivot rows R below are, up to a global flip, a row
+    s of signs (S, k), r_R = +-s * t[R], need ruling out.  The real solver
+    passes sign_table(k), which covers every sign vector; the Hermitian
+    lift, whose one right-hand side is t = y^2, passes a row of ones.  A
+    False entry is a proof that the test accepts no such r on that M; a
+    True entry proves nothing.
+
+    Screen.  Partial pivoting picks k rows R of M; B = M[R] (k x k),
+    C = M[R^c] and T = C B^-1.  For each row s of signs, with
+    v = s * t[R], the screen predicts the other rows as P = T v and
+    takes mu = min over s of || |P| - t[R^c] ||_2.
+
+    Bound.  Suppose the test accepts r with output X.  Let e = M X - r
+    (exact arithmetic on the stored floats), with ||e|| <= rho.  Then
+    B X = r_R + e_R and C X = r_Rc + e_Rc, so T r_R = C X - T e_R =
+    r_Rc + e_Rc - T e_R.  Up to a global flip, r_R is one of the screen's
+    v, and ||a| - |b|| <= |a - b| with |r_Rc| = t[R^c] gives
+
+        || |T v| - t[R^c] || <= ||e_Rc|| + ||T|| ||e_R|| <= (1 + ||T||) rho.
+
+    Any R works: ||T|| is bounded from computed quantities, not assumed.
+
+    Roundoff (u = eps / 2, gamma_j = j u / (1 - j u); a matrix product
+    with inner dimension j errs by at most gamma_j |X| |Y| entrywise, and
+    ||X||_2 <= ||X||_F).  W is the computed inverse of B and Z the computed
+    B W - I, so ||B W - I|| <= zeta = ||Z|| + gamma_(k+1) ||B|| ||W||.  For
+    zeta < 1, B W = I + E with ||E|| <= zeta gives B^-1 = W (I + E)^-1 and
+    T = C W (I + E)^-1, so ||B^-1|| <= beta = ||W|| / (1 - zeta) and
+    ||T|| <= tau = (||T_hat|| + gamma_k ||C|| ||W||) / (1 - zeta), where
+    T_hat is the computed C W.  Also T_hat - T = (T_hat - C W) - T E, so
+    ||T_hat - T|| <= gamma_k ||C|| ||W|| + tau zeta.
+
+    rho: the accepted residual's computed norm is at most resid_tol.
+    Forming r - M X errs by gamma_(k+1) (|r| + |M| |X|) and the norm's
+    sum of squares and square root by a relative gamma_(m+1), so
+    ||e|| <= resid_tol (1 + gamma_(m+1)) + gamma_(k+1) (||t|| + ||M|| ||X||),
+    and ||X|| <= beta (||t|| + ||e||) because B X = r_R + e_R.  With
+    g = gamma_(k+1) ||M|| beta < 1 this solves to
+
+        rho = (resid_tol (1 + gamma_(m+1)) + gamma_(k+1) (1 + ||M|| beta) ||t||) / (1 - g).
+
+    The computed P_hat = fl(T_hat v) differs from T v by at most
+    (gamma_k ||T_hat|| + gamma_k ||C|| ||W|| + tau zeta) ||v||, with
+    ||v|| <= ||t||, and the computed mismatch norm errs by a relative
+    gamma_(m+1).  So when the test accepts, the computed mu is at most
+    (1 + gamma_(m+1)) times
+
+        bound = (1 + tau) rho + (gamma_k (||T_hat|| + ||C|| ||W||) + tau zeta) ||t||.
+
+    Underflow adds at most 2^-1074 per operation.  The screen runs only
+    when max |M| and max t lie in [2^-400, 2^400], so no norm or product
+    overflows unless it returns inf, and every underflow error, amplified
+    by the factors above, stays below eta = 2^-500, which the bound adds
+    to zeta, tau's numerator, rho's numerator and the total.  Each norm
+    (at most m k terms), product and sum in the bound itself, like the
+    subtraction of I in Z, is evaluated with relative error under 1e-8
+    for m k <= 2^20 (zeta, g <= 1/2 keep the divisions tame), so the
+    screen flags when mu_hat <= 2 bound.
+
+    It also flags M when any pivot is at most DEFAULT_RANK_TOL times
+    max |M| (so a flag-free M has full column rank with a wide margin),
+    when zeta or g exceeds 1/2, when max |M| or max t is out of range,
+    and when any mismatch or the bound is not finite.  When k >= m there
+    are no rows outside the pivots, and when m k > 2^20 the evaluation
+    claim above is not made; both flag every M.  Flagging is always safe:
+    a flagged M gets the exact test.
+    """
+    N, m, k = stack.shape
+    if k >= m or m * k > 1 << 20:
+        return np.ones(N, dtype=bool)
+    u = np.finfo(np.float64).eps / 2
+
+    def gamma(j: int) -> float:
+        return j * u / (1 - j * u)
+
+    lo, hi, eta = 2.0 ** -400, 2.0 ** 400, 2.0 ** -500
+    t_max = float(t.max())
+    if not lo <= t_max <= hi:
+        return np.ones(N, dtype=bool)
+    nt = float(np.linalg.norm(t))
+    with np.errstate(all="ignore"):
+        order, min_pivot = _pivot_rows(stack)
+        a_max = np.abs(stack).max(axis=(1, 2))
+        usable = (min_pivot > DEFAULT_RANK_TOL * a_max) & (a_max >= lo) & (a_max <= hi)
+        B = np.take_along_axis(stack, order[:, :k, None], axis=1)
+        C = np.take_along_axis(stack, order[:, k:, None], axis=1)
+        try:
+            W = np.linalg.inv(np.where(usable[:, None, None], B, np.eye(k)))
+        except np.linalg.LinAlgError:
+            return np.ones(N, dtype=bool)
+        T = C @ W
+        Z = B @ W - np.eye(k)
+        nB, nC, nW, nT, nZ = (np.linalg.norm(X, axis=(1, 2)) for X in (B, C, W, T, Z))
+        nM = np.sqrt(nB * nB + nC * nC)
+        zeta = nZ + gamma(k + 1) * nB * nW + eta
+        tau = (nT + gamma(k) * nC * nW + eta) / (1 - zeta)
+        beta = nW / (1 - zeta)
+        g = gamma(k + 1) * nM * beta
+        rho = (resid_tol * (1 + gamma(m + 1)) + gamma(k + 1) * (1 + nM * beta) * nt + eta) / (1 - g)
+        bound = (1 + tau) * rho + (gamma(k) * (nT + nC * nW) + tau * zeta) * nt + eta
+        t_R = t[order[:, :k]]
+        P = np.abs(T @ (t_R[:, :, None] * signs.T))
+        P -= t[order[:, k:]][:, :, None]
+        mism = np.sqrt(np.sum(np.square(P, out=P), axis=1))
+        proven = (
+            usable
+            & (zeta <= 0.5)
+            & (g <= 0.5)
+            & np.isfinite(bound)
+            & np.isfinite(mism).all(axis=1)
+            & (mism.min(axis=1) > 2 * bound)
+        )
+    return ~proven
 
 
 def hermitian_top_eig(X) -> tuple[np.ndarray, np.ndarray]:

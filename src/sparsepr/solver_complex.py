@@ -11,6 +11,13 @@ The lifted path is exact for k <= 3 at the m = 4k - 2 threshold (where
 m >= k^2 holds); beyond that the solver degrades to multi-start
 Levenberg-Marquardt refinement and labels its output heuristic.
 
+Each lifted level is screened in batch: the lifted systems of a block of
+supports are built as one stack, numerics._lstsq_screen proves that most
+of them fail the residual test, and only the supports it flags run
+lstsq and the rest of the per-support test.  So the output is bit for
+bit that of a scan that solves every support, and a generic
+(m, n, k) = (10, 12, 3) solve runs lstsq on one of its 298 supports.
+
 A collision probe searches for two non-phase-equivalent sparse vectors
 with identical magnitudes; it is a falsification attempt, never a proof
 of uniqueness.  The probe and the heuristic solve run the same batched
@@ -25,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Field, MeasurementEnsemble, SparseVector, as_measurement, phase_equivalent
-from .numerics import hermitian_top_eig
+from .numerics import _lstsq_screen, hermitian_top_eig
 from .solver_real import SearchStats, SolutionSet, _check_tol, _dedup_insert
 
 __all__ = [
@@ -43,6 +50,9 @@ PSD_TOL = 1e-8
 # (the collision probe's first block excepted); bounds the kernel's
 # working arrays to a few MB.
 _PROBE_ROWS = 4096
+# Budget of m * k^2 float64 elements per block of supports in the lifted
+# screen; the block's temporaries then take about 1 MB.
+_LIFT_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -64,18 +74,21 @@ class GaussNewtonResult:
     iterations: int
 
 
-def _lift_system(A_I: np.ndarray, k: int) -> np.ndarray:
-    """Real m x k^2 system matrix for tr(phi phi^* X) = y^2 over Hermitian X.
+def _lift_system(A_S: np.ndarray) -> np.ndarray:
+    """Real (S, m, k^2) stack of the systems tr(phi phi^* X) = y^2 over
+    Hermitian X, one per (m, k) slice of the complex stack A_S.
 
     Unknown order: k diagonal entries, then (Re, Im) for each off-diagonal
-    pair (p, q) with p < q, in np.triu_indices order.
+    pair (p, q) with p < q, in np.triu_indices order.  Every entry is an
+    elementwise product, so a slice's bits do not depend on the stack.
     """
+    k = A_S.shape[-1]
     p, q = np.triu_indices(k, 1)
-    off = np.conj(A_I[:, q]) * A_I[:, p]
-    G = np.empty((A_I.shape[0], k * k))
-    G[:, :k] = (np.conj(A_I) * A_I).real
-    G[:, k::2] = 2.0 * off.real
-    G[:, k + 1 :: 2] = -2.0 * off.imag
+    off = np.conj(A_S[..., q]) * A_S[..., p]
+    G = np.empty(A_S.shape[:-1] + (k * k,))
+    G[..., :k] = (np.conj(A_S) * A_S).real
+    G[..., k::2] = 2.0 * off.real
+    G[..., k + 1 :: 2] = -2.0 * off.imag
     return G
 
 
@@ -89,24 +102,24 @@ def _assemble_hermitian(v: np.ndarray, k: int) -> np.ndarray:
 
 
 def _lifted_support_solve(
+    G: np.ndarray,
     A_I: np.ndarray,
     y: np.ndarray,
+    rhs: np.ndarray,
     support: tuple[int, ...],
     n: int,
-    tol: float,
+    resid_tol: float,
+    tol_abs: float,
 ) -> tuple[SparseVector, float] | None:
-    """The canonical class and rank-one defect one support's lift yields, or None.
+    """The canonical class and rank-one defect one support's lift G yields, or None.
 
-    The lifted residual is checked first, so X is assembled and
-    eigendecomposed only for a support whose linear system is consistent.
+    rhs is y^2.  The lifted residual is checked first, so X is assembled
+    and eigendecomposed only for a support whose linear system is
+    consistent.
     """
     k = len(support)
-    G = _lift_system(A_I, k)
-    rhs = y**2
     v, *_ = np.linalg.lstsq(G, rhs, rcond=None)
     resid = float(np.linalg.norm(G @ v - rhs))
-    ymax = float(y.max(initial=0.0))
-    resid_tol = tol * max(1.0, ymax**2) * np.sqrt(len(y))  # lifted system lives on y^2 scale
     if not resid <= resid_tol:  # also rejects a NaN residual
         return None
     eigs, v1 = hermitian_top_eig(_assemble_hermitian(v, k))
@@ -114,11 +127,44 @@ def _lifted_support_solve(
     defect = 0.0 if k == 1 or lam1 <= 0 else max(0.0, float(eigs[1])) / lam1
     if not (lam1 > 0 and float(eigs[-1]) >= -PSD_TOL * lam1 and defect <= RANK1_TOL):
         return None
-    tol_abs = tol * max(1.0, ymax)
     x_vals = np.sqrt(lam1) * v1
     if np.min(np.abs(x_vals)) > tol_abs and _meas_err(A_I, x_vals, y) <= tol_abs:
         return SparseVector(Field.COMPLEX, n, support, x_vals).canonical(), defect
     return None
+
+
+def _lifted_level(
+    entries: np.ndarray,
+    y: np.ndarray,
+    supports: list[tuple[int, ...]],
+    resid_tol: float,
+    tol_abs: float,
+) -> list[tuple[SparseVector, float]]:
+    """_lifted_support_solve's hits at one support size, in support order.
+
+    The supports are lifted and screened in blocks of at most
+    _LIFT_ELEMENTS // (m k^2) supports.  numerics._lstsq_screen gets the
+    lifted residual test (right-hand side y^2, no signs, computed norm at
+    most resid_tol) and proves that most supports fail it; only the
+    supports it flags run _lifted_support_solve, on their slice of the
+    block's lift.  A support the screen rules out would have returned
+    None, so the hits are the full scan's, bit for bit.
+    """
+    m, n = entries.shape
+    k = len(supports[0])
+    rhs = y**2
+    signs = np.ones((1, k * k))  # y^2 is the one right-hand side
+    index = np.array(supports)
+    block = max(1, _LIFT_ELEMENTS // (m * k * k))
+    hits = []
+    for lo in range(0, len(supports), block):
+        G = _lift_system(entries[:, index[lo : lo + block]].transpose(1, 0, 2))
+        for b in np.flatnonzero(_lstsq_screen(G, rhs, signs, resid_tol)):
+            support = supports[lo + b]
+            hit = _lifted_support_solve(G[b], entries[:, support], y, rhs, support, n, resid_tol, tol_abs)
+            if hit is not None:
+                hits.append(hit)
+    return hits
 
 
 def solve_l0_complex(
@@ -132,8 +178,10 @@ def solve_l0_complex(
 ) -> SolutionSet:
     """Solve min ||x||_0 subject to |Ax| = y over the complexes.
 
-    Support sizes with k <= 3 and m >= k^2 use the exact lifted path;
-    larger sizes are only scanned when allow_heuristic is set.  There every
+    Support sizes with k <= 3 and m >= k^2 use the exact lifted path:
+    each level is screened in batch, and only the supports the screen
+    flags run lstsq on their lifted system (see _lifted_level).  Larger
+    sizes are only scanned when allow_heuristic is set.  There every
     support gets heuristic_restarts seeded starts, and one batched
     Levenberg-Marquardt call refines all (supports x restarts) of the
     level; classes found there are labeled "refined" and the solution set
@@ -161,10 +209,12 @@ def solve_l0_complex(
         )
 
     yv = y.magnitudes
-    tol_abs = tol * max(1.0, float(yv.max(initial=0.0)))
+    ymax = float(yv.max(initial=0.0))
+    tol_abs = tol * max(1.0, ymax)
+    resid_tol = tol * max(1.0, ymax**2) * np.sqrt(A.m)  # the lifted system lives on the y^2 scale
     stats = SearchStats()
     if np.all(yv <= tol_abs):
-        return SolutionSet(0, [SparseVector.zero(Field.COMPLEX, A.n)], [float(yv.max(initial=0.0))], stats)
+        return SolutionSet(0, [SparseVector.zero(Field.COMPLEX, A.n)], [ymax], stats)
 
     entries = A.entries
     heuristic_used = False
@@ -173,8 +223,8 @@ def solve_l0_complex(
         stats.supports_tried += len(supports)
         if exact_level(k):
             stats.patterns_tried += len(supports)
-            hits = (_lifted_support_solve(entries[:, s], yv, s, A.n, tol) for s in supports)
-            found = [(hit[0], "lifted", hit[1]) for hit in hits if hit is not None]
+            hits = _lifted_level(entries, yv, supports, resid_tol, tol_abs)
+            found = [(cand, "lifted", defect) for cand, defect in hits]
         else:
             heuristic_used = True
             stats.patterns_tried += len(supports) * heuristic_restarts
@@ -271,7 +321,10 @@ def column_magnitude_collision_1sparse(A: MeasurementEnsemble, rel_tol: float = 
     """True iff two distinct columns have elementwise-proportional magnitudes.
 
     That is exactly the condition for a 1-sparse collision |c| |a_i| =
-    |c'| |a_j|, so it decides k = 1 uniqueness for the ensemble.
+    |c'| |a_j|, so it decides k = 1 uniqueness for the ensemble.  Columns
+    u = |a_i| and v = |a_j| count as proportional when the least-squares
+    fit c v of u misses it by at most rel_tol max u, a test that does not
+    change when A is scaled.
     """
     mags = np.abs(A.entries)
     for i, j in itertools.combinations(range(A.n), 2):
@@ -284,7 +337,7 @@ def column_magnitude_collision_1sparse(A: MeasurementEnsemble, rel_tol: float = 
         c = float(u @ v) / denom
         if c <= 0:
             continue
-        if np.max(np.abs(u - c * v)) <= rel_tol * max(1.0, float(np.max(u))):
+        if np.max(np.abs(u - c * v)) <= rel_tol * float(np.max(u)):
             return True
     return False
 

@@ -9,9 +9,9 @@ ascends in sparsity and stops at the first level admitting solutions,
 which realizes the l0 minimum exactly.  This is the ground-truth oracle
 the certification machinery is checked against.
 
-A batched screen (_screen) first proves, on k pivot rows of each
-support, that most supports admit no accepted sign pattern; only the
-supports it cannot rule out get the exact least-squares test.
+A batched screen (numerics._lstsq_screen) first proves, on k pivot rows
+of each support, that most supports admit no accepted sign pattern; only
+the supports it cannot rule out get the exact least-squares test.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import Field, MeasurementEnsemble, SparseVector, as_measurement, phase_equivalent, sign_table
-from .numerics import DEFAULT_RANK_TOL
+from .numerics import DEFAULT_RANK_TOL, _lstsq_screen
 
 __all__ = [
     "SearchStats",
@@ -138,144 +138,6 @@ def _exact_support(
             _dedup_insert(found, resids, x_hat, resid, tol_abs)
 
 
-def _pivot_rows(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row order of each (m, k) matrix of an (N, m, k) stack under Gaussian
-    elimination with partial pivoting, pivot rows first, and the smallest
-    |pivot| of each (NaN or 0 when the elimination breaks down)."""
-    N, m, k = stack.shape
-    work = stack.copy()
-    order = np.tile(np.arange(m), (N, 1))
-    rows = np.arange(N)
-    min_pivot = np.full(N, np.inf)
-    for j in range(k):
-        p = j + np.argmax(np.abs(work[:, j:, j]), axis=1)
-        for arr in (work, order):
-            top = arr[rows, j].copy()
-            arr[rows, j] = arr[rows, p]
-            arr[rows, p] = top
-        pivot = work[:, j, j]
-        min_pivot = np.minimum(min_pivot, np.abs(pivot))
-        work[:, j + 1:, j:] -= (work[:, j + 1:, j] / pivot[:, None])[:, :, None] * work[:, j, None, j:]
-    return order, min_pivot
-
-
-def _screen(entries: np.ndarray, y_eff: np.ndarray, supports: np.ndarray, tol_abs: float) -> np.ndarray:
-    """Mask of the (N, k) supports, k < m, on which _exact_support may accept.
-
-    A False entry is a proof that _exact_support accepts no sign column
-    there; a True entry proves nothing.  y_eff is y with the rows at or
-    below tol_abs set to 0, which is the magnitude vector of every column
-    of _sign_rhs.
-
-    Screen.  Partial pivoting picks k rows R of A_I; B = A_I[R] (k x k),
-    C = A_I[R^c] and T = C B^-1.  For each row s of sign_table(k), with
-    v = s * y_eff[R], the screen predicts the other rows as P = T v and
-    takes mu = min over s of || |P| - y_eff[R^c] ||_2.
-
-    Bound.  Suppose _exact_support accepts a column, with sign vector s'
-    (entries +-1 on the rows above tolerance) and lstsq output X.  Let
-    r = s' * y_eff and e = A_I X - r (exact arithmetic on the stored
-    floats), with ||e|| <= rho.  Then B X = r_R + e_R and C X = r_Rc + e_Rc,
-    so T r_R = C X - T e_R = r_Rc + e_Rc - T e_R.  Up to a global flip,
-    r_R is one of the screen's v, and ||a| - |b|| <= |a - b| with
-    |r_Rc| = y_eff[R^c] gives
-
-        || |T v| - y_eff[R^c] || <= ||e_Rc|| + ||T|| ||e_R|| <= (1 + ||T||) rho.
-
-    Any R works: ||T|| is bounded from computed quantities, not assumed.
-
-    Roundoff (u = eps / 2, gamma_j = j u / (1 - j u); a matrix product
-    with inner dimension j errs by at most gamma_j |X| |Y| entrywise, and
-    ||X||_2 <= ||X||_F).  W is the computed inverse of B and Z the computed
-    B W - I, so ||B W - I|| <= zeta = ||Z|| + gamma_(k+1) ||B|| ||W||.  For
-    zeta < 1, B W = I + E with ||E|| <= zeta gives B^-1 = W (I + E)^-1 and
-    T = C W (I + E)^-1, so ||B^-1|| <= beta = ||W|| / (1 - zeta) and
-    ||T|| <= tau = (||T_hat|| + gamma_k ||C|| ||W||) / (1 - zeta), where
-    T_hat is the computed C W.  Also T_hat - T = (T_hat - C W) - T E, so
-    ||T_hat - T|| <= gamma_k ||C|| ||W|| + tau zeta.
-
-    rho: the accepted column's computed residual norm is at most
-    resid_tol.  Forming rhs - A_I X errs by gamma_(k+1) (|r| + |A_I| |X|)
-    and the norm's sum of squares and square root by a relative
-    gamma_(m+1), so ||e|| <= resid_tol (1 + gamma_(m+1)) + gamma_(k+1)
-    (||y_eff|| + ||A_I|| ||X||), and ||X|| <= beta (||y_eff|| + ||e||).  With
-    g = gamma_(k+1) ||A_I|| beta < 1 this solves to
-
-        rho = (resid_tol (1 + gamma_(m+1)) + gamma_(k+1) (1 + ||A_I|| beta) ||y_eff||) / (1 - g).
-
-    The computed P_hat = fl(T_hat v) differs from T v by at most
-    (gamma_k ||T_hat|| + gamma_k ||C|| ||W|| + tau zeta) ||v||, with
-    ||v|| <= ||y_eff||, and the computed mismatch norm errs by a relative
-    gamma_(m+1).  So when a column is accepted, the computed mu is at most
-    (1 + gamma_(m+1)) times
-
-        bound = (1 + tau) rho + (gamma_k (||T_hat|| + ||C|| ||W||) + tau zeta) ||y_eff||.
-
-    Underflow adds at most 2^-1074 per operation.  The screen runs only
-    when max |A_I| and max y_eff lie in [2^-400, 2^400], so no norm or
-    product overflows unless it returns inf, and every underflow error,
-    amplified by the factors above, stays below eta = 2^-500, which the
-    bound adds to zeta, tau's numerator, rho's numerator and the total.
-    Each norm, product and sum in the bound itself, like the subtraction
-    of I in Z, is evaluated with relative error under 1e-12 for
-    m, k <= 64 (zeta, g <= 1/2 keep the divisions tame), so the screen
-    flags when mu_hat <= 2 bound.
-
-    It also flags a support when any pivot is at most DEFAULT_RANK_TOL
-    times max |A_I|, when zeta or g exceeds 1/2, when max |A_I| or max
-    y_eff is out of range, and when any mismatch or the bound is not
-    finite.  Flagging is always safe: a flagged support gets the exact
-    test.
-    """
-    m = entries.shape[0]
-    N, k = supports.shape
-    u = np.finfo(np.float64).eps / 2
-
-    def gamma(j: int) -> float:
-        return j * u / (1 - j * u)
-
-    lo, hi, eta = 2.0 ** -400, 2.0 ** 400, 2.0 ** -500
-    y_max = float(y_eff.max())
-    if not lo <= y_max <= hi:
-        return np.ones(N, dtype=bool)
-    resid_tol = tol_abs * np.sqrt(m)
-    ny = float(np.linalg.norm(y_eff))
-    stack = entries[:, supports].transpose(1, 0, 2)
-    with np.errstate(all="ignore"):
-        order, min_pivot = _pivot_rows(stack)
-        a_max = np.abs(stack).max(axis=(1, 2))
-        usable = (min_pivot > DEFAULT_RANK_TOL * a_max) & (a_max >= lo) & (a_max <= hi)
-        B = np.take_along_axis(stack, order[:, :k, None], axis=1)
-        C = np.take_along_axis(stack, order[:, k:, None], axis=1)
-        try:
-            W = np.linalg.inv(np.where(usable[:, None, None], B, np.eye(k)))
-        except np.linalg.LinAlgError:
-            return np.ones(N, dtype=bool)
-        T = C @ W
-        Z = B @ W - np.eye(k)
-        nB, nC, nW, nT, nZ = (np.linalg.norm(X, axis=(1, 2)) for X in (B, C, W, T, Z))
-        nA = np.sqrt(nB * nB + nC * nC)
-        zeta = nZ + gamma(k + 1) * nB * nW + eta
-        tau = (nT + gamma(k) * nC * nW + eta) / (1 - zeta)
-        beta = nW / (1 - zeta)
-        g = gamma(k + 1) * nA * beta
-        rho = (resid_tol * (1 + gamma(m + 1)) + gamma(k + 1) * (1 + nA * beta) * ny + eta) / (1 - g)
-        bound = (1 + tau) * rho + (gamma(k) * (nT + nC * nW) + tau * zeta) * ny + eta
-        y_R = y_eff[order[:, :k]]
-        P = np.abs(T @ (y_R[:, :, None] * sign_table(k).T))
-        P -= y_eff[order[:, k:]][:, :, None]
-        mism = np.sqrt(np.sum(np.square(P, out=P), axis=1))
-        proven = (
-            usable
-            & (zeta <= 0.5)
-            & (g <= 0.5)
-            & np.isfinite(bound)
-            & np.isfinite(mism).all(axis=1)
-            & (mism.min(axis=1) > 2 * bound)
-        )
-    return ~proven
-
-
 def _scan_level(
     A: MeasurementEnsemble,
     y: np.ndarray,
@@ -288,26 +150,27 @@ def _scan_level(
     """All accepted k-sparse candidates at one support size (deduplicated).
 
     Every support counts as tried with all 2^(|pos|-1) sign patterns, but
-    only the supports _screen flags get _exact_support, in support order;
-    sign_rhs() builds the shared right-hand side on first use.  When k = m
-    there are no rows outside the pivots, so every support goes straight
-    to the exact test.
+    only the supports numerics._lstsq_screen flags get _exact_support, in
+    support order; sign_rhs() builds the shared right-hand side on first
+    use.  The screen gets _exact_support's residual test: every column of
+    _sign_rhs has magnitudes y_eff (y with the rows at or below tol_abs
+    set to 0), sign_table(k) covers its signs on any k rows, and the
+    accepted columns' computed residual norms are at most tol_abs sqrt(m).
     """
     m, n = A.m, A.n
     entries = A.entries
     supports = list(itertools.combinations(range(n), k))
     stats.supports_tried += len(supports)
     stats.patterns_tried += len(supports) << (pos.size - 1)
-    if k == m:
-        flags = np.ones(len(supports), dtype=bool)
-    else:
-        y_eff = np.zeros(m)
-        y_eff[pos] = y[pos]
-        index = np.array(supports)
-        block = max(1, _SCREEN_ELEMENTS // (m * (k + 2 ** (k - 1))))
-        flags = np.concatenate(
-            [_screen(entries, y_eff, index[i:i + block], tol_abs) for i in range(0, len(supports), block)]
-        )
+    y_eff = np.zeros(m)
+    y_eff[pos] = y[pos]
+    index = np.array(supports)
+    signs = sign_table(k)
+    block = max(1, _SCREEN_ELEMENTS // (m * (k + 2 ** (k - 1))))
+    flags = np.concatenate([
+        _lstsq_screen(entries[:, index[i:i + block]].transpose(1, 0, 2), y_eff, signs, tol_abs * np.sqrt(m))
+        for i in range(0, len(supports), block)
+    ])
     found: list[SparseVector] = []
     resids: list[float] = []
     for I in itertools.compress(supports, flags):

@@ -7,10 +7,11 @@ rank oracle is a bare SVD count, the distance oracle enumerates every
 ordered support pair and decides every rank by SVD, the collision
 probe oracle optimizes one support pair at a time, the full-scan real
 solver runs one SVD and one lstsq against every sign pattern on every
-support, the heuristic complex
-solve oracle refines one start at a time by serial Gauss-Newton with a
-line search, and the Hermitian lift oracles build the lifted system and X
-entry by entry.  They are slow and simple on purpose.
+support, the full-scan lifted complex solver runs the lifted solve on
+every support, the heuristic complex solve oracle refines one start at a
+time by serial Gauss-Newton with a line search, and the Hermitian lift
+oracles build the lifted system and X entry by entry.  They are slow and
+simple on purpose.
 """
 
 from __future__ import annotations
@@ -20,9 +21,15 @@ import itertools
 import numpy as np
 
 from sparsepr.distance import DistanceReport, Witness
-from sparsepr.model import Field, MeasurementEnsemble, SparseVector, phase_equivalent
+from sparsepr.model import Field, MeasurementEnsemble, SparseVector, as_measurement, phase_equivalent
 from sparsepr.numerics import DEFAULT_RANK_TOL
-from sparsepr.solver_complex import CollisionProbe, _lifted_support_solve, _support_key
+from sparsepr.solver_complex import (
+    CollisionProbe,
+    _lift_system,
+    _lifted_support_solve,
+    _meas_err,
+    _support_key,
+)
 from sparsepr.solver_real import SearchStats, SolutionSet, _dedup_insert, _prepare
 
 
@@ -396,6 +403,7 @@ def serial_heuristic_solve(A: MeasurementEnsemble, y: np.ndarray, k_max: int, to
     y = np.asarray(y, dtype=float)
     entries = A.entries
     tol_abs = tol * max(1.0, float(y.max(initial=0.0)))
+    resid_tol = tol * max(1.0, float(y.max(initial=0.0)) ** 2) * np.sqrt(A.m)
     scale = max(1.0, float(y.max(initial=0.0)))
     if np.all(y <= tol_abs):
         return 0, [SparseVector.zero(Field.COMPLEX, A.n)]
@@ -404,7 +412,7 @@ def serial_heuristic_solve(A: MeasurementEnsemble, y: np.ndarray, k_max: int, to
         for I in itertools.combinations(range(A.n), k):
             A_I = entries[:, I]
             if k <= 3 and A.m >= k * k:
-                hit = _lifted_support_solve(A_I, y, I, A.n, tol)
+                hit = _lifted_support_solve(_lift_system(A_I[None])[0], A_I, y, y**2, I, A.n, resid_tol, tol_abs)
                 cands = [] if hit is None else [hit[0]]
             else:
                 cands = []
@@ -470,3 +478,37 @@ def full_scan_feasible_classes(A: MeasurementEnsemble, y, k_max: int, tol: float
     stats = SearchStats()
     return [(k, cand) for k in range(1, k_max + 1)
             for cand, _resid in _full_scan_level(A, yv, k, tol_abs, rhs, stats)]
+
+
+def full_scan_solve_l0_complex(A: MeasurementEnsemble, y, k_max: int, tol: float = 1e-8) -> SolutionSet:
+    """solve_l0_complex on lifted levels only, with every support lifted on
+    its own and run through _lifted_support_solve."""
+    y = as_measurement(y).magnitudes
+    m, n = A.m, A.n
+    if any(k > 3 or m < k * k for k in range(1, k_max + 1)):
+        raise ValueError("full_scan_solve_l0_complex covers lifted levels only")
+    ymax = float(y.max(initial=0.0))
+    tol_abs = tol * max(1.0, ymax)
+    resid_tol = tol * max(1.0, ymax**2) * np.sqrt(m)
+    stats = SearchStats()
+    if np.all(y <= tol_abs):
+        return SolutionSet(0, [SparseVector.zero(Field.COMPLEX, n)], [ymax], stats)
+    entries = A.entries
+    for k in range(1, k_max + 1):
+        classes: list[SparseVector] = []
+        residuals: list[float] = []
+        defects: list[float | None] = []
+        for I in itertools.combinations(range(n), k):
+            stats.supports_tried += 1
+            stats.patterns_tried += 1
+            A_I = entries[:, I]
+            hit = _lifted_support_solve(_lift_system(A_I[None])[0], A_I, y, y**2, I, n, resid_tol, tol_abs)
+            if hit is None:
+                continue
+            before = len(classes)
+            _dedup_insert(classes, residuals, hit[0], _meas_err(A_I, hit[0].values, y), tol_abs)
+            if len(classes) > before:
+                defects.append(hit[1])
+        if classes:
+            return SolutionSet(k, classes, residuals, stats, methods=["lifted"] * len(classes), rank1_defects=defects)
+    return SolutionSet(None, [], [], stats, methods=[], rank1_defects=[])

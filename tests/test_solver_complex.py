@@ -1,3 +1,6 @@
+import itertools
+import json
+
 import numpy as np
 import pytest
 
@@ -16,7 +19,13 @@ from sparsepr import (
 )
 from sparsepr import solver_complex
 from sparsepr.solver_complex import _assemble_hermitian, _lift_system, _lifted_support_solve
-from oracles import loop_assemble_hermitian, loop_lift_system, pairwise_collision_probe, serial_heuristic_solve
+from oracles import (
+    full_scan_solve_l0_complex,
+    loop_assemble_hermitian,
+    loop_lift_system,
+    pairwise_collision_probe,
+    serial_heuristic_solve,
+)
 
 
 def test_hand_example_one_class():
@@ -73,7 +82,9 @@ def test_lifted_exactness_on_true_support():
         vals += 0.3 * np.sign(vals.real + 1e-9)
         x0 = SparseVector(Field.COMPLEX, 8, support, vals)
         y = measure(A, x0).magnitudes
-        hit = _lifted_support_solve(A.entries[:, support], y, support, 8, 1e-8)
+        A_I = A.entries[:, support]
+        resid_tol, tol_abs = 1e-8 * max(1.0, y.max() ** 2) * np.sqrt(m), 1e-8 * max(1.0, y.max())
+        hit = _lifted_support_solve(_lift_system(A_I[None])[0], A_I, y, y**2, support, 8, resid_tol, tol_abs)
         assert hit is not None
         x_hat, defect = hit
         X_hat = np.outer(x_hat.values, x_hat.values.conj())
@@ -88,20 +99,29 @@ def _bits(a: np.ndarray) -> np.ndarray:
 
 
 def test_lift_matches_loop_oracle_bitwise():
-    """The index-array lift and assembly reproduce the loop forms bit for bit."""
+    """The stacked lift and the index-array assembly reproduce the loop forms
+    bit for bit: each A_I lifted alone (an S = 1 stack), and every slice of
+    a stack built from support index arrays, as the solver builds it."""
     rng = np.random.default_rng(41)
-    cases = 0
+    cases = slices = 0
     for k in range(1, 5):
         for m in range(1, 12):
             for _ in range(7):
                 A_I = rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
                 A_I *= 10.0 ** rng.choice([-150, 0, 0, 150], size=(m, k))
                 v = rng.standard_normal(k * k) * 10.0 ** rng.choice([-150, 0, 150], size=k * k)
-                assert np.array_equal(_bits(_lift_system(A_I, k)), _bits(loop_lift_system(A_I, k))), (m, k)
+                assert np.array_equal(_bits(_lift_system(A_I[None])[0]), _bits(loop_lift_system(A_I, k))), (m, k)
                 X = _assemble_hermitian(v, k)
                 assert np.array_equal(_bits(X), _bits(loop_assemble_hermitian(v, k))), (m, k)
                 cases += 1
-    assert cases == 308
+            E = rng.standard_normal((m, k + 3)) + 1j * rng.standard_normal((m, k + 3))
+            E *= 10.0 ** rng.choice([-150, 0, 0, 150], size=E.shape)
+            supports = list(itertools.combinations(range(k + 3), k))
+            G = _lift_system(E[:, np.array(supports)].transpose(1, 0, 2))
+            for I, G_I in zip(supports, G):
+                assert np.array_equal(_bits(G_I), _bits(loop_lift_system(E[:, I], k))), (m, k, I)
+                slices += 1
+    assert cases == 308 and slices == 11 * (4 + 10 + 20 + 35)
 
 
 def test_lifted_solve_eigendecomposes_only_consistent_supports(monkeypatch):
@@ -118,6 +138,121 @@ def test_lifted_solve_eigendecomposes_only_consistent_supports(monkeypatch):
     sol = solve_l0_complex(A, measure(A, x0), 2)
     assert sol.k_star == 2 and phase_equivalent(sol.classes[0], x0, 1e-8)
     assert calls == [(2, 2)]
+
+
+def _lifted_signal_case(m, n, k, seed, tol=1e-8):
+    rng = np.random.default_rng(seed)
+    A = generate_ensemble(Field.COMPLEX, m, n, 500 + seed)
+    return A, measure(A, draw_sparse_signal(Field.COMPLEX, n, k, rng)).magnitudes, k, tol
+
+
+def _entries_signal_case(E, k, seed, support=None, x_scale=1.0):
+    rng = np.random.default_rng(seed)
+    A = MeasurementEnsemble.from_entries(Field.COMPLEX, E)
+    if support is None:
+        support = tuple(sorted(rng.choice(A.n, k, replace=False).tolist()))
+    vals = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    vals += 0.3 * np.sign(vals.real + 1e-9)
+    return A, np.abs(A.entries[:, support] @ (x_scale * vals)), k, 1e-8
+
+
+def _near_tol_case(m, n, k, seed, factor):
+    """y^2 of a signal moved by factor * resid_tol along the left null space
+    of its lifted system, so the true support's lifted residual is about
+    factor * resid_tol.  The rows of A are scaled to make y = 1, so at
+    factor 0.8 the move changes y by less than tol_abs and only the
+    residual test decides."""
+    rng = np.random.default_rng(seed)
+    x = draw_sparse_signal(Field.COMPLEX, n, k, rng)
+    E = generate_ensemble(Field.COMPLEX, m, n, 500 + seed).entries
+    E = E / np.abs(E @ x.to_dense())[:, None]
+    y = np.abs(E @ x.to_dense())
+    w = np.linalg.svd(_lift_system(E[:, x.support][None])[0])[0][:, -1]
+    resid_tol = 1e-8 * max(1.0, y.max() ** 2) * np.sqrt(m)
+    return MeasurementEnsemble.from_entries(Field.COMPLEX, E), np.sqrt(y**2 + factor * resid_tol * w), k, 1e-8
+
+
+def _lifted_corpus():
+    """(A, y, k_max, tol) cases that stress the lifted screen against the full scan."""
+    rng = np.random.default_rng(2026)
+    cases = []
+    # k = 1..3 at m = k^2, at the threshold m = 4k - 2 and above it
+    for k, ms in ((1, (1, 2, 4)), (2, (4, 6, 8)), (3, (9, 10, 12))):
+        for m in ms:
+            for seed in range(2):
+                cases.append(_lifted_signal_case(m, 8 if k == 3 else 7, k, 10 * m + seed))
+    # a zero row (a zero magnitude) and a zero column
+    for seed in (1, 2):
+        E = rng.standard_normal((6, 7)) + 1j * rng.standard_normal((6, 7))
+        E[seed] = 0.0
+        cases.append(_entries_signal_case(E, 2, seed))
+        E = rng.standard_normal((10, 8)) + 1j * rng.standard_normal((10, 8))
+        E[:, 2 * seed] = 0.0
+        cases.append(_entries_signal_case(E, 3, seed))
+    # duplicated and 1e-9 near-duplicate columns (rank-deficient lifts)
+    for seed, gap in ((3, 0.0), (4, 1e-9), (5, 0.0), (6, 1e-9)):
+        E = rng.standard_normal((10, 8)) + 1j * rng.standard_normal((10, 8))
+        E[:, 3] = E[:, 0] + gap * (rng.standard_normal(10) + 1j * rng.standard_normal(10))
+        cases.append(_entries_signal_case(E, 2, seed, support=(0, 5)))
+        cases.append(_entries_signal_case(E, 3, seed))
+    # two classes at k = 1: column 4 is e^{i theta} times column 1
+    for seed, theta in ((7, 0.0), (8, 2.3)):
+        E = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
+        E[:, 4] = np.exp(1j * theta) * E[:, 1]
+        cases.append(_entries_signal_case(E, 1, seed, support=(1,)))
+    # entries scaled by 1e+-100 (lifts outside the screen's range) and
+    # 1e+-50 (inside), with x of unit scale and with y of unit scale
+    for seed, scale in ((9, 1e100), (10, 1e-100), (11, 1e50), (12, 1e-50)):
+        E = (rng.standard_normal((10, 8)) + 1j * rng.standard_normal((10, 8))) * scale
+        cases.append(_entries_signal_case(E, 3, seed))
+        cases.append(_entries_signal_case(E, 3, seed, x_scale=1 / scale))
+    # the true support's lifted residual just below and just above resid_tol
+    for m, n, k, seed in ((6, 7, 2, 13), (10, 8, 3, 14), (12, 9, 3, 15), (2, 5, 1, 16), (4, 6, 1, 17)):
+        for factor in (0.8, 1.2):
+            cases.append(_near_tol_case(m, n, k, seed, factor))
+    # a looser tolerance
+    cases.append(_lifted_signal_case(10, 8, 3, 18, tol=1e-5))
+    return cases
+
+
+def test_screened_lifted_solve_matches_full_scan_oracle():
+    """Screened and full-scan lifted solves agree bit for bit on a degenerate corpus."""
+    cases = _lifted_corpus()
+    k_stars, two_class = [], 0
+    for i, (A, y, k_max, tol) in enumerate(cases):
+        got = json.dumps(solve_l0_complex(A, y, k_max, tol=tol).to_json_dict())
+        want = json.dumps(full_scan_solve_l0_complex(A, y, k_max, tol=tol).to_json_dict())
+        assert got == want, i
+        k_stars.append(json.loads(want)["k_star"])
+        two_class += len(json.loads(want)["classes"]) == 2
+    assert two_class >= 2 and k_stars.count(3) >= 10
+    # the near-resid_tol pairs: found below resid_tol, not above it
+    assert k_stars[-11:-1] == [2, None, 3, None, 3, None, 1, None, 1, None]
+
+
+def test_lifted_solve_reruns_only_flagged_supports(monkeypatch):
+    calls = []
+    exact = solver_complex._lifted_support_solve
+
+    def counted(G, A_I, y, rhs, support, *args):
+        calls.append(support)
+        return exact(G, A_I, y, rhs, support, *args)
+
+    monkeypatch.setattr(solver_complex, "_lifted_support_solve", counted)
+    A = generate_ensemble(Field.COMPLEX, 10, 12, 5)
+    x0 = SparseVector(Field.COMPLEX, 12, (2, 5, 9), np.array([1.0 + 0.5j, -0.7j, 1.3 - 0.2j]))
+    sol = solve_l0_complex(A, measure(A, x0), 3)
+    assert sol.k_star == 3 and len(sol.classes) == 1 and phase_equivalent(sol.classes[0], x0, 1e-8)
+    assert calls == [(2, 5, 9)]
+    assert sol.to_json_dict()["stats"] == {"supports_tried": 298, "patterns_tried": 298}
+
+
+def test_lifted_screen_does_not_depend_on_blocking(monkeypatch):
+    """One support per screen block gives the bits of the default blocking."""
+    cases = _lifted_corpus()[::2]
+    default = [solve_l0_complex(A, y, k, tol=tol).to_json_dict() for A, y, k, tol in cases]
+    monkeypatch.setattr(solver_complex, "_LIFT_ELEMENTS", 1)
+    assert [solve_l0_complex(A, y, k, tol=tol).to_json_dict() for A, y, k, tol in cases] == default
 
 
 def test_heuristic_gate():
@@ -203,6 +338,19 @@ def test_column_magnitude_collision_examples():
         MeasurementEnsemble.from_entries(Field.COMPLEX, [[1, 2], [2, 1]])
     )
     assert not column_magnitude_collision_1sparse(generate_ensemble(Field.COMPLEX, 2, 5, 21))
+
+
+def test_column_magnitude_collision_is_scale_free():
+    """The verdict does not change when A is scaled by 2^j or 10^+-12."""
+    scales = [2.0**j for j in range(-60, 61, 12)] + [1e-12, 1e12]
+    for seed in range(6):
+        E = generate_ensemble(Field.COMPLEX, 6, 8, seed).entries
+        dup = E.copy()
+        dup[:, 5] = np.exp(0.7j) * 3.0 * dup[:, 2]
+        for entries, expect in ((E, False), (dup, True)):
+            for c in scales:
+                A = MeasurementEnsemble.from_entries(Field.COMPLEX, entries * c)
+                assert column_magnitude_collision_1sparse(A) is expect, (seed, c)
 
 
 def test_collision_probe_real_embedding():
