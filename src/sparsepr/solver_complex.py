@@ -21,7 +21,9 @@ bit that of a scan that solves every support, and a generic
 A collision probe searches for two non-phase-equivalent sparse vectors
 with identical magnitudes; it is a falsification attempt, never a proof
 of uniqueness.  The probe and the heuristic solve run the same batched
-Levenberg-Marquardt kernel, _batched_levenberg_marquardt.
+Levenberg-Marquardt kernel, _batched_levenberg_marquardt, which solves
+no restart frozen at its damping cap and reforms J^T J only after an
+accepted step, with the bits of a kernel that does all that work.
 """
 
 from __future__ import annotations
@@ -312,6 +314,8 @@ def refine_gauss_newton(A_I: np.ndarray, y, x_init: np.ndarray, iters: int = 120
     x = np.asarray(x_init, dtype=np.complex128).reshape(1, 1, -1)
     if np.all(x == 0):
         raise ValueError("x_init must be nonzero")
+    if iters < 0:
+        raise ValueError("iters must be >= 0")
     AT = _support_stack(np.asarray(A_I, dtype=np.complex128), [tuple(range(x.shape[-1]))])
     X, obj, steps = _batched_levenberg_marquardt(AT, y[None, None], x, iters)
     return GaussNewtonResult(x=X[0, 0], residual=float(obj[0, 0]), iterations=int(steps[0, 0]))
@@ -352,13 +356,49 @@ def _batched_levenberg_marquardt(AT: np.ndarray, targets: np.ndarray, x0: np.nda
     objective || |A_J v|^2 - t^2 ||_2 decreases; the damping halves after
     an accepted step and quadruples otherwise, clipped to [1e-12, 1e6].  A
     support stops once every one of its restarts reaches a squared
-    objective of 1e-24, or when one of its damped normal-equation systems
-    is singular.  Returns (x, objective, steps) with objective the 2-norm
-    of the magnitude mismatch |A_J v| - t and steps the accepted steps,
-    each of shape (P, R).
+    objective of 1e-24, when one of its damped normal-equation systems is
+    singular, or when every one of its restarts is frozen (below).
+    Returns (x, objective, steps) with objective the 2-norm of the
+    magnitude mismatch |A_J v| - t and steps the accepted steps, each of
+    shape (P, R).
+
+    The kernel does only work that can change its result, so its output
+    is bit for bit that of the full-work kernel, which forms and solves
+    the normal equations of every row of every live support on every
+    iteration (tests/oracles.py::full_work_levenberg_marquardt).
+
+    Rows are independent.  Every quantity of a row (restart) is computed
+    from that row's x, its support's A_J^T and targets, and its damping
+    lam: the products x @ A_J^T run in the (L, R, k) @ (L, k, m) layout
+    of the live supports, whose bits per row depend on neither the other
+    rows' values nor L (the blocking tests rest on this), and J, the two
+    einsums and np.linalg.solve work row by row, with bits that do not
+    depend on which rows share the stack.  So an iteration whose inputs
+    for a row repeat an earlier one's repeats that row's outputs.
+
+    Reuse.  J^T J and J^T f depend only on the row's x.  x changes only
+    on an accepted step, so they are formed on the first iteration and,
+    after that, only for the rows whose step was accepted in the previous
+    iteration; every other row's cached pair is the one the full-work
+    kernel would form again.  Only lam enters the damped system anew.
+
+    Freeze.  A row whose step is rejected while lam = 1e6 keeps its x and
+    objective, and its damping is again clip(4e6) = 1e6.  Its next
+    iteration therefore has the same inputs, forms the same system,
+    takes the same step and rejects it again; by induction it never moves
+    again.  Such a row is frozen: it gets no further solve, and its
+    rejection is applied without one.  A support whose restarts are all
+    frozen can change nothing more, so it stops.
+
+    Singular systems.  When the batched solve raises, each live support's
+    unfrozen rows are solved on their own, and a support with a singular
+    system stops unchanged, as in the full-work kernel.  A frozen row's
+    system is one that was factored without error in the iteration that
+    froze it (a support whose solve failed stopped there), and LU
+    factorization is deterministic, so skipping it hides no singular
+    system.
     """
     P, R, k = x0.shape
-    m = AT.shape[2]
     eye = np.eye(2 * k)[None]
 
     def sq_obj(xc, ATc, t2c):
@@ -373,41 +413,52 @@ def _batched_levenberg_marquardt(AT: np.ndarray, targets: np.ndarray, x0: np.nda
     xs, ats, t2 = x0.copy(), AT, targets**2
     obj = sq_obj(xs, ats, t2)
     lam = np.full((P, R), 1e-3)
+    moving = np.ones((P, R), dtype=bool)  # rows not frozen
+    fresh = np.ones((P, R), dtype=bool)  # rows whose x changed since JtJ, Jtf were formed
+    JtJ = np.empty((P, R, 2 * k, 2 * k))
+    Jtf = np.empty((P, R, 2 * k))
     for _ in range(iters):
         L = live.size
-        r = xs @ ats  # (L, R, m)
-        f = (np.abs(r) ** 2 - t2).reshape(L * R, m)
-        cr = np.conj(r)[..., None] * ats.transpose(0, 2, 1)[:, None]  # (L, R, m, k)
-        J = np.concatenate([2.0 * cr.real, -2.0 * cr.imag], axis=-1).reshape(L * R, m, 2 * k)
-        JtJ = np.einsum("rmi,rmj->rij", J, J)
-        Jtf = np.einsum("rmi,rm->ri", J, f)
-        A_ = JtJ + lam.reshape(L * R)[:, None, None] * eye
-        rhs = -Jtf[..., None]
+        if fresh.any():
+            r = xs @ ats  # (L, R, m)
+            p, q = np.nonzero(fresh)
+            rf = r[p, q]
+            cr = np.conj(rf)[..., None] * ats.transpose(0, 2, 1)[p]  # (N, m, k)
+            J = np.concatenate([2.0 * cr.real, -2.0 * cr.imag], axis=-1)
+            JtJ[p, q] = np.einsum("rmi,rmj->rij", J, J)
+            Jtf[p, q] = np.einsum("rmi,rm->ri", J, np.abs(rf) ** 2 - t2[p, q])
+        A_ = JtJ[moving] + lam[moving][:, None, None] * eye
+        rhs = -Jtf[moving][..., None]
         solved = np.ones(L, dtype=bool)
         try:
             delta = np.linalg.solve(A_, rhs)[..., 0]
         except np.linalg.LinAlgError:
-            delta = np.zeros((L * R, 2 * k))
-            for p in range(L):
-                rows = slice(p * R, (p + 1) * R)
+            delta = np.zeros((len(A_), 2 * k))
+            counts = moving.sum(axis=1)
+            for p, hi in enumerate(np.cumsum(counts)):
+                rows = slice(hi - counts[p], hi)  # support p's unfrozen rows
                 try:
                     delta[rows] = np.linalg.solve(A_[rows], rhs[rows])[..., 0]
                 except np.linalg.LinAlgError:
                     solved[p] = False
-        step = (delta[:, :k] + 1j * delta[:, k:]).reshape(L, R, k)
+        step = np.zeros_like(xs)
+        step[moving] = delta[:, :k] + 1j * delta[:, k:]
         cand = xs + step
         cand_obj = sq_obj(cand, ats, t2)
-        better = (cand_obj < obj) & solved[:, None]
+        better = (cand_obj < obj) & moving & solved[:, None]
         xs[better] = cand[better]
         obj[better] = cand_obj[better]
         steps[live] += better
+        moving &= better | (lam < 1e6)
         lam = np.where(better, lam * 0.5, lam * 4.0)
         lam = np.clip(lam, 1e-12, 1e6)
-        done = ~solved | np.all(obj <= 1e-24, axis=1)
+        fresh = better
+        done = ~solved | np.all(obj <= 1e-24, axis=1) | ~moving.any(axis=1)
         if done.any():
             x[live[done]] = xs[done]
             keep = ~done
             live, xs, ats, t2, obj, lam = live[keep], xs[keep], ats[keep], t2[keep], obj[keep], lam[keep]
+            moving, fresh, JtJ, Jtf = moving[keep], fresh[keep], JtJ[keep], Jtf[keep]
             if live.size == 0:
                 break
     x[live] = xs
@@ -437,6 +488,8 @@ def collision_probe_complex(
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    if not 1 <= k <= A.n:
+        raise ValueError(f"k must be in [1, n] = [1, {A.n}]")
     entries = A.entries.astype(np.complex128)
     n = A.n
     supports = list(itertools.combinations(range(n), k))

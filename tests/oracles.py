@@ -5,13 +5,14 @@ enumerates supports and solves exact square subsystems (k rows with
 nonzero magnitude, solved directly, verified on the remaining rows), the
 rank oracle is a bare SVD count, the distance oracle enumerates every
 ordered support pair and decides every rank by SVD, the collision
-probe oracle optimizes one support pair at a time, the full-scan real
-solver runs one SVD and one lstsq against every sign pattern on every
-support, the full-scan lifted complex solver runs the lifted solve on
-every support, the heuristic complex solve oracle refines one start at a
-time by serial Gauss-Newton with a line search, and the Hermitian lift
-oracles build the lifted system and X entry by entry.  They are slow and
-simple on purpose.
+probe oracle optimizes one support pair at a time, the full-work LM
+kernel forms and solves the normal equations of every restart on every
+iteration, the full-scan real solver runs one SVD and one lstsq against
+every sign pattern on every support, the full-scan lifted complex
+solver runs the lifted solve on every support, the heuristic complex
+solve oracle refines one start at a time by serial Gauss-Newton with a
+line search, and the Hermitian lift oracles build the lifted system and
+X entry by entry.  They are slow and simple on purpose.
 """
 
 from __future__ import annotations
@@ -305,6 +306,79 @@ def _pairwise_levenberg_marquardt(A_J: np.ndarray, targets: np.ndarray, x0: np.n
             break
     mag_obj = np.linalg.norm(np.abs(x @ A_J.T) - targets, axis=1)
     return x, mag_obj
+
+
+def full_work_levenberg_marquardt(AT: np.ndarray, targets: np.ndarray, x0: np.ndarray, iters: int = 120):
+    """Levenberg-damped Gauss-Newton over a stack of supports.
+
+    AT: (P, k, m), AT[p] = A_J^T of support p, each C-contiguous (the
+    layout _support_stack builds; the BLAS call, and so the rounding,
+    depends on it); targets: (P, R, m) magnitude targets; x0: (P, R, k)
+    complex starts.  Steps are accepted per restart only when the squared
+    objective || |A_J v|^2 - t^2 ||_2 decreases; the damping halves after
+    an accepted step and quadruples otherwise, clipped to [1e-12, 1e6].  A
+    support stops once every one of its restarts reaches a squared
+    objective of 1e-24, or when one of its damped normal-equation systems
+    is singular.  Returns (x, objective, steps) with objective the 2-norm
+    of the magnitude mismatch |A_J v| - t and steps the accepted steps,
+    each of shape (P, R).
+    """
+    P, R, k = x0.shape
+    m = AT.shape[2]
+    eye = np.eye(2 * k)[None]
+
+    def sq_obj(xc, ATc, t2c):
+        r = xc @ ATc
+        return np.linalg.norm(np.abs(r) ** 2 - t2c, axis=-1)
+
+    x = np.empty_like(x0)
+    steps = np.zeros((P, R), dtype=int)
+    # Working arrays hold the live supports only; a support that stops is
+    # written back to x and dropped.
+    live = np.arange(P)
+    xs, ats, t2 = x0.copy(), AT, targets**2
+    obj = sq_obj(xs, ats, t2)
+    lam = np.full((P, R), 1e-3)
+    for _ in range(iters):
+        L = live.size
+        r = xs @ ats  # (L, R, m)
+        f = (np.abs(r) ** 2 - t2).reshape(L * R, m)
+        cr = np.conj(r)[..., None] * ats.transpose(0, 2, 1)[:, None]  # (L, R, m, k)
+        J = np.concatenate([2.0 * cr.real, -2.0 * cr.imag], axis=-1).reshape(L * R, m, 2 * k)
+        JtJ = np.einsum("rmi,rmj->rij", J, J)
+        Jtf = np.einsum("rmi,rm->ri", J, f)
+        A_ = JtJ + lam.reshape(L * R)[:, None, None] * eye
+        rhs = -Jtf[..., None]
+        solved = np.ones(L, dtype=bool)
+        try:
+            delta = np.linalg.solve(A_, rhs)[..., 0]
+        except np.linalg.LinAlgError:
+            delta = np.zeros((L * R, 2 * k))
+            for p in range(L):
+                rows = slice(p * R, (p + 1) * R)
+                try:
+                    delta[rows] = np.linalg.solve(A_[rows], rhs[rows])[..., 0]
+                except np.linalg.LinAlgError:
+                    solved[p] = False
+        step = (delta[:, :k] + 1j * delta[:, k:]).reshape(L, R, k)
+        cand = xs + step
+        cand_obj = sq_obj(cand, ats, t2)
+        better = (cand_obj < obj) & solved[:, None]
+        xs[better] = cand[better]
+        obj[better] = cand_obj[better]
+        steps[live] += better
+        lam = np.where(better, lam * 0.5, lam * 4.0)
+        lam = np.clip(lam, 1e-12, 1e6)
+        done = ~solved | np.all(obj <= 1e-24, axis=1)
+        if done.any():
+            x[live[done]] = xs[done]
+            keep = ~done
+            live, xs, ats, t2, obj, lam = live[keep], xs[keep], ats[keep], t2[keep], obj[keep], lam[keep]
+            if live.size == 0:
+                break
+    x[live] = xs
+    mag_obj = np.linalg.norm(np.abs(x @ AT) - targets, axis=-1)
+    return x, mag_obj, steps
 
 
 def pairwise_collision_probe(A: MeasurementEnsemble, k: int, restarts: int, seed: int) -> CollisionProbe:

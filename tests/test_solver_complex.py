@@ -21,6 +21,7 @@ from sparsepr import solver_complex
 from sparsepr.solver_complex import _assemble_hermitian, _lift_system, _lifted_support_solve
 from oracles import (
     full_scan_solve_l0_complex,
+    full_work_levenberg_marquardt,
     loop_assemble_hermitian,
     loop_lift_system,
     pairwise_collision_probe,
@@ -330,6 +331,14 @@ def test_gauss_newton_rejects_zero_start():
         refine_gauss_newton(np.eye(2, dtype=complex), [1.0, 1.0], np.zeros(2, dtype=complex))
 
 
+def test_gauss_newton_rejects_negative_iters():
+    A_I, start = np.eye(2, dtype=complex), np.array([0.5, 2.0 + 1j])
+    with pytest.raises(ValueError, match="iters"):
+        refine_gauss_newton(A_I, [1.0, 1.0], start, iters=-3)
+    res = refine_gauss_newton(A_I, [1.0, 1.0], start, iters=0)
+    assert res.iterations == 0 and np.array_equal(res.x, start)
+
+
 def test_column_magnitude_collision_examples():
     assert column_magnitude_collision_1sparse(
         MeasurementEnsemble.from_entries(Field.COMPLEX, [[1, 2], [1, 2]])
@@ -377,6 +386,14 @@ def test_collision_probe_k2_threshold():
         A = generate_ensemble(Field.COMPLEX, 6, 6, seed)
         probe = collision_probe_complex(A, 2, 100, seed)
         assert probe.verdict == "no_collision_found", f"seed {seed}"
+
+
+def test_collision_probe_rejects_k_outside_1_to_n():
+    A = generate_ensemble(Field.COMPLEX, 4, 5, 0)
+    for k in (-1, 0, 6):
+        with pytest.raises(ValueError, match="k must be"):
+            collision_probe_complex(A, k, 4, 0)
+    assert collision_probe_complex(A, 5, 1, 0).restarts == 1  # k = n is a valid probe
 
 
 def _singular_solve_ensemble():
@@ -430,3 +447,97 @@ def test_k1_uniqueness_matches_column_criterion():
     x0 = SparseVector(Field.COMPLEX, 3, (0,), np.array([1.5 + 0j]))
     sol = solve_l0_complex(A, measure(A, x0), 1)
     assert sol.k_star == 1 and len(sol.classes) == 2
+
+
+class _SolveCounter:
+    """Wraps np.linalg.solve: counts the rows (systems) it is asked to solve
+    and the calls that raise LinAlgError."""
+
+    def __init__(self, monkeypatch):
+        self.rows = self.raised = 0
+        self._solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", self)
+
+    def __call__(self, a, b):
+        self.rows += len(a)
+        try:
+            return self._solve(a, b)
+        except np.linalg.LinAlgError:
+            self.raised += 1
+            raise
+
+
+def _kernel_stacks(monkeypatch, run) -> list:
+    """The (AT, targets, x0) stacks run() passes to the LM kernel."""
+    stacks = []
+    kernel = solver_complex._batched_levenberg_marquardt
+
+    def capture(AT, targets, x0, iters=120):
+        stacks.append((AT, targets, x0.copy()))
+        return kernel(AT, targets, x0, iters)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(solver_complex, "_batched_levenberg_marquardt", capture)
+        run()
+    return stacks
+
+
+def _random_kernel_stack(k: int, seed: int):
+    """A (3, 5)-row stack at m = 4k - 2; support 0's targets are those of
+    its own starts, so its objective is 0 from the start."""
+    rng = np.random.default_rng(seed)
+    m = 4 * k - 2
+    AT = rng.standard_normal((3, k, m)) + 1j * rng.standard_normal((3, k, m))
+    x0 = rng.standard_normal((3, 5, k)) + 1j * rng.standard_normal((3, 5, k))
+    targets = np.abs((rng.standard_normal((3, 5, k)) + 1j * rng.standard_normal((3, 5, k))) @ AT)
+    targets[0] = np.abs(x0[0] @ AT[0])
+    return AT, targets, x0
+
+
+def test_lm_kernel_matches_full_work_oracle(monkeypatch):
+    """The kernel, which skips frozen rows and reuses J^T J across rejected
+    steps, gives the bits of the full-work kernel on x, objective and steps
+    of every row: random k = 1..4 stacks with an exact start, a threshold
+    probe's stacks (rows freeze at lam = 1e6), a (14, 6, 4) heuristic
+    level (rows at the roundoff floor) and the singular-solve probe's
+    stacks (the LinAlgError fallback), each at 0, 1, 17 and 120 iterations."""
+    A, _, y = _heuristic_case(14, 6, 4, 0)
+    cases = {
+        "random": [_random_kernel_stack(k, 60 + k) for k in range(1, 5)],
+        "threshold-probe": _kernel_stacks(
+            monkeypatch, lambda: collision_probe_complex(generate_ensemble(Field.COMPLEX, 6, 4, 0), 2, 8, 0)
+        ),
+        "heuristic": _kernel_stacks(monkeypatch, lambda: solve_l0_complex(A, y, 4, allow_heuristic=True, seed=0)),
+        "singular-solve": _kernel_stacks(monkeypatch, lambda: collision_probe_complex(_singular_solve_ensemble(), 2, 8, 3)),
+    }
+    assert [len(v) for v in cases.values()] == [4, 2, 1, 2]
+    work = {}
+    for name, stacks in cases.items():
+        for iters in (0, 1, 17, 120):
+            runs = []
+            for kernel in (solver_complex._batched_levenberg_marquardt, full_work_levenberg_marquardt):
+                counter = _SolveCounter(monkeypatch)
+                runs.append([kernel(AT, t, x0, iters) for AT, t, x0 in stacks])
+                monkeypatch.undo()
+                work[name, iters, kernel is full_work_levenberg_marquardt] = counter.rows, counter.raised
+            for i, (got, want) in enumerate(zip(*runs)):
+                for a, b in zip(got, want):
+                    assert a.shape == b.shape and np.array_equal(_bits(a), _bits(b)), (name, iters, i)
+            if name == "random" and iters == 120:
+                # the exact start takes no step, and its support stops at once
+                assert all(np.all(steps[0] == 0) and np.all(obj[0] == 0) for _, obj, steps in runs[0])
+    assert all(work[name, 0, full] == (0, 0) for name in cases for full in (False, True))
+    # rows freeze on the probe: the kernel solves well under the full work
+    assert 2 * work["threshold-probe", 120, False][0] < work["threshold-probe", 120, True][0]
+    # both kernels take the LinAlgError fallback
+    assert work["singular-solve", 120, False][1] > 0 and work["singular-solve", 120, True][1] > 0
+
+
+def test_lm_kernel_solves_at_most_half_the_full_work(monkeypatch):
+    """A generic threshold probe, (m, n, k) = (6, 4, 2) with 8 restarts: the
+    full-work kernel solves 36 pairs x 8 restarts x 120 iterations = 34,560
+    rows; rows frozen at the damping cap get no further solve."""
+    counter = _SolveCounter(monkeypatch)
+    probe = collision_probe_complex(generate_ensemble(Field.COMPLEX, 6, 4, 0), 2, 8, 0)
+    assert probe.verdict == "no_collision_found"
+    assert 0 < counter.rows <= 17_280
