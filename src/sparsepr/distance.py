@@ -29,17 +29,42 @@ the plain column-rank-deficiency test.
 A k-sparse signal is certifiably unique when k <= floor((d - 1) / 2) AND
 every 2k columns of A are independent (the spark condition covers the
 phase-free P = I collision, which the admissible-P distance excludes).
+
+How ranks are decided.  Every rank is the SVD policy's (numerical_rank),
+with its fragile flag, but most are proven without an SVD.  A per-call
+table of the minors det A[S, I] gives det(M^T M) for every pair of a
+block and every sign pattern at once (numerics._laplace_gram); a
+configuration whose determinant clears a proven margin is full rank.  A
+configuration with exact null vectors -- columns equal up to sign, or
+class-shared columns meeting an unbalanced pattern -- gets rank t - e when
+the configuration M' left after removing e of its columns clears the same
+margin (_RankDecider._exact_defects).  Only the remaining configurations
+go to the SVD.  The spark check proves full column rank from the same
+kind of table.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
 from .model import Field, MeasurementEnsemble, PhasePattern, sign_table
-from .numerics import DEFAULT_RANK_TOL, batched_ranks, numerical_rank
+from .numerics import (
+    _SVD_ERROR,
+    DEFAULT_RANK_TOL,
+    _combos,
+    _laplace_gram,
+    _minor_table,
+    _need,
+    _pattern_products,
+    _screen_accepts,
+    _screen_tau,
+    batched_ranks,
+    numerical_rank,
+)
 
 __all__ = [
     "Witness",
@@ -53,8 +78,8 @@ __all__ = [
     "sign_patterns",
 ]
 
-# Cap chunk memory in the batched enumeration (float64 elements).
-_CHUNK_ELEMENTS = 4_000_000
+# Elements in the largest array of one block of the enumeration.
+_BLOCK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -167,12 +192,17 @@ def _classify_overlap(I: tuple[int, ...], J: tuple[int, ...]) -> tuple[str, int]
     return "partial", w
 
 
-def _support_masks(combos: np.ndarray) -> np.ndarray:
-    """Encode index tuples as integer bitmasks for fast overlap counting."""
-    masks = np.zeros(len(combos), dtype=np.uint64)
-    for col in range(combos.shape[1]):
-        masks |= np.uint64(1) << combos[:, col].astype(np.uint64)
-    return masks
+def _overlaps(cols_i: np.ndarray, cols_j: np.ndarray) -> np.ndarray:
+    """|I intersect J| for each row pair of two (N, a) and (N, b) support arrays."""
+    return np.sum(cols_i[:, :, None] == cols_j[:, None, :], axis=(1, 2))
+
+
+def _column_classes(entries: np.ndarray) -> np.ndarray:
+    """Class label per column: columns equal up to sign (a_i = +-a_j, compared
+    exactly, never within a tolerance) share the label of the first of them."""
+    same = np.all(entries[:, :, None] == entries[:, None, :], axis=0)
+    same |= np.all(entries[:, :, None] == -entries[:, None, :], axis=0)
+    return np.argmax(same, axis=1)
 
 
 def _smallest_key(hit: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[int, int, int]:
@@ -184,6 +214,120 @@ def _smallest_key(hit: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[int,
     rows = rows[lo[rows] == lo[rows].min()]
     row = rows[np.argmin(hi[rows])]
     return int(lo[row]), int(hi[row]), int(np.argmax(hit[row])) + 1
+
+
+class _RankDecider:
+    """numerical_rank's decision for every configuration of a block of support pairs.
+
+    Three paths, each giving the SVD policy's rank and fragile flag:
+    configurations that the minor table proves full rank (_laplace_gram,
+    _screen_accepts); configurations with e exact null vectors
+    (_exact_defects) whose reduced configuration M' is proven, which get
+    rank t - e; and the rest, which go to batched_ranks.  fragile records
+    whether any SVD decision was fragile; the proven ones never are.
+    """
+
+    def __init__(self, A: MeasurementEnsemble, top: int, tol_rel: float):
+        self.entries = A.entries
+        self.m = A.m
+        self.signs, self.l_counts = sign_patterns(A.m)
+        self.table = _minor_table(A.entries, top)
+        self.classes = _column_classes(A.entries)
+        self.tau = _screen_tau(tol_rel)
+        self.tol_rel = tol_rel
+        self.fragile = False
+        self._products = {}
+
+    def _H(self, t: int, a: int, w: int = 0, drop: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """The patterns whose shared-class defect max(w - l, 0) + max(w - (m - l), 0)
+        is drop (every pattern for w = 0), and _pattern_products on them; cached per call."""
+        if (t, a, w, drop) not in self._products:
+            s = np.maximum(w - self.l_counts, 0) + np.maximum(w - (self.m - self.l_counts), 0)
+            patterns = np.flatnonzero(s == drop)
+            if patterns.size == len(self.signs):
+                H = _pattern_products(self.m, t, a, self.signs) if w == 0 else self._H(t, a)[1]
+            else:
+                H = self._H(t, a)[1][:, :, patterns]
+            self._products[t, a, w, drop] = patterns, H
+        return self._products[t, a, w, drop]
+
+    def ranks(self, cols_i: np.ndarray, cols_j: np.ndarray) -> np.ndarray:
+        """(N, npat) ranks of [A_I, P A_J] for the N pairs of rows of cols_i and cols_j."""
+        a, b = cols_i.shape[1], cols_j.shape[1]
+        t = a + b
+        ranks = np.full((len(cols_i), len(self.signs)), t)
+        undecided = np.ones(ranks.shape, dtype=bool)
+        if self.table is not None:
+            col_sq = self.table.col_sq
+            fro2 = col_sq[cols_i].sum(axis=1) + col_sq[cols_j].sum(axis=1)
+            G, B = _laplace_gram(self.table, cols_i, cols_j, self._H(t, a)[1])
+            undecided &= ~_screen_accepts(G, B[:, None], _need(self.tau, fro2, fro2, t)[:, None])
+            # Rank t - e needs the SVD's roundoff below tol_rel (see _screen_accepts).
+            if self.tol_rel >= 2 * _SVD_ERROR and undecided.any():
+                self._exact_defects(cols_i, cols_j, fro2, ranks, undecided)
+        pairs, codes = np.nonzero(undecided)
+        step = max(1, _BLOCK_ELEMENTS // (self.m * t))
+        for first in range(0, pairs.size, step):
+            p, q = pairs[first:first + step], codes[first:first + step]
+            stack = np.empty((p.size, self.m, t))
+            stack[:, :, :a] = self.entries[:, cols_i[p]].transpose(1, 0, 2)
+            stack[:, :, a:] = self.signs[q][:, :, None] * self.entries[:, cols_j[p]].transpose(1, 0, 2)
+            ranks[p, q], fragile = batched_ranks(stack, self.tol_rel)
+            self.fragile = self.fragile or bool(fragile.any())
+        return ranks
+
+    def _exact_defects(self, cols_i, cols_j, fro2, ranks, undecided) -> None:
+        """Decide the undecided configurations whose deficiency is exact and known in advance.
+
+        Columns in one class (_column_classes) are equal up to sign in the
+        stored floats.  With |cls I| and |cls J| the classes on each side,
+        w = |cls I intersect cls J| and l the +1 entries of P, M = [A_I, P A_J]
+        has e = (a - |cls I|) + (b - |cls J|) + s exact null vectors, s =
+        max(w - l, 0) + max(w - (m - l), 0): one per column that repeats a
+        class on its side (a_i -+ a_j = 0), and s among the class-shared
+        columns, because the w vectors a_c + P a_c vanish exactly on the
+        m - l rows where p = -1 (negation is exact) and the w vectors
+        a_c - P a_c on the other l.  They are independent, each of the first
+        kind using a column no other uses.  M' keeps the first column of
+        each class on each side and drops the last s class-shared columns
+        of J: e columns fewer.  When M' is proven (sigma_min(M') > tau
+        ||M||_F, _screen_accepts) the SVD policy decides rank t - e, not
+        fragile.  Sets ranks and clears undecided where proven.
+        """
+        m, (a, b) = self.m, (cols_i.shape[1], cols_j.shape[1])
+        ci, cj = self.classes[cols_i], self.classes[cols_j]
+        first_i = ~np.any((ci[:, :, None] == ci[:, None, :]) & np.tri(a, k=-1, dtype=bool), axis=2)
+        first_j = ~np.any((cj[:, :, None] == cj[:, None, :]) & np.tri(b, k=-1, dtype=bool), axis=2)
+        shared = first_j & np.any(cj[:, :, None] == ci[:, None, :], axis=2)
+        from_right = np.cumsum(shared[:, ::-1], axis=1)[:, ::-1]  # shared columns at or after each
+        a_cls, b_cls, w = first_i.sum(axis=1), first_j.sum(axis=1), shared.sum(axis=1)
+        # Configurations with e > 0 are exactly rank deficient, so none was proven
+        # full rank: every one of them is undecided here.
+        group = np.ravel_multi_index((a_cls, b_cls, w), (b + 1,) * 3)
+        group[(a_cls == a) & (b_cls == b) & (w < 2)] = -1  # e = 0 for every pattern
+        col_sq = self.table.col_sq
+        for key in np.unique(group[group >= 0]):
+            pairs = np.flatnonzero(group == key)
+            a2, b_all, w2 = (int(v) for v in np.unravel_index(key, (b + 1,) * 3))
+            sub_i = cols_i[pairs][first_i[pairs]].reshape(-1, a2)
+            for drop in range(max(w2, 1)):  # l >= 1 and m - l >= 1 keep s below w
+                e = (a - a2) + (b - b_all) + drop
+                b2 = b_all - drop
+                if e == 0:
+                    continue
+                patterns, H = self._H(a2 + b2, a2, w2, drop)
+                keep = first_j[pairs] & ~(shared[pairs] & (from_right[pairs] <= drop))
+                sub_j = cols_j[pairs][keep].reshape(-1, b2)
+                step = max(1, _BLOCK_ELEMENTS // (comb(m, a2 + b2) * max(patterns.size, comb(a2 + b2, a2))))
+                for first in range(0, pairs.size, step):
+                    part = slice(first, first + step)
+                    G, B = _laplace_gram(self.table, sub_i[part], sub_j[part], H)
+                    fro2_sub = col_sq[sub_i[part]].sum(axis=1) + col_sq[sub_j[part]].sum(axis=1)
+                    need = _need(self.tau, fro2[pairs[part]], fro2_sub, a2 + b2)
+                    proven = _screen_accepts(G, B[:, None], need[:, None])
+                    rows = pairs[part, None]
+                    ranks[rows, patterns] = np.where(proven, a + b - e, ranks[rows, patterns])
+                    undecided[rows, patterns] &= ~proven
 
 
 def phase_gen_min_distance(
@@ -208,7 +352,7 @@ def phase_gen_min_distance(
     order of all supports, the key (score, total, min(r_I, r_J),
     max(r_I, r_J), code) is the smaller of the two mirrored keys in the order above, so
     the smallest key names the same witness as a scan of every ordered
-    pair.
+    pair.  Ranks come from _RankDecider, in blocks of pairs.
     """
     if A.field is not Field.REAL:
         raise ValueError("phase-generalized minimum distance is defined for real ensembles only")
@@ -222,10 +366,7 @@ def phase_gen_min_distance(
     max_support = min(max_support, m - 1, n)
     t_max = min(m, 2 * max_support)
 
-    signs, l_counts = sign_patterns(m)
-    npat = signs.shape[0]
-    entries = A.entries
-
+    npat = 2 ** (m - 1) - 1
     if npat == 0 or t_max < 2:
         # m = 1: no admissible pattern and no valid support pair exists.
         return DistanceReport(m, n, m + 1, m, None, "disjoint", 0, m // 2, False)
@@ -233,38 +374,32 @@ def phase_gen_min_distance(
     by_size = {a: list(itertools.combinations(range(n), a)) for a in range(1, max_support + 1)}
     supports = sorted(itertools.chain.from_iterable(by_size.values()))
     order = {s: r for r, s in enumerate(supports)}
-    combos = {a: np.array(c, dtype=int) for a, c in by_size.items()}
-    masks = {a: _support_masks(c) for a, c in combos.items()}
+    combos = {a: np.array(c, dtype=np.intp) for a, c in by_size.items()}
     lex_pos = {a: np.array([order[s] for s in c]) for a, c in by_size.items()}
+    decider = _RankDecider(A, max_support, tol_rel)
+    l_counts = decider.l_counts
 
     best_key = None  # (score, total, lo, hi, code)
     cap_key = None  # first full-rank configuration at size t_max
-    fragile_any = False
 
     for total in range(2, t_max + 1):
         for a in range(max(1, total - max_support), total // 2 + 1):
             b = total - a
             ci, cj = len(combos[a]), len(combos[b])
-            # The stack and the Gram matrices batched_ranks forms from it share the budget.
-            chunk = max(1, _CHUNK_ELEMENTS // (cj * npat * (m + total) * total))
-            for first in range(0, ci, chunk):
-                rows = np.arange(first, min(first + chunk, ci))
-                if a == b:
-                    pi, pj = np.nonzero(np.arange(cj)[None, :] >= rows[:, None])
-                else:
-                    pi, pj = np.nonzero(np.ones((rows.size, cj), dtype=bool))
-                pi += first
-                # stack shape: (pairs, npat, m, a + b)
-                stack = np.empty((pi.size, npat, m, total))
-                stack[..., :a] = entries[:, combos[a][pi].T].transpose(2, 0, 1)[:, None, :, :]
-                right = entries[:, combos[b][pj].T].transpose(2, 0, 1)
-                stack[..., a:] = signs[None, :, :, None] * right[:, None, :, :]
-                ranks, fragile = batched_ranks(stack, tol_rel)
-                fragile_any = fragile_any or bool(fragile.any())
+            if a == b:
+                all_i, all_j = np.triu_indices(ci)
+            else:
+                all_i, all_j = (idx.ravel() for idx in np.indices((ci, cj)))
+            # The (row sets, pairs, patterns) determinants of _laplace_gram set the block size.
+            step = max(1, _BLOCK_ELEMENTS // (comb(m, total) * max(npat, comb(total, a))))
+            for first in range(0, all_i.size, step):
+                pi, pj = all_i[first:first + step], all_j[first:first + step]
+                cols_i, cols_j = combos[a][pi], combos[b][pj]
+                ranks = decider.ranks(cols_i, cols_j)
 
                 # Structural rank: total minus the dimension forced by shared
                 # columns meeting an unbalanced sign pattern.
-                w = np.bitwise_count(masks[a][pi] & masks[b][pj]).astype(int)[:, None]
+                w = _overlaps(cols_i, cols_j)[:, None]
                 trivial = np.maximum(w - l_counts, 0) + np.maximum(w - (m - l_counts), 0)
                 eligible = ranks < (total - trivial)
                 lo = np.minimum(lex_pos[a][pi], lex_pos[b][pj])
@@ -281,6 +416,7 @@ def phase_gen_min_distance(
                         if cap_key is None or key < cap_key:
                             cap_key = key
 
+    fragile_any = decider.fragile
     if best_key is None:  # an eligible key scores below t_max, so it beats the cap
         best_key = cap_key
     if best_key is None:
@@ -331,17 +467,33 @@ def spark_at_least(A: MeasurementEnsemble, s: int, tol_rel: float = DEFAULT_RANK
 
     On failure the first (smallest, then lexicographic) dependent subset is
     reported.  The report is fragile when any rank decision made on the
-    way was.
+    way was.  A column set S is proven full rank from det(A_S^T A_S) =
+    sum_R det A[R, S]^2 over the minor table (_laplace_gram with J empty,
+    _screen_accepts); only the other sets go to batched_ranks.
     """
     if s < 1 or s > min(A.m, A.n) + 1:
         raise ValueError(f"s must be in [1, min(m, n) + 1], got {s}")
     entries = A.entries
+    table = _minor_table(entries, s - 1)
+    tau = _screen_tau(tol_rel)
     fragile_any = False
     for size in range(1, s):
-        combos = np.array(list(itertools.combinations(range(A.n), size)), dtype=int)
-        stack = entries[:, combos.T].transpose(2, 0, 1)  # (ncombos, m, size)
-        ranks, fragile = batched_ranks(stack, tol_rel)
-        fragile_any = fragile_any or bool(fragile.any())
+        combos = _combos(A.n, size)
+        undecided = np.ones(len(combos), dtype=bool)
+        if table is not None:
+            H = _pattern_products(A.m, size, size, np.ones((1, A.m)))
+            step = max(1, _BLOCK_ELEMENTS // comb(A.m, size))
+            for first in range(0, len(combos), step):
+                cols = combos[first:first + step]
+                G, B = _laplace_gram(table, cols, np.zeros((len(cols), 0), dtype=np.intp), H)
+                fro2 = table.col_sq[cols].sum(axis=1)
+                undecided[first:first + step] = ~_screen_accepts(G[:, 0], B, _need(tau, fro2, fro2, size))
+        ranks = np.full(len(combos), size)
+        rest = np.flatnonzero(undecided)
+        if rest.size:
+            stack = entries[:, combos[rest].T].transpose(2, 0, 1)  # (nrest, m, size)
+            ranks[rest], fragile = batched_ranks(stack, tol_rel)
+            fragile_any = fragile_any or bool(fragile.any())
         bad = ranks < size
         if bad.any():
             first = int(np.argmax(bad))

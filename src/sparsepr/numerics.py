@@ -5,6 +5,14 @@ SVD threshold (default 1e-10 of the largest).  Desk-scale Gaussian matrices
 have singular-value gaps many orders above this, so decisions are crisp;
 the gap is recorded anyway so borderline calls can be surfaced as fragile.
 
+The distance enumeration and the spark check share one minor table
+(_minor_table): every minor det A[S, I] up to the largest support size.
+_laplace_gram turns it into the Gram determinants of whole blocks of
+configurations by generalized Laplace expansion and Cauchy-Binet, a few
+GEMMs per block, with a proven error radius, and _screen_accepts turns
+those into proofs of the SVD policy's own decision, so batched_ranks runs
+only where nothing is proven.
+
 Both exact solvers share one least-squares screen (_lstsq_screen): it
 proves, in batch and with an explicit roundoff margin, that most
 candidate systems fail their residual test, so only the rest are solved.
@@ -12,7 +20,10 @@ candidate systems fail their residual test, so only the rest are solved.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -28,9 +39,11 @@ __all__ = [
 
 DEFAULT_RANK_TOL = 1e-10
 FRAGILE_GAP = 10.0
-# Factor by which the full-rank screen's threshold exceeds both tol_rel and
-# its own roundoff floor (see _certified_full_rank).
-_SCREEN_MARGIN = 100.0
+# Relative backward error assumed of LAPACK's SVD (see _screen_accepts).
+_SVD_ERROR = 2.0 ** -40
+# Numbers per minor table (_minor_table); a larger A gets no table and
+# every rank goes to the SVD.
+_TABLE_ELEMENTS = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -76,23 +89,13 @@ def numerical_rank(M, tol_rel: float = DEFAULT_RANK_TOL) -> RankDecision:
 def batched_ranks(stack: np.ndarray, tol_rel: float = DEFAULT_RANK_TOL):
     """Ranks and fragility flags for a (..., m, k) stack of matrices.
 
-    Returns (ranks, fragile) with the leading batch shape.  Used by the
-    distance enumeration and the spark check, where hundreds of thousands
-    of tiny rank decisions are needed; the decisions match numerical_rank
-    exactly.  A Gram-determinant screen (_certified_full_rank) proves most
-    matrices full rank without an SVD; a full-rank decision drops nothing,
-    so it is never fragile.  Every matrix the screen does not prove full
-    rank is decided by the SVD, so deficiency is only ever decided there.
+    Returns (ranks, fragile) with the leading batch shape: numerical_rank's
+    decision for every matrix, one SVD each.  The distance enumeration and
+    the spark check prove what ranks they can from a minor table
+    (_laplace_gram, _screen_accepts) and send only the rest here, so every
+    rank deficiency that is not known in advance is decided by this policy.
     """
-    stack = np.asarray(stack)
-    rows, cols = stack.shape[-2:]
-    flat = stack.reshape(-1, rows, cols)
-    ranks = np.full(flat.shape[0], min(rows, cols))
-    fragile = np.zeros(flat.shape[0], dtype=bool)
-    rest = np.flatnonzero(~_certified_full_rank(flat, tol_rel))
-    if rest.size:
-        ranks[rest], fragile[rest] = _svd_ranks(flat[rest], tol_rel)
-    return ranks.reshape(stack.shape[:-2]), fragile.reshape(stack.shape[:-2])
+    return _svd_ranks(np.asarray(stack), tol_rel)
 
 
 def _svd_ranks(stack: np.ndarray, tol_rel: float):
@@ -110,69 +113,229 @@ def _svd_ranks(stack: np.ndarray, tol_rel: float):
     return ranks, fragile
 
 
-def _certified_full_rank(stack: np.ndarray, tol_rel: float) -> np.ndarray:
-    """Mask of the (N, r, c) matrices that the SVD policy provably calls full rank.
-
-    Bound.  Let t = min(r, c), G the t-by-t Gram matrix of the smaller side
-    (M^T M or M M^T) and F = ||M||_F, so trace(G) = F^2 and the
-    eigenvalues of G are the squared singular values of M.  For any t-by-t
-    X, |det X| = prod sigma_i(X) <= sigma_t(X) (S / (t - 1))^(t - 1), with S
-    the sum of the other t - 1 singular values (AM-GM), and
-    sigma_max(M) <= F.  Applied to X = G this gives
-
-        sigma_min / sigma_max >= rho := sqrt(det G) (t - 1)^((t - 1)/2) / F^t.
-
-    Roundoff (u = eps / 2, gamma_j = j u / (1 - j u)).  The computed Gram is
-    G + E1 with ||E1||_2 <= gamma_n F^2, n = max(r, c) the inner dimension.
-    slogdet factors it by LU with partial pivoting, exact for G + E1 + E2
-    with |E2| <= gamma_t |L||U|, |l_ij| <= 1 and growth at most 2^(t-1), so
-    ||E2||_2 <= gamma_t t^2 2^(t-1) (1 + gamma_n) F^2.  With E = E1 + E2,
-    ||E||_2 <= delta F^2 and delta = gamma_n + gamma_t t^2 2^(t-1) (1 + gamma_n).
-    The computed determinant is det X for X = G + E, whose nuclear norm is
-    at most F^2 (1 + t delta), and Weyl's inequality sigma_t(G) >=
-    sigma_t(X) - ||E||_2 turns the bound above into
-
-        (sigma_min / sigma_max)^2 >= rho_hat^2 / (1 + t delta)^(t - 1) - delta,
-
-    where rho_hat is rho evaluated on the computed det X and trace(G).
-    The rounding of slogdet's log-sum and of the trace changes rho_hat by
-    a relative 1e-10 at most.  The screen accepts when rho_hat > tau =
-    100 max(tol_rel, sqrt(delta)).  AM-GM over all t singular values of X
-    gives rho_hat <= t^(-1/2) (1 + t delta)^(t/2), which is below tau for
-    t >= 22, so acceptance needs t <= 21, where (1 + t delta)^(t - 1) <=
-    1.001.  The right-hand side then exceeds (0.998 - 1e-4) rho_hat^2, so
-    sigma_min / sigma_max > 99 max(tol_rel, sqrt(delta)).  The SVD computes
-    the singular values of M + dM with ||dM||_2 <= eps_svd sigma_max and
-    eps_svd = p(r, c) u of order 1e-14 at these shapes, far below
-    sqrt(delta) >= sqrt(u) ~ 1e-8.  Its smallest computed singular value
-    therefore exceeds tol_rel times its largest with at least 90x to spare:
-    the SVD policy would keep all t singular values and drop none.
-
-    Matrices with F^2 outside [1e-280, 1e280] are left to the SVD, so the
-    Gram and the LU neither overflow nor lose accuracy to underflow.  A
-    failed screen decides nothing.
-    """
-    rows, cols = stack.shape[-2:]
-    t = min(rows, cols)
+def _gamma(j: int) -> float:
+    """gamma_j = j u / (1 - j u), u = eps / 2: the relative error bound of j roundings."""
     u = np.finfo(np.float64).eps / 2
-
-    def gamma(j: int) -> float:
-        return j * u / (1 - j * u)
-
-    inner = max(rows, cols)
-    delta = gamma(inner) + gamma(t) * t * t * 2.0 ** (t - 1) * (1 + gamma(inner))
-    log_tau = np.log(_SCREEN_MARGIN * max(tol_rel, np.sqrt(delta)))
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if cols <= rows:
-            gram = np.matmul(stack.transpose(0, 2, 1), stack)
-        else:
-            gram = np.matmul(stack, stack.transpose(0, 2, 1))
-        fro2 = np.einsum("nii->n", gram)
-        _, logdet = np.linalg.slogdet(gram)
-        log_rho = 0.5 * logdet + 0.5 * (t - 1) * np.log(max(t - 1, 1)) - 0.5 * t * np.log(fro2)
-        return (fro2 >= 1e-280) & (fro2 <= 1e280) & (log_rho > log_tau)
+    return j * u / (1 - j * u)
 
 
+def _combos(n: int, a: int) -> np.ndarray:
+    """The a-subsets of range(n) in itertools.combinations order, as a (C(n, a), a) array."""
+    return np.array(list(itertools.combinations(range(n), a)), dtype=np.intp).reshape(-1, a)
+
+
+@functools.lru_cache(maxsize=None)
+def _binomials(n: int) -> np.ndarray:
+    return np.array([[comb(x, y) for y in range(n + 1)] for x in range(n + 1)], dtype=np.intp)
+
+
+def _lex_rank(combos: np.ndarray, n: int) -> np.ndarray:
+    """Position of each sorted row of an (N, a) index array in _combos(n, a)."""
+    a = combos.shape[1]
+    return comb(n, a) - 1 - _binomials(n)[n - 1 - combos, np.arange(a, 0, -1)].sum(axis=1)
+
+
+@dataclass(frozen=True)
+class _MinorTable:
+    det: list
+    per_sum: list
+    col_sq: np.ndarray
+    m: int
+    n: int
+
+
+def _minor_table(entries: np.ndarray, top: int) -> _MinorTable | None:
+    """Every minor of A up to size top, with the permanents that bound its error.
+
+    A is first scaled by an exact power of two, so that max |A| lies in
+    [1/2, 1): ratios of singular values and the sign of every comparison
+    below are those of A itself.  det[a][i, s] is the computed det A[S, I],
+    for I the i-th and S the s-th a-subset of columns and rows in _combos
+    order (size 0 holds the empty minor 1); per_sum[a][i] sums over S the
+    computed permanents of |A[S, I]|, which bound the minors' errors; and
+    col_sq holds the squared column norms of the scaled A.  Minors and
+    permanents expand along the last column, det A[S, I] = sum_k
+    (-1)^(k + a - 1) A[s_k, i_a] det A[S - s_k, I - i_a], from those of
+    size a - 1.  Returns None when the tables would hold more than
+    _TABLE_ELEMENTS numbers each, when a configuration of up to 2 top
+    columns would have more than _TABLE_ELEMENTS row sets, or when m > 30:
+    _laplace_gram and _screen_accepts make their roundoff and range claims
+    only inside these limits.
+    """
+    m, n = entries.shape
+    if (m > 30 or sum(comb(m, a) * comb(n, a) for a in range(top + 1)) > _TABLE_ELEMENTS
+            or max(comb(m, t) for t in range(min(m, 2 * top) + 1)) > _TABLE_ELEMENTS):
+        return None
+    A = np.ldexp(entries, -int(np.frexp(np.max(np.abs(entries)))[1]))
+    abs_a = np.abs(A)
+    det, per = [np.ones((1, 1))], [np.ones((1, 1))]
+    for a in range(1, top + 1):
+        cols, rows = _combos(n, a), _combos(m, a)
+        head, last = _lex_rank(cols[:, :-1], n)[:, None], cols[:, -1:]
+        d = np.zeros((len(cols), len(rows)))
+        p = np.zeros_like(d)
+        for k in range(a):
+            sub = _lex_rank(np.delete(rows, k, axis=1), m)[None, :]
+            row = rows[None, :, k]
+            term = A[row, last] * det[a - 1][head, sub]
+            d = d - term if (k + a - 1) % 2 else d + term
+            p += abs_a[row, last] * per[a - 1][head, sub]
+        det.append(d)
+        per.append(p)
+    return _MinorTable(det, [p.sum(axis=1) for p in per], np.sum(A * A, axis=0), m, n)
+
+
+@functools.lru_cache(maxsize=None)
+def _row_splits(m: int, t: int, a: int):
+    """Generalized Laplace index arrays for the t-row sets R of range(m).
+
+    Each R (in _combos(m, t) order) splits into its a-subsets S and their
+    complements R - S.  Returns (sidx, cidx, eps, comp): sidx and cidx
+    (nR, nS) give the positions of S and R - S in _combos(m, a) and
+    _combos(m, t - a), eps (nS,) the expansion sign (-1)^(sum of the
+    positions of S in R - a(a - 1)/2), the same for every R, and comp
+    (nR, nS, t - a) the rows of R - S.
+    """
+    rows, pos = _combos(m, t), _combos(t, a)
+    comp_pos = np.array([[j for j in range(t) if j not in p] for p in pos.tolist()],
+                        dtype=np.intp).reshape(len(pos), t - a)
+    S, comp = rows[:, pos], rows[:, comp_pos]
+    nR, nS = S.shape[:2]
+    sidx = _lex_rank(S.reshape(nR * nS, a), m).reshape(nR, nS)
+    cidx = _lex_rank(comp.reshape(nR * nS, t - a), m).reshape(nR, nS)
+    eps = np.where((pos.sum(axis=1) - a * (a - 1) // 2) % 2, -1.0, 1.0)
+    return sidx, cidx, eps, comp
+
+
+def _pattern_products(m: int, t: int, a: int, signs: np.ndarray) -> np.ndarray:
+    """H[R, S, P] = prod over the rows r of R - S of P's sign p_r, as (nR, nS, npat)."""
+    comp = _row_splits(m, t, a)[3]
+    H = np.ones((*comp.shape[:2], len(signs)))
+    for j in range(t - a):
+        H *= signs.T[comp[:, :, j]]
+    return H
+
+
+def _laplace_gram(table: _MinorTable, cols_i: np.ndarray, cols_j: np.ndarray, H: np.ndarray):
+    """Gram determinants of M = [A_I, P A_J] from the minor table, with an error radius.
+
+    cols_i (N, a) and cols_j (N, b) hold N support pairs, t = a + b <= m;
+    b = 0 gives det(A_I^T A_I).  H is _pattern_products(m, t, a, signs).
+    Returns G (N, npat), for every pair and pattern, and B (N,).
+
+    For each t-row set R the generalized Laplace expansion along the first
+    a columns gives
+
+        D_R(P) = det M[R] = sum_S eps(S, R) det A[S, I] det A[R - S, J] prod_(r in R - S) p_r,
+
+    over the a-subsets S of R: the (N, nS) block X_R[pair, S] = eps
+    det A[S, I] det A[R - S, J] times the fixed +-1 matrix H_R, one GEMM.
+    Cauchy-Binet gives det(M^T M) = sum_R D_R^2, computed as G; for
+    t = m there is one R.
+
+    Error radius (u = eps / 2, gamma_j = j u / (1 - j u); Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 3).  Let c_a =
+    max(a (a + 1) / 2 - 1, 0).  The table computes an a-minor as a sum of
+    a products of an entry and an (a - 1)-minor, so by induction each of
+    the a! signed products of the minor carries a relative error of at
+    most gamma_(c_a) (one multiplication and a - 1 additions per level,
+    and gamma_j + gamma_k + gamma_j gamma_k <= gamma_(j + k)), hence
+    |d_hat - d| <= gamma_(c_a) per|A[S, I]|.  The same recursion on |A|
+    computes the permanent from positive terms, so Q = per_hat >=
+    (1 - gamma_(c_a)) per, |d_hat - d| <= 2 gamma_(c_a) Q and |d_hat| <=
+    (1 + 3 gamma_(c_a)) Q.  In X_R the sign is exact and the product of
+    the two minors errs by a relative u; the GEMM with H_R (|H| = 1, any
+    summation order) errs by gamma_(nS) sum_S |X_hat_R[S]|, nS =
+    C(t, a).  Expanding the product of the perturbed minors,
+
+        |D_hat_R(P) - D_R(P)| <= omega Y_R,   omega = 2 (2 gamma_(c_a) + 2 gamma_(c_b) + u + gamma_(nS)),
+
+    for every P, with Y_R = sum_S Q_I(S) Q_J(R - S); the factor 2 covers
+    the products of two small terms.  Every pair (S, S') of disjoint row
+    sets occurs in exactly one Y_R, so ||Y||_2 <= sum_R Y_R <= sum_S
+    Q_I(S) sum_S' Q_J(S'), the product of the two rows' sums in per_sum,
+    which are formed from positive terms within a relative gamma_C(m, a)
+    of the exact sums.  So ||D_hat - D||_2 over R is at most B = omega
+    per_sum_I per_sum_J + eta nR, computed with that relative error; the
+    cruder bound costs nothing that matters, as B stays many orders below
+    the margin _screen_accepts asks for.  eta = 2^-500 bounds what
+    underflow adds: with max |A| < 1 and m <= 30 every minor and
+    permanent is below 30! < 2^108, and nS, nR <= 2^21 (_minor_table's
+    limits; nS = C(t, a) <= C(m, a)), so an absolute
+    error of 2^-1074 per operation, amplified through the recursion, X
+    and the GEMM, stays below 2^-800 per D_R.  The same bounds keep every
+    value below 2^600, so nothing overflows.  _screen_accepts turns G and
+    B into proofs.
+    """
+    a, b = cols_i.shape[1], cols_j.shape[1]
+    sidx, cidx, eps, _ = _row_splits(table.m, a + b, a)
+    nR, nS = sidx.shape
+    ri, rj = _lex_rank(cols_i, table.n), _lex_rank(cols_j, table.n)
+    X = (table.det[a][ri][:, sidx] * eps) * table.det[b][rj][:, cidx]  # (N, nR, nS)
+    D = np.matmul(X.transpose(1, 0, 2), H)  # (nR, N, npat)
+    G = np.einsum("rnq,rnq->nq", D, D)
+
+    def c(k: int) -> int:
+        return max(k * (k + 1) // 2 - 1, 0)
+
+    u = np.finfo(np.float64).eps / 2
+    omega = 2 * (2 * _gamma(c(a)) + 2 * _gamma(c(b)) + u + _gamma(nS))
+    B = omega * table.per_sum[a][ri] * table.per_sum[b][rj] + 2.0 ** -500 * nR
+    return G, B
+
+
+def _screen_tau(tol_rel: float) -> float:
+    """The screens' acceptance threshold, 100 max(tol_rel, _SVD_ERROR)."""
+    return 100.0 * max(tol_rel, _SVD_ERROR)
+
+
+def _need(tau: float, fro2: np.ndarray, fro2_sub: np.ndarray, t_sub: int) -> np.ndarray:
+    """tau ||M||_F ||M'||_F^(t' - 1) / (t' - 1)^((t' - 1) / 2): the sqrt(det G')
+    that _screen_accepts requires of a t'-column M' to prove sigma_min(M') >
+    tau ||M||_F."""
+    k = t_sub - 1
+    return tau * np.sqrt(fro2) * fro2_sub ** (k / 2) / float(k) ** (k / 2)
+
+
+def _screen_accepts(G: np.ndarray, B: np.ndarray, need: np.ndarray) -> np.ndarray:
+    """Mask of the G from _laplace_gram that prove sigma_min(M') > tau ||M||_F.
+
+    Bound.  For the t'-column M' with Gram determinant det G' and
+    ||M'||_F = F', AM-GM over the other t' - 1 eigenvalues of G' (their
+    sum is at most F'^2) gives
+
+        sigma_min(M') >= sqrt(det G') (t' - 1)^((t' - 1)/2) / F'^(t' - 1),
+
+    and sqrt(det G') = ||D||_2 over the row sets R >= ||D_hat|| - B >=
+    sqrt(G_hat) (1 - gamma_(nR + 1)) - B.  So sqrt(det G') > need
+    (_need) proves sigma_min(M') > tau ||M||_F.  The mask accepts when
+    G_hat > ((need + B) (1 + 1e-8))^2; the factor covers the relative
+    errors of G_hat, B, the norms and powers in need and the comparison,
+    each at most gamma_(2^21 + 2) < 2.5e-10 because _minor_table keeps nR,
+    nS and C(m, a) at most 2^21.  need below 2^-400 (the range where the underflow allowance of
+    _laplace_gram is not negligible), and anything not finite, is not
+    accepted.
+
+    What an accepted M' proves (phi = _SVD_ERROR: LAPACK's SVD returns the
+    singular values of M + dM with ||dM||_2 <= p(m, t) u ||M||_2 <= phi
+    sigma_max(M), p a modest polynomial; phi allows p up to 2^13; tau =
+    100 max(tol_rel, phi)).  With M' = M (the full-rank screen), the
+    computed sigma_min exceeds (tau - phi) sigma_max >= 99 max(tol_rel,
+    phi) sigma_max while the computed sigma_max is at most (1 + phi)
+    sigma_max: the SVD policy keeps all t singular values, drops none, and
+    the decision is not fragile.  With M' = M minus e columns and e null
+    vectors of M that hold exactly in the stored floats (the exact-defect
+    ranks of the distance enumeration), interlacing gives sigma_(t-e)(M)
+    >= sigma_min(M') > tau sigma_max(M) while sigma_(t-e+1)(M) = 0.  The
+    computed sigma_(t-e+1) is then at most phi sigma_max, below tol_rel
+    times the computed sigma_max when tol_rel >= 2 phi, and the computed
+    sigma_(t-e) is above it: the policy returns rank t - e, and its gap is
+    at least (tau - phi) / phi > 10, so the decision is not fragile.  A
+    mask entry that is False decides nothing.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        thr = (need + B) * (1 + 1e-8)
+        return (need >= 2.0 ** -400) & np.isfinite(thr) & (G > thr * thr)
 def _pivot_rows(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row order of each (m, k) matrix of an (N, m, k) stack under Gaussian
     elimination with partial pivoting, pivot rows first, and the smallest
@@ -273,11 +436,6 @@ def _lstsq_screen(stack: np.ndarray, t: np.ndarray, signs: np.ndarray, resid_tol
     N, m, k = stack.shape
     if k >= m or m * k > 1 << 20:
         return np.ones(N, dtype=bool)
-    u = np.finfo(np.float64).eps / 2
-
-    def gamma(j: int) -> float:
-        return j * u / (1 - j * u)
-
     lo, hi, eta = 2.0 ** -400, 2.0 ** 400, 2.0 ** -500
     t_max = float(t.max())
     if not lo <= t_max <= hi:
@@ -297,12 +455,12 @@ def _lstsq_screen(stack: np.ndarray, t: np.ndarray, signs: np.ndarray, resid_tol
         Z = B @ W - np.eye(k)
         nB, nC, nW, nT, nZ = (np.linalg.norm(X, axis=(1, 2)) for X in (B, C, W, T, Z))
         nM = np.sqrt(nB * nB + nC * nC)
-        zeta = nZ + gamma(k + 1) * nB * nW + eta
-        tau = (nT + gamma(k) * nC * nW + eta) / (1 - zeta)
+        zeta = nZ + _gamma(k + 1) * nB * nW + eta
+        tau = (nT + _gamma(k) * nC * nW + eta) / (1 - zeta)
         beta = nW / (1 - zeta)
-        g = gamma(k + 1) * nM * beta
-        rho = (resid_tol * (1 + gamma(m + 1)) + gamma(k + 1) * (1 + nM * beta) * nt + eta) / (1 - g)
-        bound = (1 + tau) * rho + (gamma(k) * (nT + nC * nW) + tau * zeta) * nt + eta
+        g = _gamma(k + 1) * nM * beta
+        rho = (resid_tol * (1 + _gamma(m + 1)) + _gamma(k + 1) * (1 + nM * beta) * nt + eta) / (1 - g)
+        bound = (1 + tau) * rho + (_gamma(k) * (nT + nC * nW) + tau * zeta) * nt + eta
         t_R = t[order[:, :k]]
         P = np.abs(T @ (t_R[:, :, None] * signs.T))
         P -= t[order[:, k:]][:, :, None]

@@ -4,15 +4,16 @@ These deliberately avoid the library's solver machinery: the l0 oracle
 enumerates supports and solves exact square subsystems (k rows with
 nonzero magnitude, solved directly, verified on the remaining rows), the
 rank oracle is a bare SVD count, the distance oracle enumerates every
-ordered support pair and decides every rank by SVD, the collision
-probe oracle optimizes one support pair at a time, the full-work LM
-kernel forms and solves the normal equations of every restart on every
-iteration, the full-scan real solver runs one SVD and one lstsq against
-every sign pattern on every support, the full-scan lifted complex
-solver runs the lifted solve on every support, the heuristic complex
-solve oracle refines one start at a time by serial Gauss-Newton with a
-line search, and the Hermitian lift oracles build the lifted system and
-X entry by entry.  They are slow and simple on purpose.
+ordered support pair and decides every rank by SVD, the spark oracle
+decides every column subset's rank by SVD, the collision probe oracle
+optimizes one support pair at a time, the full-work LM kernel forms and
+solves the normal equations of every restart on every iteration, the
+full-scan real solver runs one SVD and one lstsq against every sign
+pattern on every support, the full-scan lifted complex solver runs the
+lifted solve on every support, the heuristic complex solve oracle
+refines one start at a time by serial Gauss-Newton with a line search,
+and the Hermitian lift oracles build the lifted system and X entry by
+entry.  They are slow and simple on purpose.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import itertools
 
 import numpy as np
 
-from sparsepr.distance import DistanceReport, Witness
+from sparsepr.distance import DistanceReport, SparkReport, Witness
 from sparsepr.model import Field, MeasurementEnsemble, SparseVector, as_measurement, phase_equivalent
 from sparsepr.numerics import DEFAULT_RANK_TOL
 from sparsepr.solver_complex import (
@@ -133,6 +134,19 @@ def svd_batched_ranks(stack: np.ndarray, tol_rel: float = 1e-10):
     return ranks, fragile
 
 
+def svd_spark(A: MeasurementEnsemble, s: int, tol_rel: float = 1e-10) -> SparkReport:
+    """spark_at_least with every column subset's rank decided by SVD."""
+    fragile_any = False
+    for size in range(1, s):
+        combos = np.array(list(itertools.combinations(range(A.n), size)), dtype=int)
+        ranks, fragile = svd_batched_ranks(A.entries[:, combos.T].transpose(2, 0, 1), tol_rel)
+        fragile_any = fragile_any or bool(fragile.any())
+        if np.any(ranks < size):
+            first = int(np.argmax(ranks < size))
+            return SparkReport(s=s, deficient_columns=tuple(int(c) for c in combos[first]), fragile=fragile_any)
+    return SparkReport(s=s, deficient_columns=None, fragile=fragile_any)
+
+
 def exhaustive_distance(
     A: MeasurementEnsemble, max_support: int | None = None, tol_rel: float = 1e-10
 ) -> DistanceReport:
@@ -165,12 +179,6 @@ def exhaustive_distance(
     npat = signs.shape[0]
     entries = A.entries
 
-    def masks(combos):
-        out = np.zeros(len(combos), dtype=np.uint64)
-        for col in range(combos.shape[1]):
-            out |= np.uint64(1) << combos[:, col].astype(np.uint64)
-        return out
-
     best_key = None  # (score, total, I, J, code)
     cap_key = None  # first full-rank configuration at size t_max
     fragile_any = False
@@ -183,8 +191,6 @@ def exhaustive_distance(
             combos_i = np.array(list(itertools.combinations(range(n), a)), dtype=int)
             combos_j = np.array(list(itertools.combinations(range(n), b)), dtype=int)
             ci, cj = len(combos_i), len(combos_j)
-            masks_i = masks(combos_i)
-            masks_j = masks(combos_j)
             chunk = max(1, 4_000_000 // max(1, cj * npat * m * total))
             for lo in range(0, ci, chunk):
                 sel = combos_i[lo : lo + chunk]
@@ -196,7 +202,7 @@ def exhaustive_distance(
                 ranks, fragile = svd_batched_ranks(stack, tol_rel)
                 fragile_any = fragile_any or bool(fragile.any())
 
-                w = np.bitwise_count(masks_i[lo : lo + chunk, None] & masks_j[None, :]).astype(int)
+                w = np.sum(sel[:, None, :, None] == combos_j[None, :, None, :], axis=(2, 3))
                 trivial = np.maximum(w[:, :, None] - l_counts[None, None, :], 0) + np.maximum(
                     w[:, :, None] - (m - l_counts)[None, None, :], 0
                 )

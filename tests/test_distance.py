@@ -13,8 +13,10 @@ from sparsepr import (
     spark_at_least,
     witness_rank,
 )
+from sparsepr import numerics
+from sparsepr.distance import _overlaps
 from helpers import schur_reduced_block
-from oracles import exhaustive_distance, svd_rank
+from oracles import exhaustive_distance, svd_rank, svd_spark
 
 CRAFTED = MeasurementEnsemble.from_entries(Field.REAL, [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
 
@@ -96,6 +98,37 @@ def _degenerate_corpus():
         corpus.append((MeasurementEnsemble.from_entries(Field.REAL, E), None))
     corpus += [(A, None) for A in (*DEGENERATES, DUPLICATED)]
     corpus.append((generate_ensemble(Field.REAL, 6, 8, 4), 2))  # max_support < m - 1
+
+    # Exact null vectors: duplicates up to sign, zero columns, shared classes.
+    def real(E, max_support=None):
+        corpus.append((MeasurementEnsemble.from_entries(Field.REAL, E), max_support))
+
+    E = rng.standard_normal((4, 6))
+    E[:, 5] = -E[:, 1]  # negated duplicate
+    real(E)
+    E = rng.standard_normal((5, 7))
+    E[:, 5], E[:, 6] = E[:, 0], -E[:, 2]  # two duplicated pairs
+    real(E)
+    E = rng.standard_normal((4, 6))
+    E[:, 3] = 0.0  # zero column
+    real(E)
+    E = rng.standard_normal((6, 7))
+    E[:, 6] = -E[:, 1]  # class-shared supports meet unbalanced patterns at m = 6
+    real(E)
+    real(E, 3)  # and with max_support < m - 1
+    E = rng.standard_normal((5, 7))
+    E[:, 6] = E[:, 3]
+    real(E, 2)
+
+    # Scales far from 1: the minor table's power-of-two scaling, and columns so
+    # small next to the largest that the screen's range guard sends them to the SVD.
+    base = rng.standard_normal((4, 6))
+    for scale in (2.0 ** 500, 2.0 ** -500, 1e150, 1e-150):
+        real(base * scale)
+    real(rng.standard_normal((5, 7)) * np.array([2.0 ** 500, 2.0 ** -500, 1e150, 1e-150, 1.0, 1.0, 1.0]))
+    E = rng.standard_normal((4, 6))
+    E[:, -1] = E[:, 0] + 1e-9 * rng.standard_normal(4)  # a near duplicate at a tiny scale
+    real(E * 1e-150)
     return corpus
 
 
@@ -109,6 +142,46 @@ def test_distance_matches_exhaustive_oracle_on_degenerates():
 def test_distance_matches_exhaustive_oracle_on_generic_sweep(generic_distance_sweep):
     for (k, seed), (A, rep) in generic_distance_sweep.items():
         assert rep == exhaustive_distance(A), (k, seed)
+
+
+def test_distance_matches_exhaustive_oracle_at_other_tolerances():
+    # a looser tol_rel raises the screen's margin; below 2^-39 the exact-defect
+    # path is off and the SVD decides every deficiency
+    for A, max_support in _degenerate_corpus()[::4]:
+        if A.m <= 5:
+            for tol_rel in (1e-6, 1e-13):
+                got = phase_gen_min_distance(A, max_support=max_support, tol_rel=tol_rel)
+                assert got == exhaustive_distance(A, max_support=max_support, tol_rel=tol_rel), tol_rel
+
+
+def test_spark_matches_svd_only_spark_on_degenerates():
+    # the deficient columns and fragile flag equal an SVD-only check at every s
+    for A, _ in _degenerate_corpus():
+        for s in range(2, min(A.m, A.n) + 2):
+            assert spark_at_least(A, s) == svd_spark(A, s), (A.entries, s)
+
+
+def test_distance_sends_few_matrices_to_svd(monkeypatch):
+    # the minor table decides full ranks and exact deficiencies; before it,
+    # these two ensembles sent thousands of matrices to the SVD
+    sent = []
+    real = numerics._svd_ranks
+    monkeypatch.setattr(numerics, "_svd_ranks", lambda stack, tol: sent.append(len(stack)) or real(stack, tol))
+    A = generate_ensemble(Field.REAL, 6, 7, 5)
+    repeated = np.array(A.entries)
+    repeated[:, -1] = repeated[:, 0]
+    for ensemble in (A, MeasurementEnsemble.from_entries(Field.REAL, repeated)):
+        sent.clear()
+        phase_gen_min_distance(ensemble)
+        assert sum(sent) <= 400
+
+
+def test_distance_counts_overlaps_past_column_63():
+    # a 64-bit support mask dropped columns >= 64 and reported d = 4 here,
+    # with the structural witness I = J = (0, 64)
+    rep = phase_gen_min_distance(generate_ensemble(Field.REAL, 4, 66, 1), max_support=2)
+    assert rep.d == 5
+    assert _overlaps(np.array([[0, 63, 64], [1, 64, 65]]), np.array([[63, 64, 65], [0, 2, 65]])).tolist() == [2, 1]
 
 
 def test_spark_examples():

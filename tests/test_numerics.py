@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from sparsepr import (
     numerical_rank,
 )
 from sparsepr import numerics
+from sparsepr.model import sign_table
 from sparsepr.numerics import batched_ranks
 from helpers import least_squares
 from oracles import svd_batched_ranks, svd_rank
@@ -138,14 +142,51 @@ def test_batched_ranks_match_svd_policy():
     assert np.array_equal(ranks, svd_batched_ranks(stack)[0])
 
 
-def test_batched_ranks_send_only_unproven_matrices_to_svd(monkeypatch):
-    sent = []
-    real = numerics._svd_ranks
-    monkeypatch.setattr(numerics, "_svd_ranks", lambda stack, tol: sent.append(len(stack)) or real(stack, tol))
-    generic = np.random.default_rng(5).standard_normal((1000, 6, 6))
-    batched_ranks(generic)
-    assert sum(sent) < 50  # most well-conditioned matrices are proven full rank
-    sent.clear()
-    generic[:, :, 5] = generic[:, :, 0]
-    assert np.all(batched_ranks(generic)[0] == 5)
-    assert sum(sent) == 1000  # deficiency is only ever decided by the SVD
+def _rational_gram_det(M: np.ndarray) -> Fraction:
+    """det(M^T M) of the stored floats, in exact rational arithmetic."""
+    cols = [[Fraction(float(x)) for x in col] for col in M.T]
+    G = [[sum(x * y for x, y in zip(ci, cj)) for cj in cols] for ci in cols]
+    det = Fraction(1)
+    for c in range(len(G)):
+        pivot = next((r for r in range(c, len(G)) if G[r][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        G[c], G[pivot] = G[pivot], G[c]
+        det *= G[c][c] if pivot == c else -G[c][c]
+        for r in range(c + 1, len(G)):
+            f = G[r][c] / G[c][c]
+            G[r] = [x - f * y for x, y in zip(G[r], G[c])]
+    return det
+
+
+def test_laplace_gram_radius_bounds_the_exact_determinant():
+    # |sqrt(G) - sqrt(det(M^T M))| <= B for the table's scaled A, with det(M^T M)
+    # exact; on near-duplicate columns the minors cancel to 1e-9
+    rng = np.random.default_rng(23)
+    checked = 0
+    for m, n, kind in ((4, 6, 0), (5, 7, 1), (5, 7, 2)):
+        E = rng.standard_normal((m, n))
+        if kind == 1:
+            E[:, -1] = E[:, 0] + 1e-9 * rng.standard_normal(m)
+        elif kind == 2:
+            E *= 10.0 ** rng.uniform(-3, 3, size=n)
+        table = numerics._minor_table(E, m - 1)
+        A = np.ldexp(E, -int(np.frexp(np.abs(E).max())[1]))
+        signs = sign_table(m)[1:]
+        for t in range(2, m + 1):
+            for a in range(max(1, t - m + 1), t // 2 + 1):
+                ci, cj = numerics._combos(n, a), numerics._combos(n, t - a)
+                pi, pj = rng.integers(len(ci), size=3), rng.integers(len(cj), size=3)
+                if kind == 1:
+                    pi[0], pj[0] = 0, len(cj) - 1  # both near-duplicate columns in one pair
+                H = numerics._pattern_products(m, t, a, signs)
+                G, B = numerics._laplace_gram(table, ci[pi], cj[pj], H)
+                for k in range(3):
+                    for q in rng.integers(len(signs), size=2):
+                        M = np.concatenate([A[:, ci[pi[k]]], signs[q][:, None] * A[:, cj[pj[k]]]], axis=1)
+                        exact = np.sqrt(float(_rational_gram_det(M)))
+                        # B bounds ||D_hat - D||; G's own sum errs by a relative 2 gamma_(nR + 1)
+                        slack = (comb(m, t) + 2) * 2.0 ** -52 * np.sqrt(G[k, q])
+                        assert abs(np.sqrt(G[k, q]) - exact) <= B[k] + slack, (m, t, a, k, q)
+                        checked += 1
+    assert checked > 90
