@@ -172,10 +172,7 @@ class SparseVector:
         return cls(field, x.size, support, x[list(support)])
 
     def to_dense(self) -> np.ndarray:
-        x = np.zeros(self.n, dtype=self.field.dtype)
-        if self.support:
-            x[list(self.support)] = self.values
-        return x
+        return _dense(self.field, self.n, self.support, self.values)
 
     @property
     def sparsity(self) -> int:
@@ -185,12 +182,7 @@ class SparseVector:
         """Phase-class representative: first support value real and positive."""
         if not self.support:
             return self
-        v0 = self.values[0]
-        if self.field is Field.REAL:
-            c = 1.0 if v0 > 0 else -1.0
-        else:
-            c = np.conj(v0) / abs(v0)
-        return SparseVector(self.field, self.n, self.support, self.values * c)
+        return SparseVector(self.field, self.n, self.support, _canonical_values(self.field, self.values))
 
     def scaled(self, c) -> "SparseVector":
         return SparseVector(self.field, self.n, self.support, self.values * c)
@@ -306,8 +298,30 @@ def phase_equivalent(u: SparseVector, v: SparseVector, tol: float) -> bool:
     """
     if u.field is not v.field or u.n != v.n:
         raise ValueError("phase_equivalent requires matching field and dimension")
-    ud, vd = u.to_dense(), v.to_dense()
-    if u.field is Field.REAL:
+    return _phase_equivalent_dense(u.field, u.to_dense(), v.to_dense(), tol)
+
+
+def _dense(field: Field, n: int, support: tuple[int, ...], values: np.ndarray) -> np.ndarray:
+    """SparseVector.to_dense of (support, values) without building the vector."""
+    x = np.zeros(n, dtype=field.dtype)
+    if support:
+        x[list(support)] = values
+    return x
+
+
+def _canonical_values(field: Field, values: np.ndarray) -> np.ndarray:
+    """SparseVector.canonical's values: values scaled so the first is real and positive."""
+    v0 = values[0]
+    if field is Field.REAL:
+        c = 1.0 if v0 > 0 else -1.0
+    else:
+        c = np.conj(v0) / abs(v0)
+    return values * c
+
+
+def _phase_equivalent_dense(field: Field, ud: np.ndarray, vd: np.ndarray, tol: float) -> bool:
+    """phase_equivalent of two dense vectors of one field and length."""
+    if field is Field.REAL:
         return bool(
             np.max(np.abs(ud - vd), initial=0.0) <= tol
             or np.max(np.abs(ud + vd), initial=0.0) <= tol

@@ -29,11 +29,20 @@ accepted step, with the bits of a kernel that does all that work.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Field, MeasurementEnsemble, SparseVector, as_measurement, phase_equivalent
+from .model import (
+    Field,
+    MeasurementEnsemble,
+    SparseVector,
+    _canonical_values,
+    _dense,
+    _phase_equivalent_dense,
+    as_measurement,
+)
 from .numerics import _lstsq_screen, hermitian_top_eig
 from .solver_real import SearchStats, SolutionSet, _check_tol, _dedup_insert
 
@@ -52,6 +61,14 @@ PSD_TOL = 1e-8
 # (the collision probe's first block excepted); bounds the kernel's
 # working arrays to a few MB.
 _PROBE_ROWS = 4096
+# Rows of the collision probe's first kernel call.  A call in which some
+# row runs all 120 iterations costs about c0 = 15 ms however few its rows
+# (numpy call overhead per iteration), plus about c1 = 50 us per row
+# (m = 6, k = 2).  A probe that needs more rows than the first call holds
+# pays c0 again for a second call; one that stops earlier pays c1 for
+# each row it did not need.  With c0 / c1 = 300 rows neither loss
+# exceeds one call's fixed cost.
+_PROBE_FIRST_ROWS = 300
 # Budget of m * k^2 float64 elements per block of supports in the lifted
 # screen; the block's temporaries then take about 1 MB.
 _LIFT_ELEMENTS = 1 << 15
@@ -265,6 +282,7 @@ def _refined_level(entries: np.ndarray, y: np.ndarray, supports: list[tuple[int,
     _PROBE_ROWS rows; the kernel's rows are independent, so the
     candidates do not depend on the blocking.
     """
+    _check_seed(seed)
     n = entries.shape[1]
     k = len(supports[0])
     scale = max(1.0, float(y.max(initial=0.0)))
@@ -381,6 +399,12 @@ def _batched_levenberg_marquardt(AT: np.ndarray, targets: np.ndarray, x0: np.nda
     after that, only for the rows whose step was accepted in the previous
     iteration; every other row's cached pair is the one the full-work
     kernel would form again.  Only lam enters the damped system anew.
+    They are formed from r = x @ A_J^T and |r|^2 - t^2, which for an
+    accepted row are the products its candidate was scored with (the same
+    matmul in the same layout, on the same x), so those are kept rather
+    than computed again.  J keeps the memory layout np.concatenate gives
+    it from the gathered products: einsum's summation order, and so the
+    bits of J^T J, follow that layout, and a C-contiguous J changes them.
 
     Freeze.  A row whose step is rejected while lam = 1e6 keeps its x and
     objective, and its damping is again clip(4e6) = 1e6.  Its next
@@ -401,38 +425,41 @@ def _batched_levenberg_marquardt(AT: np.ndarray, targets: np.ndarray, x0: np.nda
     P, R, k = x0.shape
     eye = np.eye(2 * k)[None]
 
-    def sq_obj(xc, ATc, t2c):
+    def residuals(xc, ATc, t2c):
         r = xc @ ATc
-        return np.linalg.norm(np.abs(r) ** 2 - t2c, axis=-1)
+        f = np.abs(r) ** 2 - t2c
+        return r, f, _row_norm(f)
 
     x = np.empty_like(x0)
-    steps = np.zeros((P, R), dtype=int)
+    steps = np.empty((P, R), dtype=int)
     # Working arrays hold the live supports only; a support that stops is
-    # written back to x and dropped.
+    # written back to x and steps and dropped.
     live = np.arange(P)
     xs, ats, t2 = x0.copy(), AT, targets**2
-    obj = sq_obj(xs, ats, t2)
+    # r, f: the products x @ A_J^T and |r|^2 - t^2 of each row's latest
+    # evaluation, which for a fresh row is its current x.
+    r, f, obj = residuals(xs, ats, t2)
+    taken = np.zeros((P, R), dtype=int)
     lam = np.full((P, R), 1e-3)
     moving = np.ones((P, R), dtype=bool)  # rows not frozen
     fresh = np.ones((P, R), dtype=bool)  # rows whose x changed since JtJ, Jtf were formed
     JtJ = np.empty((P, R, 2 * k, 2 * k))
     Jtf = np.empty((P, R, 2 * k))
     for _ in range(iters):
-        L = live.size
-        if fresh.any():
-            r = xs @ ats  # (L, R, m)
-            p, q = np.nonzero(fresh)
-            rf = r[p, q]
-            cr = np.conj(rf)[..., None] * ats.transpose(0, 2, 1)[p]  # (N, m, k)
+        p, q = np.nonzero(fresh)
+        if p.size:
+            cr = np.conj(r[p, q])[..., None] * ats.transpose(0, 2, 1)[p]  # (N, m, k)
             J = np.concatenate([2.0 * cr.real, -2.0 * cr.imag], axis=-1)
             JtJ[p, q] = np.einsum("rmi,rmj->rij", J, J)
-            Jtf[p, q] = np.einsum("rmi,rm->ri", J, np.abs(rf) ** 2 - t2[p, q])
-        A_ = JtJ[moving] + lam[moving][:, None, None] * eye
+            Jtf[p, q] = np.einsum("rmi,rm->ri", J, f[p, q])
+        A_ = JtJ[moving]
+        A_ += lam[moving][:, None, None] * eye
         rhs = -Jtf[moving][..., None]
-        solved = np.ones(L, dtype=bool)
+        failed = None
         try:
             delta = np.linalg.solve(A_, rhs)[..., 0]
         except np.linalg.LinAlgError:
+            failed = np.zeros(live.size, dtype=bool)
             delta = np.zeros((len(A_), 2 * k))
             counts = moving.sum(axis=1)
             for p, hi in enumerate(np.cumsum(counts)):
@@ -440,30 +467,43 @@ def _batched_levenberg_marquardt(AT: np.ndarray, targets: np.ndarray, x0: np.nda
                 try:
                     delta[rows] = np.linalg.solve(A_[rows], rhs[rows])[..., 0]
                 except np.linalg.LinAlgError:
-                    solved[p] = False
+                    failed[p] = True
         step = np.zeros_like(xs)
         step[moving] = delta[:, :k] + 1j * delta[:, k:]
         cand = xs + step
-        cand_obj = sq_obj(cand, ats, t2)
-        better = (cand_obj < obj) & moving & solved[:, None]
-        xs[better] = cand[better]
-        obj[better] = cand_obj[better]
-        steps[live] += better
+        r, f, cand_obj = residuals(cand, ats, t2)
+        better = (cand_obj < obj) & moving
+        if failed is not None:
+            better[failed] = False
+        np.copyto(xs, cand, where=better[..., None])
+        np.copyto(obj, cand_obj, where=better)
+        taken += better
         moving &= better | (lam < 1e6)
-        lam = np.where(better, lam * 0.5, lam * 4.0)
-        lam = np.clip(lam, 1e-12, 1e6)
+        lam *= np.where(better, 0.5, 4.0)
+        np.minimum(lam, 1e6, out=lam)
+        np.maximum(lam, 1e-12, out=lam)
         fresh = better
-        done = ~solved | np.all(obj <= 1e-24, axis=1) | ~moving.any(axis=1)
+        done = (obj <= 1e-24).all(axis=1) | ~moving.any(axis=1)
+        if failed is not None:
+            done |= failed
         if done.any():
             x[live[done]] = xs[done]
+            steps[live[done]] = taken[done]
             keep = ~done
-            live, xs, ats, t2, obj, lam = live[keep], xs[keep], ats[keep], t2[keep], obj[keep], lam[keep]
-            moving, fresh, JtJ, Jtf = moving[keep], fresh[keep], JtJ[keep], Jtf[keep]
+            live, xs, ats, t2, r, f, obj = live[keep], xs[keep], ats[keep], t2[keep], r[keep], f[keep], obj[keep]
+            taken, lam, moving, fresh, JtJ, Jtf = taken[keep], lam[keep], moving[keep], fresh[keep], JtJ[keep], Jtf[keep]
             if live.size == 0:
                 break
     x[live] = xs
-    mag_obj = np.linalg.norm(np.abs(x @ AT) - targets, axis=-1)
+    steps[live] = taken
+    mag_obj = _row_norm(np.abs(x @ AT) - targets)
     return x, mag_obj, steps
+
+
+def _row_norm(d: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(d, axis=-1) of a real array, bit for bit: the sum of
+    squares it reduces, without its argument handling."""
+    return np.sqrt(np.add.reduce(d * d, axis=-1))
 
 
 def collision_probe_complex(
@@ -481,15 +521,18 @@ def collision_probe_complex(
     no_collision_found.  A negative verdict is evidence, not proof.
 
     Pairs are scanned in order, I major, and optimized in blocks: first
-    the pairs of the first support I, then about _PROBE_ROWS rows (pairs
-    times restarts) at a time, so an early collision returns after one
-    small block.  Each pair draws its starts from its own seed, so the
-    verdict, objective and pair do not depend on the blocking.
+    about _PROBE_FIRST_ROWS rows (pairs times restarts), then about
+    _PROBE_ROWS rows at a time.  A threshold probe, (m, n, k) = (6, 4, 2)
+    with 8 restarts (36 pairs), runs in one kernel call, and a probe whose
+    collision lies among the first pairs returns after that call.  Each
+    pair draws its starts from its own seed, so the verdict, objective and
+    pair do not depend on the blocking.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
+    if not isinstance(restarts, numbers.Integral) or restarts < 1:
+        raise ValueError("restarts must be an integer >= 1")
     if not 1 <= k <= A.n:
         raise ValueError(f"k must be in [1, n] = [1, {A.n}]")
+    _check_seed(seed)
     entries = A.entries.astype(np.complex128)
     n = A.n
     supports = list(itertools.combinations(range(n), k))
@@ -497,7 +540,7 @@ def collision_probe_complex(
     AT = _support_stack(entries, supports)
     best_obj = np.inf
     best_pair = None
-    lo, size = 0, S
+    lo, size = 0, max(1, _PROBE_FIRST_ROWS // restarts)
     while lo < S * S:
         pairs = [divmod(p, S) for p in range(lo, min(lo + size, S * S))]
         lo, size = lo + len(pairs), max(1, _PROBE_ROWS // restarts)
@@ -517,18 +560,27 @@ def collision_probe_complex(
             for idx in order:
                 if obj[idx] >= best_obj and obj[idx] > 1e-8:
                     break
-                uu = SparseVector(Field.COMPLEX, n, I, u[idx]).canonical()
                 small = np.abs(v[idx]) <= 1e-12
                 if small.any():
                     continue
-                vv = SparseVector(Field.COMPLEX, n, J, v[idx]).canonical()
-                if phase_equivalent(uu, vv, 1e-6):
+                # The canonical classes' values and phase_equivalent's
+                # decision, without building the two SparseVectors.
+                uc = _canonical_values(Field.COMPLEX, u[idx])
+                vc = _canonical_values(Field.COMPLEX, v[idx])
+                if _phase_equivalent_dense(Field.COMPLEX, _dense(Field.COMPLEX, n, I, uc),
+                                           _dense(Field.COMPLEX, n, J, vc), 1e-6):
                     continue
                 if obj[idx] < best_obj:
                     best_obj = float(obj[idx])
-                    best_pair = (uu, vv)
+                    best_pair = (SparseVector(Field.COMPLEX, n, I, uc), SparseVector(Field.COMPLEX, n, J, vc))
                 if best_obj <= 1e-8:
                     return CollisionProbe(best_pair, best_obj, restarts, "collision_found")
                 break
     verdict = "collision_found" if (best_pair is not None and best_obj <= 1e-8) else "no_collision_found"
     return CollisionProbe(best_pair, best_obj if best_pair else np.inf, restarts, verdict)
+
+
+def _check_seed(seed) -> None:
+    """Seeds feed np.random.SeedSequence, which takes non-negative integers."""
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")

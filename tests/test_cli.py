@@ -250,3 +250,15 @@ def test_solve_and_sweep_reject_bad_tol(workdir, capsys, tol):
     code, stdout, err = run_cli(capsys, "sweep", str(cfg_path), "--outdir", str(workdir / "res"))
     assert code == 1 and stdout == "" and err.startswith(f"sparsepr: error: {cfg_path}: ") and "tol" in err
     assert not (workdir / "res").exists()
+
+
+def test_solve_rejects_negative_heuristic_seed(tmp_path, capsys):
+    A = generate_ensemble(Field.COMPLEX, 3, 6, 5)  # m = 3 < k^2 = 4: k = 2 is heuristic
+    write_matrix(A, tmp_path / "A.mat")
+    y = measure(A, SparseVector(Field.COMPLEX, 6, (1, 3), [1.0 + 1j, -2.0 + 0.5j]))
+    inline = ",".join(repr(float(v)) for v in y.magnitudes)
+    args = ("solve", str(tmp_path / "A.mat"), "--y", inline, "--kmax", "2", "--allow-heuristic")
+    code, _, err = run_cli(capsys, *args, "--seed", "-1")
+    assert code == 1 and "seed must be a non-negative integer" in err
+    code, stdout, _ = run_cli(capsys, *args, "--seed", "1")
+    assert code == 0 and json.loads(stdout)["k_star"] == 2

@@ -132,6 +132,7 @@ def _degenerate_corpus():
     return corpus
 
 
+@pytest.mark.slow
 def test_distance_matches_exhaustive_oracle_on_degenerates():
     # d, min_rank, witness, overlap fields and fragile all equal the SVD-only scan
     for A, max_support in _degenerate_corpus():
@@ -139,6 +140,7 @@ def test_distance_matches_exhaustive_oracle_on_degenerates():
         assert got == exhaustive_distance(A, max_support=max_support), (A.entries, max_support)
 
 
+@pytest.mark.slow
 def test_distance_matches_exhaustive_oracle_on_generic_sweep(generic_distance_sweep):
     for (k, seed), (A, rep) in generic_distance_sweep.items():
         assert rep == exhaustive_distance(A), (k, seed)

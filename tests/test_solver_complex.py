@@ -396,6 +396,28 @@ def test_collision_probe_rejects_k_outside_1_to_n():
     assert collision_probe_complex(A, 5, 1, 0).restarts == 1  # k = n is a valid probe
 
 
+def test_collision_probe_rejects_bad_seed_and_restarts():
+    A = generate_ensemble(Field.COMPLEX, 4, 5, 0)
+    for seed in (-1, 1.5, "3"):
+        with pytest.raises(ValueError, match="seed"):
+            collision_probe_complex(A, 2, 4, seed)
+    for restarts in (0, -2, 2.5, 3.0, "8"):
+        with pytest.raises(ValueError, match="restarts must be an integer"):
+            collision_probe_complex(A, 2, restarts, 0)
+    assert collision_probe_complex(A, 1, np.int64(2), np.int64(0)).restarts == 2
+
+
+def test_heuristic_solve_rejects_negative_seed():
+    """The seed is checked where a heuristic level uses it; a solve that
+    ends on the lifted path never uses it."""
+    A, _, y = _heuristic_case(8, 6, 4, 0)
+    with pytest.raises(ValueError, match="seed"):
+        solve_l0_complex(A, y, 4, allow_heuristic=True, seed=-1)
+    lifted = SparseVector(Field.COMPLEX, 6, (2,), np.array([1.5 - 0.5j]))
+    sol = solve_l0_complex(A, measure(A, lifted), 4, allow_heuristic=True, seed=-1)
+    assert sol.k_star == 1 and not sol.heuristic
+
+
 def _singular_solve_ensemble():
     """Column 1 = 2 * column 0, scaled by 1e10.  At that scale lambda * I is
     lost to rounding, so some damped normal-equation systems are exactly
@@ -436,6 +458,36 @@ def test_collision_probe_matches_pairwise_oracle():
         verdicts[name] = probe.verdict
     assert all(verdicts[f"complex-3x6-{s}"] == "collision_found" for s in range(20))
     assert verdicts["singular-solve"] == "no_collision_found"
+
+
+@pytest.mark.slow
+def test_collision_probe_does_not_depend_on_blocking(monkeypatch):
+    """One pair per kernel call, the first call included, gives the bits
+    of the default blocking, on every third PROBE_CORPUS entry and the
+    real and singular-solve entries."""
+    corpus = PROBE_CORPUS[::3] + PROBE_CORPUS[-2:]
+    default = [collision_probe_complex(A, k, restarts, seed) for _, A, k, restarts, seed in corpus]
+    monkeypatch.setattr(solver_complex, "_PROBE_FIRST_ROWS", 1)
+    monkeypatch.setattr(solver_complex, "_PROBE_ROWS", 1)
+    stacks = _kernel_stacks(monkeypatch, lambda: collision_probe_complex(*corpus[0][1:]))
+    assert len(stacks) == 36 and all(AT.shape[0] == 1 for AT, _, _ in stacks)
+    for (name, A, k, restarts, seed), want in zip(corpus, default):
+        assert _same_probe(collision_probe_complex(A, k, restarts, seed), want), name
+
+
+def test_collision_probe_kernel_calls(monkeypatch):
+    """A threshold probe, (6, 4, k = 2) with 8 restarts, optimizes its 36
+    pairs in one kernel call; a below-threshold (3, 6) probe finds its
+    collision in the first call and returns."""
+    for seed in range(3):
+        A = generate_ensemble(Field.COMPLEX, 6, 4, seed)
+        stacks = _kernel_stacks(monkeypatch, lambda: collision_probe_complex(A, 2, 8, seed))
+        assert [AT.shape[0] for AT, _, _ in stacks] == [36], seed
+    for name, A, k, restarts, seed in PROBE_CORPUS:
+        if name.startswith("complex-3x6-"):
+            probes = []
+            stacks = _kernel_stacks(monkeypatch, lambda: probes.append(collision_probe_complex(A, k, restarts, seed)))
+            assert len(stacks) == 1 and probes[0].verdict == "collision_found", name
 
 
 def test_k1_uniqueness_matches_column_criterion():
@@ -510,7 +562,7 @@ def test_lm_kernel_matches_full_work_oracle(monkeypatch):
         "heuristic": _kernel_stacks(monkeypatch, lambda: solve_l0_complex(A, y, 4, allow_heuristic=True, seed=0)),
         "singular-solve": _kernel_stacks(monkeypatch, lambda: collision_probe_complex(_singular_solve_ensemble(), 2, 8, 3)),
     }
-    assert [len(v) for v in cases.values()] == [4, 2, 1, 2]
+    assert [len(v) for v in cases.values()] == [4, 1, 1, 1]
     work = {}
     for name, stacks in cases.items():
         for iters in (0, 1, 17, 120):
