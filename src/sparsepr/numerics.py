@@ -16,6 +16,9 @@ only where nothing is proven.
 Both exact solvers share one least-squares screen (_lstsq_screen): it
 proves, in batch and with an explicit roundoff margin, that most
 candidate systems fail their residual test, so only the rest are solved.
+It walks the support sizes level by level, and each support extends its
+parent's elimination by one pivot and one bordered inverse per new
+column instead of eliminating and inverting from scratch.
 """
 
 from __future__ import annotations
@@ -44,6 +47,10 @@ _SVD_ERROR = 2.0 ** -40
 # Numbers per minor table (_minor_table); a larger A gets no table and
 # every rank goes to the SVD.
 _TABLE_ELEMENTS = 1 << 21
+# Float64 elements per block of supports in the least-squares screen
+# (_lstsq_screen), counted as K (m + K) + (m - K) (K + S) per support of K
+# columns and S sign rows; a block's working arrays then take about 1 MB.
+_SCREEN_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -336,47 +343,155 @@ def _screen_accepts(G: np.ndarray, B: np.ndarray, need: np.ndarray) -> np.ndarra
     with np.errstate(over="ignore", invalid="ignore"):
         thr = (need + B) * (1 + 1e-8)
         return (need >= 2.0 ** -400) & np.isfinite(thr) & (G > thr * thr)
-def _pivot_rows(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row order of each (m, k) matrix of an (N, m, k) stack under Gaussian
-    elimination with partial pivoting, pivot rows first, and the smallest
-    |pivot| of each (NaN or 0 when the elimination breaks down)."""
-    N, m, k = stack.shape
-    work = stack.copy()
-    order = np.tile(np.arange(m), (N, 1))
-    rows = np.arange(N)
-    min_pivot = np.full(N, np.inf)
-    for j in range(k):
-        p = j + np.argmax(np.abs(work[:, j:, j]), axis=1)
-        for arr in (work, order):
-            top = arr[rows, j].copy()
-            arr[rows, j] = arr[rows, p]
-            arr[rows, p] = top
-        pivot = work[:, j, j]
-        min_pivot = np.minimum(min_pivot, np.abs(pivot))
-        work[:, j + 1:, j:] -= (work[:, j + 1:, j] / pivot[:, None])[:, :, None] * work[:, j, None, j:]
-    return order, min_pivot
 
 
-def _lstsq_screen(stack: np.ndarray, t: np.ndarray, signs: np.ndarray, resid_tol: float) -> np.ndarray:
-    """Mask of the (N, m, k) stack of real matrices M on which the exact
-    residual test may accept.
+@dataclass
+class _Elimination:
+    """Partial-pivoting elimination of a block of N supports, support axis last.
+
+    For supports of j indices and w columns: cols (j, N) the indices; M
+    (w, m, N) the columns, in the order the levels introduced them; piv
+    (w, N) the pivot rows in pivot order; free (m, N) the rows not
+    pivoted; W (w, w, N) a computed inverse of B = M[piv]; and min_pivot
+    (N,) the smallest |pivot| (NaN or 0 when the elimination broke down).
+    With the support axis last, every step runs over the whole block.
+    """
+
+    cols: np.ndarray
+    M: np.ndarray
+    piv: np.ndarray
+    free: np.ndarray
+    W: np.ndarray
+    min_pivot: np.ndarray
+
+
+def _border(e: _Elimination, w: int, v: np.ndarray) -> None:
+    """Append the column v (m, N) to e as its column w, in place.
+
+    The next step of partial pivoting: the reduced column is the Schur
+    complement u = v - M W v[piv] (on the free rows, what Gaussian
+    elimination of the first w columns leaves of v), and the new pivot is
+    its largest |u| over the free rows, the first in row order at a tie.
+    W is bordered by the Schur complement (Golub & Van Loan, Matrix
+    Computations): with B' = [[B, b], [d^T, delta]], b = v[piv]
+    and d^T the new pivot row of the old columns, the pivot is s = delta -
+    d^T W b and
+
+        W' = [[W + (W b)(d^T W) / s, -W b / s], [-d^T W / s, 1 / s]],
+
+    which is B'^-1 when W = B^-1.  That is O(m w + w^2) work per support;
+    the screen checks whatever W this computes through B W - I.
+    """
+    ar = np.arange(v.shape[1])
+    if w:
+        M, W = e.M[:w], e.W[:w, :w]
+        wb = np.einsum("ijn,jn->in", W, v[e.piv[:w], ar])
+        u = v - np.einsum("irn,in->rn", M, wb)
+    else:
+        u = v
+    r = np.argmax(np.where(e.free, np.abs(u), -1.0), axis=0)
+    pivot = u[r, ar]
+    e.free[r, ar] = False
+    np.minimum(e.min_pivot, np.abs(pivot), out=e.min_pivot)
+    g = 1.0 / pivot
+    if w:
+        dw = np.einsum("in,ijn->jn", M[:, r, ar], W)
+        wb *= g
+        W += wb[:, None] * dw
+        e.W[:w, w] = -wb
+        np.multiply(dw, -g, out=e.W[w, :w])
+    e.W[w, w] = g
+    e.M[w] = v
+    e.piv[w] = r
+
+
+def _children(parents: _Elimination, pidx: np.ndarray, c: np.ndarray, new_columns) -> _Elimination:
+    """The eliminations of the supports parents.cols[:, pidx] + (c,),
+    bordered from their parents' by the columns new_columns returns."""
+    cols = parents.cols[:, pidx]
+    vs = new_columns(cols, c)
+    w0, m = parents.M.shape[:2]
+    w, N = w0 + len(vs), len(c)
+    e = _Elimination(np.concatenate([cols, c[None]]), np.empty((w, m, N)), np.empty((w, N), dtype=np.intp),
+                     parents.free[:, pidx], np.empty((w, w, N)), parents.min_pivot[pidx])
+    e.M[:w0] = parents.M[..., pidx]
+    e.piv[:w0] = parents.piv[:, pidx]
+    e.W[:w0, :w0] = parents.W[..., pidx]
+    for i, v in enumerate(vs):
+        _border(e, w0 + i, v)
+    return e
+
+
+def _walk(new_columns, n: int, k: int, size: int, parents: _Elimination, visit) -> None:
+    """Call visit on the _Elimination of every k-subset of range(n) that
+    extends one of parents' supports, in itertools.combinations order, in
+    blocks.
+
+    In that order the children I + (c), c > max I, of each support I are
+    contiguous, so a block is a range of whole parents: those whose
+    children start within one window of size supports (at most size +
+    n - 1 supports per block).  Only supports with a k-subset extension
+    are built, and only the current block of each level is alive, so
+    memory does not grow with C(n, j).
+    """
+    j = len(parents.cols) + 1
+    last = parents.cols[-1] if j > 1 else np.full(1, -1)
+    count = n - k + j - 1 - last  # children take c < n - k + j, so that k - j more indices fit above c
+    start = np.cumsum(count) - count
+    cuts = np.flatnonzero(np.diff(start // size)) + 1
+    for lo, hi in zip([0, *cuts], [*cuts, len(count)]):
+        pidx = np.repeat(np.arange(lo, hi), count[lo:hi])
+        c = np.arange(len(pidx)) + (last + 1 - start + start[lo])[pidx]
+        block = _children(parents, pidx, c, new_columns)
+        if j < k:
+            _walk(new_columns, n, k, size, block, visit)
+        else:
+            visit(block)
+        del block  # before the next block is built
+
+
+def _lstsq_screen(new_columns, n: int, k: int, t: np.ndarray, signs: np.ndarray, resid_tol: float) -> np.ndarray:
+    """Mask over the k-subsets I of range(n), in itertools.combinations
+    order, of the supports on which the exact residual test may accept.
+
+    Support I's real (m, K) matrix M holds the columns new_columns
+    contributes: new_columns(cols, c) takes the (j, N) indices of N
+    supports and their (N,) next indices c > max I, and returns the
+    columns that adding c contributes, a list of (m, N) arrays.  The real
+    solver contributes A[:, c]; the Hermitian lift contributes c's
+    diagonal unknown and the (Re, Im) pair of (i, c) for each i in I.
+    Up to column order, M must be the exact test's matrix bit for bit:
+    the bound below is about its stored floats.
 
     The test, shared by both exact solvers: for a right-hand side r with
     |r| = t (t >= 0, length m) it takes any X -- lstsq's output, of which
     nothing else is used, so lstsq's rcond truncation needs no case of its
     own -- computes r - M X or M X - r (the two round alike) and its
-    2-norm, and accepts when that norm is at most resid_tol.  Only the r
-    whose signs on the pivot rows R below are, up to a global flip, a row
-    s of signs (S, k), r_R = +-s * t[R], need ruling out.  The real solver
-    passes sign_table(k), which covers every sign vector; the Hermitian
-    lift, whose one right-hand side is t = y^2, passes a row of ones.  A
-    False entry is a proof that the test accepts no such r on that M; a
-    True entry proves nothing.
+    2-norm, and accepts when that norm is at most resid_tol.  The test may
+    order M's columns differently: with a permutation Q, (M Q)(Q^T X) =
+    M X, so the residuals the test can reach, and so everything below, do
+    not depend on the column order.  Only the r whose signs on the pivot
+    rows R below are, up to a global flip, a row s of signs (S, K), r_R =
+    +-s * t[R], need ruling out.  The real solver passes sign_table(k),
+    which covers every sign vector; the Hermitian lift, whose one
+    right-hand side is t = y^2, passes a row of ones.  A False entry is a
+    proof that the test accepts no such r on that M; a True entry proves
+    nothing.
 
-    Screen.  Partial pivoting picks k rows R of M; B = M[R] (k x k),
-    C = M[R^c] and T = C B^-1.  For each row s of signs, with
-    v = s * t[R], the screen predicts the other rows as P = T v and
-    takes mu = min over s of || |P| - t[R^c] ||_2.
+    Elimination.  The levels are walked from 1 to k (_walk): a support's
+    elimination is its parent's (the support without its last index),
+    bordered by each new column in turn (_border).  So R comes from
+    incremental partial pivoting: each new column's pivot is the free row
+    of largest |u|, u = v - M W v[R] the column's Schur complement, which
+    in exact arithmetic is what Gaussian elimination with partial
+    pivoting of all of M leaves of that column (a computed u can round
+    differently, so two rows that nearly tie may swap; any R serves the
+    bound below).  W is whatever inverse of B = M[R] the bordering
+    computes, checked below through Z = B W - I and assumed nothing else.
+
+    Screen.  With C = M[R^c] and T = C B^-1, for each row s of signs, with
+    v = s * t[R], the screen predicts the other rows as P = T v and takes
+    mu = min over s of || |P| - t[R^c] ||_2.
 
     Bound.  Suppose the test accepts r with output X.  Let e = M X - r
     (exact arithmetic on the stored floats), with ||e|| <= rho.  Then
@@ -391,88 +506,110 @@ def _lstsq_screen(stack: np.ndarray, t: np.ndarray, signs: np.ndarray, resid_tol
     Roundoff (u = eps / 2, gamma_j = j u / (1 - j u); a matrix product
     with inner dimension j errs by at most gamma_j |X| |Y| entrywise, and
     ||X||_2 <= ||X||_F).  W is the computed inverse of B and Z the computed
-    B W - I, so ||B W - I|| <= zeta = ||Z|| + gamma_(k+1) ||B|| ||W||.  For
+    B W - I, so ||B W - I|| <= zeta = ||Z|| + gamma_(K+1) ||B|| ||W||.  For
     zeta < 1, B W = I + E with ||E|| <= zeta gives B^-1 = W (I + E)^-1 and
     T = C W (I + E)^-1, so ||B^-1|| <= beta = ||W|| / (1 - zeta) and
-    ||T|| <= tau = (||T_hat|| + gamma_k ||C|| ||W||) / (1 - zeta), where
+    ||T|| <= tau = (||T_hat|| + gamma_K ||C|| ||W||) / (1 - zeta), where
     T_hat is the computed C W.  Also T_hat - T = (T_hat - C W) - T E, so
-    ||T_hat - T|| <= gamma_k ||C|| ||W|| + tau zeta.
+    ||T_hat - T|| <= gamma_K ||C|| ||W|| + tau zeta.
 
     rho: the accepted residual's computed norm is at most resid_tol.
-    Forming r - M X errs by gamma_(k+1) (|r| + |M| |X|) and the norm's
+    Forming r - M X errs by gamma_(K+1) (|r| + |M| |X|) and the norm's
     sum of squares and square root by a relative gamma_(m+1), so
-    ||e|| <= resid_tol (1 + gamma_(m+1)) + gamma_(k+1) (||t|| + ||M|| ||X||),
+    ||e|| <= resid_tol (1 + gamma_(m+1)) + gamma_(K+1) (||t|| + ||M|| ||X||),
     and ||X|| <= beta (||t|| + ||e||) because B X = r_R + e_R.  With
-    g = gamma_(k+1) ||M|| beta < 1 this solves to
+    g = gamma_(K+1) ||M|| beta < 1 this solves to
 
-        rho = (resid_tol (1 + gamma_(m+1)) + gamma_(k+1) (1 + ||M|| beta) ||t||) / (1 - g).
+        rho = (resid_tol (1 + gamma_(m+1)) + gamma_(K+1) (1 + ||M|| beta) ||t||) / (1 - g).
 
-    The computed P_hat = fl(T_hat v) differs from T v by at most
-    (gamma_k ||T_hat|| + gamma_k ||C|| ||W|| + tau zeta) ||v||, with
-    ||v|| <= ||t||, and the computed mismatch norm errs by a relative
-    gamma_(m+1).  So when the test accepts, the computed mu is at most
-    (1 + gamma_(m+1)) times
+    P_hat is one GEMM over the block, fl(fl(T_hat * t[R]) signs^T): the
+    scaling errs by a relative u and the sum of K signed terms by
+    gamma_(K-1), so |P_hat - T_hat v| <= gamma_K |T_hat| |v| entrywise,
+    and P_hat differs from T v by at most (gamma_K ||T_hat|| + gamma_K
+    ||C|| ||W|| + tau zeta) ||v||, with ||v|| <= ||t||.  The computed
+    mismatch norm errs by a relative gamma_(m+1).  So when the test
+    accepts, the computed mu is at most (1 + gamma_(m+1)) times
 
-        bound = (1 + tau) rho + (gamma_k (||T_hat|| + ||C|| ||W||) + tau zeta) ||t||.
+        bound = (1 + tau) rho + (gamma_K (||T_hat|| + ||C|| ||W||) + tau zeta) ||t||.
 
     Underflow adds at most 2^-1074 per operation.  The screen runs only
     when max |M| and max t lie in [2^-400, 2^400], so no norm or product
     overflows unless it returns inf, and every underflow error, amplified
     by the factors above, stays below eta = 2^-500, which the bound adds
     to zeta, tau's numerator, rho's numerator and the total.  Each norm
-    (at most m k terms), product and sum in the bound itself, like the
+    (at most m K terms), product and sum in the bound itself, like the
     subtraction of I in Z, is evaluated with relative error under 1e-8
-    for m k <= 2^20 (zeta, g <= 1/2 keep the divisions tame), so the
+    for m K <= 2^20 (zeta, g <= 1/2 keep the divisions tame), so the
     screen flags when mu_hat <= 2 bound.
 
     It also flags M when any pivot is at most DEFAULT_RANK_TOL times
     max |M| (so a flag-free M has full column rank with a wide margin),
     when zeta or g exceeds 1/2, when max |M| or max t is out of range,
-    and when any mismatch or the bound is not finite.  When k >= m there
-    are no rows outside the pivots, and when m k > 2^20 the evaluation
+    and when any mismatch or the bound is not finite.  When K >= m there
+    are no rows outside the pivots, and when m K > 2^20 the evaluation
     claim above is not made; both flag every M.  Flagging is always safe:
     a flagged M gets the exact test.
+
+    Supports are screened in blocks of about _SCREEN_ELEMENTS / (K (m +
+    K) + (m - K) (K + S)) of them, the elements a support's M, W, T_hat
+    and mismatches take, which bounds the working memory.
     """
-    N, m, k = stack.shape
-    if k >= m or m * k > 1 << 20:
-        return np.ones(N, dtype=bool)
-    lo, hi, eta = 2.0 ** -400, 2.0 ** 400, 2.0 ** -500
-    t_max = float(t.max())
-    if not lo <= t_max <= hi:
-        return np.ones(N, dtype=bool)
+    m = t.size
+    S, K = signs.shape
+    if K >= m or m * K > 1 << 20 or not 2.0 ** -400 <= float(t.max()) <= 2.0 ** 400:
+        return np.ones(comb(n, k), dtype=bool)
     nt = float(np.linalg.norm(t))
+    size = max(1, _SCREEN_ELEMENTS // (K * (m + K) + (m - K) * (K + S)))
+    root = _Elimination(np.zeros((0, 1), dtype=np.intp), np.zeros((0, m, 1)), np.zeros((0, 1), dtype=np.intp),
+                        np.ones((m, 1), dtype=bool), np.zeros((0, 0, 1)), np.full(1, np.inf))
+    flags = []
     with np.errstate(all="ignore"):
-        order, min_pivot = _pivot_rows(stack)
-        a_max = np.abs(stack).max(axis=(1, 2))
-        usable = (min_pivot > DEFAULT_RANK_TOL * a_max) & (a_max >= lo) & (a_max <= hi)
-        B = np.take_along_axis(stack, order[:, :k, None], axis=1)
-        C = np.take_along_axis(stack, order[:, k:, None], axis=1)
-        try:
-            W = np.linalg.inv(np.where(usable[:, None, None], B, np.eye(k)))
-        except np.linalg.LinAlgError:
-            return np.ones(N, dtype=bool)
-        T = C @ W
-        Z = B @ W - np.eye(k)
-        nB, nC, nW, nT, nZ = (np.linalg.norm(X, axis=(1, 2)) for X in (B, C, W, T, Z))
-        nM = np.sqrt(nB * nB + nC * nC)
-        zeta = nZ + _gamma(k + 1) * nB * nW + eta
-        tau = (nT + _gamma(k) * nC * nW + eta) / (1 - zeta)
-        beta = nW / (1 - zeta)
-        g = _gamma(k + 1) * nM * beta
-        rho = (resid_tol * (1 + _gamma(m + 1)) + _gamma(k + 1) * (1 + nM * beta) * nt + eta) / (1 - g)
-        bound = (1 + tau) * rho + (_gamma(k) * (nT + nC * nW) + tau * zeta) * nt + eta
-        t_R = t[order[:, :k]]
-        P = np.abs(T @ (t_R[:, :, None] * signs.T))
-        P -= t[order[:, k:]][:, :, None]
-        mism = np.sqrt(np.sum(np.square(P, out=P), axis=1))
-        proven = (
-            usable
-            & (zeta <= 0.5)
-            & (g <= 0.5)
-            & np.isfinite(bound)
-            & np.isfinite(mism).all(axis=1)
-            & (mism.min(axis=1) > 2 * bound)
-        )
+        _walk(new_columns, n, k, size, root, lambda e: flags.append(_screen_block(e, t, nt, signs, resid_tol)))
+    return np.concatenate(flags)
+
+
+def _screen_block(e: _Elimination, t: np.ndarray, nt: float, signs: np.ndarray, resid_tol: float) -> np.ndarray:
+    """_lstsq_screen's mask for one block of eliminated supports.  The
+    large temporaries are dropped as soon as they are used, so that the
+    block's peak memory stays near that of its largest two arrays."""
+    K, m, N = e.M.shape
+    lo, hi, eta = 2.0 ** -400, 2.0 ** 400, 2.0 ** -500
+    a_max = np.abs(e.M).reshape(-1, N).max(axis=0)
+    rest = np.nonzero(e.free.T)[1].reshape(N, m - K).T  # R^c in row order, (m - K, N)
+    M = e.M.transpose(2, 1, 0)[np.arange(N), np.concatenate([e.piv, rest])]  # (m, N, K): B, then C
+    sq = np.einsum("rni,rni->rn", M, M)  # squared row norms
+    nB, nC = np.sqrt(sq[:K].sum(axis=0)), np.sqrt(sq[K:].sum(axis=0))
+    MW = np.matmul(M.transpose(1, 0, 2), e.W.transpose(2, 0, 1))  # (N, m, K): B W, then T_hat = C W
+    del M
+    T = MW[:, K:]
+    nM = np.sqrt(nB * nB + nC * nC)
+    nW = np.sqrt(np.einsum("ijn,ijn->n", e.W, e.W))
+    nT = np.sqrt(np.einsum("nrj,nrj->n", T, T))
+    Z = MW[:, :K] - np.eye(K)
+    nZ = np.sqrt(np.einsum("nij,nij->n", Z, Z))
+    del Z
+    zeta = nZ + _gamma(K + 1) * nB * nW + eta
+    tau = (nT + _gamma(K) * nC * nW + eta) / (1 - zeta)
+    beta = nW / (1 - zeta)
+    g = _gamma(K + 1) * nM * beta
+    rho = (resid_tol * (1 + _gamma(m + 1)) + _gamma(K + 1) * (1 + nM * beta) * nt + eta) / (1 - g)
+    bound = (1 + tau) * rho + (_gamma(K) * (nT + nC * nW) + tau * zeta) * nt + eta
+    X = np.multiply(T.transpose(1, 0, 2), t[e.piv].T, out=np.empty((m - K, N, K)))  # T_hat * t[R]
+    del MW, T
+    P = (X.reshape(-1, K) @ signs.T).reshape(m - K, N, len(signs))
+    del X
+    np.abs(P, out=P)
+    P -= t[rest][:, :, None]
+    mism = np.sqrt(np.sum(np.square(P, out=P), axis=0))
+    proven = (
+        (e.min_pivot > DEFAULT_RANK_TOL * a_max)
+        & (a_max >= lo)
+        & (a_max <= hi)
+        & (zeta <= 0.5)
+        & (g <= 0.5)
+        & np.isfinite(bound + mism.sum(axis=1))
+        & (mism.min(axis=1) > 2 * bound)
+    )
     return ~proven
 
 

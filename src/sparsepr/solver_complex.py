@@ -11,12 +11,14 @@ The lifted path is exact for k <= 3 at the m = 4k - 2 threshold (where
 m >= k^2 holds); beyond that the solver degrades to multi-start
 Levenberg-Marquardt refinement and labels its output heuristic.
 
-Each lifted level is screened in batch: the lifted systems of a block of
-supports are built as one stack, numerics._lstsq_screen proves that most
-of them fail the residual test, and only the supports it flags run
-lstsq and the rest of the per-support test.  So the output is bit for
-bit that of a scan that solves every support, and a generic
-(m, n, k) = (10, 12, 3) solve runs lstsq on one of its 298 supports.
+Each lifted level is screened in batch: numerics._lstsq_screen builds
+each support's lift from its parent's (adding index c adds 2k - 1
+columns: c's diagonal unknown and the (Re, Im) pair of (i, c) for each
+earlier i), proves that most supports fail the residual test, and only
+the supports it flags are lifted in full and run lstsq and the rest of
+the per-support test.  So the output is bit for bit that of a scan that
+solves every support, and a generic (m, n, k) = (10, 12, 3) solve runs
+lstsq on one of its 298 supports.
 
 A collision probe searches for two non-phase-equivalent sparse vectors
 with identical magnitudes; it is a falsification attempt, never a proof
@@ -31,6 +33,7 @@ from __future__ import annotations
 import itertools
 import numbers
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -69,9 +72,6 @@ _PROBE_ROWS = 4096
 # each row it did not need.  With c0 / c1 = 300 rows neither loss
 # exceeds one call's fixed cost.
 _PROBE_FIRST_ROWS = 300
-# Budget of m * k^2 float64 elements per block of supports in the lifted
-# screen; the block's temporaries then take about 1 MB.
-_LIFT_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -152,37 +152,53 @@ def _lifted_support_solve(
     return None
 
 
+def _lift_columns(entries: np.ndarray):
+    """The columns of the lift that adding index c to a support adds, as
+    numerics._lstsq_screen's new_columns: c's diagonal unknown, then the
+    (Re, Im) pair of (i, c) for each index i of the support, in order.
+    Each is the column _lift_system builds for that unknown, bit for bit.
+    """
+
+    def columns(cols: np.ndarray, c: np.ndarray) -> list[np.ndarray]:
+        a = np.conj(entries[:, c])
+        out = [(a * entries[:, c]).real]
+        for i in cols:
+            off = a * entries[:, i]
+            out += [2.0 * off.real, -2.0 * off.imag]
+        return out
+
+    return columns
+
+
 def _lifted_level(
     entries: np.ndarray,
     y: np.ndarray,
-    supports: list[tuple[int, ...]],
+    k: int,
     resid_tol: float,
     tol_abs: float,
 ) -> list[tuple[SparseVector, float]]:
     """_lifted_support_solve's hits at one support size, in support order.
 
-    The supports are lifted and screened in blocks of at most
-    _LIFT_ELEMENTS // (m k^2) supports.  numerics._lstsq_screen gets the
-    lifted residual test (right-hand side y^2, no signs, computed norm at
-    most resid_tol) and proves that most supports fail it; only the
-    supports it flags run _lifted_support_solve, on their slice of the
-    block's lift.  A support the screen rules out would have returned
-    None, so the hits are the full scan's, bit for bit.
+    numerics._lstsq_screen gets the lifted residual test (right-hand side
+    y^2, no signs, computed norm at most resid_tol) and proves that most
+    supports fail it.  It builds each support's lift from its parent's
+    with _lift_columns, so its columns are _lift_system's in the order the
+    levels introduce them; the residual test does not depend on that
+    order.  Only the supports it flags are lifted by _lift_system, in its
+    own column order, and run _lifted_support_solve.  A support the
+    screen rules out would have returned None, so the hits are the full
+    scan's, bit for bit.
     """
-    m, n = entries.shape
-    k = len(supports[0])
+    n = entries.shape[1]
     rhs = y**2
-    signs = np.ones((1, k * k))  # y^2 is the one right-hand side
-    index = np.array(supports)
-    block = max(1, _LIFT_ELEMENTS // (m * k * k))
+    # y^2 is the one right-hand side
+    flags = _lstsq_screen(_lift_columns(entries), n, k, rhs, np.ones((1, k * k)), resid_tol)
     hits = []
-    for lo in range(0, len(supports), block):
-        G = _lift_system(entries[:, index[lo : lo + block]].transpose(1, 0, 2))
-        for b in np.flatnonzero(_lstsq_screen(G, rhs, signs, resid_tol)):
-            support = supports[lo + b]
-            hit = _lifted_support_solve(G[b], entries[:, support], y, rhs, support, n, resid_tol, tol_abs)
-            if hit is not None:
-                hits.append(hit)
+    for support in itertools.compress(itertools.combinations(range(n), k), flags):
+        A_I = entries[:, support]
+        hit = _lifted_support_solve(_lift_system(A_I[None])[0], A_I, y, rhs, support, n, resid_tol, tol_abs)
+        if hit is not None:
+            hits.append(hit)
     return hits
 
 
@@ -204,7 +220,8 @@ def solve_l0_complex(
     support gets heuristic_restarts seeded starts, and one batched
     Levenberg-Marquardt call refines all (supports x restarts) of the
     level; classes found there are labeled "refined" and the solution set
-    is flagged heuristic.
+    is flagged heuristic.  heuristic_restarts must be an integer >= 1
+    whether or not the heuristic path runs.
     """
     if A.field is not Field.COMPLEX:
         raise ValueError("solve_l0_complex requires a complex ensemble")
@@ -214,8 +231,9 @@ def solve_l0_complex(
     if not (0 <= k_max <= min(A.m, A.n)):
         raise ValueError(f"k_max must be in [0, min(m, n)] = [0, {min(A.m, A.n)}]")
     _check_tol(tol)
-    if heuristic_restarts < 1:
-        raise ValueError("heuristic_restarts must be >= 1")
+    if (isinstance(heuristic_restarts, bool) or not isinstance(heuristic_restarts, numbers.Integral)
+            or heuristic_restarts < 1):
+        raise ValueError(f"heuristic_restarts must be an integer >= 1, got {heuristic_restarts!r}")
 
     def exact_level(k: int) -> bool:
         return k <= 3 and A.m >= k * k
@@ -238,15 +256,16 @@ def solve_l0_complex(
     entries = A.entries
     heuristic_used = False
     for k in range(1, k_max + 1):
-        supports = list(itertools.combinations(range(A.n), k))
-        stats.supports_tried += len(supports)
+        count = comb(A.n, k)
+        stats.supports_tried += count
         if exact_level(k):
-            stats.patterns_tried += len(supports)
-            hits = _lifted_level(entries, yv, supports, resid_tol, tol_abs)
+            stats.patterns_tried += count
+            hits = _lifted_level(entries, yv, k, resid_tol, tol_abs)
             found = [(cand, "lifted", defect) for cand, defect in hits]
         else:
             heuristic_used = True
-            stats.patterns_tried += len(supports) * heuristic_restarts
+            stats.patterns_tried += count * heuristic_restarts
+            supports = list(itertools.combinations(range(A.n), k))
             found = [
                 (cand, "refined", None)
                 for cand in _refined_level(entries, yv, supports, tol_abs, heuristic_restarts, seed)
@@ -402,9 +421,11 @@ def _batched_levenberg_marquardt(AT: np.ndarray, targets: np.ndarray, x0: np.nda
     They are formed from r = x @ A_J^T and |r|^2 - t^2, which for an
     accepted row are the products its candidate was scored with (the same
     matmul in the same layout, on the same x), so those are kept rather
-    than computed again.  J keeps the memory layout np.concatenate gives
-    it from the gathered products: einsum's summation order, and so the
-    bits of J^T J, follow that layout, and a C-contiguous J changes them.
+    than computed again.  J is filled into an (N, 2k, m) buffer and used
+    as its (N, m, 2k) transpose, strides (2k m 8, 8, m 8): einsum's
+    summation order, and so the bits of J^T J, follow J's layout (a
+    C-contiguous J changes them), so the layout is fixed here rather than
+    left to whatever np.concatenate would pick.
 
     Freeze.  A row whose step is rejected while lam = 1e6 keeps its x and
     objective, and its damping is again clip(4e6) = 1e6.  Its next
@@ -449,7 +470,9 @@ def _batched_levenberg_marquardt(AT: np.ndarray, targets: np.ndarray, x0: np.nda
         p, q = np.nonzero(fresh)
         if p.size:
             cr = np.conj(r[p, q])[..., None] * ats.transpose(0, 2, 1)[p]  # (N, m, k)
-            J = np.concatenate([2.0 * cr.real, -2.0 * cr.imag], axis=-1)
+            J = np.empty((p.size, 2 * k, cr.shape[1])).transpose(0, 2, 1)  # (N, m, 2k), layout pinned
+            np.multiply(cr.real, 2.0, out=J[..., :k])
+            np.multiply(cr.imag, -2.0, out=J[..., k:])
             JtJ[p, q] = np.einsum("rmi,rmj->rij", J, J)
             Jtf[p, q] = np.einsum("rmi,rm->ri", J, f[p, q])
         A_ = JtJ[moving]

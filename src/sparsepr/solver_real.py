@@ -11,7 +11,9 @@ the certification machinery is checked against.
 
 A batched screen (numerics._lstsq_screen) first proves, on k pivot rows
 of each support, that most supports admit no accepted sign pattern; only
-the supports it cannot rule out get the exact least-squares test.
+the supports it cannot rule out get the exact least-squares test.  The
+screen builds each support's pivots and inverse from those of its
+(k-1)-prefix, one new column at a time.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
+from math import comb
 
 import numpy as np
 
@@ -31,10 +34,6 @@ __all__ = [
     "solve_l0_real",
     "feasible_classes",
 ]
-
-# Budget of m * (k + 2^(k-1)) float64 elements per block of supports in the
-# screen; the block's temporaries then take about 1 MB.
-_SCREEN_ELEMENTS = 1 << 15
 
 
 @dataclass
@@ -156,24 +155,20 @@ def _scan_level(
     _sign_rhs has magnitudes y_eff (y with the rows at or below tol_abs
     set to 0), sign_table(k) covers its signs on any k rows, and the
     accepted columns' computed residual norms are at most tol_abs sqrt(m).
+    Adding index c to a support adds the column A[:, c], so the screen's
+    M is A_I, in support order.
     """
     m, n = A.m, A.n
     entries = A.entries
-    supports = list(itertools.combinations(range(n), k))
-    stats.supports_tried += len(supports)
-    stats.patterns_tried += len(supports) << (pos.size - 1)
+    count = comb(n, k)
+    stats.supports_tried += count
+    stats.patterns_tried += count << (pos.size - 1)
     y_eff = np.zeros(m)
     y_eff[pos] = y[pos]
-    index = np.array(supports)
-    signs = sign_table(k)
-    block = max(1, _SCREEN_ELEMENTS // (m * (k + 2 ** (k - 1))))
-    flags = np.concatenate([
-        _lstsq_screen(entries[:, index[i:i + block]].transpose(1, 0, 2), y_eff, signs, tol_abs * np.sqrt(m))
-        for i in range(0, len(supports), block)
-    ])
+    flags = _lstsq_screen(lambda cols, c: [entries[:, c]], n, k, y_eff, sign_table(k), tol_abs * np.sqrt(m))
     found: list[SparseVector] = []
     resids: list[float] = []
-    for I in itertools.compress(supports, flags):
+    for I in itertools.compress(itertools.combinations(range(n), k), flags):
         _exact_support(entries, I, y, tol_abs, sign_rhs(), found, resids)
     return list(zip(found, resids))
 

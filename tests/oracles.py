@@ -349,8 +349,10 @@ def full_work_levenberg_marquardt(AT: np.ndarray, targets: np.ndarray, x0: np.nd
         L = live.size
         r = xs @ ats  # (L, R, m)
         f = (np.abs(r) ** 2 - t2).reshape(L * R, m)
-        cr = np.conj(r)[..., None] * ats.transpose(0, 2, 1)[:, None]  # (L, R, m, k)
-        J = np.concatenate([2.0 * cr.real, -2.0 * cr.imag], axis=-1).reshape(L * R, m, 2 * k)
+        cr = (np.conj(r)[..., None] * ats.transpose(0, 2, 1)[:, None]).reshape(L * R, m, k)
+        J = np.empty((L * R, 2 * k, m)).transpose(0, 2, 1)  # the kernel's layout of J
+        np.multiply(cr.real, 2.0, out=J[..., :k])
+        np.multiply(cr.imag, -2.0, out=J[..., k:])
         JtJ = np.einsum("rmi,rmj->rij", J, J)
         Jtf = np.einsum("rmi,rm->ri", J, f)
         A_ = JtJ + lam.reshape(L * R)[:, None, None] * eye

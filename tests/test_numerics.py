@@ -1,3 +1,5 @@
+import itertools
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -6,14 +8,19 @@ import pytest
 
 from sparsepr import (
     Field,
+    SparseVector,
     generate_ensemble,
     hermitian_top_eig,
+    measure,
     null_space_vector,
     numerical_rank,
+    solve_l0_complex,
+    solve_l0_real,
 )
 from sparsepr import numerics
 from sparsepr.model import sign_table
 from sparsepr.numerics import batched_ranks
+from sparsepr.solver_complex import _lift_columns, _lift_system
 from helpers import least_squares
 from oracles import svd_batched_ranks, svd_rank
 
@@ -190,3 +197,192 @@ def test_laplace_gram_radius_bounds_the_exact_determinant():
                         assert abs(np.sqrt(G[k, q]) - exact) <= B[k] + slack, (m, t, a, k, q)
                         checked += 1
     assert checked > 90
+
+
+def _real_screen_case(A: np.ndarray, t: np.ndarray, k: int, resid_tol: float):
+    """(flags, accepted) for every k-subset of A's columns: the screen's
+    flags, and whether _exact_support's residual test, lstsq against every
+    sign vector r with |r| = t, accepts some r."""
+    m, n = A.shape
+    flags = numerics._lstsq_screen(lambda cols, c: [A[:, c]], n, k, t, sign_table(k), resid_tol)
+    rhs = (sign_table(m) * t).T
+    accepted = []
+    for I in itertools.combinations(range(n), k):
+        X, *_ = np.linalg.lstsq(A[:, I], rhs, rcond=None)
+        accepted.append(bool(np.any(np.linalg.norm(rhs - A[:, I] @ X, axis=0) <= resid_tol)))
+    return flags, np.array(accepted)
+
+
+def _lifted_screen_case(A: np.ndarray, t: np.ndarray, k: int, resid_tol: float):
+    """(flags, accepted) as _real_screen_case for the Hermitian lift, whose
+    one right-hand side is t, in _lift_system's column order."""
+    n = A.shape[1]
+    flags = numerics._lstsq_screen(_lift_columns(A), n, k, t, np.ones((1, k * k)), resid_tol)
+    accepted = []
+    for I in itertools.combinations(range(n), k):
+        G = _lift_system(A[:, I][None])[0]
+        v, *_ = np.linalg.lstsq(G, t, rcond=None)
+        with np.errstate(over="ignore"):  # at 2^300 the norm overflows and the test rejects
+            accepted.append(bool(np.linalg.norm(G @ v - t) <= resid_tol))
+    return flags, np.array(accepted)
+
+
+def _near_tolerance(M: np.ndarray, r: np.ndarray, delta: float, rng) -> np.ndarray:
+    """r plus a component of norm delta orthogonal to the range of M, so
+    that lstsq on M leaves a residual of norm delta (to rounding)."""
+    q, _ = np.linalg.qr(M, mode="complete")
+    w = q[:, M.shape[1]:] @ rng.standard_normal(M.shape[0] - M.shape[1])
+    return r + delta * w / np.linalg.norm(w)
+
+
+def _screen_corpus():
+    """(field, A, t, k, resid_tol): planted right-hand sides, exact and at
+    resid_tol (1 -+ 1e-3); duplicate, negated and zero columns; duplicate
+    and zero rows; exact pivot ties; and scales 2^+-300 and 1e+-150."""
+    rng = np.random.default_rng(41)
+    cases = []
+    for field, m, n, k in ((Field.REAL, 7, 7, 3), (Field.COMPLEX, 9, 6, 2), (Field.COMPLEX, 10, 6, 3)):
+        for variant in ("generic", "dup-col", "neg-col", "zero-col", "dup-row", "zero-row", "ties"):
+            A = generate_ensemble(field, m, n, int(rng.integers(1 << 30))).entries.copy()
+            if variant == "dup-col":
+                A[:, 4] = A[:, 1]
+            elif variant == "neg-col":
+                A[:, 4] = -A[:, 1]
+            elif variant == "zero-col":
+                A[:, 2] = 0.0
+            elif variant == "dup-row":
+                A[3] = A[0]
+            elif variant == "zero-row":
+                A[2] = 0.0
+            elif variant == "ties":
+                A = np.round(2 * A.real) + (1j * np.round(2 * A.imag) if field is Field.COMPLEX else 0)
+            I = (0, 1, 4)[:k]
+            x = rng.standard_normal(k) + (1j * rng.standard_normal(k) if field is Field.COMPLEX else 0)
+            if field is Field.REAL:
+                M, r = A[:, I], A[:, I] @ x
+            else:
+                M, r = _lift_system(A[:, I][None])[0], np.abs(A[:, I] @ x) ** 2
+            tol = 1e-8 * np.sqrt(m) * max(1.0, float(np.abs(r).max()))
+            cases.append((field, A, np.abs(r), k, tol))
+            if variant == "generic":
+                for f in (1 - 1e-3, 1 + 1e-3):
+                    near = _near_tolerance(M, r, tol, rng)
+                    cases.append((field, A, np.abs(near), k, tol * f))
+                for scale in (2.0 ** 300, 2.0 ** -300, 1e150, 1e-150):
+                    power = 1 if field is Field.REAL else 2
+                    cases.append((field, A * scale, np.abs(r) * scale ** power, k, tol * scale ** power))
+            cases.append((field, A, rng.random(m) + 0.1, k, tol))
+    return cases
+
+
+def test_lstsq_screen_never_rules_out_an_accepted_support():
+    """The screen may flag anything, but no support on which the exact
+    residual test accepts is ruled out: real supports against every sign
+    vector (sign_table(k) rows), lifted supports against their one
+    right-hand side, on the degenerate corpus."""
+    accepted = ruled_out = 0
+    for i, (field, A, t, k, tol) in enumerate(_screen_corpus()):
+        for level in range(1, k + 1):
+            case = _real_screen_case if field is Field.REAL else _lifted_screen_case
+            flags, acc = case(A, t, level, tol)
+            assert flags.shape == acc.shape == (comb(A.shape[1], level),)
+            assert not np.any(acc & ~flags), (i, level)
+            accepted += acc.sum()
+            ruled_out += (~flags).sum()
+    # the corpus exercises both sides of the screen
+    assert accepted >= 40 and ruled_out >= 500
+
+
+def test_screen_borders_each_support_once_and_inverts_no_block(monkeypatch):
+    """A real (10, 14, 5) solve borders every support it screens from its
+    parent, one pivot per new column, and calls np.linalg.inv nowhere:
+    level k' of the walk borders the C(n - k' + j, j) j-subsets that have a
+    k'-subset extension, for j = 1..k'."""
+    bordered = []
+    border = numerics._border
+
+    def counted(e, w, v):
+        bordered.append(v.shape[1])  # supports that get this column
+        border(e, w, v)
+
+    monkeypatch.setattr(numerics, "_border", counted)
+
+    def no_inv(*args, **kwargs):
+        raise AssertionError("np.linalg.inv called")
+
+    monkeypatch.setattr(np.linalg, "inv", no_inv)
+    A = generate_ensemble(Field.REAL, 10, 14, 5)
+    x0 = SparseVector(Field.REAL, 14, (1, 4, 6, 9, 12), [1.0, -0.7, 2.2, 0.4, -1.3])
+    sol = solve_l0_real(A, measure(A, x0), 5)
+    assert sol.k_star == 5
+    want = sum(comb(14 - level + j, j) for level in range(1, 6) for j in range(1, level + 1))
+    # re-pivoting each screened support from scratch chooses k' pivots for each of the
+    # C(14, k') supports of level k': 15,302
+    assert sum(bordered) == want == 4938
+
+
+@pytest.mark.parametrize("field, m, n, k, repivot_mb", [
+    (Field.REAL, 10, 14, 5, 0.62),
+    (Field.REAL, 12, 16, 6, 1.92),
+    (Field.COMPLEX, 10, 16, 3, 1.38),
+])
+def test_screen_memory_stays_bounded(field, m, n, k, repivot_mb):
+    """The traced peak of a solve stays within 2x of that of the screen
+    that re-pivoted each block of supports from scratch (repivot_mb,
+    measured the same way): the walk holds one block per level, not a
+    whole level of prefix states."""
+    A = generate_ensemble(field, m, n, 3)
+    rng = np.random.default_rng(1)
+    support = tuple(sorted(rng.choice(n, k, replace=False)))
+    values = rng.standard_normal(k) + (1j * rng.standard_normal(k) if field is Field.COMPLEX else 1.0)
+    y = measure(A, SparseVector(field, n, support, values))
+    solve = solve_l0_real if field is Field.REAL else solve_l0_complex
+    assert solve(A, y, k).k_star == k
+    tracemalloc.start()
+    try:
+        solve(A, y, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * repivot_mb * 1e6
+
+
+def test_screen_matrix_is_the_exact_tests_matrix_bitwise(monkeypatch):
+    """The bound is about the stored floats of the exact test's matrix, so
+    the M the walk builds for each support must be A_I (real) or
+    _lift_system's lift (complex) bit for bit, up to column order: the
+    levels introduce a lift's unknowns as c's diagonal, then (Re, Im) of
+    (i, c) for each earlier i."""
+    blocks = []
+
+    def keep(e, *args):
+        blocks.append(e)
+        return np.ones(e.M.shape[2], dtype=bool)
+
+    monkeypatch.setattr(numerics, "_screen_block", keep)
+    rng = np.random.default_rng(43)
+    checked = 0
+    for field, m, n, k in ((Field.REAL, 7, 8, 3), (Field.COMPLEX, 10, 7, 3), (Field.COMPLEX, 17, 6, 4)):
+        E = generate_ensemble(field, m, n, 5).entries * 10.0 ** rng.choice([-150, 0, 0, 150], size=(m, n))
+        E[:, 2] = 0.0
+        level_order = [("d", j, j) for j in range(k)]
+        if field is Field.REAL:
+            new_columns, K, perm = (lambda cols, c: [E[:, c]]), k, list(range(k))
+        else:
+            level_order = [u for j in range(k) for u in [("d", j, j)] + [(p, i, j) for i in range(j) for p in "ri"]]
+            lift_order = [("d", j, j) for j in range(k)] + [
+                (p, i, j) for i, j in zip(*np.triu_indices(k, 1)) for p in "ri"]
+            new_columns, K, perm = _lift_columns(E), k * k, [level_order.index(u) for u in lift_order]
+        blocks.clear()
+        numerics._lstsq_screen(new_columns, n, k, np.ones(m), np.ones((1, K)), 1e-8)
+        supports = iter(itertools.combinations(range(n), k))
+        for e in blocks:
+            for b in range(e.M.shape[2]):
+                I = next(supports)
+                assert tuple(e.cols[:, b]) == I
+                M = e.M[:, :, b].T[:, perm]
+                want = E[:, I] if field is Field.REAL else _lift_system(E[:, I][None])[0]
+                assert np.array_equal(M.view(np.int64), want.view(np.int64)), (field, I)
+                checked += 1
+        assert next(supports, None) is None
+    assert checked == comb(8, 3) + comb(7, 3) + comb(6, 4)

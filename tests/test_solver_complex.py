@@ -17,7 +17,7 @@ from sparsepr import (
     refine_gauss_newton,
     solve_l0_complex,
 )
-from sparsepr import solver_complex
+from sparsepr import numerics, solver_complex
 from sparsepr.solver_complex import _assemble_hermitian, _lift_system, _lifted_support_solve
 from oracles import (
     full_scan_solve_l0_complex,
@@ -252,7 +252,7 @@ def test_lifted_screen_does_not_depend_on_blocking(monkeypatch):
     """One support per screen block gives the bits of the default blocking."""
     cases = _lifted_corpus()[::2]
     default = [solve_l0_complex(A, y, k, tol=tol).to_json_dict() for A, y, k, tol in cases]
-    monkeypatch.setattr(solver_complex, "_LIFT_ELEMENTS", 1)
+    monkeypatch.setattr(numerics, "_SCREEN_ELEMENTS", 1)
     assert [solve_l0_complex(A, y, k, tol=tol).to_json_dict() for A, y, k, tol in cases] == default
 
 
@@ -267,6 +267,16 @@ def test_heuristic_gate():
     assert sol.k_star == 2
     assert any(phase_equivalent(c, x0, 1e-6) for c in sol.classes)
     assert all(meth == "refined" for meth in sol.methods)
+
+
+@pytest.mark.parametrize("restarts", [0, -2, 2.5, True, "4", None])
+def test_heuristic_restarts_must_be_a_positive_integer(restarts):
+    A = generate_ensemble(Field.COMPLEX, 3, 6, 5)
+    y = measure(A, SparseVector(Field.COMPLEX, 6, (1, 3), np.array([1.0 + 1j, -2.0 + 0.5j])))
+    with pytest.raises(ValueError, match="heuristic_restarts must be an integer >= 1"):
+        solve_l0_complex(A, y, 2, allow_heuristic=True, heuristic_restarts=restarts)
+    # a numpy integer is an integer
+    assert solve_l0_complex(A, y, 2, allow_heuristic=True, heuristic_restarts=np.int64(2)).k_star == 2
 
 
 def test_gauss_newton_fixed_point_and_rotation():
@@ -583,6 +593,27 @@ def test_lm_kernel_matches_full_work_oracle(monkeypatch):
     assert 2 * work["threshold-probe", 120, False][0] < work["threshold-probe", 120, True][0]
     # both kernels take the LinAlgError fallback
     assert work["singular-solve", 120, False][1] > 0 and work["singular-solve", 120, True][1] > 0
+
+
+def test_lm_kernel_pins_the_layout_of_j(monkeypatch):
+    """The bits of J^T J follow J's memory layout, so the kernel and the
+    full-work oracle build J as the (N, m, 2k) transpose of an (N, 2k, m)
+    buffer, not in whatever layout np.concatenate would pick."""
+    seen = []
+    einsum = np.einsum
+
+    def spy(subscripts, *operands, **kwargs):
+        if subscripts == "rmi,rmj->rij":
+            seen.append((operands[0].shape, operands[0].strides))
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    for kernel in (solver_complex._batched_levenberg_marquardt, full_work_levenberg_marquardt):
+        for k in (1, 3):
+            kernel(*_random_kernel_stack(k, 70 + k), 4)
+    assert len(seen) >= 8
+    for (N, m, k2), strides in seen:
+        assert strides == (k2 * m * 8, 8, m * 8), (N, m, k2)
 
 
 def test_lm_kernel_solves_at_most_half_the_full_work(monkeypatch):

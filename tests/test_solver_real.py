@@ -16,6 +16,7 @@ from sparsepr import (
     solve_l0_real,
     solver_real,
 )
+from sparsepr import numerics
 from oracles import classes_match, full_scan_feasible_classes, full_scan_solve_l0_real, naive_l0_classes
 
 
@@ -225,5 +226,5 @@ def test_real_screen_does_not_depend_on_blocking(monkeypatch):
     """One support per screen block gives the bits of the default blocking."""
     cases = _screen_corpus()[::3]
     default = [solve_l0_real(A, y, k).to_json_dict() for A, y, k in cases]
-    monkeypatch.setattr(solver_real, "_SCREEN_ELEMENTS", 1)
+    monkeypatch.setattr(numerics, "_SCREEN_ELEMENTS", 1)
     assert [solve_l0_real(A, y, k).to_json_dict() for A, y, k in cases] == default
