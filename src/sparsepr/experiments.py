@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import numbers
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,8 +31,8 @@ from .model import (
     phase_equivalent,
 )
 from .numerics import null_space_vector
-from .solver_complex import solve_l0_complex
-from .solver_real import _check_tol, feasible_classes, solve_l0_real
+from .solver_complex import _solve_complex_batch
+from .solver_real import SolutionSet, _check_tol, _solve_real_batch, feasible_classes
 
 __all__ = [
     "SweepConfig",
@@ -67,6 +68,12 @@ class SweepConfig:
     tol: float = 1e-8
 
     def __post_init__(self):
+        for key in ("n", "k", "trials_per_m", "base_seed"):
+            _integer(getattr(self, key), key)
+        for v in self.m_range:
+            _integer(v, "m_range")
+        if self.base_seed < 0:
+            raise ValueError(f"'base_seed' must be >= 0, got {self.base_seed!r}")
         lo, hi = self.m_range
         if lo > hi or lo < 1:
             raise ValueError(f"bad m_range {self.m_range}")
@@ -116,18 +123,29 @@ class SweepConfig:
         return hashlib.sha256(blob).hexdigest()[:12]
 
 
+def _integer(v, key: str = "value") -> int:
+    """v as an int.  Anything but an integer is refused, so that 8.9,
+    true or "8" is not silently read as 8, 1 or 8."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+        raise ValueError(f"{key!r} must be an integer, got {v!r}")
+    return int(v)
+
+
 def _int_pair(v) -> tuple[int, int]:
     if not isinstance(v, list) or len(v) != 2:
         raise ValueError("expected [lo, hi]")
-    return int(v[0]), int(v[1])
+    return _integer(v[0]), _integer(v[1])
 
 
-_CONFIG_KEYS = {"field": Field.from_label, "n": int, "k": int, "m_range": _int_pair,
-                "trials_per_m": int, "base_seed": int, "tol": float}
+_CONFIG_KEYS = {"field": Field.from_label, "n": _integer, "k": _integer, "m_range": _int_pair,
+                "trials_per_m": _integer, "base_seed": _integer, "tol": float}
 
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One m of a sweep.  mean_ms is the row's batched solve time (one
+    solver call for all its trials) divided by the number of trials."""
+
     m: int
     trials: int
     successes: int
@@ -181,30 +199,29 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     (k > 3 or m < k^2) run the refinement fallback and are flagged
     heuristic; assertions downstream must exclude them.  A trial counts
     as fragile when an accepted class sits within 10x of the residual
-    tolerance.
+    tolerance.  Each row draws all its trials, then solves them in one
+    batched solver call, whose results are bit for bit those of one solve
+    per trial.
     """
     rows = []
     lo, hi = cfg.m_range
     for m in range(lo, hi + 1):
         heuristic = cfg.field is Field.COMPLEX and (cfg.k > 3 or m < cfg.k * cfg.k)
-        successes = 0
-        fragile = 0
-        elapsed = 0.0
+        As, truths = [], []
         for trial in range(cfg.trials_per_m):
             ensemble_seed, sig_rng = _trial_randomness(cfg.base_seed, m, trial)
-            A = generate_ensemble(cfg.field, m, cfg.n, ensemble_seed)
-            truth = draw_sparse_signal(cfg.field, cfg.n, cfg.k, sig_rng)
-            y = measure(A, truth)
-            t0 = time.perf_counter()
-            if cfg.field is Field.REAL:
-                sol = solve_l0_real(A, y, cfg.k, tol=cfg.tol)
-            else:
-                sol = solve_l0_complex(A, y, cfg.k, tol=cfg.tol, allow_heuristic=heuristic)
-            elapsed += time.perf_counter() - t0
-            if sol.k_star is not None and len(sol.classes) == 1 and phase_equivalent(
-                sol.classes[0], truth, 1e-8
-            ):
-                successes += 1
+            As.append(generate_ensemble(cfg.field, m, cfg.n, ensemble_seed))
+            truths.append(draw_sparse_signal(cfg.field, cfg.n, cfg.k, sig_rng))
+        ys = [measure(A, truth) for A, truth in zip(As, truths)]
+        t0 = time.perf_counter()
+        if cfg.field is Field.REAL:
+            sols = _solve_real_batch(As, ys, cfg.k, cfg.tol)
+        else:
+            sols = _solve_complex_batch(As, ys, cfg.k, cfg.tol, allow_heuristic=heuristic)
+        elapsed = time.perf_counter() - t0
+        successes = sum(_recovered(sol, truth) for sol, truth in zip(sols, truths))
+        fragile = 0
+        for sol, y in zip(sols, ys):
             tol_abs = cfg.tol * max(1.0, float(y.magnitudes.max(initial=0.0)))
             if sol.residuals and max(sol.residuals) > tol_abs / 10.0:
                 fragile += 1
@@ -220,6 +237,11 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
             )
         )
     return SweepResult(config=cfg, rows=tuple(rows))
+
+
+def _recovered(sol: SolutionSet, truth: SparseVector) -> bool:
+    """Exactly one class, phase-equal to the true signal."""
+    return sol.k_star is not None and len(sol.classes) == 1 and phase_equivalent(sol.classes[0], truth, 1e-8)
 
 
 def build_collision_real(A: MeasurementEnsemble, k: int) -> tuple[SparseVector, SparseVector]:
@@ -279,17 +301,10 @@ def bidirectional_uniqueness_check(
     details: dict = {"d": cert.d, "certified_k": (cert.d - 1) // 2, "spark_ok": cert.spark_ok}
 
     if cert.certified:
-        failures = 0
-        for t in range(trials):
-            rng = np.random.default_rng(np.random.SeedSequence(base_seed, spawn_key=(k, t)))
-            truth = draw_sparse_signal(Field.REAL, A.n, k, rng)
-            sol = solve_l0_real(A, measure(A, truth), k)
-            ok = (
-                sol.k_star is not None
-                and len(sol.classes) == 1
-                and phase_equivalent(sol.classes[0], truth, 1e-8)
-            )
-            failures += not ok
+        truths = [draw_sparse_signal(Field.REAL, A.n, k, np.random.default_rng(
+            np.random.SeedSequence(base_seed, spawn_key=(k, t)))) for t in range(trials)]
+        sols = _solve_real_batch([A] * trials, [measure(A, truth) for truth in truths], k, 1e-8)
+        failures = sum(not _recovered(sol, truth) for sol, truth in zip(sols, truths))
         details["forward_trials"] = trials
         details["forward_failures"] = failures
         return BidirectionalReport(True, failures == 0, None, details)

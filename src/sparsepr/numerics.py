@@ -18,7 +18,9 @@ proves, in batch and with an explicit roundoff margin, that most
 candidate systems fail their residual test, so only the rest are solved.
 It walks the support sizes level by level, and each support extends its
 parent's elimination by one pivot and one bordered inverse per new
-column instead of eliminating and inverting from scratch.
+column instead of eliminating and inverting from scratch.  One walk
+screens a whole stack of problems of one shape, so a sweep row of many
+small solves pays the screen's fixed cost once per support size.
 """
 
 from __future__ import annotations
@@ -120,10 +122,12 @@ def _svd_ranks(stack: np.ndarray, tol_rel: float):
     return ranks, fragile
 
 
+_UNIT_ROUNDOFF = 2.0 ** -53  # u = eps / 2 of float64
+
+
 def _gamma(j: int) -> float:
     """gamma_j = j u / (1 - j u), u = eps / 2: the relative error bound of j roundings."""
-    u = np.finfo(np.float64).eps / 2
-    return j * u / (1 - j * u)
+    return j * _UNIT_ROUNDOFF / (1 - j * _UNIT_ROUNDOFF)
 
 
 def _combos(n: int, a: int) -> np.ndarray:
@@ -349,14 +353,19 @@ def _screen_accepts(G: np.ndarray, B: np.ndarray, need: np.ndarray) -> np.ndarra
 class _Elimination:
     """Partial-pivoting elimination of a block of N supports, support axis last.
 
-    For supports of j indices and w columns: cols (j, N) the indices; M
-    (w, m, N) the columns, in the order the levels introduced them; piv
-    (w, N) the pivot rows in pivot order; free (m, N) the rows not
-    pivoted; W (w, w, N) a computed inverse of B = M[piv]; and min_pivot
-    (N,) the smallest |pivot| (NaN or 0 when the elimination broke down).
-    With the support axis last, every step runs over the whole block.
+    For supports of j indices and w columns: tag (N,) the problem each
+    support belongs to; cols (j, N) the indices plus n times the tag, for
+    problems of n columns, so that they index the problems' entries laid
+    side by side (problem 0's are its own indices); M (w, m, N) the
+    columns, in the order the levels introduced them; piv (w, N) the
+    pivot rows in pivot order; free (m, N) the rows not pivoted; W (w, w,
+    N) a computed inverse of B = M[piv]; and min_pivot (N,) the smallest
+    |pivot| (NaN or 0 when the elimination broke down).  With the support
+    axis last, every step runs over the whole block, whatever problems it
+    holds.
     """
 
+    tag: np.ndarray
     cols: np.ndarray
     M: np.ndarray
     piv: np.ndarray
@@ -408,11 +417,11 @@ def _border(e: _Elimination, w: int, v: np.ndarray) -> None:
 def _children(parents: _Elimination, pidx: np.ndarray, c: np.ndarray, new_columns) -> _Elimination:
     """The eliminations of the supports parents.cols[:, pidx] + (c,),
     bordered from their parents' by the columns new_columns returns."""
-    cols = parents.cols[:, pidx]
+    tag, cols = parents.tag[pidx], parents.cols[:, pidx]
     vs = new_columns(cols, c)
     w0, m = parents.M.shape[:2]
     w, N = w0 + len(vs), len(c)
-    e = _Elimination(np.concatenate([cols, c[None]]), np.empty((w, m, N)), np.empty((w, N), dtype=np.intp),
+    e = _Elimination(tag, np.concatenate([cols, c[None]]), np.empty((w, m, N)), np.empty((w, N), dtype=np.intp),
                      parents.free[:, pidx], np.empty((w, w, N)), parents.min_pivot[pidx])
     e.M[:w0] = parents.M[..., pidx]
     e.piv[:w0] = parents.piv[:, pidx]
@@ -424,19 +433,21 @@ def _children(parents: _Elimination, pidx: np.ndarray, c: np.ndarray, new_column
 
 def _walk(new_columns, n: int, k: int, size: int, parents: _Elimination, visit) -> None:
     """Call visit on the _Elimination of every k-subset of range(n) that
-    extends one of parents' supports, in itertools.combinations order, in
-    blocks.
+    extends one of parents' supports, in parents' order and then in
+    itertools.combinations order, in blocks.
 
     In that order the children I + (c), c > max I, of each support I are
     contiguous, so a block is a range of whole parents: those whose
     children start within one window of size supports (at most size +
-    n - 1 supports per block).  Only supports with a k-subset extension
-    are built, and only the current block of each level is alive, so
-    memory does not grow with C(n, j).
+    n - 1 supports per block), whichever problems they belong to.  Only
+    supports with a k-subset extension are built, and only the current
+    block of each level is alive, so memory does not grow with the number
+    of problems times C(n, j).
     """
     j = len(parents.cols) + 1
-    last = parents.cols[-1] if j > 1 else np.full(1, -1)
-    count = n - k + j - 1 - last  # children take c < n - k + j, so that k - j more indices fit above c
+    off = parents.tag * n  # where each support's problem starts among the side-by-side columns
+    last = parents.cols[-1] if j > 1 else off - 1
+    count = off + (n - k + j - 1) - last  # children take c < n - k + j, so that k - j more indices fit above c
     start = np.cumsum(count) - count
     cuts = np.flatnonzero(np.diff(start // size)) + 1
     for lo, hi in zip([0, *cuts], [*cuts, len(count)]):
@@ -450,18 +461,26 @@ def _walk(new_columns, n: int, k: int, size: int, parents: _Elimination, visit) 
         del block  # before the next block is built
 
 
-def _lstsq_screen(new_columns, n: int, k: int, t: np.ndarray, signs: np.ndarray, resid_tol: float) -> np.ndarray:
-    """Mask over the k-subsets I of range(n), in itertools.combinations
-    order, of the supports on which the exact residual test may accept.
+def _lstsq_screen(new_columns, n: int, k: int, t: np.ndarray, signs: np.ndarray, resid_tol: np.ndarray) -> np.ndarray:
+    """Mask (P, C(n, k)) over P problems and, for each, the k-subsets I of
+    range(n) in itertools.combinations order, of the supports on which
+    the exact residual test may accept.
 
-    Support I's real (m, K) matrix M holds the columns new_columns
-    contributes: new_columns(cols, c) takes the (j, N) indices of N
-    supports and their (N,) next indices c > max I, and returns the
-    columns that adding c contributes, a list of (m, N) arrays.  The real
-    solver contributes A[:, c]; the Hermitian lift contributes c's
-    diagonal unknown and the (Re, Im) pair of (i, c) for each i in I.
-    Up to column order, M must be the exact test's matrix bit for bit:
-    the bound below is about its stored floats.
+    The problems share m and n: problem p has its own (n columns of)
+    entries, right-hand-side magnitudes t[p] (t is (P, m)) and residual
+    tolerance resid_tol[p].  Its support I's real (m, K) matrix M holds
+    the columns new_columns contributes: new_columns(cols, c) takes the
+    (j, N) indices of N supports and their (N,) next indices c > max I,
+    each offset by n times the support's problem index, so that they
+    index the problems' entries laid side by side as one (m, P n) array,
+    and returns the columns that adding c contributes, a list of (m, N)
+    arrays.  The real solver contributes A[:, c]; the Hermitian lift
+    contributes c's diagonal unknown and the (Re, Im) pair of (i, c) for
+    each i in I.  Up to column order, M must be the exact test's matrix
+    bit for bit: the bound below is about its stored floats.  Everything
+    below is about one support of one problem, with that problem's t and
+    resid_tol; the problem axis only lets one walk and one block hold the
+    supports of many problems.
 
     The test, shared by both exact solvers: for a right-hand side r with
     |r| = t (t >= 0, length m) it takes any X -- lstsq's output, of which
@@ -544,39 +563,50 @@ def _lstsq_screen(new_columns, n: int, k: int, t: np.ndarray, signs: np.ndarray,
 
     It also flags M when any pivot is at most DEFAULT_RANK_TOL times
     max |M| (so a flag-free M has full column rank with a wide margin),
-    when zeta or g exceeds 1/2, when max |M| or max t is out of range,
-    and when any mismatch or the bound is not finite.  When K >= m there
-    are no rows outside the pivots, and when m K > 2^20 the evaluation
-    claim above is not made; both flag every M.  Flagging is always safe:
-    a flagged M gets the exact test.
+    when zeta or g exceeds 1/2, when max |M| or its problem's max t is
+    out of range, and when any mismatch or the bound is not finite.  When
+    K >= m there are no rows outside the pivots, and when m K > 2^20 the
+    evaluation claim above is not made; both flag every M.  Flagging is
+    always safe: a flagged M gets the exact test.
 
-    Supports are screened in blocks of about _SCREEN_ELEMENTS / (K (m +
-    K) + (m - K) (K + S)) of them, the elements a support's M, W, T_hat
-    and mismatches take, which bounds the working memory.
+    The walk starts from one root per problem whose max t is in range,
+    and supports are screened in blocks of about _SCREEN_ELEMENTS / (K (m
+    + K) + (m - K) (K + S)) of them, the elements a support's M, W, T_hat
+    and mismatches take, which bounds the working memory whatever P is.
     """
-    m = t.size
+    P, m = t.shape
     S, K = signs.shape
-    if K >= m or m * K > 1 << 20 or not 2.0 ** -400 <= float(t.max()) <= 2.0 ** 400:
-        return np.ones(comb(n, k), dtype=bool)
-    nt = float(np.linalg.norm(t))
+    flags = np.ones((P, comb(n, k)), dtype=bool)
+    t_max = t.max(axis=1)
+    roots = np.flatnonzero((t_max >= 2.0 ** -400) & (t_max <= 2.0 ** 400))
+    if K >= m or m * K > 1 << 20 or roots.size == 0:
+        return flags
     size = max(1, _SCREEN_ELEMENTS // (K * (m + K) + (m - K) * (K + S)))
-    root = _Elimination(np.zeros((0, 1), dtype=np.intp), np.zeros((0, m, 1)), np.zeros((0, 1), dtype=np.intp),
-                        np.ones((m, 1), dtype=bool), np.zeros((0, 0, 1)), np.full(1, np.inf))
-    flags = []
+    R = roots.size
+    root = _Elimination(roots, np.zeros((0, R), dtype=np.intp), np.zeros((0, m, R)), np.zeros((0, R), dtype=np.intp),
+                        np.ones((m, R), dtype=bool), np.zeros((0, 0, R)), np.full(R, np.inf))
+    blocks = []
     with np.errstate(all="ignore"):
-        _walk(new_columns, n, k, size, root, lambda e: flags.append(_screen_block(e, t, nt, signs, resid_tol)))
-    return np.concatenate(flags)
+        nt = np.sqrt(np.einsum("pi,pi->p", t, t))
+        _walk(new_columns, n, k, size, root, lambda e: blocks.append(_screen_block(e, t, nt, signs, resid_tol)))
+    flags[roots] = np.concatenate(blocks).reshape(R, -1)
+    return flags
 
 
-def _screen_block(e: _Elimination, t: np.ndarray, nt: float, signs: np.ndarray, resid_tol: float) -> np.ndarray:
-    """_lstsq_screen's mask for one block of eliminated supports.  The
-    large temporaries are dropped as soon as they are used, so that the
-    block's peak memory stays near that of its largest two arrays."""
+def _screen_block(e: _Elimination, t: np.ndarray, nt: np.ndarray, signs: np.ndarray,
+                  resid_tol: np.ndarray) -> np.ndarray:
+    """_lstsq_screen's mask for one block of eliminated supports, each
+    with its own problem's t, ||t|| and resid_tol.  The large temporaries
+    are dropped as soon as they are used, so that the block's peak memory
+    stays near that of its largest two arrays."""
     K, m, N = e.M.shape
     lo, hi, eta = 2.0 ** -400, 2.0 ** 400, 2.0 ** -500
     a_max = np.abs(e.M).reshape(-1, N).max(axis=0)
     rest = np.nonzero(e.free.T)[1].reshape(N, m - K).T  # R^c in row order, (m - K, N)
-    M = e.M.transpose(2, 1, 0)[np.arange(N), np.concatenate([e.piv, rest])]  # (m, N, K): B, then C
+    rows = np.concatenate([e.piv, rest])  # R, then R^c
+    tr = t[e.tag, rows]  # (m, N): each support's own problem's t[R], then t[R^c]
+    nt, resid_tol = nt[e.tag], resid_tol[e.tag]
+    M = e.M.transpose(2, 1, 0)[np.arange(N), rows]  # (m, N, K): B, then C
     sq = np.einsum("rni,rni->rn", M, M)  # squared row norms
     nB, nC = np.sqrt(sq[:K].sum(axis=0)), np.sqrt(sq[K:].sum(axis=0))
     MW = np.matmul(M.transpose(1, 0, 2), e.W.transpose(2, 0, 1))  # (N, m, K): B W, then T_hat = C W
@@ -594,12 +624,12 @@ def _screen_block(e: _Elimination, t: np.ndarray, nt: float, signs: np.ndarray, 
     g = _gamma(K + 1) * nM * beta
     rho = (resid_tol * (1 + _gamma(m + 1)) + _gamma(K + 1) * (1 + nM * beta) * nt + eta) / (1 - g)
     bound = (1 + tau) * rho + (_gamma(K) * (nT + nC * nW) + tau * zeta) * nt + eta
-    X = np.multiply(T.transpose(1, 0, 2), t[e.piv].T, out=np.empty((m - K, N, K)))  # T_hat * t[R]
+    X = np.multiply(T.transpose(1, 0, 2), tr[:K].T, out=np.empty((m - K, N, K)))  # T_hat * t[R]
     del MW, T
     P = (X.reshape(-1, K) @ signs.T).reshape(m - K, N, len(signs))
     del X
     np.abs(P, out=P)
-    P -= t[rest][:, :, None]
+    P -= tr[K:, :, None]
     mism = np.sqrt(np.sum(np.square(P, out=P), axis=0))
     proven = (
         (e.min_pivot > DEFAULT_RANK_TOL * a_max)

@@ -18,7 +18,8 @@ earlier i), proves that most supports fail the residual test, and only
 the supports it flags are lifted in full and run lstsq and the rest of
 the per-support test.  So the output is bit for bit that of a scan that
 solves every support, and a generic (m, n, k) = (10, 12, 3) solve runs
-lstsq on one of its 298 supports.
+lstsq on one of its 298 supports.  One screen call covers a whole stack
+of problems of one shape (_solve_complex_batch, which a sweep row runs).
 
 A collision probe searches for two non-phase-equivalent sparse vectors
 with identical magnitudes; it is a falsification attempt, never a proof
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
@@ -170,36 +171,49 @@ def _lift_columns(entries: np.ndarray):
     return columns
 
 
-def _lifted_level(
-    entries: np.ndarray,
-    y: np.ndarray,
-    k: int,
-    resid_tol: float,
-    tol_abs: float,
-) -> list[tuple[SparseVector, float]]:
-    """_lifted_support_solve's hits at one support size, in support order.
+@dataclass
+class _Problem:
+    """One validated complex solve: A's entries, the magnitudes y, the
+    absolute tolerance on y, the lifted residual tolerance on the y^2
+    scale and the search counters."""
 
-    numerics._lstsq_screen gets the lifted residual test (right-hand side
-    y^2, no signs, computed norm at most resid_tol) and proves that most
-    supports fail it.  It builds each support's lift from its parent's
-    with _lift_columns, so its columns are _lift_system's in the order the
-    levels introduce them; the residual test does not depend on that
-    order.  Only the supports it flags are lifted by _lift_system, in its
-    own column order, and run _lifted_support_solve.  A support the
-    screen rules out would have returned None, so the hits are the full
-    scan's, bit for bit.
+    entries: np.ndarray
+    y: np.ndarray
+    tol_abs: float
+    resid_tol: float
+    stats: SearchStats = field(default_factory=SearchStats)
+
+
+def _lifted_level(problems: list[_Problem], k: int) -> list[list[tuple[SparseVector, float]]]:
+    """Each problem's _lifted_support_solve hits at one support size, in
+    support order; the problems share (m, n).
+
+    One numerics._lstsq_screen call covers every problem: it gets the
+    lifted residual test (right-hand side y^2, no signs, computed norm at
+    most resid_tol) and proves that most supports fail it.  It builds
+    each support's lift from its parent's with _lift_columns, so its
+    columns are _lift_system's in the order the levels introduce them;
+    the residual test does not depend on that order.  Only the supports
+    it flags are lifted by _lift_system, in its own column order, and run
+    _lifted_support_solve on their own problem.  A support the screen
+    rules out would have returned None, so the hits are the full scan's,
+    bit for bit.
     """
-    n = entries.shape[1]
-    rhs = y**2
-    # y^2 is the one right-hand side
-    flags = _lstsq_screen(_lift_columns(entries), n, k, rhs, np.ones((1, k * k)), resid_tol)
-    hits = []
-    for support in itertools.compress(itertools.combinations(range(n), k), flags):
-        A_I = entries[:, support]
-        hit = _lifted_support_solve(_lift_system(A_I[None])[0], A_I, y, rhs, support, n, resid_tol, tol_abs)
-        if hit is not None:
-            hits.append(hit)
-    return hits
+    n = problems[0].entries.shape[1]
+    rhs = np.stack([p.y**2 for p in problems])  # y^2 is each problem's one right-hand side
+    side_by_side = np.concatenate([p.entries for p in problems], axis=1)
+    resid_tol = np.array([p.resid_tol for p in problems])
+    flags = _lstsq_screen(_lift_columns(side_by_side), n, k, rhs, np.ones((1, k * k)), resid_tol)
+    out = []
+    for p, t, row in zip(problems, rhs, flags):
+        hits = []
+        for support in itertools.compress(itertools.combinations(range(n), k), row):
+            A_I = p.entries[:, support]
+            hit = _lifted_support_solve(_lift_system(A_I[None])[0], A_I, p.y, t, support, n, p.resid_tol, p.tol_abs)
+            if hit is not None:
+                hits.append(hit)
+        out.append(hits)
+    return out
 
 
 def solve_l0_complex(
@@ -223,6 +237,81 @@ def solve_l0_complex(
     is flagged heuristic.  heuristic_restarts must be an integer >= 1
     whether or not the heuristic path runs.
     """
+    return _solve_complex_batch([A], [y], k_max, tol, allow_heuristic, heuristic_restarts, seed)[0]
+
+
+def _solve_complex_batch(As: list[MeasurementEnsemble], ys: list, k_max: int, tol: float = 1e-8,
+                         allow_heuristic: bool = False, heuristic_restarts: int = 8,
+                         seed: int = 0) -> list[SolutionSet]:
+    """solve_l0_complex(A, y, k_max, ...) for each pair, as a list; every
+    A has the same (m, n).
+
+    Each lifted level screens all the problems still searching in one
+    _lifted_level call; a heuristic level runs _refined_level on each of
+    them in turn.  A problem leaves at the first level where it has
+    classes.  The screen only decides which supports get the exact test,
+    and each exact test and each refinement sees only its own problem, so
+    every SolutionSet is bit for bit that of a solve on its own.
+    """
+    problems = [_prepare(A, y, k_max, tol, allow_heuristic, heuristic_restarts) for A, y in zip(As, ys)]
+    out: list[SolutionSet | None] = [None] * len(problems)
+    for i, p in enumerate(problems):
+        if np.all(p.y <= p.tol_abs):
+            out[i] = SolutionSet(0, [SparseVector.zero(Field.COMPLEX, p.entries.shape[1])],
+                                 [float(p.y.max(initial=0.0))], p.stats)
+    live = [i for i, sol in enumerate(out) if sol is None]
+    heuristic_used = False
+    for k in range(1, k_max + 1):
+        if not live:
+            break
+        m, n = problems[live[0]].entries.shape
+        count = comb(n, k)
+        for i in live:
+            problems[i].stats.supports_tried += count
+        if _exact_level(m, k):
+            for i in live:
+                problems[i].stats.patterns_tried += count
+            hits = _lifted_level([problems[i] for i in live], k)
+            found = [[(cand, "lifted", defect) for cand, defect in h] for h in hits]
+        else:
+            heuristic_used = True
+            supports = list(itertools.combinations(range(n), k))
+            found = []
+            for i in live:
+                p = problems[i]
+                p.stats.patterns_tried += count * heuristic_restarts
+                refined = _refined_level(p.entries, p.y, supports, p.tol_abs, heuristic_restarts, seed)
+                found.append([(cand, "refined", None) for cand in refined])
+        for i, cands in zip(live, found):
+            p = problems[i]
+            classes: list[SparseVector] = []
+            residuals: list[float] = []
+            methods: list[str] = []
+            defects: list[float | None] = []
+            for cand, method, defect in cands:
+                before = len(classes)
+                _dedup_insert(classes, residuals, cand, _meas_err(p.entries[:, cand.support], cand.values, p.y),
+                              p.tol_abs)
+                if len(classes) > before:
+                    methods.append(method)
+                    defects.append(defect)
+            if classes:
+                out[i] = SolutionSet(k, classes, residuals, p.stats, heuristic=heuristic_used, methods=methods,
+                                     rank1_defects=defects)
+        live = [i for i in live if out[i] is None]
+    for i in live:
+        out[i] = SolutionSet(None, [], [], problems[i].stats, heuristic=heuristic_used, methods=[],
+                             rank1_defects=[])
+    return out
+
+
+def _exact_level(m: int, k: int) -> bool:
+    """Whether support size k takes the exact lifted path at m rows."""
+    return k <= 3 and m >= k * k
+
+
+def _prepare(A: MeasurementEnsemble, y, k_max: int, tol: float, allow_heuristic: bool,
+             heuristic_restarts: int) -> _Problem:
     if A.field is not Field.COMPLEX:
         raise ValueError("solve_l0_complex requires a complex ensemble")
     y = as_measurement(y)
@@ -234,57 +323,17 @@ def solve_l0_complex(
     if (isinstance(heuristic_restarts, bool) or not isinstance(heuristic_restarts, numbers.Integral)
             or heuristic_restarts < 1):
         raise ValueError(f"heuristic_restarts must be an integer >= 1, got {heuristic_restarts!r}")
-
-    def exact_level(k: int) -> bool:
-        return k <= 3 and A.m >= k * k
-
-    if not allow_heuristic and any(not exact_level(k) for k in range(1, k_max + 1)):
-        bad = min(k for k in range(1, k_max + 1) if not exact_level(k))
+    if not allow_heuristic and any(not _exact_level(A.m, k) for k in range(1, k_max + 1)):
+        bad = min(k for k in range(1, k_max + 1) if not _exact_level(A.m, k))
         raise ValueError(
             f"support size {bad} needs the heuristic path (k > 3 or m < k^2); "
             "pass allow_heuristic=True to enable it"
         )
-
     yv = y.magnitudes
     ymax = float(yv.max(initial=0.0))
     tol_abs = tol * max(1.0, ymax)
     resid_tol = tol * max(1.0, ymax**2) * np.sqrt(A.m)  # the lifted system lives on the y^2 scale
-    stats = SearchStats()
-    if np.all(yv <= tol_abs):
-        return SolutionSet(0, [SparseVector.zero(Field.COMPLEX, A.n)], [ymax], stats)
-
-    entries = A.entries
-    heuristic_used = False
-    for k in range(1, k_max + 1):
-        count = comb(A.n, k)
-        stats.supports_tried += count
-        if exact_level(k):
-            stats.patterns_tried += count
-            hits = _lifted_level(entries, yv, k, resid_tol, tol_abs)
-            found = [(cand, "lifted", defect) for cand, defect in hits]
-        else:
-            heuristic_used = True
-            stats.patterns_tried += count * heuristic_restarts
-            supports = list(itertools.combinations(range(A.n), k))
-            found = [
-                (cand, "refined", None)
-                for cand in _refined_level(entries, yv, supports, tol_abs, heuristic_restarts, seed)
-            ]
-        classes: list[SparseVector] = []
-        residuals: list[float] = []
-        methods: list[str] = []
-        defects: list[float | None] = []
-        for cand, method, defect in found:
-            before = len(classes)
-            _dedup_insert(classes, residuals, cand, _meas_err(entries[:, cand.support], cand.values, yv), tol_abs)
-            if len(classes) > before:
-                methods.append(method)
-                defects.append(defect)
-        if classes:
-            return SolutionSet(
-                k, classes, residuals, stats, heuristic=heuristic_used, methods=methods, rank1_defects=defects
-            )
-    return SolutionSet(None, [], [], stats, heuristic=heuristic_used, methods=[], rank1_defects=[])
+    return _Problem(A.entries, yv, tol_abs, resid_tol)
 
 
 def _meas_err(A_I: np.ndarray, values: np.ndarray, y: np.ndarray) -> float:

@@ -13,7 +13,9 @@ A batched screen (numerics._lstsq_screen) first proves, on k pivot rows
 of each support, that most supports admit no accepted sign pattern; only
 the supports it cannot rule out get the exact least-squares test.  The
 screen builds each support's pivots and inverse from those of its
-(k-1)-prefix, one new column at a time.
+(k-1)-prefix, one new column at a time, and one screen call covers a
+whole stack of problems of one shape (_solve_real_batch, which a sweep
+row and the forward trials of the bidirectional check run).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from math import comb
+from typing import Callable
 
 import numpy as np
 
@@ -137,40 +140,53 @@ def _exact_support(
             _dedup_insert(found, resids, x_hat, resid, tol_abs)
 
 
-def _scan_level(
-    A: MeasurementEnsemble,
-    y: np.ndarray,
-    k: int,
-    tol_abs: float,
-    pos: np.ndarray,
-    sign_rhs,
-    stats: SearchStats,
-) -> list[tuple[SparseVector, float]]:
-    """All accepted k-sparse candidates at one support size (deduplicated).
+@dataclass
+class _Problem:
+    """One validated real solve: A's entries, the magnitudes y, the
+    absolute tolerance, the rows of y above it (pos), the lazily built
+    _sign_rhs columns and the search counters."""
+
+    entries: np.ndarray
+    y: np.ndarray
+    tol_abs: float
+    pos: np.ndarray
+    sign_rhs: Callable[[], np.ndarray]
+    stats: SearchStats = field(default_factory=SearchStats)
+
+
+def _scan_level(problems: list[_Problem], k: int) -> list[list[tuple[SparseVector, float]]]:
+    """Each problem's accepted k-sparse candidates at one support size
+    (deduplicated); the problems share (m, n).
 
     Every support counts as tried with all 2^(|pos|-1) sign patterns, but
     only the supports numerics._lstsq_screen flags get _exact_support, in
-    support order; sign_rhs() builds the shared right-hand side on first
-    use.  The screen gets _exact_support's residual test: every column of
-    _sign_rhs has magnitudes y_eff (y with the rows at or below tol_abs
-    set to 0), sign_table(k) covers its signs on any k rows, and the
-    accepted columns' computed residual norms are at most tol_abs sqrt(m).
-    Adding index c to a support adds the column A[:, c], so the screen's
-    M is A_I, in support order.
+    problem and then support order; sign_rhs() builds a problem's shared
+    right-hand side on first use.  One screen call covers every problem.
+    It gets _exact_support's residual test: every column of _sign_rhs has
+    magnitudes y_eff (y with the rows at or below tol_abs set to 0),
+    sign_table(k) covers its signs on any k rows, and the accepted
+    columns' computed residual norms are at most tol_abs sqrt(m).  Adding
+    index c to a support adds the column A[:, c], so the screen's M is
+    A_I, in support order.
     """
-    m, n = A.m, A.n
-    entries = A.entries
+    m, n = problems[0].entries.shape
     count = comb(n, k)
-    stats.supports_tried += count
-    stats.patterns_tried += count << (pos.size - 1)
-    y_eff = np.zeros(m)
-    y_eff[pos] = y[pos]
-    flags = _lstsq_screen(lambda cols, c: [entries[:, c]], n, k, y_eff, sign_table(k), tol_abs * np.sqrt(m))
-    found: list[SparseVector] = []
-    resids: list[float] = []
-    for I in itertools.compress(itertools.combinations(range(n), k), flags):
-        _exact_support(entries, I, y, tol_abs, sign_rhs(), found, resids)
-    return list(zip(found, resids))
+    y_eff = np.zeros((len(problems), m))
+    for p, row in zip(problems, y_eff):
+        p.stats.supports_tried += count
+        p.stats.patterns_tried += count << (p.pos.size - 1)
+        row[p.pos] = p.y[p.pos]
+    side_by_side = np.concatenate([p.entries for p in problems], axis=1)
+    resid_tol = np.array([p.tol_abs for p in problems]) * np.sqrt(m)
+    flags = _lstsq_screen(lambda cols, c: [side_by_side[:, c]], n, k, y_eff, sign_table(k), resid_tol)
+    out = []
+    for p, row in zip(problems, flags):
+        found: list[SparseVector] = []
+        resids: list[float] = []
+        for I in itertools.compress(itertools.combinations(range(n), k), row):
+            _exact_support(p.entries, I, p.y, p.tol_abs, p.sign_rhs(), found, resids)
+        out.append(list(zip(found, resids)))
+    return out
 
 
 def _check_tol(tol: float) -> None:
@@ -178,7 +194,7 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must satisfy 0 < tol < inf, got {tol!r}")
 
 
-def _prepare(A: MeasurementEnsemble, y, k_max: int, tol: float):
+def _prepare(A: MeasurementEnsemble, y, k_max: int, tol: float) -> _Problem:
     if A.field is not Field.REAL:
         raise ValueError("solve_l0_real requires a real ensemble")
     y = as_measurement(y)
@@ -190,8 +206,7 @@ def _prepare(A: MeasurementEnsemble, y, k_max: int, tol: float):
     yv = y.magnitudes
     tol_abs = tol * max(1.0, float(yv.max(initial=0.0)))
     pos = np.nonzero(yv > tol_abs)[0]
-    sign_rhs = functools.cache(functools.partial(_sign_rhs, yv, pos))
-    return yv, tol_abs, pos, sign_rhs
+    return _Problem(A.entries, yv, tol_abs, pos, functools.cache(functools.partial(_sign_rhs, yv, pos)))
 
 
 def solve_l0_real(
@@ -207,17 +222,36 @@ def solve_l0_real(
     acceptance tolerance, support-entry threshold, and class-dedup
     tolerance are all tol scaled by max(1, ||y||_inf).
     """
-    yv, tol_abs, pos, sign_rhs = _prepare(A, y, k_max, tol)
-    stats = SearchStats()
-    if pos.size == 0:
-        return SolutionSet(0, [SparseVector.zero(Field.REAL, A.n)], [float(yv.max(initial=0.0))], stats)
+    return _solve_real_batch([A], [y], k_max, tol)[0]
+
+
+def _solve_real_batch(As: list[MeasurementEnsemble], ys: list, k_max: int, tol: float) -> list[SolutionSet]:
+    """solve_l0_real(A, y, k_max, tol) for each pair, as a list; every A
+    has the same (m, n).
+
+    Each level screens all the problems still searching in one
+    _scan_level call, and a problem leaves at the first level where it
+    has hits.  The screen only decides which supports get the exact test,
+    and each exact test sees only its own problem, so every SolutionSet
+    is bit for bit that of a solve on its own.
+    """
+    problems = [_prepare(A, y, k_max, tol) for A, y in zip(As, ys)]
+    out: list[SolutionSet | None] = [None] * len(problems)
+    for i, p in enumerate(problems):
+        if p.pos.size == 0:
+            out[i] = SolutionSet(0, [SparseVector.zero(Field.REAL, p.entries.shape[1])],
+                                 [float(p.y.max(initial=0.0))], p.stats)
+    live = [i for i, sol in enumerate(out) if sol is None]
     for k in range(1, k_max + 1):
-        hits = _scan_level(A, yv, k, tol_abs, pos, sign_rhs, stats)
-        if hits:
-            classes = [h[0] for h in hits]
-            residuals = [h[1] for h in hits]
-            return SolutionSet(k, classes, residuals, stats)
-    return SolutionSet(None, [], [], stats)
+        if not live:
+            break
+        for i, hits in zip(live, _scan_level([problems[i] for i in live], k)):
+            if hits:
+                out[i] = SolutionSet(k, [h[0] for h in hits], [h[1] for h in hits], problems[i].stats)
+        live = [i for i in live if out[i] is None]
+    for i in live:
+        out[i] = SolutionSet(None, [], [], problems[i].stats)
+    return out
 
 
 def feasible_classes(
@@ -232,12 +266,7 @@ def feasible_classes(
     is the ambiguity probe used by the necessity checks.  Candidates with
     a below-tolerance entry are pruned (they live at a smaller k).
     """
-    yv, tol_abs, pos, sign_rhs = _prepare(A, y, k_max, tol)
-    stats = SearchStats()
-    out: list[tuple[int, SparseVector]] = []
-    if pos.size == 0:
+    p = _prepare(A, y, k_max, tol)
+    if p.pos.size == 0:
         return [(0, SparseVector.zero(Field.REAL, A.n))]
-    for k in range(1, k_max + 1):
-        for cand, _resid in _scan_level(A, yv, k, tol_abs, pos, sign_rhs, stats):
-            out.append((k, cand))
-    return out
+    return [(k, cand) for k in range(1, k_max + 1) for cand, _resid in _scan_level([p], k)[0]]

@@ -12,18 +12,29 @@ full-scan real solver runs one SVD and one lstsq against every sign
 pattern on every support, the full-scan lifted complex solver runs the
 lifted solve on every support, the heuristic complex solve oracle
 refines one start at a time by serial Gauss-Newton with a line search,
-and the Hermitian lift oracles build the lifted system and X entry by
-entry.  They are slow and simple on purpose.
+the Hermitian lift oracles build the lifted system and X entry by
+entry, and the per-trial sweep solves each trial of a row on its own.
+They are slow and simple on purpose.
 """
 
 from __future__ import annotations
 
 import itertools
+import time
 
 import numpy as np
 
 from sparsepr.distance import DistanceReport, SparkReport, Witness
-from sparsepr.model import Field, MeasurementEnsemble, SparseVector, as_measurement, phase_equivalent
+from sparsepr.experiments import SweepConfig, SweepRow, _trial_randomness, draw_sparse_signal
+from sparsepr.model import (
+    Field,
+    MeasurementEnsemble,
+    SparseVector,
+    as_measurement,
+    generate_ensemble,
+    measure,
+    phase_equivalent,
+)
 from sparsepr.numerics import DEFAULT_RANK_TOL
 from sparsepr.solver_complex import (
     CollisionProbe,
@@ -31,8 +42,9 @@ from sparsepr.solver_complex import (
     _lifted_support_solve,
     _meas_err,
     _support_key,
+    solve_l0_complex,
 )
-from sparsepr.solver_real import SearchStats, SolutionSet, _dedup_insert, _prepare
+from sparsepr.solver_real import SearchStats, SolutionSet, _dedup_insert, _prepare, solve_l0_real
 
 
 def svd_rank(M, tol_rel: float = 1e-10) -> int:
@@ -539,13 +551,13 @@ def _full_scan_level(A: MeasurementEnsemble, y: np.ndarray, k: int, tol_abs: flo
 
 def full_scan_solve_l0_real(A: MeasurementEnsemble, y, k_max: int, tol: float = 1e-8) -> SolutionSet:
     """solve_l0_real with every support going through SVD and lstsq."""
-    yv, tol_abs, pos, sign_rhs = _prepare(A, y, k_max, tol)
+    p = _prepare(A, y, k_max, tol)
     stats = SearchStats()
-    if pos.size == 0:
-        return SolutionSet(0, [SparseVector.zero(Field.REAL, A.n)], [float(yv.max(initial=0.0))], stats)
-    rhs = sign_rhs()
+    if p.pos.size == 0:
+        return SolutionSet(0, [SparseVector.zero(Field.REAL, A.n)], [float(p.y.max(initial=0.0))], stats)
+    rhs = p.sign_rhs()
     for k in range(1, k_max + 1):
-        hits = _full_scan_level(A, yv, k, tol_abs, rhs, stats)
+        hits = _full_scan_level(A, p.y, k, p.tol_abs, rhs, stats)
         if hits:
             return SolutionSet(k, [h[0] for h in hits], [h[1] for h in hits], stats)
     return SolutionSet(None, [], [], stats)
@@ -553,13 +565,13 @@ def full_scan_solve_l0_real(A: MeasurementEnsemble, y, k_max: int, tol: float = 
 
 def full_scan_feasible_classes(A: MeasurementEnsemble, y, k_max: int, tol: float = 1e-8):
     """feasible_classes with every support going through SVD and lstsq."""
-    yv, tol_abs, pos, sign_rhs = _prepare(A, y, k_max, tol)
-    if pos.size == 0:
+    p = _prepare(A, y, k_max, tol)
+    if p.pos.size == 0:
         return [(0, SparseVector.zero(Field.REAL, A.n))]
-    rhs = sign_rhs()
+    rhs = p.sign_rhs()
     stats = SearchStats()
     return [(k, cand) for k in range(1, k_max + 1)
-            for cand, _resid in _full_scan_level(A, yv, k, tol_abs, rhs, stats)]
+            for cand, _resid in _full_scan_level(A, p.y, k, p.tol_abs, rhs, stats)]
 
 
 def full_scan_solve_l0_complex(A: MeasurementEnsemble, y, k_max: int, tol: float = 1e-8) -> SolutionSet:
@@ -594,3 +606,32 @@ def full_scan_solve_l0_complex(A: MeasurementEnsemble, y, k_max: int, tol: float
         if classes:
             return SolutionSet(k, classes, residuals, stats, methods=["lifted"] * len(classes), rank1_defects=defects)
     return SolutionSet(None, [], [], stats, methods=[], rank1_defects=[])
+
+
+def per_trial_run_sweep(cfg: SweepConfig) -> list[SweepRow]:
+    """run_sweep's rows with one solve_l0_real / solve_l0_complex call per
+    trial, each timed on its own (mean_ms is their mean)."""
+    rows = []
+    for m in range(cfg.m_range[0], cfg.m_range[1] + 1):
+        heuristic = cfg.field is Field.COMPLEX and (cfg.k > 3 or m < cfg.k * cfg.k)
+        successes = fragile = 0
+        elapsed = 0.0
+        for trial in range(cfg.trials_per_m):
+            ensemble_seed, sig_rng = _trial_randomness(cfg.base_seed, m, trial)
+            A = generate_ensemble(cfg.field, m, cfg.n, ensemble_seed)
+            truth = draw_sparse_signal(cfg.field, cfg.n, cfg.k, sig_rng)
+            y = measure(A, truth)
+            t0 = time.perf_counter()
+            if cfg.field is Field.REAL:
+                sol = solve_l0_real(A, y, cfg.k, tol=cfg.tol)
+            else:
+                sol = solve_l0_complex(A, y, cfg.k, tol=cfg.tol, allow_heuristic=heuristic)
+            elapsed += time.perf_counter() - t0
+            if sol.k_star is not None and len(sol.classes) == 1 and phase_equivalent(sol.classes[0], truth, 1e-8):
+                successes += 1
+            tol_abs = cfg.tol * max(1.0, float(y.magnitudes.max(initial=0.0)))
+            if sol.residuals and max(sol.residuals) > tol_abs / 10.0:
+                fragile += 1
+        rows.append(SweepRow(m, cfg.trials_per_m, successes, successes / cfg.trials_per_m,
+                             1000.0 * elapsed / cfg.trials_per_m, fragile, heuristic))
+    return rows

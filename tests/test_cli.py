@@ -224,6 +224,11 @@ def test_sweep_rejects_unknown_format_before_running(workdir, capsys):
     ({"field": "real", "n": 7, "k": 2, "m_range": [4], "trials_per_m": 3, "base_seed": 1}, "m_range"),
     ({"field": "real", "n": 7, "k": 2, "m_range": [4, "x"], "trials_per_m": 3, "base_seed": 1}, "m_range"),
     ({"field": 3, "n": 7, "k": 2, "m_range": [4, 4], "trials_per_m": 3, "base_seed": 1}, "field"),
+    ({"field": "real", "n": 8.9, "k": 2, "m_range": [4, 4], "trials_per_m": 3, "base_seed": 1}, "n"),
+    ({"field": "real", "n": "8", "k": 2, "m_range": [4, 4], "trials_per_m": 3, "base_seed": 1}, "n"),
+    ({"field": "real", "n": 7, "k": 2, "m_range": [4, 4], "trials_per_m": True, "base_seed": 1}, "trials_per_m"),
+    ({"field": "real", "n": 7, "k": 2, "m_range": [4, 4], "trials_per_m": 3, "base_seed": -5}, "base_seed"),
+    ({"field": "real", "n": 7, "k": 2, "m_range": [4, 4.0], "trials_per_m": 3, "base_seed": 1}, "m_range"),
 ])
 def test_sweep_malformed_config_is_a_usage_error(workdir, capsys, raw, key):
     cfg_path = workdir / "bad.json"

@@ -1,9 +1,14 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from oracles import full_scan_solve_l0_complex, full_scan_solve_l0_real, per_trial_run_sweep
 from sparsepr import (
     Field,
     MeasurementEnsemble,
+    SparseVector,
     SweepConfig,
     build_collision_real,
     draw_sparse_signal,
@@ -14,8 +19,12 @@ from sparsepr import (
     parse_sweep_csv,
     phase_equivalent,
     run_sweep,
+    solve_l0_complex,
     solve_l0_real,
 )
+from sparsepr import numerics, solver_complex, solver_real
+from sparsepr.solver_complex import _solve_complex_batch
+from sparsepr.solver_real import _solve_real_batch
 
 CRAFTED = MeasurementEnsemble.from_entries(Field.REAL, [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
 
@@ -163,3 +172,195 @@ def test_sweep_config_validation():
         SweepConfig(Field.REAL, 8, 2, (5, 3), 5, base_seed=0)
     with pytest.raises(ValueError):
         SweepConfig(Field.REAL, 8, 2, (3, 4), 0, base_seed=0)
+    # a negative seed, and a float, bool or string where an integer belongs, are
+    # refused up front with the key named, not truncated or failed on later
+    good = {"field": Field.REAL, "n": 8, "k": 2, "m_range": (3, 4), "trials_per_m": 5, "base_seed": 0}
+    for key, bad in [("base_seed", -5), ("n", 8.9), ("n", "8"), ("k", 2.0), ("trials_per_m", True),
+                     ("base_seed", 1.5), ("m_range", (3.0, 4)), ("m_range", (3, False))]:
+        with pytest.raises(ValueError, match=repr(key)):
+            SweepConfig(**{**good, key: bad})
+    raw = {"field": "real", "n": 8, "k": 2, "m_range": [3, 4], "trials_per_m": 5, "base_seed": 0}
+    assert SweepConfig.from_json_dict(raw) == SweepConfig(**good)
+    for key, bad in [("n", 8.9), ("n", "8"), ("k", True), ("trials_per_m", True), ("trials_per_m", 5.0),
+                     ("base_seed", -5), ("base_seed", "0"), ("m_range", [3, 4.5]), ("m_range", ["3", 4])]:
+        with pytest.raises(ValueError, match=repr(key)):
+            SweepConfig.from_json_dict({**raw, key: bad})
+
+
+def _signal(field: Field, n: int, support, rng, scale: float = 1.0) -> SparseVector:
+    k = len(support)
+    values = rng.standard_normal(k) + (1j * rng.standard_normal(k) if field is Field.COMPLEX else 0.0)
+    return SparseVector(field, n, tuple(support), (values + np.sign(values.real)) * scale)
+
+
+def _batch_corpus():
+    """(field, As, ys, k_max, allow_heuristic): three batches, each of one (m, n)
+    holding problems that stop at different levels (0, 1, k_max and None)
+    and degenerate problems next to generic ones: y = 0, rows at and below
+    tol_abs, a repeated column, and A (or A and x) scaled by 2^+-300 (with
+    2^450 real and 2^210 complex, max t is above the screen's range, so
+    that problem alone is flagged whole)."""
+    rng = np.random.default_rng(14)
+    batches = []
+    for field, m, n, k_max in ((Field.REAL, 6, 8, 3), (Field.COMPLEX, 10, 7, 3)):
+        As, ys = [], []
+
+        def add(E, x=None, y=None):
+            A = MeasurementEnsemble.from_entries(field, E)
+            As.append(A)
+            ys.append(measure(A, x).magnitudes if y is None else y)
+
+        def gauss():
+            E = rng.standard_normal((m, n))
+            return E + 1j * rng.standard_normal((m, n)) if field is Field.COMPLEX else E
+
+        for support in ((0, 3, 6), (2,), (1, 5), (0, 4, 5)):
+            add(gauss(), _signal(field, n, support, rng))
+        add(gauss(), y=np.zeros(m))
+        add(gauss(), y=rng.random(m) + 0.5)  # no sparse solution
+        E = gauss()
+        E[np.ix_([1, 4], [0, 3])] = 0.0  # rows 1 and 4 measure 0
+        x = _signal(field, n, (0, 3), rng)
+        y = measure(MeasurementEnsemble.from_entries(field, E), x).magnitudes.copy()
+        y[4] = 1e-8 * max(1.0, float(y.max()))  # exactly at tol_abs
+        add(E, y=y)
+        E = gauss()
+        E[:, 5] = E[:, 2]  # two classes at k = 2
+        add(E, _signal(field, n, (2, 6), rng))
+        scales = ((450, 0), (300, 0), (-300, 300)) if field is Field.REAL else ((210, 0), (300, -300), (-300, 300))
+        for e, xs in scales:
+            add(gauss() * 2.0 ** e, _signal(field, n, (1, 4, 6)[:k_max], rng, 2.0 ** xs))
+        batches.append((field, As, ys, k_max, False))
+    # a complex row whose k = 2 level is heuristic (m = 3 < k^2)
+    As, ys = [], []
+    for seed, support in ((1, (0, 3)), (2, (2,)), (3, (1, 4))):
+        A = generate_ensemble(Field.COMPLEX, 3, 5, seed)
+        As.append(A)
+        ys.append(measure(A, _signal(Field.COMPLEX, 5, support, rng)).magnitudes)
+    As.append(generate_ensemble(Field.COMPLEX, 3, 5, 4))
+    ys.append(np.zeros(3))
+    batches.append((Field.COMPLEX, As, ys, 2, True))
+    return batches
+
+
+@pytest.mark.parametrize("elements", [None, 1])
+def test_batched_solves_match_one_at_a_time(monkeypatch, elements):
+    """Every SolutionSet of a batched solve is byte-equal to the solve of
+    its problem on its own and, on the exact paths, to the full-scan
+    oracles, whatever else the batch holds and however the screen blocks
+    it (elements = 1: one support per block)."""
+    if elements is not None:
+        monkeypatch.setattr(numerics, "_SCREEN_ELEMENTS", elements)
+    k_stars, heuristic = [], []
+    for field, As, ys, k_max, allow in _batch_corpus():
+        if field is Field.REAL:
+            batch = _solve_real_batch(As, ys, k_max, 1e-8)
+            alone = [solve_l0_real(A, y, k_max) for A, y in zip(As, ys)]
+            oracle = [full_scan_solve_l0_real(A, y, k_max) for A, y in zip(As, ys)]
+        else:
+            batch = _solve_complex_batch(As, ys, k_max, allow_heuristic=allow)
+            alone = [solve_l0_complex(A, y, k_max, allow_heuristic=allow) for A, y in zip(As, ys)]
+            oracle = alone if allow else [full_scan_solve_l0_complex(A, y, k_max) for A, y in zip(As, ys)]
+        for i, (b, a, o) in enumerate(zip(batch, alone, oracle)):
+            assert json.dumps(b.to_json_dict()) == json.dumps(a.to_json_dict()) == json.dumps(o.to_json_dict()), \
+                (field, i)
+        k_stars.append([sol.k_star for sol in batch])
+        heuristic += [sol.heuristic for sol in batch]
+    # each exact batch mixes problems that stop at 0, 1, k_max and None
+    for ks, k_max in zip(k_stars[:2], (3, 3)):
+        assert {0, 1, k_max, None} <= set(ks), ks
+    assert any(heuristic) and not all(heuristic)
+
+
+@pytest.mark.parametrize("elements", [None, 1])
+def test_sweep_rows_match_per_trial_oracle(monkeypatch, elements):
+    """run_sweep solves each row in one batched call; its rows equal those
+    of one solve per trial, on a real row below, at and above m = 2k, lifted
+    complex rows and a heuristic complex row."""
+    if elements is not None:
+        monkeypatch.setattr(numerics, "_SCREEN_ELEMENTS", elements)
+    configs = [SweepConfig(Field.REAL, 8, 2, (2, 4), 12, base_seed=3),
+               SweepConfig(Field.COMPLEX, 6, 2, (4, 6), 6, base_seed=4),
+               SweepConfig(Field.COMPLEX, 5, 2, (3, 3), 3, base_seed=5)]
+
+    def stable(rows):
+        return [(r.m, r.trials, r.successes, r.rate, r.fragile, r.heuristic) for r in rows]
+
+    for cfg in configs:
+        rows = run_sweep(cfg).rows
+        assert stable(rows) == stable(per_trial_run_sweep(cfg)), cfg
+        assert all(r.mean_ms > 0 for r in rows)
+    assert stable(run_sweep(configs[0]).rows)[0][2] < 12  # m = 2k - 2 fails somewhere
+
+
+def test_forward_trials_match_one_solve_per_trial():
+    """The forward trials of the bidirectional check run as one batch with
+    the same seeds: the same failure count as one solve per trial."""
+    A = generate_ensemble(Field.REAL, 4, 8, 42)
+    rep = bidirectional_uniqueness_check(A, 2, trials=40, base_seed=9)
+    failures = 0
+    for t in range(40):
+        truth = draw_sparse_signal(Field.REAL, 8, 2, np.random.default_rng(np.random.SeedSequence(9, spawn_key=(2, t))))
+        sol = solve_l0_real(A, measure(A, truth), 2)
+        failures += not (sol.k_star is not None and len(sol.classes) == 1
+                         and phase_equivalent(sol.classes[0], truth, 1e-8))
+    assert rep.certified and rep.details["forward_trials"] == 40
+    assert rep.details["forward_failures"] == failures
+
+
+def _count_screens(monkeypatch) -> list[int]:
+    """Patch the solvers' screen to record the number of problems per call."""
+    calls = []
+    screen = numerics._lstsq_screen
+
+    def counted(new_columns, n, k, t, *args):
+        calls.append(t.shape[0])
+        return screen(new_columns, n, k, t, *args)
+
+    monkeypatch.setattr(solver_real, "_lstsq_screen", counted)
+    monkeypatch.setattr(solver_complex, "_lstsq_screen", counted)
+    return calls
+
+
+def test_sweep_row_screens_once_per_support_size(monkeypatch):
+    """A real row of 60 trials and a lifted row of 15 each call the screen
+    once per support size, with every trial still searching in the call."""
+    calls = _count_screens(monkeypatch)
+    real = SweepConfig(Field.REAL, 8, 2, (4, 4), 60, base_seed=3)
+    assert run_sweep(real).rows[0].rate == 1.0
+    assert calls == [60, 60]
+    calls.clear()
+    lifted = SweepConfig(Field.COMPLEX, 12, 3, (10, 10), 15, base_seed=4)
+    assert run_sweep(lifted).rows[0].rate == 1.0
+    assert calls == [15, 15, 15]
+    calls.clear()
+    per_trial_run_sweep(lifted)
+    assert calls == [1, 1, 1] * 15
+
+
+def _traced_peak(fn, cfg) -> int:
+    fn(cfg)
+    tracemalloc.start()
+    try:
+        fn(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_row_memory_stays_bounded():
+    """numerics._SCREEN_ELEMENTS bounds each screen block whatever the batch
+    holds.  A lifted (10, 12, 3) row of 15 trials peaks within 2x of one
+    solve per trial.  A real (4, 8, 2) row has problems so small that a
+    per-trial solve never fills a block, while the batch fills one (its
+    working arrays take about 1 MB); there the peak stays within 2x of that
+    block budget and grows only with the row's own problems and results,
+    not with trials times C(n, k): four times the trials stays within 2x."""
+    lifted = SweepConfig(Field.COMPLEX, 12, 3, (10, 10), 15, base_seed=4)
+    assert _traced_peak(run_sweep, lifted) <= 2 * _traced_peak(per_trial_run_sweep, lifted)
+    real = SweepConfig(Field.REAL, 8, 2, (4, 4), 60, base_seed=3)
+    more = SweepConfig(Field.REAL, 8, 2, (4, 4), 240, base_seed=3)
+    peak = _traced_peak(run_sweep, real)
+    block_bytes = numerics._SCREEN_ELEMENTS * 8 * 4
+    assert peak <= 2 * block_bytes
+    assert _traced_peak(run_sweep, more) <= 2 * peak

@@ -204,7 +204,7 @@ def _real_screen_case(A: np.ndarray, t: np.ndarray, k: int, resid_tol: float):
     flags, and whether _exact_support's residual test, lstsq against every
     sign vector r with |r| = t, accepts some r."""
     m, n = A.shape
-    flags = numerics._lstsq_screen(lambda cols, c: [A[:, c]], n, k, t, sign_table(k), resid_tol)
+    flags = numerics._lstsq_screen(lambda cols, c: [A[:, c]], n, k, t[None], sign_table(k), np.array([resid_tol]))[0]
     rhs = (sign_table(m) * t).T
     accepted = []
     for I in itertools.combinations(range(n), k):
@@ -217,7 +217,7 @@ def _lifted_screen_case(A: np.ndarray, t: np.ndarray, k: int, resid_tol: float):
     """(flags, accepted) as _real_screen_case for the Hermitian lift, whose
     one right-hand side is t, in _lift_system's column order."""
     n = A.shape[1]
-    flags = numerics._lstsq_screen(_lift_columns(A), n, k, t, np.ones((1, k * k)), resid_tol)
+    flags = numerics._lstsq_screen(_lift_columns(A), n, k, t[None], np.ones((1, k * k)), np.array([resid_tol]))[0]
     accepted = []
     for I in itertools.combinations(range(n), k):
         G = _lift_system(A[:, I][None])[0]
@@ -279,8 +279,11 @@ def test_lstsq_screen_never_rules_out_an_accepted_support():
     """The screen may flag anything, but no support on which the exact
     residual test accepts is ruled out: real supports against every sign
     vector (sign_table(k) rows), lifted supports against their one
-    right-hand side, on the degenerate corpus."""
+    right-hand side, on the degenerate corpus.  The same holds when one
+    screen call covers every case of one shape, so that supports of cases
+    at scales 2^+-300 and 1e+-150 share blocks with unit-scale ones."""
     accepted = ruled_out = 0
+    groups = {}
     for i, (field, A, t, k, tol) in enumerate(_screen_corpus()):
         for level in range(1, k + 1):
             case = _real_screen_case if field is Field.REAL else _lifted_screen_case
@@ -289,8 +292,20 @@ def test_lstsq_screen_never_rules_out_an_accepted_support():
             assert not np.any(acc & ~flags), (i, level)
             accepted += acc.sum()
             ruled_out += (~flags).sum()
+            groups.setdefault((field, A.shape, level), []).append((A, t, tol, acc))
     # the corpus exercises both sides of the screen
     assert accepted >= 40 and ruled_out >= 500
+    for (field, (m, n), level), cases in groups.items():
+        side_by_side = np.concatenate([A for A, *_ in cases], axis=1)
+        if field is Field.REAL:
+            new_columns, signs = (lambda cols, c: [side_by_side[:, c]]), sign_table(level)
+        else:
+            new_columns, signs = _lift_columns(side_by_side), np.ones((1, level * level))
+        t = np.stack([t for _, t, _, _ in cases])
+        flags = numerics._lstsq_screen(new_columns, n, level, t, signs, np.array([tol for *_, tol, _ in cases]))
+        assert flags.shape == (len(cases), comb(n, level))
+        for j, (f, (*_, acc)) in enumerate(zip(flags, cases)):
+            assert not np.any(acc & ~f), (field, level, j)
 
 
 def test_screen_borders_each_support_once_and_inverts_no_block(monkeypatch):
@@ -374,7 +389,7 @@ def test_screen_matrix_is_the_exact_tests_matrix_bitwise(monkeypatch):
                 (p, i, j) for i, j in zip(*np.triu_indices(k, 1)) for p in "ri"]
             new_columns, K, perm = _lift_columns(E), k * k, [level_order.index(u) for u in lift_order]
         blocks.clear()
-        numerics._lstsq_screen(new_columns, n, k, np.ones(m), np.ones((1, K)), 1e-8)
+        numerics._lstsq_screen(new_columns, n, k, np.ones((1, m)), np.ones((1, K)), np.array([1e-8]))
         supports = iter(itertools.combinations(range(n), k))
         for e in blocks:
             for b in range(e.M.shape[2]):
