@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import numbers
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,8 +30,8 @@ from .model import (
     phase_equivalent,
 )
 from .numerics import null_space_vector
-from .solver_complex import _solve_complex_batch
-from .solver_real import SolutionSet, _check_tol, _solve_real_batch, feasible_classes
+from .solver_complex import _exact_level, _solve_complex_batch
+from .solver_real import SolutionSet, _check_int, _check_tol, _solve_real_batch, _tol_abs, feasible_classes
 
 __all__ = [
     "SweepConfig",
@@ -68,19 +67,15 @@ class SweepConfig:
     tol: float = 1e-8
 
     def __post_init__(self):
-        for key in ("n", "k", "trials_per_m", "base_seed"):
-            _integer(getattr(self, key), key)
+        _check_int(self.n, "'n'", 1)
+        _check_int(self.k, "'k'", 1, self.n)
+        _check_int(self.trials_per_m, "'trials_per_m'", 1)
+        _check_int(self.base_seed, "'base_seed'", 0)
         for v in self.m_range:
-            _integer(v, "m_range")
-        if self.base_seed < 0:
-            raise ValueError(f"'base_seed' must be >= 0, got {self.base_seed!r}")
+            _check_int(v, "'m_range'", 1)
         lo, hi = self.m_range
-        if lo > hi or lo < 1:
+        if lo > hi:
             raise ValueError(f"bad m_range {self.m_range}")
-        if self.trials_per_m < 1:
-            raise ValueError("trials_per_m must be >= 1")
-        if self.k < 1 or self.k > self.n:
-            raise ValueError("k must be in [1, n]")
         if lo < self.k:
             raise ValueError(f"solver needs k <= m for every m in range; got k={self.k}, m_range={self.m_range}")
         _check_tol(self.tol)
@@ -99,8 +94,9 @@ class SweepConfig:
     @classmethod
     def from_json_dict(cls, d: dict, source: str = "sweep config") -> "SweepConfig":
         """The config a JSON object describes; a missing or malformed key
-        raises ValueError naming source and the key, an invalid config
-        one naming source."""
+        raises ValueError naming source and the key.  The values go to
+        SweepConfig as they are, so its checks refuse a float, bool or
+        string where an integer or tol belongs."""
         if not isinstance(d, dict):
             raise ValueError(f"{source}: expected a JSON object, got {type(d).__name__}")
         values = {}
@@ -123,22 +119,18 @@ class SweepConfig:
         return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def _integer(v, key: str = "value") -> int:
-    """v as an int.  Anything but an integer is refused, so that 8.9,
-    true or "8" is not silently read as 8, 1 or 8."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-        raise ValueError(f"{key!r} must be an integer, got {v!r}")
-    return int(v)
-
-
-def _int_pair(v) -> tuple[int, int]:
+def _pair(v) -> tuple:
     if not isinstance(v, list) or len(v) != 2:
         raise ValueError("expected [lo, hi]")
-    return _integer(v[0]), _integer(v[1])
+    return tuple(v)
 
 
-_CONFIG_KEYS = {"field": Field.from_label, "n": _integer, "k": _integer, "m_range": _int_pair,
-                "trials_per_m": _integer, "base_seed": _integer, "tol": float}
+def _as_is(v):
+    return v
+
+
+_CONFIG_KEYS = {"field": Field.from_label, "n": _as_is, "k": _as_is, "m_range": _pair,
+                "trials_per_m": _as_is, "base_seed": _as_is, "tol": _as_is}
 
 
 @dataclass(frozen=True)
@@ -206,7 +198,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     rows = []
     lo, hi = cfg.m_range
     for m in range(lo, hi + 1):
-        heuristic = cfg.field is Field.COMPLEX and (cfg.k > 3 or m < cfg.k * cfg.k)
+        heuristic = cfg.field is Field.COMPLEX and not _exact_level(m, cfg.k)
         As, truths = [], []
         for trial in range(cfg.trials_per_m):
             ensemble_seed, sig_rng = _trial_randomness(cfg.base_seed, m, trial)
@@ -222,8 +214,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
         successes = sum(_recovered(sol, truth) for sol, truth in zip(sols, truths))
         fragile = 0
         for sol, y in zip(sols, ys):
-            tol_abs = cfg.tol * max(1.0, float(y.magnitudes.max(initial=0.0)))
-            if sol.residuals and max(sol.residuals) > tol_abs / 10.0:
+            if sol.residuals and max(sol.residuals) > _tol_abs(cfg.tol, y.magnitudes) / 10.0:
                 fragile += 1
         rows.append(
             SweepRow(
@@ -297,6 +288,8 @@ def bidirectional_uniqueness_check(
     matrices), two distinct feasible classes of |Ax| = y with l0 norm at
     most 2k for the witness-derived measurement.
     """
+    _check_int(trials, "trials", 1)
+    _check_int(base_seed, "base_seed", 0)
     cert = certify_unique(A, k)
     details: dict = {"d": cert.d, "certified_k": (cert.d - 1) // 2, "spark_ok": cert.spark_ok}
 

@@ -19,7 +19,8 @@ the supports it flags are lifted in full and run lstsq and the rest of
 the per-support test.  So the output is bit for bit that of a scan that
 solves every support, and a generic (m, n, k) = (10, 12, 3) solve runs
 lstsq on one of its 298 supports.  One screen call covers a whole stack
-of problems of one shape (_solve_complex_batch, which a sweep row runs).
+of problems of one shape.  The level loop around it is solver_real's
+core (_solve_batch), which this module gives its level function.
 
 A collision probe searches for two non-phase-equivalent sparse vectors
 with identical magnitudes; it is a falsification attempt, never a proof
@@ -32,8 +33,7 @@ accepted step, with the bits of a kernel that does all that work.
 from __future__ import annotations
 
 import itertools
-import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -48,7 +48,7 @@ from .model import (
     as_measurement,
 )
 from .numerics import _lstsq_screen, hermitian_top_eig
-from .solver_real import SearchStats, SolutionSet, _check_tol, _dedup_insert
+from .solver_real import SolutionSet, _Candidate, _check_int, _meas_err, _prepare, _Problem, _solve_batch
 
 __all__ = [
     "CollisionProbe",
@@ -171,47 +171,34 @@ def _lift_columns(entries: np.ndarray):
     return columns
 
 
-@dataclass
-class _Problem:
-    """One validated complex solve: A's entries, the magnitudes y, the
-    absolute tolerance on y, the lifted residual tolerance on the y^2
-    scale and the search counters."""
-
-    entries: np.ndarray
-    y: np.ndarray
-    tol_abs: float
-    resid_tol: float
-    stats: SearchStats = field(default_factory=SearchStats)
-
-
-def _lifted_level(problems: list[_Problem], k: int) -> list[list[tuple[SparseVector, float]]]:
-    """Each problem's _lifted_support_solve hits at one support size, in
-    support order; the problems share (m, n).
+def _lifted_level(problems: list[_Problem], k: int) -> list[list[_Candidate]]:
+    """Each problem's _lifted_support_solve hits at one support size, as
+    "lifted" candidates in support order; the problems share (m, n).
 
     One numerics._lstsq_screen call covers every problem: it gets the
     lifted residual test (right-hand side y^2, no signs, computed norm at
-    most resid_tol) and proves that most supports fail it.  It builds
-    each support's lift from its parent's with _lift_columns, so its
-    columns are _lift_system's in the order the levels introduce them;
-    the residual test does not depend on that order.  Only the supports
-    it flags are lifted by _lift_system, in its own column order, and run
-    _lifted_support_solve on their own problem.  A support the screen
-    rules out would have returned None, so the hits are the full scan's,
-    bit for bit.
+    most resid_tol, tol max(1, max y^2) sqrt(m) on this y^2 scale) and
+    proves that most supports fail it.  It builds each support's lift from
+    its parent's with _lift_columns, so its columns are _lift_system's in
+    the order the levels introduce them; the residual test does not
+    depend on that order.  Only the supports it flags are lifted by
+    _lift_system, in its own column order, and run _lifted_support_solve
+    on their own problem.  A support the screen rules out would have
+    returned None, so the hits are the full scan's, bit for bit.
     """
-    n = problems[0].entries.shape[1]
+    m, n = problems[0].entries.shape
     rhs = np.stack([p.y**2 for p in problems])  # y^2 is each problem's one right-hand side
     side_by_side = np.concatenate([p.entries for p in problems], axis=1)
-    resid_tol = np.array([p.resid_tol for p in problems])
+    resid_tol = np.array([max(1.0, float(p.y.max(initial=0.0)) ** 2) * p.tol for p in problems]) * np.sqrt(m)
     flags = _lstsq_screen(_lift_columns(side_by_side), n, k, rhs, np.ones((1, k * k)), resid_tol)
     out = []
-    for p, t, row in zip(problems, rhs, flags):
+    for p, t, rt, row in zip(problems, rhs, resid_tol, flags):
         hits = []
         for support in itertools.compress(itertools.combinations(range(n), k), row):
             A_I = p.entries[:, support]
-            hit = _lifted_support_solve(_lift_system(A_I[None])[0], A_I, p.y, t, support, n, p.resid_tol, p.tol_abs)
+            hit = _lifted_support_solve(_lift_system(A_I[None])[0], A_I, p.y, t, support, n, rt, p.tol_abs)
             if hit is not None:
-                hits.append(hit)
+                hits.append((hit[0], "lifted", hit[1]))
         out.append(hits)
     return out
 
@@ -244,65 +231,32 @@ def _solve_complex_batch(As: list[MeasurementEnsemble], ys: list, k_max: int, to
                          allow_heuristic: bool = False, heuristic_restarts: int = 8,
                          seed: int = 0) -> list[SolutionSet]:
     """solve_l0_complex(A, y, k_max, ...) for each pair, as a list; every
-    A has the same (m, n).
+    A has the same (m, n).  A sweep row runs it.
 
-    Each lifted level screens all the problems still searching in one
-    _lifted_level call; a heuristic level runs _refined_level on each of
-    them in turn.  A problem leaves at the first level where it has
-    classes.  The screen only decides which supports get the exact test,
-    and each exact test and each refinement sees only its own problem, so
-    every SolutionSet is bit for bit that of a solve on its own.
+    The level function runs a lifted level as one _lifted_level call for
+    all the problems still searching, and a heuristic level as one
+    _refined_level call per problem.
     """
-    problems = [_prepare(A, y, k_max, tol, allow_heuristic, heuristic_restarts) for A, y in zip(As, ys)]
-    out: list[SolutionSet | None] = [None] * len(problems)
-    for i, p in enumerate(problems):
-        if np.all(p.y <= p.tol_abs):
-            out[i] = SolutionSet(0, [SparseVector.zero(Field.COMPLEX, p.entries.shape[1])],
-                                 [float(p.y.max(initial=0.0))], p.stats)
-    live = [i for i, sol in enumerate(out) if sol is None]
-    heuristic_used = False
-    for k in range(1, k_max + 1):
-        if not live:
-            break
-        m, n = problems[live[0]].entries.shape
+    problems = [_prepare(A, y, k_max, tol, Field.COMPLEX) for A, y in zip(As, ys)]
+    _check_int(heuristic_restarts, "heuristic_restarts", 1)
+    bad = [k for k in range(1, k_max + 1) if any(not _exact_level(A.m, k) for A in As)]
+    if bad and not allow_heuristic:
+        raise ValueError(f"support size {bad[0]} needs the heuristic path (k > 3 or m < k^2); "
+                         "pass allow_heuristic=True to enable it")
+
+    def level(live: list[_Problem], k: int):
+        m, n = live[0].entries.shape
         count = comb(n, k)
-        for i in live:
-            problems[i].stats.supports_tried += count
-        if _exact_level(m, k):
-            for i in live:
-                problems[i].stats.patterns_tried += count
-            hits = _lifted_level([problems[i] for i in live], k)
-            found = [[(cand, "lifted", defect) for cand, defect in h] for h in hits]
-        else:
-            heuristic_used = True
-            supports = list(itertools.combinations(range(n), k))
-            found = []
-            for i in live:
-                p = problems[i]
-                p.stats.patterns_tried += count * heuristic_restarts
-                refined = _refined_level(p.entries, p.y, supports, p.tol_abs, heuristic_restarts, seed)
-                found.append([(cand, "refined", None) for cand in refined])
-        for i, cands in zip(live, found):
-            p = problems[i]
-            classes: list[SparseVector] = []
-            residuals: list[float] = []
-            methods: list[str] = []
-            defects: list[float | None] = []
-            for cand, method, defect in cands:
-                before = len(classes)
-                _dedup_insert(classes, residuals, cand, _meas_err(p.entries[:, cand.support], cand.values, p.y),
-                              p.tol_abs)
-                if len(classes) > before:
-                    methods.append(method)
-                    defects.append(defect)
-            if classes:
-                out[i] = SolutionSet(k, classes, residuals, p.stats, heuristic=heuristic_used, methods=methods,
-                                     rank1_defects=defects)
-        live = [i for i in live if out[i] is None]
-    for i in live:
-        out[i] = SolutionSet(None, [], [], problems[i].stats, heuristic=heuristic_used, methods=[],
-                             rank1_defects=[])
-    return out
+        exact = _exact_level(m, k)
+        for p in live:
+            p.stats.supports_tried += count
+            p.stats.patterns_tried += count if exact else count * heuristic_restarts
+        if exact:
+            return _lifted_level(live, k), False
+        supports = list(itertools.combinations(range(n), k))
+        return [_refined_level(p.entries, p.y, supports, p.tol_abs, heuristic_restarts, seed) for p in live], True
+
+    return _solve_batch(problems, k_max, Field.COMPLEX, level)
 
 
 def _exact_level(m: int, k: int) -> bool:
@@ -310,39 +264,10 @@ def _exact_level(m: int, k: int) -> bool:
     return k <= 3 and m >= k * k
 
 
-def _prepare(A: MeasurementEnsemble, y, k_max: int, tol: float, allow_heuristic: bool,
-             heuristic_restarts: int) -> _Problem:
-    if A.field is not Field.COMPLEX:
-        raise ValueError("solve_l0_complex requires a complex ensemble")
-    y = as_measurement(y)
-    if y.m != A.m:
-        raise ValueError(f"measurement length {y.m} does not match m={A.m}")
-    if not (0 <= k_max <= min(A.m, A.n)):
-        raise ValueError(f"k_max must be in [0, min(m, n)] = [0, {min(A.m, A.n)}]")
-    _check_tol(tol)
-    if (isinstance(heuristic_restarts, bool) or not isinstance(heuristic_restarts, numbers.Integral)
-            or heuristic_restarts < 1):
-        raise ValueError(f"heuristic_restarts must be an integer >= 1, got {heuristic_restarts!r}")
-    if not allow_heuristic and any(not _exact_level(A.m, k) for k in range(1, k_max + 1)):
-        bad = min(k for k in range(1, k_max + 1) if not _exact_level(A.m, k))
-        raise ValueError(
-            f"support size {bad} needs the heuristic path (k > 3 or m < k^2); "
-            "pass allow_heuristic=True to enable it"
-        )
-    yv = y.magnitudes
-    ymax = float(yv.max(initial=0.0))
-    tol_abs = tol * max(1.0, ymax)
-    resid_tol = tol * max(1.0, ymax**2) * np.sqrt(A.m)  # the lifted system lives on the y^2 scale
-    return _Problem(A.entries, yv, tol_abs, resid_tol)
-
-
-def _meas_err(A_I: np.ndarray, values: np.ndarray, y: np.ndarray) -> float:
-    return float(np.max(np.abs(np.abs(A_I @ values) - y)))
-
-
 def _refined_level(entries: np.ndarray, y: np.ndarray, supports: list[tuple[int, ...]], tol_abs: float,
-                   restarts: int, seed: int) -> list[SparseVector]:
-    """Multi-start LM candidates of one support size, in (support, restart) order.
+                   restarts: int, seed: int) -> list[_Candidate]:
+    """Multi-start LM candidates of one support size, labeled "refined",
+    in (support, restart) order.
 
     Restart r on support I starts from SeedSequence(seed, spawn_key=(k,
     support key of I, r)), scaled by max(1, max y), and refines toward the
@@ -350,7 +275,7 @@ def _refined_level(entries: np.ndarray, y: np.ndarray, supports: list[tuple[int,
     _PROBE_ROWS rows; the kernel's rows are independent, so the
     candidates do not depend on the blocking.
     """
-    _check_seed(seed)
+    _check_int(seed, "seed", 0)
     n = entries.shape[1]
     k = len(supports[0])
     scale = max(1.0, float(y.max(initial=0.0)))
@@ -369,7 +294,7 @@ def _refined_level(entries: np.ndarray, y: np.ndarray, supports: list[tuple[int,
             A_I = entries[:, support]
             for x in xs:
                 if np.min(np.abs(x)) > tol_abs and _meas_err(A_I, x, y) <= tol_abs:
-                    out.append(SparseVector(Field.COMPLEX, n, support, x).canonical())
+                    out.append((SparseVector(Field.COMPLEX, n, support, x).canonical(), "refined", None))
     return out
 
 
@@ -600,11 +525,9 @@ def collision_probe_complex(
     pair draws its starts from its own seed, so the verdict, objective and
     pair do not depend on the blocking.
     """
-    if not isinstance(restarts, numbers.Integral) or restarts < 1:
-        raise ValueError("restarts must be an integer >= 1")
-    if not 1 <= k <= A.n:
-        raise ValueError(f"k must be in [1, n] = [1, {A.n}]")
-    _check_seed(seed)
+    _check_int(restarts, "restarts", 1)
+    _check_int(k, "k", 1, A.n)
+    _check_int(seed, "seed", 0)
     entries = A.entries.astype(np.complex128)
     n = A.n
     supports = list(itertools.combinations(range(n), k))
@@ -650,9 +573,3 @@ def collision_probe_complex(
                 break
     verdict = "collision_found" if (best_pair is not None and best_obj <= 1e-8) else "no_collision_found"
     return CollisionProbe(best_pair, best_obj if best_pair else np.inf, restarts, verdict)
-
-
-def _check_seed(seed) -> None:
-    """Seeds feed np.random.SeedSequence, which takes non-negative integers."""
-    if not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")

@@ -1,4 +1,5 @@
-"""Exact l0 sparse phase retrieval over the reals.
+"""Exact l0 sparse phase retrieval over the reals, and the solve core both
+fields share.
 
 Exhaustive search over supports and sign assignments: the measurement
 y = |Ax| determines Ax up to a per-row sign, so for every candidate
@@ -14,14 +15,18 @@ of each support, that most supports admit no accepted sign pattern; only
 the supports it cannot rule out get the exact least-squares test.  The
 screen builds each support's pivots and inverse from those of its
 (k-1)-prefix, one new column at a time, and one screen call covers a
-whole stack of problems of one shape (_solve_real_batch, which a sweep
-row and the forward trials of the bidirectional check run).
+whole stack of problems of one shape.
+
+Both fields' solvers are one core, _solve_batch, over one problem type
+(_Problem, from _prepare, with the one tolerance policy _tol_abs) and one
+class dedup (_dedup); a field gives it only its level function, here
+_scan_level.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
+import numbers
 from dataclasses import dataclass, field
 from math import comb
 from typing import Callable
@@ -52,7 +57,13 @@ class SolutionSet:
     k_star is None when no solution exists within the search budget.
     For complex solves each class additionally records its recovery
     method ("lifted" or "refined") and rank-one defect; heuristic is set
-    when any class came from the non-certified refinement path.
+    when the solve reached a level of the non-certified refinement path.
+
+    to_json_dict always emits k_star, classes, residuals, stats and
+    heuristic.  A complex solve that searched (k_star >= 1, or None) also
+    emits methods and rank1_defects, one entry per class, so both are []
+    when k_star is None.  A real solve never emits them, and neither does
+    a k_star = 0 solve of either field.
     """
 
     k_star: int | None
@@ -90,123 +101,190 @@ class SolutionSet:
         return out
 
 
-def _sign_rhs(y: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """All sign assignments of y as right-hand-side columns (m, npat).
+def _check_int(value, name: str, low: int, high: int | None = None) -> None:
+    """Raise ValueError naming the argument unless value is an integer in
+    [low, high] (no upper bound when high is None).  bool is refused, so
+    that True, 2.5 or "2" is not read as 1, 2 or 2."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low
+            or (high is not None and value > high)):
+        if high is not None:
+            what = f"an integer in [{low}, {high}]"
+        elif low == 0:
+            what = "a non-negative integer"
+        else:
+            what = f"an integer >= {low}"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
 
-    pos, the rows above tolerance, is nonempty.  Row pos[j] takes the signs
-    of column j of sign_table, so the first keeps sign +1 (global-flip
-    quotient); rows at or below tolerance are zero equations with no sign
-    choice.
+
+def _check_tol(tol) -> None:
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < np.inf:
+        raise ValueError(f"tol must be a real number with 0 < tol < inf, got {tol!r}")
+
+
+def _tol_abs(tol: float, y: np.ndarray) -> float:
+    """The absolute tolerance of a solve with magnitudes y: on |Ax| - y,
+    on support entries, on zero rows and between classes."""
+    return tol * max(1.0, float(y.max(initial=0.0)))
+
+
+def _meas_err(A_I: np.ndarray, values: np.ndarray, y: np.ndarray) -> float:
+    """max | |A_I values| - y |: the residual a class is accepted and reported with."""
+    return float(np.abs(np.abs(A_I @ values) - y).max())
+
+
+# A class, its recovery method and rank-one defect (None for a real one).
+_Candidate = tuple[SparseVector, str | None, float | None]
+
+
+@dataclass
+class _Problem:
+    """One validated solve of either field: A's entries, the magnitudes y,
+    the relative tolerance tol, tol_abs = _tol_abs(tol, y) and the search
+    counters."""
+
+    entries: np.ndarray
+    y: np.ndarray
+    tol: float
+    tol_abs: float
+    stats: SearchStats = field(default_factory=SearchStats)
+
+
+def _prepare(A: MeasurementEnsemble, y, k_max: int, tol: float, fld: Field) -> _Problem:
+    if A.field is not fld:
+        raise ValueError(f"solve_l0_{fld.value} requires a {fld.value} ensemble")
+    y = as_measurement(y)
+    if y.m != A.m:
+        raise ValueError(f"measurement length {y.m} does not match m={A.m}")
+    _check_int(k_max, "k_max", 0, min(A.m, A.n))
+    _check_tol(tol)
+    yv = y.magnitudes
+    return _Problem(A.entries, yv, tol, _tol_abs(tol, yv))
+
+
+def _dedup(p: _Problem, candidates: list[_Candidate]) -> list[tuple[_Candidate, float]]:
+    """The candidates no earlier kept one is phase_equivalent to at
+    p.tol_abs, in order, each with its _meas_err."""
+    kept: list[tuple[_Candidate, float]] = []
+    for cand in candidates:
+        x = cand[0]
+        if not any(phase_equivalent(c[0], x, p.tol_abs) for c, _ in kept):
+            kept.append((cand, _meas_err(p.entries[:, x.support], x.values, p.y)))
+    return kept
+
+
+def _solve_batch(problems: list[_Problem], k_max: int, fld: Field, level: Callable) -> list[SolutionSet]:
+    """The SolutionSet of each problem; the problems share (m, n) and fld.
+
+    A problem with no row of y above tol_abs is solved by the zero
+    vector.  For k = 1, ..., k_max, level(live, k) returns each live
+    problem's candidates at support size k and whether the level is
+    heuristic; a problem leaves at the first level where _dedup keeps a
+    candidate.  A SolutionSet made at or after a heuristic level is
+    flagged heuristic.  A level decides each problem's candidates from its
+    own data only, so every SolutionSet is bit for bit that of a solve on
+    its own.
     """
+
+    def solution(k: int | None, p: _Problem, kept: list[tuple[_Candidate, float]]) -> SolutionSet:
+        classes = [c[0] for c, _ in kept]
+        residuals = [r for _, r in kept]
+        if fld is Field.REAL:
+            return SolutionSet(k, classes, residuals, p.stats)
+        return SolutionSet(k, classes, residuals, p.stats, heuristic, [c[1] for c, _ in kept],
+                           [c[2] for c, _ in kept])
+
+    out: list[SolutionSet | None] = [None] * len(problems)
+    for i, p in enumerate(problems):
+        if not (p.y > p.tol_abs).any():
+            out[i] = SolutionSet(0, [SparseVector.zero(fld, p.entries.shape[1])], [float(p.y.max(initial=0.0))],
+                                 p.stats)
+    live = [i for i, sol in enumerate(out) if sol is None]
+    heuristic = False
+    for k in range(1, k_max + 1):
+        if not live:
+            break
+        found, level_heuristic = level([problems[i] for i in live], k)
+        heuristic = heuristic or level_heuristic
+        for i, cands in zip(live, found):
+            kept = _dedup(problems[i], cands)
+            if kept:
+                out[i] = solution(k, problems[i], kept)
+        live = [i for i in live if out[i] is None]
+    for i in live:
+        out[i] = solution(None, problems[i], [])
+    return out
+
+
+def _sign_rhs(y_eff: np.ndarray) -> np.ndarray:
+    """All sign assignments of y_eff as right-hand-side columns (m, npat).
+
+    y_eff is y with the rows at or below tolerance set to 0, and has a
+    nonzero row.  Its j-th nonzero row takes the signs of column j of
+    sign_table, so the first keeps sign +1 (global-flip quotient); the
+    zero rows are zero equations with no sign choice.
+    """
+    pos = y_eff.nonzero()[0]
     table = sign_table(pos.size)
-    rhs = np.zeros((y.size, table.shape[0]))
-    rhs[pos] = (table * y[pos]).T
+    rhs = np.zeros((y_eff.size, table.shape[0]))
+    rhs[pos] = (table * y_eff[pos]).T
     return rhs
 
 
-def _dedup_insert(classes: list[SparseVector], residuals: list[float], cand: SparseVector, resid: float, tol: float) -> None:
-    for existing in classes:
-        if phase_equivalent(existing, cand, tol):
-            return
-    classes.append(cand)
-    residuals.append(resid)
-
-
-def _exact_support(
-    entries: np.ndarray,
-    I: tuple[int, ...],
-    y: np.ndarray,
-    tol_abs: float,
-    rhs: np.ndarray,
-    found: list[SparseVector],
-    resids: list[float],
-) -> None:
-    """Exact test of one support: SVD rank check, lstsq against every sign
-    column of rhs, acceptance, canonicalisation and dedup into found."""
+def _exact_support(entries: np.ndarray, I: tuple[int, ...], y: np.ndarray, tol_abs: float,
+                   rhs: np.ndarray) -> list[_Candidate]:
+    """The canonical classes one support accepts, in sign-column order:
+    SVD rank check, lstsq against every sign column of rhs, then the
+    residual, support-entry and measurement tests."""
     resid_tol = tol_abs * np.sqrt(entries.shape[0])
     A_I = entries[:, I]
     s = np.linalg.svd(A_I, compute_uv=False)
     if s[-1] <= DEFAULT_RANK_TOL * s[0]:
         # Rank-deficient support: any solution here has a sparser
         # representative on a subset, found at a smaller k.
-        return
+        return []
     X, *_ = np.linalg.lstsq(A_I, rhs, rcond=None)
     R = rhs - A_I @ X
     ok = (np.linalg.norm(R, axis=0) <= resid_tol) & (np.min(np.abs(X), axis=0) > tol_abs)
+    out: list[_Candidate] = []
     for col in np.nonzero(ok)[0]:
         x_hat = SparseVector(Field.REAL, entries.shape[1], I, X[:, col]).canonical()
-        resid = float(np.max(np.abs(np.abs(entries[:, I] @ x_hat.values) - y)))
-        if resid <= tol_abs:
-            _dedup_insert(found, resids, x_hat, resid, tol_abs)
-
-
-@dataclass
-class _Problem:
-    """One validated real solve: A's entries, the magnitudes y, the
-    absolute tolerance, the rows of y above it (pos), the lazily built
-    _sign_rhs columns and the search counters."""
-
-    entries: np.ndarray
-    y: np.ndarray
-    tol_abs: float
-    pos: np.ndarray
-    sign_rhs: Callable[[], np.ndarray]
-    stats: SearchStats = field(default_factory=SearchStats)
-
-
-def _scan_level(problems: list[_Problem], k: int) -> list[list[tuple[SparseVector, float]]]:
-    """Each problem's accepted k-sparse candidates at one support size
-    (deduplicated); the problems share (m, n).
-
-    Every support counts as tried with all 2^(|pos|-1) sign patterns, but
-    only the supports numerics._lstsq_screen flags get _exact_support, in
-    problem and then support order; sign_rhs() builds a problem's shared
-    right-hand side on first use.  One screen call covers every problem.
-    It gets _exact_support's residual test: every column of _sign_rhs has
-    magnitudes y_eff (y with the rows at or below tol_abs set to 0),
-    sign_table(k) covers its signs on any k rows, and the accepted
-    columns' computed residual norms are at most tol_abs sqrt(m).  Adding
-    index c to a support adds the column A[:, c], so the screen's M is
-    A_I, in support order.
-    """
-    m, n = problems[0].entries.shape
-    count = comb(n, k)
-    y_eff = np.zeros((len(problems), m))
-    for p, row in zip(problems, y_eff):
-        p.stats.supports_tried += count
-        p.stats.patterns_tried += count << (p.pos.size - 1)
-        row[p.pos] = p.y[p.pos]
-    side_by_side = np.concatenate([p.entries for p in problems], axis=1)
-    resid_tol = np.array([p.tol_abs for p in problems]) * np.sqrt(m)
-    flags = _lstsq_screen(lambda cols, c: [side_by_side[:, c]], n, k, y_eff, sign_table(k), resid_tol)
-    out = []
-    for p, row in zip(problems, flags):
-        found: list[SparseVector] = []
-        resids: list[float] = []
-        for I in itertools.compress(itertools.combinations(range(n), k), row):
-            _exact_support(p.entries, I, p.y, p.tol_abs, p.sign_rhs(), found, resids)
-        out.append(list(zip(found, resids)))
+        if _meas_err(entries[:, I], x_hat.values, y) <= tol_abs:
+            out.append((x_hat, None, None))
     return out
 
 
-def _check_tol(tol: float) -> None:
-    if not 0 < tol < np.inf:
-        raise ValueError(f"tol must satisfy 0 < tol < inf, got {tol!r}")
+def _scan_level(problems: list[_Problem], k: int) -> tuple[list[list[_Candidate]], bool]:
+    """Each problem's accepted k-sparse candidates, in support order, and
+    False (no real level is heuristic); the problems share (m, n).
 
-
-def _prepare(A: MeasurementEnsemble, y, k_max: int, tol: float) -> _Problem:
-    if A.field is not Field.REAL:
-        raise ValueError("solve_l0_real requires a real ensemble")
-    y = as_measurement(y)
-    if y.m != A.m:
-        raise ValueError(f"measurement length {y.m} does not match m={A.m}")
-    if not (0 <= k_max <= min(A.m, A.n)):
-        raise ValueError(f"k_max must be in [0, min(m, n)] = [0, {min(A.m, A.n)}]")
-    _check_tol(tol)
-    yv = y.magnitudes
-    tol_abs = tol * max(1.0, float(yv.max(initial=0.0)))
-    pos = np.nonzero(yv > tol_abs)[0]
-    return _Problem(A.entries, yv, tol_abs, pos, functools.cache(functools.partial(_sign_rhs, yv, pos)))
+    Every support counts as tried with all 2^(p-1) sign patterns, p the
+    rows of y above tol_abs, but only the supports numerics._lstsq_screen
+    flags get _exact_support, against sign columns built once per problem
+    and level, and only for a problem with a flagged support.  One screen
+    call covers every problem.  It gets _exact_support's residual test:
+    every column of _sign_rhs has magnitudes y_eff (y with the rows at or
+    below tol_abs set to 0), sign_table(k) covers its signs on any k rows,
+    and the accepted columns' computed residual norms are at most
+    tol_abs sqrt(m).  Adding index c to a support adds the column
+    A[:, c], so the screen's M is A_I, in support order.
+    """
+    m, n = problems[0].entries.shape
+    count = comb(n, k)
+    y = np.stack([p.y for p in problems])
+    tol_abs = np.array([p.tol_abs for p in problems])
+    y_eff = np.where(y > tol_abs[:, None], y, 0.0)
+    for p, above in zip(problems, np.count_nonzero(y_eff, axis=1).tolist()):
+        p.stats.supports_tried += count
+        p.stats.patterns_tried += count << (above - 1)
+    side_by_side = np.concatenate([p.entries for p in problems], axis=1)
+    resid_tol = tol_abs * np.sqrt(m)
+    flags = _lstsq_screen(lambda cols, c: [side_by_side[:, c]], n, k, y_eff, sign_table(k), resid_tol)
+    out = []
+    for p, row, flagged in zip(problems, y_eff, flags):
+        supports = list(itertools.compress(itertools.combinations(range(n), k), flagged))
+        rhs = _sign_rhs(row) if supports else None
+        out.append([c for I in supports for c in _exact_support(p.entries, I, p.y, p.tol_abs, rhs)])
+    return out, False
 
 
 def solve_l0_real(
@@ -227,31 +305,10 @@ def solve_l0_real(
 
 def _solve_real_batch(As: list[MeasurementEnsemble], ys: list, k_max: int, tol: float) -> list[SolutionSet]:
     """solve_l0_real(A, y, k_max, tol) for each pair, as a list; every A
-    has the same (m, n).
-
-    Each level screens all the problems still searching in one
-    _scan_level call, and a problem leaves at the first level where it
-    has hits.  The screen only decides which supports get the exact test,
-    and each exact test sees only its own problem, so every SolutionSet
-    is bit for bit that of a solve on its own.
-    """
-    problems = [_prepare(A, y, k_max, tol) for A, y in zip(As, ys)]
-    out: list[SolutionSet | None] = [None] * len(problems)
-    for i, p in enumerate(problems):
-        if p.pos.size == 0:
-            out[i] = SolutionSet(0, [SparseVector.zero(Field.REAL, p.entries.shape[1])],
-                                 [float(p.y.max(initial=0.0))], p.stats)
-    live = [i for i, sol in enumerate(out) if sol is None]
-    for k in range(1, k_max + 1):
-        if not live:
-            break
-        for i, hits in zip(live, _scan_level([problems[i] for i in live], k)):
-            if hits:
-                out[i] = SolutionSet(k, [h[0] for h in hits], [h[1] for h in hits], problems[i].stats)
-        live = [i for i in live if out[i] is None]
-    for i in live:
-        out[i] = SolutionSet(None, [], [], problems[i].stats)
-    return out
+    has the same (m, n).  A sweep row and the forward trials of the
+    bidirectional check run it."""
+    problems = [_prepare(A, y, k_max, tol, Field.REAL) for A, y in zip(As, ys)]
+    return _solve_batch(problems, k_max, Field.REAL, _scan_level)
 
 
 def feasible_classes(
@@ -266,7 +323,7 @@ def feasible_classes(
     is the ambiguity probe used by the necessity checks.  Candidates with
     a below-tolerance entry are pruned (they live at a smaller k).
     """
-    p = _prepare(A, y, k_max, tol)
-    if p.pos.size == 0:
+    p = _prepare(A, y, k_max, tol, Field.REAL)
+    if not (p.y > p.tol_abs).any():
         return [(0, SparseVector.zero(Field.REAL, A.n))]
-    return [(k, cand) for k in range(1, k_max + 1) for cand, _resid in _scan_level([p], k)[0]]
+    return [(k, c[0]) for k in range(1, k_max + 1) for c, _ in _dedup(p, _scan_level([p], k)[0][0])]

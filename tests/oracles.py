@@ -40,11 +40,10 @@ from sparsepr.solver_complex import (
     CollisionProbe,
     _lift_system,
     _lifted_support_solve,
-    _meas_err,
     _support_key,
     solve_l0_complex,
 )
-from sparsepr.solver_real import SearchStats, SolutionSet, _dedup_insert, _prepare, solve_l0_real
+from sparsepr.solver_real import SearchStats, SolutionSet, solve_l0_real
 
 
 def svd_rank(M, tol_rel: float = 1e-10) -> int:
@@ -524,13 +523,41 @@ def serial_heuristic_solve(A: MeasurementEnsemble, y: np.ndarray, k_max: int, to
     return None, []
 
 
+def _max_err(A_I: np.ndarray, values: np.ndarray, y: np.ndarray) -> float:
+    return float(np.max(np.abs(np.abs(A_I @ values) - y)))
+
+
+def _insert_class(classes: list, cand: SparseVector, resid: float, tol_abs: float, *extra) -> None:
+    """Append (cand, resid, *extra) to classes unless an earlier class is
+    phase-equivalent to cand at tol_abs (first found wins)."""
+    if not any(phase_equivalent(c[0], cand, tol_abs) for c in classes):
+        classes.append((cand, resid, *extra))
+
+
+def _real_problem(A: MeasurementEnsemble, y, tol: float):
+    """y's magnitudes, tol_abs, and every sign assignment of the rows above
+    tol_abs as (m, 2^(p-1)) right-hand-side columns: the first such row
+    keeps +1 and bit i of the column index flips the (i+2)-th; rows at or
+    below tol_abs are zero equations.  rhs is None when no row is above."""
+    y = as_measurement(y).magnitudes
+    tol_abs = tol * max(1.0, float(y.max(initial=0.0)))
+    pos = [i for i in range(y.size) if y[i] > tol_abs]
+    if not pos:
+        return y, tol_abs, None
+    rhs = np.zeros((y.size, 2 ** (len(pos) - 1)))
+    for b in range(rhs.shape[1]):
+        for j, row in enumerate(pos):
+            flip = j > 0 and (b >> (j - 1)) & 1
+            rhs[row, b] = -y[row] if flip else y[row]
+    return y, tol_abs, rhs
+
+
 def _full_scan_level(A: MeasurementEnsemble, y: np.ndarray, k: int, tol_abs: float, rhs: np.ndarray,
                      stats: SearchStats) -> list[tuple[SparseVector, float]]:
     m, n = A.m, A.n
     resid_tol = tol_abs * np.sqrt(m)
     entries = A.entries
-    found: list[SparseVector] = []
-    resids: list[float] = []
+    found: list = []
     for I in itertools.combinations(range(n), k):
         stats.supports_tried += 1
         stats.patterns_tried += rhs.shape[1]
@@ -543,21 +570,20 @@ def _full_scan_level(A: MeasurementEnsemble, y: np.ndarray, k: int, tol_abs: flo
         ok = (np.linalg.norm(R, axis=0) <= resid_tol) & (np.min(np.abs(X), axis=0) > tol_abs)
         for col in np.nonzero(ok)[0]:
             x_hat = SparseVector(Field.REAL, n, I, X[:, col]).canonical()
-            resid = float(np.max(np.abs(np.abs(entries[:, I] @ x_hat.values) - y)))
+            resid = _max_err(entries[:, I], x_hat.values, y)
             if resid <= tol_abs:
-                _dedup_insert(found, resids, x_hat, resid, tol_abs)
-    return list(zip(found, resids))
+                _insert_class(found, x_hat, resid, tol_abs)
+    return found
 
 
 def full_scan_solve_l0_real(A: MeasurementEnsemble, y, k_max: int, tol: float = 1e-8) -> SolutionSet:
     """solve_l0_real with every support going through SVD and lstsq."""
-    p = _prepare(A, y, k_max, tol)
+    y, tol_abs, rhs = _real_problem(A, y, tol)
     stats = SearchStats()
-    if p.pos.size == 0:
-        return SolutionSet(0, [SparseVector.zero(Field.REAL, A.n)], [float(p.y.max(initial=0.0))], stats)
-    rhs = p.sign_rhs()
+    if rhs is None:
+        return SolutionSet(0, [SparseVector.zero(Field.REAL, A.n)], [float(y.max(initial=0.0))], stats)
     for k in range(1, k_max + 1):
-        hits = _full_scan_level(A, p.y, k, p.tol_abs, rhs, stats)
+        hits = _full_scan_level(A, y, k, tol_abs, rhs, stats)
         if hits:
             return SolutionSet(k, [h[0] for h in hits], [h[1] for h in hits], stats)
     return SolutionSet(None, [], [], stats)
@@ -565,13 +591,12 @@ def full_scan_solve_l0_real(A: MeasurementEnsemble, y, k_max: int, tol: float = 
 
 def full_scan_feasible_classes(A: MeasurementEnsemble, y, k_max: int, tol: float = 1e-8):
     """feasible_classes with every support going through SVD and lstsq."""
-    p = _prepare(A, y, k_max, tol)
-    if p.pos.size == 0:
+    y, tol_abs, rhs = _real_problem(A, y, tol)
+    if rhs is None:
         return [(0, SparseVector.zero(Field.REAL, A.n))]
-    rhs = p.sign_rhs()
     stats = SearchStats()
     return [(k, cand) for k in range(1, k_max + 1)
-            for cand, _resid in _full_scan_level(A, p.y, k, p.tol_abs, rhs, stats)]
+            for cand, _resid in _full_scan_level(A, y, k, tol_abs, rhs, stats)]
 
 
 def full_scan_solve_l0_complex(A: MeasurementEnsemble, y, k_max: int, tol: float = 1e-8) -> SolutionSet:
@@ -589,22 +614,17 @@ def full_scan_solve_l0_complex(A: MeasurementEnsemble, y, k_max: int, tol: float
         return SolutionSet(0, [SparseVector.zero(Field.COMPLEX, n)], [ymax], stats)
     entries = A.entries
     for k in range(1, k_max + 1):
-        classes: list[SparseVector] = []
-        residuals: list[float] = []
-        defects: list[float | None] = []
+        classes: list = []
         for I in itertools.combinations(range(n), k):
             stats.supports_tried += 1
             stats.patterns_tried += 1
             A_I = entries[:, I]
             hit = _lifted_support_solve(_lift_system(A_I[None])[0], A_I, y, y**2, I, n, resid_tol, tol_abs)
-            if hit is None:
-                continue
-            before = len(classes)
-            _dedup_insert(classes, residuals, hit[0], _meas_err(A_I, hit[0].values, y), tol_abs)
-            if len(classes) > before:
-                defects.append(hit[1])
+            if hit is not None:
+                _insert_class(classes, hit[0], _max_err(A_I, hit[0].values, y), tol_abs, hit[1])
         if classes:
-            return SolutionSet(k, classes, residuals, stats, methods=["lifted"] * len(classes), rank1_defects=defects)
+            return SolutionSet(k, [c[0] for c in classes], [c[1] for c in classes], stats,
+                               methods=["lifted"] * len(classes), rank1_defects=[c[2] for c in classes])
     return SolutionSet(None, [], [], stats, methods=[], rank1_defects=[])
 
 

@@ -11,6 +11,7 @@ from sparsepr import (
     SparseVector,
     SweepConfig,
     build_collision_real,
+    collision_probe_complex,
     draw_sparse_signal,
     emit_results,
     generate_ensemble,
@@ -64,6 +65,30 @@ def test_bidirectional_forward():
     rep = bidirectional_uniqueness_check(A, 2, trials=100)
     assert rep.certified and rep.forward_ok
     assert rep.details["forward_failures"] == 0
+
+
+_A_REAL = generate_ensemble(Field.REAL, 4, 8, 42)
+_Y_REAL = measure(_A_REAL, SparseVector(Field.REAL, 8, (1, 6), [3.0, -1.5]))
+_A_COMPLEX = generate_ensemble(Field.COMPLEX, 4, 5, 0)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: collision_probe_complex(_A_COMPLEX, 2, 2, True), "seed"),
+    (lambda: collision_probe_complex(_A_COMPLEX, 2, True, 0), "restarts"),
+    (lambda: collision_probe_complex(_A_COMPLEX, 2.0, 2, 0), "k"),
+    (lambda: solve_l0_real(_A_REAL, _Y_REAL, True), "k_max"),
+    (lambda: solve_l0_real(_A_REAL, _Y_REAL, 2.5), "k_max"),
+    (lambda: bidirectional_uniqueness_check(_A_REAL, 2, trials=-3), "trials"),
+    (lambda: bidirectional_uniqueness_check(_A_REAL, 2, trials=2.0), "trials"),
+    (lambda: bidirectional_uniqueness_check(_A_REAL, 2, base_seed=-1), "base_seed"),
+], ids=["probe-seed-bool", "probe-restarts-bool", "probe-k-float", "real-kmax-bool", "real-kmax-float",
+        "bidirectional-trials-negative", "bidirectional-trials-float", "bidirectional-seed-negative"])
+def test_integer_arguments_are_refused_with_their_name(call, name):
+    """A bool, a float or an out-of-range value where an integer count or
+    seed belongs raises ValueError naming the argument; none is read as
+    1, truncated, or passed on to fail later (or not at all)."""
+    with pytest.raises(ValueError, match=rf"^{name} must be "):
+        call()
 
 
 def test_bidirectional_converse_disjoint():
@@ -185,6 +210,13 @@ def test_sweep_config_validation():
                      ("base_seed", -5), ("base_seed", "0"), ("m_range", [3, 4.5]), ("m_range", ["3", 4])]:
         with pytest.raises(ValueError, match=repr(key)):
             SweepConfig.from_json_dict({**raw, key: bad})
+    # tol is a real number: true is not 1.0 and "1e-3" is not 0.001
+    for bad in (True, "1e-3"):
+        with pytest.raises(ValueError, match="tol"):
+            SweepConfig(**good, tol=bad)
+        with pytest.raises(ValueError, match="tol"):
+            SweepConfig.from_json_dict({**raw, "tol": bad})
+    assert SweepConfig.from_json_dict({**raw, "tol": 1e-6}).tol == 1e-6
 
 
 def _signal(field: Field, n: int, support, rng, scale: float = 1.0) -> SparseVector:

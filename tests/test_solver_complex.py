@@ -16,6 +16,7 @@ from sparsepr import (
     phase_equivalent,
     refine_gauss_newton,
     solve_l0_complex,
+    solve_l0_real,
 )
 from sparsepr import numerics, solver_complex
 from sparsepr.solver_complex import _assemble_hermitian, _lift_system, _lifted_support_solve
@@ -277,6 +278,40 @@ def test_heuristic_restarts_must_be_a_positive_integer(restarts):
         solve_l0_complex(A, y, 2, allow_heuristic=True, heuristic_restarts=restarts)
     # a numpy integer is an integer
     assert solve_l0_complex(A, y, 2, allow_heuristic=True, heuristic_restarts=np.int64(2)).k_star == 2
+
+
+def test_solution_json_keys_and_counts_on_every_path():
+    """The to_json_dict keys, heuristic flag, methods, rank-one defects and
+    exact search counts of a complex batch (m = 3, n = 5: level 1 lifted,
+    level 2 heuristic, 8 restarts) whose problems stop at a lifted level,
+    at a heuristic level, at k* = None and at k* = 0, and of a real and a
+    complex k* = 0 solve."""
+    As = [generate_ensemble(Field.COMPLEX, 3, 5, seed) for seed in (2, 1, 3, 4)]
+    E = As[2].entries.copy()
+    E[0] = 0.0  # a zero row measuring y_0 > 0: no solution at any k
+    As[2] = MeasurementEnsemble.from_entries(Field.COMPLEX, E)
+    ys = [measure(As[0], SparseVector(Field.COMPLEX, 5, (2,), [1.5 - 0.5j])).magnitudes,
+          measure(As[1], SparseVector(Field.COMPLEX, 5, (0, 3), [1.0 + 1j, -2.0 + 0.5j])).magnitudes,
+          np.array([1.0, 0.5, 2.0]),
+          np.zeros(3)]
+    lifted, refined, none, zero = [s.to_json_dict() for s in
+                                   solver_complex._solve_complex_batch(As, ys, 2, allow_heuristic=True)]
+    searched = {"k_star", "classes", "residuals", "stats", "heuristic", "methods", "rank1_defects"}
+    assert set(lifted) == set(refined) == set(none) == searched
+    assert (lifted["k_star"], lifted["heuristic"], lifted["methods"], lifted["rank1_defects"]) == \
+        (1, False, ["lifted"], [0.0])
+    assert lifted["stats"] == {"supports_tried": 5, "patterns_tried": 5}
+    assert refined["k_star"] == 2 and refined["heuristic"]
+    assert len(refined["classes"]) == 8  # 3 rows fix a 2-sparse class only up to finitely many
+    assert refined["methods"] == ["refined"] * 8 and refined["rank1_defects"] == [None] * 8
+    assert refined["stats"] == {"supports_tried": 15, "patterns_tried": 5 + 10 * 8}
+    assert none == {"k_star": None, "classes": [], "residuals": [], "heuristic": True, "methods": [],
+                    "rank1_defects": [], "stats": {"supports_tried": 15, "patterns_tried": 85}}
+    assert zero == {"k_star": 0, "classes": [{"support": [], "values": []}], "residuals": [0.0],
+                    "heuristic": False, "stats": {"supports_tried": 0, "patterns_tried": 0}}
+    A = generate_ensemble(Field.REAL, 4, 6, 1)
+    assert solve_l0_real(A, np.zeros(4), 2).to_json_dict() == zero
+    assert solve_l0_complex(As[3], np.zeros(3), 1).to_json_dict() == zero
 
 
 def test_gauss_newton_fixed_point_and_rotation():

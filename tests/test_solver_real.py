@@ -112,7 +112,7 @@ def test_feasible_classes_include_minimal_and_beyond():
     assert (1.0, 0.0, 0.0) in dense
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan"), float("inf"), -float("inf"), True, "1e-3"])
 def test_rejects_non_positive_or_non_finite_tol(tol):
     A = generate_ensemble(Field.REAL, 4, 6, 3)
     y = measure(A, SparseVector(Field.REAL, 6, (0, 4), [1.0, -2.0]))
