@@ -288,6 +288,7 @@ def bidirectional_uniqueness_check(
     matrices), two distinct feasible classes of |Ax| = y with l0 norm at
     most 2k for the witness-derived measurement.
     """
+    _check_int(k, "k", 1, A.n)
     _check_int(trials, "trials", 1)
     _check_int(base_seed, "base_seed", 0)
     cert = certify_unique(A, k)

@@ -27,14 +27,23 @@ with identical magnitudes; it is a falsification attempt, never a proof
 of uniqueness.  The probe and the heuristic solve run the same batched
 Levenberg-Marquardt kernel, _batched_levenberg_marquardt, which solves
 no restart frozen at its damping cap and reforms J^T J only after an
-accepted step, with the bits of a kernel that does all that work.
+accepted step, with the bits of a kernel that does all that work.  A
+restart also stops after an accepted step that lowers its sum of
+squares by at most _FTOL (sqrt(eps)) of its value, MINPACK lmder's ftol
+test: restarts stalled at a positive local minimum, or at the
+roundoff floor, otherwise keep taking such steps to the iteration cap.
+The test is a ratio, so unlike the absolute 1e-8 verdict, 1e-24 stop
+and damping clip it does not change when A and y are rescaled.  On the
+test corpora it changes no probe verdict and no heuristic solution set;
+the objective a probe without a collision reports can move in its last
+digits (by up to 4e-5 relative there).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
+from math import comb, sqrt
 
 import numpy as np
 
@@ -61,17 +70,24 @@ __all__ = [
 
 RANK1_TOL = 1e-6
 PSD_TOL = 1e-8
+# MINPACK lmder's ftol: an LM restart whose accepted step lowers its sum
+# of squares || |A_J v|^2 - t^2 ||_2^2 by at most this fraction of its
+# value stops after that step.  A ratio, so it does not change when A and
+# y are rescaled.
+_FTOL = sqrt(np.finfo(float).eps)
 # Rows (supports or support pairs x restarts) one LM kernel call holds
 # (the collision probe's first block excepted); bounds the kernel's
 # working arrays to a few MB.
 _PROBE_ROWS = 4096
-# Rows of the collision probe's first kernel call.  A call in which some
-# row runs all 120 iterations costs about c0 = 15 ms however few its rows
-# (numpy call overhead per iteration), plus about c1 = 50 us per row
-# (m = 6, k = 2).  A probe that needs more rows than the first call holds
-# pays c0 again for a second call; one that stops earlier pays c1 for
-# each row it did not need.  With c0 / c1 = 300 rows neither loss
-# exceeds one call's fixed cost.
+# Rows of the collision probe's first kernel call.  A kernel call costs
+# about c0 = 7 ms however few its rows (numpy call overhead per
+# iteration), plus about c1 = 40 us per row (m = 6, k = 2; a linear fit
+# over calls of 8 to 2400 rows; before the ftol stop, c0 = 14 ms and
+# c1 = 65 to 87 us by the same fit).  A probe that needs more rows than
+# the first call holds pays c0 again for a second call; one that stops
+# earlier pays c1 for each row it did not need.  With about c0 / c1 rows
+# (160 to 230 by that fit, both before and after) neither loss exceeds
+# one call's fixed cost; 300 is within 2x of it.
 _PROBE_FIRST_ROWS = 300
 
 
@@ -368,15 +384,28 @@ def _batched_levenberg_marquardt(AT: np.ndarray, targets: np.ndarray, x0: np.nda
     an accepted step and quadruples otherwise, clipped to [1e-12, 1e6].  A
     support stops once every one of its restarts reaches a squared
     objective of 1e-24, when one of its damped normal-equation systems is
-    singular, or when every one of its restarts is frozen (below).
-    Returns (x, objective, steps) with objective the 2-norm of the
-    magnitude mismatch |A_J v| - t and steps the accepted steps, each of
-    shape (P, R).
+    singular, or when every one of its restarts is frozen or stopped
+    (below).  Returns (x, objective, steps) with objective the 2-norm of
+    the magnitude mismatch |A_J v| - t and steps the accepted steps, each
+    of shape (P, R).
+
+    Ftol stop (MINPACK lmder's ftol test).  A restart whose accepted step
+    lowers its sum of squares || |A_J v|^2 - t^2 ||_2^2 by at most _FTOL
+    of its value (cand^2 >= (1 - _FTOL) obj^2, tested as
+    cand >= sqrt(1 - _FTOL) obj) keeps that step and then stops, exactly
+    as a frozen row does: no further solve.  Restarts stalled at a
+    positive local minimum or at the roundoff floor would otherwise take
+    such steps until the iteration cap.  The test is a ratio, so it is scale-free, unlike the
+    absolute 1e-24 stop and damping clip.  With _FTOL = 0 it never fires,
+    since an accepted step always lowers the objective.  On the test
+    corpora it changes no probe verdict and no heuristic solution set;
+    the objective a probe reports can move in its last digits.
 
     The kernel does only work that can change its result, so its output
     is bit for bit that of the full-work kernel, which forms and solves
-    the normal equations of every row of every live support on every
-    iteration (tests/oracles.py::full_work_levenberg_marquardt).
+    the normal equations of every row not stopped by the ftol test, of
+    every live support, on every iteration
+    (tests/oracles.py::full_work_levenberg_marquardt).
 
     Rows are independent.  Every quantity of a row (restart) is computed
     from that row's x, its support's A_J^T and targets, and its damping
@@ -415,10 +444,14 @@ def _batched_levenberg_marquardt(AT: np.ndarray, targets: np.ndarray, x0: np.nda
     system is one that was factored without error in the iteration that
     froze it (a support whose solve failed stopped there), and LU
     factorization is deterministic, so skipping it hides no singular
-    system.
+    system.  A row stopped by the ftol test is not solved by the
+    full-work kernel either.
     """
     P, R, k = x0.shape
     eye = np.eye(2 * k)[None]
+    # An accepted step is a row's last when cand_obj >= stall_ratio * obj,
+    # that is when it lowers obj^2 by at most _FTOL of its value.
+    stall_ratio = sqrt(1.0 - _FTOL)
 
     def residuals(xc, ATc, t2c):
         r = xc @ ATc
@@ -472,14 +505,15 @@ def _batched_levenberg_marquardt(AT: np.ndarray, targets: np.ndarray, x0: np.nda
         better = (cand_obj < obj) & moving
         if failed is not None:
             better[failed] = False
+        stalled = better & (cand_obj >= stall_ratio * obj)
         np.copyto(xs, cand, where=better[..., None])
         np.copyto(obj, cand_obj, where=better)
         taken += better
-        moving &= better | (lam < 1e6)
+        moving &= (better | (lam < 1e6)) & ~stalled
         lam *= np.where(better, 0.5, 4.0)
         np.minimum(lam, 1e6, out=lam)
         np.maximum(lam, 1e-12, out=lam)
-        fresh = better
+        fresh = better & moving
         done = (obj <= 1e-24).all(axis=1) | ~moving.any(axis=1)
         if failed is not None:
             done |= failed

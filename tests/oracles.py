@@ -7,10 +7,11 @@ rank oracle is a bare SVD count, the distance oracle enumerates every
 ordered support pair and decides every rank by SVD, the spark oracle
 decides every column subset's rank by SVD, the collision probe oracle
 optimizes one support pair at a time, the full-work LM kernel forms and
-solves the normal equations of every restart on every iteration, the
-full-scan real solver runs one SVD and one lstsq against every sign
-pattern on every support, the full-scan lifted complex solver runs the
-lifted solve on every support, the heuristic complex solve oracle
+solves the normal equations of every restart its ftol test has not
+stopped on every iteration, the full-scan real solver runs one SVD and
+one lstsq against every sign pattern on every support, the full-scan
+lifted complex solver runs the lifted solve on every support, the
+heuristic complex solve oracle
 refines one start at a time by serial Gauss-Newton with a line search,
 the Hermitian lift oracles build the lifted system and X entry by
 entry, and the per-trial sweep solves each trial of a row on its own.
@@ -37,6 +38,7 @@ from sparsepr.model import (
 )
 from sparsepr.numerics import DEFAULT_RANK_TOL
 from sparsepr.solver_complex import (
+    _FTOL,
     CollisionProbe,
     _lift_system,
     _lifted_support_solve,
@@ -281,17 +283,23 @@ def loop_assemble_hermitian(v: np.ndarray, k: int) -> np.ndarray:
     return X
 
 
-def _pairwise_levenberg_marquardt(A_J: np.ndarray, targets: np.ndarray, x0: np.ndarray, iters: int = 120):
+def _pairwise_levenberg_marquardt(A_J: np.ndarray, targets: np.ndarray, x0: np.ndarray, iters: int = 120,
+                                  ftol: float = _FTOL):
     """Levenberg-damped Gauss-Newton over the restarts of one support pair.
 
     A_J: (m, k); targets: (R, m) magnitude targets; x0: (R, k) complex
     starts.  Steps are accepted per restart only when the objective
-    decreases.  Returns (x, objective) with objective the 2-norm of the
-    magnitude mismatch |A v| - t.
+    decreases; a restart whose accepted step lowers the sum of squares
+    || |A v|^2 - t^2 ||_2^2 by at most ftol of its value stops after it,
+    and is not solved again (ftol = 0: no restart stops that way).
+    Returns (x, objective) with objective the 2-norm of the magnitude
+    mismatch |A v| - t.
     """
     R, k = x0.shape
     x = x0.copy()
     t2 = targets**2
+    stall_ratio = np.sqrt(1.0 - ftol)
+    stopped = np.zeros(R, dtype=bool)
 
     def sq_obj(xc):
         r = xc @ A_J.T
@@ -307,25 +315,29 @@ def _pairwise_levenberg_marquardt(A_J: np.ndarray, targets: np.ndarray, x0: np.n
         JtJ = np.einsum("rmi,rmj->rij", J, J)
         Jtf = np.einsum("rmi,rm->ri", J, f)
         A_ = JtJ + lam[:, None, None] * np.eye(2 * k)[None]
+        active = ~stopped
         try:
-            delta = np.linalg.solve(A_, -Jtf[..., None])[..., 0]
+            delta = np.linalg.solve(A_[active], -Jtf[active][..., None])[..., 0]
         except np.linalg.LinAlgError:
             break
-        step = delta[:, :k] + 1j * delta[:, k:]
+        step = np.zeros_like(x)
+        step[active] = delta[:, :k] + 1j * delta[:, k:]
         cand = x + step
         cand_obj = sq_obj(cand)
-        better = cand_obj < obj
+        better = (cand_obj < obj) & active
+        stopped |= better & (cand_obj >= stall_ratio * obj)
         x[better] = cand[better]
         obj[better] = cand_obj[better]
         lam = np.where(better, lam * 0.5, lam * 4.0)
         lam = np.clip(lam, 1e-12, 1e6)
-        if np.all(obj <= 1e-24):
+        if np.all(obj <= 1e-24) or stopped.all():
             break
     mag_obj = np.linalg.norm(np.abs(x @ A_J.T) - targets, axis=1)
     return x, mag_obj
 
 
-def full_work_levenberg_marquardt(AT: np.ndarray, targets: np.ndarray, x0: np.ndarray, iters: int = 120):
+def full_work_levenberg_marquardt(AT: np.ndarray, targets: np.ndarray, x0: np.ndarray, iters: int = 120,
+                                  ftol: float = _FTOL):
     """Levenberg-damped Gauss-Newton over a stack of supports.
 
     AT: (P, k, m), AT[p] = A_J^T of support p, each C-contiguous (the
@@ -335,14 +347,22 @@ def full_work_levenberg_marquardt(AT: np.ndarray, targets: np.ndarray, x0: np.nd
     objective || |A_J v|^2 - t^2 ||_2 decreases; the damping halves after
     an accepted step and quadruples otherwise, clipped to [1e-12, 1e6].  A
     support stops once every one of its restarts reaches a squared
-    objective of 1e-24, or when one of its damped normal-equation systems
-    is singular.  Returns (x, objective, steps) with objective the 2-norm
-    of the magnitude mismatch |A_J v| - t and steps the accepted steps,
-    each of shape (P, R).
+    objective of 1e-24, when one of its damped normal-equation systems
+    is singular, or when every one of its restarts has stopped.  A restart
+    stops after an accepted step that lowers its sum of squares
+    || |A_J v|^2 - t^2 ||_2^2 by at most ftol of its value (MINPACK
+    lmder's ftol test, relative, so scale-free); from then on it is not
+    solved, so no system of its can stop its support.  With ftol = 0 no
+    restart stops that way, since an accepted step always lowers the
+    objective: that is the rule before the test was added, bit for bit.
+    Every other row is formed and solved on every iteration.  Returns (x, objective, steps)
+    with objective the 2-norm of the magnitude mismatch |A_J v| - t and
+    steps the accepted steps, each of shape (P, R).
     """
     P, R, k = x0.shape
     m = AT.shape[2]
     eye = np.eye(2 * k)[None]
+    stall_ratio = np.sqrt(1.0 - ftol)
 
     def sq_obj(xc, ATc, t2c):
         r = xc @ ATc
@@ -356,6 +376,7 @@ def full_work_levenberg_marquardt(AT: np.ndarray, targets: np.ndarray, x0: np.nd
     xs, ats, t2 = x0.copy(), AT, targets**2
     obj = sq_obj(xs, ats, t2)
     lam = np.full((P, R), 1e-3)
+    stopped = np.zeros((P, R), dtype=bool)
     for _ in range(iters):
         L = live.size
         r = xs @ ats  # (L, R, m)
@@ -368,13 +389,14 @@ def full_work_levenberg_marquardt(AT: np.ndarray, targets: np.ndarray, x0: np.nd
         Jtf = np.einsum("rmi,rm->ri", J, f)
         A_ = JtJ + lam.reshape(L * R)[:, None, None] * eye
         rhs = -Jtf[..., None]
+        active = ~stopped.reshape(L * R)
         solved = np.ones(L, dtype=bool)
+        delta = np.zeros((L * R, 2 * k))
         try:
-            delta = np.linalg.solve(A_, rhs)[..., 0]
+            delta[active] = np.linalg.solve(A_[active], rhs[active])[..., 0]
         except np.linalg.LinAlgError:
-            delta = np.zeros((L * R, 2 * k))
             for p in range(L):
-                rows = slice(p * R, (p + 1) * R)
+                rows = np.flatnonzero(active[p * R : (p + 1) * R]) + p * R
                 try:
                     delta[rows] = np.linalg.solve(A_[rows], rhs[rows])[..., 0]
                 except np.linalg.LinAlgError:
@@ -382,17 +404,19 @@ def full_work_levenberg_marquardt(AT: np.ndarray, targets: np.ndarray, x0: np.nd
         step = (delta[:, :k] + 1j * delta[:, k:]).reshape(L, R, k)
         cand = xs + step
         cand_obj = sq_obj(cand, ats, t2)
-        better = (cand_obj < obj) & solved[:, None]
+        better = (cand_obj < obj) & solved[:, None] & ~stopped
+        stopped |= better & (cand_obj >= stall_ratio * obj)
         xs[better] = cand[better]
         obj[better] = cand_obj[better]
         steps[live] += better
         lam = np.where(better, lam * 0.5, lam * 4.0)
         lam = np.clip(lam, 1e-12, 1e6)
-        done = ~solved | np.all(obj <= 1e-24, axis=1)
+        done = ~solved | np.all(obj <= 1e-24, axis=1) | np.all(stopped, axis=1)
         if done.any():
             x[live[done]] = xs[done]
             keep = ~done
             live, xs, ats, t2, obj, lam = live[keep], xs[keep], ats[keep], t2[keep], obj[keep], lam[keep]
+            stopped = stopped[keep]
             if live.size == 0:
                 break
     x[live] = xs

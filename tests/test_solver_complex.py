@@ -592,12 +592,14 @@ def _random_kernel_stack(k: int, seed: int):
 
 
 def test_lm_kernel_matches_full_work_oracle(monkeypatch):
-    """The kernel, which skips frozen rows and reuses J^T J across rejected
-    steps, gives the bits of the full-work kernel on x, objective and steps
-    of every row: random k = 1..4 stacks with an exact start, a threshold
-    probe's stacks (rows freeze at lam = 1e6), a (14, 6, 4) heuristic
-    level (rows at the roundoff floor) and the singular-solve probe's
-    stacks (the LinAlgError fallback), each at 0, 1, 17 and 120 iterations."""
+    """The kernel, which skips frozen and stopped rows and reuses J^T J
+    across rejected steps, gives the bits of the full-work kernel on x,
+    objective and steps of every row: random k = 1..4 stacks with an exact
+    start, a threshold probe's stacks (rows freeze at lam = 1e6), a
+    (14, 6, 4) heuristic level (rows at the roundoff floor) and the
+    singular-solve probe's stacks (the LinAlgError fallback), each at 0, 1,
+    17 and 120 iterations.  The ftol stop fires on the probe and the
+    heuristic level, so these bits cover it."""
     A, _, y = _heuristic_case(14, 6, 4, 0)
     cases = {
         "random": [_random_kernel_stack(k, 60 + k) for k in range(1, 5)],
@@ -609,6 +611,7 @@ def test_lm_kernel_matches_full_work_oracle(monkeypatch):
     }
     assert [len(v) for v in cases.values()] == [4, 1, 1, 1]
     work = {}
+    steps_at_cap = {}
     for name, stacks in cases.items():
         for iters in (0, 1, 17, 120):
             runs = []
@@ -623,9 +626,22 @@ def test_lm_kernel_matches_full_work_oracle(monkeypatch):
             if name == "random" and iters == 120:
                 # the exact start takes no step, and its support stops at once
                 assert all(np.all(steps[0] == 0) and np.all(obj[0] == 0) for _, obj, steps in runs[0])
+            if iters == 120:
+                steps_at_cap[name] = [steps for _, _, steps in runs[0]]
     assert all(work[name, 0, full] == (0, 0) for name in cases for full in (False, True))
-    # rows freeze on the probe: the kernel solves well under the full work
-    assert 2 * work["threshold-probe", 120, False][0] < work["threshold-probe", 120, True][0]
+    # the ftol stop fires: with ftol = 0 some row of these stacks takes more
+    # accepted steps, and none takes fewer
+    for name in ("threshold-probe", "heuristic"):
+        counter = _SolveCounter(monkeypatch)
+        unstopped = [full_work_levenberg_marquardt(AT, t, x0, 120, ftol=0.0)[2] for AT, t, x0 in cases[name]]
+        monkeypatch.undo()
+        work[name, "ftol=0"] = counter.rows
+        assert any(np.any(a < b) for a, b in zip(steps_at_cap[name], unstopped)), name
+        assert all(np.all(a <= b) for a, b in zip(steps_at_cap[name], unstopped)), name
+    # rows freeze on the probe: the kernel solves fewer rows than the
+    # full-work kernel, and under half of what it solves with ftol = 0
+    assert work["threshold-probe", 120, False][0] < work["threshold-probe", 120, True][0]
+    assert 2 * work["threshold-probe", 120, False][0] < work["threshold-probe", "ftol=0"]
     # both kernels take the LinAlgError fallback
     assert work["singular-solve", 120, False][1] > 0 and work["singular-solve", 120, True][1] > 0
 
@@ -653,9 +669,64 @@ def test_lm_kernel_pins_the_layout_of_j(monkeypatch):
 
 def test_lm_kernel_solves_at_most_half_the_full_work(monkeypatch):
     """A generic threshold probe, (m, n, k) = (6, 4, 2) with 8 restarts: the
-    full-work kernel solves 36 pairs x 8 restarts x 120 iterations = 34,560
-    rows; rows frozen at the damping cap get no further solve."""
-    counter = _SolveCounter(monkeypatch)
-    probe = collision_probe_complex(generate_ensemble(Field.COMPLEX, 6, 4, 0), 2, 8, 0)
-    assert probe.verdict == "no_collision_found"
-    assert 0 < counter.rows <= 17_280
+    full-work kernel without the ftol stop solves 36 pairs x 8 restarts x
+    120 iterations = 34,560 rows.  Rows frozen at the damping cap get no
+    further solve, and rows stopped by the ftol test none either: the
+    kernel solves at most 7,000 (13,759 before the ftol test, with frozen
+    rows alone), and the count repeats exactly."""
+    counts = []
+    for _ in range(2):
+        counter = _SolveCounter(monkeypatch)
+        probe = collision_probe_complex(generate_ensemble(Field.COMPLEX, 6, 4, 0), 2, 8, 0)
+        monkeypatch.undo()
+        assert probe.verdict == "no_collision_found"
+        counts.append(counter.rows)
+    assert counts[0] == counts[1]
+    assert 0 < counts[0] <= 7_000
+
+
+def test_heuristic_level_work_with_the_ftol_stop(monkeypatch):
+    """The (14, 6, 4) seed-0 heuristic solve's one LM level, 15 supports x
+    8 restarts: rows near the roundoff floor keep taking accepted steps
+    that lower the objective by a few ulps, and the ftol test stops them.
+    The level solves at most 6,500 systems (10,535 before the test was
+    added), and the count repeats exactly."""
+    A, _, y = _heuristic_case(14, 6, 4, 0)
+    counts = []
+    for _ in range(2):
+        counter = _SolveCounter(monkeypatch)
+        sol = solve_l0_complex(A, y, 4, allow_heuristic=True, seed=0)
+        monkeypatch.undo()
+        assert sol.heuristic and sol.k_star == 4
+        counts.append(counter.rows)
+    assert counts[0] == counts[1]
+    assert 0 < counts[0] <= 6_500
+
+
+@pytest.mark.slow
+def test_ftol_stop_keeps_verdicts_and_heuristic_classes(monkeypatch):
+    """Equivalence gate for the ftol stop: against the full-work kernel with
+    ftol = 0 (the rule without the stop), every PROBE_CORPUS probe keeps
+    its verdict, and every heuristic solve at (14, 6, 4), (15, 7, 4),
+    (8, 6, 3) and (12, 6, 4), seeds 0-11, keeps its to_json_dict()
+    exactly."""
+    cases = [_heuristic_case(m, n, k, seed) + (k, seed)
+             for m, n, k in ((14, 6, 4), (15, 7, 4), (8, 6, 3), (12, 6, 4)) for seed in range(12)]
+
+    def run():
+        verdicts = [collision_probe_complex(A, k, restarts, seed).verdict for _, A, k, restarts, seed in PROBE_CORPUS]
+        sols = [solve_l0_complex(A, y, k, allow_heuristic=True, seed=seed).to_json_dict()
+                for A, _, y, k, seed in cases]
+        return verdicts, sols
+
+    def unstopped_kernel(AT, targets, x0, iters=120):
+        return full_work_levenberg_marquardt(AT, targets, x0, iters, ftol=0.0)
+
+    verdicts, sols = run()
+    monkeypatch.setattr(solver_complex, "_batched_levenberg_marquardt", unstopped_kernel)
+    want_verdicts, want_sols = run()
+    for (name, *_), got, want in zip(PROBE_CORPUS, verdicts, want_verdicts):
+        assert got == want, name
+    for (_, _, _, k, seed), got, want in zip(cases, sols, want_sols):
+        assert got == want, (k, seed)
+    assert all(s["heuristic"] for s in sols)
