@@ -92,7 +92,9 @@ def _build_parser() -> _Parser:
     s.add_argument("--kmax", type=int, required=True)
     s.add_argument("--tol", type=float, default=1e-8)
     s.add_argument("--allow-heuristic", action="store_true",
-                   help="enable the labeled-heuristic complex path (k > 3 or m < k^2)")
+                   help="enable the labeled-heuristic complex path: support sizes k outside the exact rule "
+                        "(m >= k^2, or k^2 - 2 <= m with m >= 4k - 2) and supports whose lift the SVD "
+                        "rank policy cannot decide")
     s.add_argument("--seed", type=int, default=0, help="seed for heuristic restarts")
 
     co = sub.add_parser("collide", help="construct a disjoint-support collision at m <= 2k-1")

@@ -177,20 +177,21 @@ def _solve_batch(problems: list[_Problem], k_max: int, fld: Field, level: Callab
 
     A problem with no row of y above tol_abs is solved by the zero
     vector.  For k = 1, ..., k_max, level(live, k) returns each live
-    problem's candidates at support size k and whether the level is
-    heuristic; a problem leaves at the first level where _dedup keeps a
-    candidate.  A SolutionSet made at or after a heuristic level is
-    flagged heuristic.  A level decides each problem's candidates from its
-    own data only, so every SolutionSet is bit for bit that of a solve on
-    its own.
+    problem's candidates at support size k and whether it reached the
+    heuristic path there; a problem leaves at the first level where
+    _dedup keeps a candidate.  A problem's SolutionSet made at or after a
+    level heuristic for it is flagged heuristic.  A level decides each
+    problem's candidates and flag from its own data only, so every
+    SolutionSet is bit for bit that of a solve on its own.
     """
 
-    def solution(k: int | None, p: _Problem, kept: list[tuple[_Candidate, float]]) -> SolutionSet:
+    def solution(k: int | None, i: int, kept: list[tuple[_Candidate, float]]) -> SolutionSet:
+        p = problems[i]
         classes = [c[0] for c, _ in kept]
         residuals = [r for _, r in kept]
         if fld is Field.REAL:
             return SolutionSet(k, classes, residuals, p.stats)
-        return SolutionSet(k, classes, residuals, p.stats, heuristic, [c[1] for c, _ in kept],
+        return SolutionSet(k, classes, residuals, p.stats, heuristic[i], [c[1] for c, _ in kept],
                            [c[2] for c, _ in kept])
 
     out: list[SolutionSet | None] = [None] * len(problems)
@@ -199,19 +200,19 @@ def _solve_batch(problems: list[_Problem], k_max: int, fld: Field, level: Callab
             out[i] = SolutionSet(0, [SparseVector.zero(fld, p.entries.shape[1])], [float(p.y.max(initial=0.0))],
                                  p.stats)
     live = [i for i, sol in enumerate(out) if sol is None]
-    heuristic = False
+    heuristic = [False] * len(problems)
     for k in range(1, k_max + 1):
         if not live:
             break
         found, level_heuristic = level([problems[i] for i in live], k)
-        heuristic = heuristic or level_heuristic
-        for i, cands in zip(live, found):
+        for i, cands, h in zip(live, found, level_heuristic):
+            heuristic[i] = heuristic[i] or h
             kept = _dedup(problems[i], cands)
             if kept:
-                out[i] = solution(k, problems[i], kept)
+                out[i] = solution(k, i, kept)
         live = [i for i in live if out[i] is None]
     for i in live:
-        out[i] = solution(None, problems[i], [])
+        out[i] = solution(None, i, [])
     return out
 
 
@@ -253,9 +254,10 @@ def _exact_support(entries: np.ndarray, I: tuple[int, ...], y: np.ndarray, tol_a
     return out
 
 
-def _scan_level(problems: list[_Problem], k: int) -> tuple[list[list[_Candidate]], bool]:
+def _scan_level(problems: list[_Problem], k: int) -> tuple[list[list[_Candidate]], list[bool]]:
     """Each problem's accepted k-sparse candidates, in support order, and
-    False (no real level is heuristic); the problems share (m, n).
+    a False heuristic flag for each (no real level is heuristic); the
+    problems share (m, n).
 
     Every support counts as tried with all 2^(p-1) sign patterns, p the
     rows of y above tol_abs, but only the supports numerics._lstsq_screen
@@ -284,7 +286,7 @@ def _scan_level(problems: list[_Problem], k: int) -> tuple[list[list[_Candidate]
         supports = list(itertools.compress(itertools.combinations(range(n), k), flagged))
         rhs = _sign_rhs(row) if supports else None
         out.append([c for I in supports for c in _exact_support(p.entries, I, p.y, p.tol_abs, rhs)])
-    return out, False
+    return out, [False] * len(problems)
 
 
 def solve_l0_real(

@@ -40,6 +40,7 @@ from sparsepr.numerics import DEFAULT_RANK_TOL
 from sparsepr.solver_complex import (
     _FTOL,
     CollisionProbe,
+    _level_method,
     _lift_system,
     _lifted_support_solve,
     _support_key,
@@ -514,7 +515,10 @@ def serial_heuristic_solve(A: MeasurementEnsemble, y: np.ndarray, k_max: int, to
 
     Same levels, starts (SeedSequence(seed, spawn_key=(k, support key, r))
     scaled by max(1, max y)), acceptance test and first-found dedup; the
-    lifted levels (k <= 3, m >= k^2) call the library's lifted solve.
+    levels where the lift has a unique solution (m >= k^2) call the
+    library's lifted solve.  Every other level, the library's plane
+    levels included, runs serial Gauss-Newton, so for those it is a
+    reference that shares no code with the plane solve.
     Returns (k_star, classes).
     """
     y = np.asarray(y, dtype=float)
@@ -528,7 +532,7 @@ def serial_heuristic_solve(A: MeasurementEnsemble, y: np.ndarray, k_max: int, to
         classes: list[SparseVector] = []
         for I in itertools.combinations(range(A.n), k):
             A_I = entries[:, I]
-            if k <= 3 and A.m >= k * k:
+            if A.m >= k * k:
                 hit = _lifted_support_solve(_lift_system(A_I[None])[0], A_I, y, y**2, I, A.n, resid_tol, tol_abs)
                 cands = [] if hit is None else [hit[0]]
             else:
@@ -624,11 +628,12 @@ def full_scan_feasible_classes(A: MeasurementEnsemble, y, k_max: int, tol: float
 
 
 def full_scan_solve_l0_complex(A: MeasurementEnsemble, y, k_max: int, tol: float = 1e-8) -> SolutionSet:
-    """solve_l0_complex on lifted levels only, with every support lifted on
-    its own and run through _lifted_support_solve."""
+    """solve_l0_complex on levels whose lift has a unique solution only
+    (_level_method "lifted"), with every support lifted on its own and
+    run through _lifted_support_solve."""
     y = as_measurement(y).magnitudes
     m, n = A.m, A.n
-    if any(k > 3 or m < k * k for k in range(1, k_max + 1)):
+    if any(_level_method(m, k) != "lifted" for k in range(1, k_max + 1)):
         raise ValueError("full_scan_solve_l0_complex covers lifted levels only")
     ymax = float(y.max(initial=0.0))
     tol_abs = tol * max(1.0, ymax)
@@ -657,7 +662,7 @@ def per_trial_run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     trial, each timed on its own (mean_ms is their mean)."""
     rows = []
     for m in range(cfg.m_range[0], cfg.m_range[1] + 1):
-        heuristic = cfg.field is Field.COMPLEX and (cfg.k > 3 or m < cfg.k * cfg.k)
+        heuristic = cfg.field is Field.COMPLEX and _level_method(m, cfg.k) == "refined"
         successes = fragile = 0
         elapsed = 0.0
         for trial in range(cfg.trials_per_m):
@@ -669,7 +674,8 @@ def per_trial_run_sweep(cfg: SweepConfig) -> list[SweepRow]:
             if cfg.field is Field.REAL:
                 sol = solve_l0_real(A, y, cfg.k, tol=cfg.tol)
             else:
-                sol = solve_l0_complex(A, y, cfg.k, tol=cfg.tol, allow_heuristic=heuristic)
+                sol = solve_l0_complex(A, y, cfg.k, tol=cfg.tol, allow_heuristic=True)
+                heuristic = heuristic or sol.heuristic
             elapsed += time.perf_counter() - t0
             if sol.k_star is not None and len(sol.classes) == 1 and phase_equivalent(sol.classes[0], truth, 1e-8):
                 successes += 1

@@ -267,3 +267,16 @@ def test_solve_rejects_negative_heuristic_seed(tmp_path, capsys):
     assert code == 1 and "seed must be a non-negative integer" in err
     code, stdout, _ = run_cli(capsys, *args, "--seed", "1")
     assert code == 0 and json.loads(stdout)["k_star"] == 2
+
+
+def test_solve_at_the_complex_threshold_needs_no_heuristic(tmp_path, capsys):
+    """k = 4 at the paper's m = 4k - 2 = 14 takes the exact plane level:
+    no --allow-heuristic, exit 0, "heuristic": false, one "lifted" class."""
+    A = generate_ensemble(Field.COMPLEX, 14, 6, 3)
+    write_matrix(A, tmp_path / "A.mat")
+    y = measure(A, SparseVector(Field.COMPLEX, 6, (0, 2, 3, 5), [1.0 + 1j, -2.0 + 0.5j, 0.7, 1.5j]))
+    inline = ",".join(repr(float(v)) for v in y.magnitudes)
+    code, stdout, _ = run_cli(capsys, "solve", str(tmp_path / "A.mat"), "--y", inline, "--kmax", "4")
+    out = json.loads(stdout)
+    assert code == 0 and out["heuristic"] is False and out["k_star"] == 4
+    assert out["methods"] == ["lifted"] and out["classes"][0]["support"] == [0, 2, 3, 5]

@@ -230,12 +230,14 @@ def _signal(field: Field, n: int, support, rng, scale: float = 1.0) -> SparseVec
 
 
 def _batch_corpus():
-    """(field, As, ys, k_max, allow_heuristic): three batches, each of one (m, n)
+    """(field, As, ys, k_max, allow_heuristic): four batches, each of one (m, n)
     holding problems that stop at different levels (0, 1, k_max and None)
     and degenerate problems next to generic ones: y = 0, rows at and below
     tol_abs, a repeated column, and A (or A and x) scaled by 2^+-300 (with
     2^450 real and 2^210 complex, max t is above the screen's range, so
-    that problem alone is flagged whole)."""
+    that problem alone is flagged whole).  The fourth is a complex row at
+    m = 14, k = 4, the plane level, where a zero row sends one problem's
+    supports to the heuristic path and no other problem's."""
     rng = np.random.default_rng(14)
     batches = []
     for field, m, n, k_max in ((Field.REAL, 6, 8, 3), (Field.COMPLEX, 10, 7, 3)):
@@ -276,6 +278,23 @@ def _batch_corpus():
     As.append(generate_ensemble(Field.COMPLEX, 3, 5, 4))
     ys.append(np.zeros(3))
     batches.append((Field.COMPLEX, As, ys, 2, True))
+    # a complex row at the plane level: generic problems, a zero row (every
+    # k = 4 support refined), a phase-proportional column (two classes),
+    # y = 0 and a 1-sparse signal
+    As, ys = [], []
+    for seed, support, edit in ((5, (0, 2, 3, 5), None), (6, (1, 2, 4, 5), "zero-row"), (7, (0, 1, 3, 4), "dup"),
+                                (8, (3,), None), (9, (0, 1, 2, 3), None)):
+        E = generate_ensemble(Field.COMPLEX, 14, 6, seed).entries.copy()
+        if edit == "zero-row":
+            E[2] = 0.0
+        elif edit == "dup":
+            E[:, 5] = np.exp(2.0j) * E[:, 1]
+        A = MeasurementEnsemble.from_entries(Field.COMPLEX, E)
+        As.append(A)
+        ys.append(measure(A, _signal(Field.COMPLEX, 6, support, rng)).magnitudes)
+    As.append(generate_ensemble(Field.COMPLEX, 14, 6, 10))
+    ys.append(np.zeros(14))
+    batches.append((Field.COMPLEX, As, ys, 4, True))
     return batches
 
 
@@ -301,23 +320,27 @@ def test_batched_solves_match_one_at_a_time(monkeypatch, elements):
             assert json.dumps(b.to_json_dict()) == json.dumps(a.to_json_dict()) == json.dumps(o.to_json_dict()), \
                 (field, i)
         k_stars.append([sol.k_star for sol in batch])
-        heuristic += [sol.heuristic for sol in batch]
+        heuristic.append([sol.heuristic for sol in batch])
     # each exact batch mixes problems that stop at 0, 1, k_max and None
     for ks, k_max in zip(k_stars[:2], (3, 3)):
         assert {0, 1, k_max, None} <= set(ks), ks
-    assert any(heuristic) and not all(heuristic)
+    assert any(sum(heuristic, [])) and not all(sum(heuristic, []))
+    # the plane row: only the zero-row and phase-proportional problems reach the heuristic path
+    assert k_stars[3] == [4, 4, 4, 1, 4, 0] and heuristic[3] == [False, True, True, False, False, False]
 
 
 @pytest.mark.parametrize("elements", [None, 1])
 def test_sweep_rows_match_per_trial_oracle(monkeypatch, elements):
     """run_sweep solves each row in one batched call; its rows equal those
     of one solve per trial, on a real row below, at and above m = 2k, lifted
-    complex rows and a heuristic complex row."""
+    complex rows, a heuristic complex row, and k = 4 rows at m = 13
+    (heuristic) and m = 14, 15 (the plane level)."""
     if elements is not None:
         monkeypatch.setattr(numerics, "_SCREEN_ELEMENTS", elements)
     configs = [SweepConfig(Field.REAL, 8, 2, (2, 4), 12, base_seed=3),
                SweepConfig(Field.COMPLEX, 6, 2, (4, 6), 6, base_seed=4),
-               SweepConfig(Field.COMPLEX, 5, 2, (3, 3), 3, base_seed=5)]
+               SweepConfig(Field.COMPLEX, 5, 2, (3, 3), 3, base_seed=5),
+               SweepConfig(Field.COMPLEX, 6, 4, (13, 15), 2, base_seed=6)]
 
     def stable(rows):
         return [(r.m, r.trials, r.successes, r.rate, r.fragile, r.heuristic) for r in rows]
@@ -327,6 +350,8 @@ def test_sweep_rows_match_per_trial_oracle(monkeypatch, elements):
         assert stable(rows) == stable(per_trial_run_sweep(cfg)), cfg
         assert all(r.mean_ms > 0 for r in rows)
     assert stable(run_sweep(configs[0]).rows)[0][2] < 12  # m = 2k - 2 fails somewhere
+    assert [(r.m, r.successes, r.heuristic) for r in run_sweep(configs[3]).rows] == \
+        [(13, 2, True), (14, 2, False), (15, 2, False)]
 
 
 def test_forward_trials_match_one_solve_per_trial():

@@ -241,7 +241,8 @@ def _screen_corpus():
     and zero rows; exact pivot ties; and scales 2^+-300 and 1e+-150."""
     rng = np.random.default_rng(41)
     cases = []
-    for field, m, n, k in ((Field.REAL, 7, 7, 3), (Field.COMPLEX, 9, 6, 2), (Field.COMPLEX, 10, 6, 3)):
+    for field, m, n, k in ((Field.REAL, 7, 7, 3), (Field.COMPLEX, 9, 6, 2), (Field.COMPLEX, 10, 6, 3),
+                           (Field.COMPLEX, 18, 6, 4)):
         for variant in ("generic", "dup-col", "neg-col", "zero-col", "dup-row", "zero-row", "ties"):
             A = generate_ensemble(field, m, n, int(rng.integers(1 << 30))).entries.copy()
             if variant == "dup-col":
@@ -256,7 +257,7 @@ def _screen_corpus():
                 A[2] = 0.0
             elif variant == "ties":
                 A = np.round(2 * A.real) + (1j * np.round(2 * A.imag) if field is Field.COMPLEX else 0)
-            I = (0, 1, 4)[:k]
+            I = (0, 1, 4, 5)[:k]
             x = rng.standard_normal(k) + (1j * rng.standard_normal(k) if field is Field.COMPLEX else 0)
             if field is Field.REAL:
                 M, r = A[:, I], A[:, I] @ x

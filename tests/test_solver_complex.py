@@ -20,6 +20,7 @@ from sparsepr import (
 )
 from sparsepr import numerics, solver_complex
 from sparsepr.solver_complex import _assemble_hermitian, _lift_system, _lifted_support_solve
+from sparsepr.solver_real import _tol_abs
 from oracles import (
     full_scan_solve_l0_complex,
     full_work_levenberg_marquardt,
@@ -208,6 +209,20 @@ def _lifted_corpus():
         E = (rng.standard_normal((10, 8)) + 1j * rng.standard_normal((10, 8))) * scale
         cases.append(_entries_signal_case(E, 3, seed))
         cases.append(_entries_signal_case(E, 3, seed, x_scale=1 / scale))
+    # k = 4 at m = 16, 17 and k = 5 at m = 25 (m >= k^2): generic, a zero
+    # row, a column that is e^{i theta} times one in the true support (two
+    # classes), and A scaled by 2^+-20
+    for m, k in ((16, 4), (17, 4), (25, 5)):
+        cases.append(_lifted_signal_case(m, 7, k, 30 + m))
+        E = rng.standard_normal((m, 7)) + 1j * rng.standard_normal((m, 7))
+        E[m // 2] = 0.0
+        cases.append(_entries_signal_case(E, k, m))
+        E = rng.standard_normal((m, 7)) + 1j * rng.standard_normal((m, 7))
+        E[:, 6] = np.exp(1.1j) * E[:, 0]
+        cases.append(_entries_signal_case(E, k, m, support=tuple(range(k))))
+        for e in (20, -20):
+            E = (rng.standard_normal((m, 7)) + 1j * rng.standard_normal((m, 7))) * 2.0**e
+            cases.append(_entries_signal_case(E, k, m + 50 + e))
     # the true support's lifted residual just below and just above resid_tol
     for m, n, k, seed in ((6, 7, 2, 13), (10, 8, 3, 14), (12, 9, 3, 15), (2, 5, 1, 16), (4, 6, 1, 17)):
         for factor in (0.8, 1.2):
@@ -227,7 +242,7 @@ def test_screened_lifted_solve_matches_full_scan_oracle():
         assert got == want, i
         k_stars.append(json.loads(want)["k_star"])
         two_class += len(json.loads(want)["classes"]) == 2
-    assert two_class >= 2 and k_stars.count(3) >= 10
+    assert two_class >= 5 and k_stars.count(3) >= 10 and k_stars.count(4) >= 8 and k_stars.count(5) >= 4
     # the near-resid_tol pairs: found below resid_tol, not above it
     assert k_stars[-11:-1] == [2, None, 3, None, 3, None, 1, None, 1, None]
 
@@ -345,19 +360,114 @@ def _heuristic_case(m: int, n: int, k: int, seed: int):
     return A, x0, measure(A, x0)
 
 
+def _heuristic_level(m: int, n: int, k: int, seed: int):
+    """The LM heuristic's candidates on every k-support of _heuristic_case(m,
+    n, k, seed), 8 restarts, seeded by seed: the _refined_level call the
+    solve made at support size k before that size took the plane level
+    (m = 14, 15 at k = 4), on the same supports and starts."""
+    A, _, y = _heuristic_case(m, n, k, seed)
+    supports = list(itertools.combinations(range(n), k))
+    return solver_complex._refined_level(A.entries, y.magnitudes, supports, _tol_abs(1e-8, y.magnitudes), 8, seed)
+
+
 def test_heuristic_solve_matches_serial_oracle():
-    """The batched LM solve finds the classes one serial Gauss-Newton
-    refinement per (support, restart) finds: same k*, same supports,
-    phase-equivalent values.  (14, 6, 4) is the paper's complex threshold
-    m = 4k - 2 at k = 4, beyond the lifted path."""
-    for seed in range(12):
-        A, x0, y = _heuristic_case(14, 6, 4, seed)
+    """Gate of the plane level: at the paper's complex threshold m = 4k - 2
+    and one row above it, k = 4 at (14, 6) and (15, 7) and k = 5 at (23,
+    7) and (24, 7), the solve is exact (no heuristic flag, every class
+    "lifted") and finds the classes one serial Gauss-Newton refinement
+    per (support, restart) finds: same k*, same supports, phase-equivalent
+    values, and the true class among them."""
+    cases = [(m, n, k, seed) for m, n, k in ((14, 6, 4), (15, 7, 4)) for seed in range(12)]
+    cases += [(m, 7, 5, seed) for m in (23, 24) for seed in range(4)]
+    for m, n, k, seed in cases:
+        A, x0, y = _heuristic_case(m, n, k, seed)
+        sol = solve_l0_complex(A, y, k, seed=seed)
+        k_star, classes = serial_heuristic_solve(A, y.magnitudes, k, seed=seed)
+        assert not sol.heuristic and sol.methods == ["lifted"] * len(sol.classes), (m, k, seed)
+        assert sol.k_star == k_star == k, (m, k, seed)
+        assert [c.support for c in sol.classes] == [c.support for c in classes], (m, k, seed)
+        assert all(phase_equivalent(a, b, 1e-6) for a, b in zip(sol.classes, classes)), (m, k, seed)
+        assert any(phase_equivalent(c, x0, 1e-6) for c in sol.classes), (m, k, seed)
+
+
+def test_level_method_rule():
+    """The unique lift at m >= k^2, the plane level at k^2 - 2 <= m < k^2
+    with m >= 4k - 2 (k = 4 at m = 14, 15; k = 5 at m = 23, 24), the
+    heuristic path below; the solve refuses the heuristic sizes unless
+    allow_heuristic is set."""
+    method = solver_complex._level_method
+    assert [method(m, 3) for m in (7, 8, 9, 10)] == ["refined", "refined", "lifted", "lifted"]
+    assert [method(m, 4) for m in (12, 13, 14, 15, 16)] == ["refined", "refined", "plane", "plane", "lifted"]
+    assert [method(m, 5) for m in (18, 22, 23, 24, 25)] == ["refined", "refined", "plane", "plane", "lifted"]
+    assert [method(m, 6) for m in (33, 34, 35, 36)] == ["refined", "plane", "plane", "lifted"]
+    assert [method(m, k) for k, m in ((1, 1), (2, 2), (2, 3), (2, 4))] == ["lifted", "refined", "refined", "lifted"]
+    A, _, y = _heuristic_case(13, 6, 4, 0)
+    with pytest.raises(ValueError, match=r"support size 4 needs the heuristic path at m = 13"):
+        solve_l0_complex(A, y, 4)
+
+
+def _plane_degenerate_case(kind: str, seed: int):
+    """(A, x0, y) at (14, 6, 4): row 5 of A set to zero, or the column
+    outside the true support e^{0.7 i} times the support's first one."""
+    A, x0, _ = _heuristic_case(14, 6, 4, seed)
+    E = A.entries.copy()
+    if kind == "zero-row":
+        E[5] = 0.0
+    else:
+        E[:, next(c for c in range(6) if c not in x0.support)] = np.exp(0.7j) * E[:, x0.support[0]]
+    A = MeasurementEnsemble.from_entries(Field.COMPLEX, E)
+    return A, x0, measure(A, x0)
+
+
+def test_plane_level_sends_undecided_supports_to_the_heuristic(monkeypatch):
+    """A support whose lift the SVD rank policy cannot decide goes to the
+    LM heuristic and flags the solve; without allow_heuristic the solve
+    raises, naming the support.  A zero row leaves every k = 4 lift rank
+    deficient, so every class is "refined".  A column phase-proportional
+    to one in the true support gives two classes, both found exactly,
+    and only the supports holding both columns are refined."""
+    refined = []
+    level = solver_complex._refined_level
+
+    def spy(entries, y, supports, *args):
+        refined.append(supports)
+        return level(entries, y, supports, *args)
+
+    monkeypatch.setattr(solver_complex, "_refined_level", spy)
+    for seed in range(3):
+        A, x0, y = _plane_degenerate_case("zero-row", seed)
+        with pytest.raises(ValueError, match=r"support \(0, 1, 2, 3\) of size 4 needs the heuristic path"):
+            solve_l0_complex(A, y, 4)
+        refined.clear()
         sol = solve_l0_complex(A, y, 4, allow_heuristic=True, seed=seed)
-        k_star, classes = serial_heuristic_solve(A, y.magnitudes, 4, seed=seed)
-        assert sol.heuristic and sol.k_star == k_star == 4, seed
-        assert [c.support for c in sol.classes] == [c.support for c in classes], seed
-        assert all(phase_equivalent(a, b, 1e-6) for a, b in zip(sol.classes, classes)), seed
+        assert sol.heuristic and sol.k_star == 4 and sol.methods == ["refined"] * len(sol.classes), seed
         assert any(phase_equivalent(c, x0, 1e-6) for c in sol.classes), seed
+        assert refined == [list(itertools.combinations(range(6), 4))], seed
+
+        A, x0, y = _plane_degenerate_case("phase-dup", seed)
+        i, j = x0.support[0], next(c for c in range(6) if c not in x0.support)
+        with pytest.raises(ValueError, match="needs the heuristic path"):
+            solve_l0_complex(A, y, 4)
+        refined.clear()
+        sol = solve_l0_complex(A, y, 4, allow_heuristic=True, seed=seed)
+        twin = dict(zip(x0.support, x0.values))
+        twin[j] = np.exp(-0.7j) * twin.pop(i)
+        twin = SparseVector(Field.COMPLEX, 6, tuple(sorted(twin)), np.array([twin[c] for c in sorted(twin)]))
+        assert sol.heuristic and sol.k_star == 4 and sol.methods == ["lifted", "lifted"], seed
+        assert sorted(c.support for c in sol.classes) == sorted([x0.support, twin.support]), seed
+        assert all(any(phase_equivalent(c, want, 1e-6) for c in sol.classes) for want in (x0, twin)), seed
+        assert refined == [[I for I in itertools.combinations(range(6), 4) if i in I and j in I]], seed
+
+
+def test_plane_level_does_not_depend_on_blocking(monkeypatch):
+    """One support per _plane_level block gives the bits of the default
+    blocking, on generic and degenerate (14, 6, 4) and (15, 7, 4) solves."""
+    cases = [_heuristic_case(m, n, 4, seed) for m, n in ((14, 6), (15, 7)) for seed in range(3)]
+    cases += [_plane_degenerate_case(kind, 0) for kind in ("zero-row", "phase-dup")]
+    default = [solve_l0_complex(A, y, 4, allow_heuristic=True).to_json_dict() for A, _, y in cases]
+    monkeypatch.setattr(solver_complex, "_PLANE_SUPPORTS", 1)
+    assert [solve_l0_complex(A, y, 4, allow_heuristic=True).to_json_dict() for A, _, y in cases] == default
+    assert [d["heuristic"] for d in default] == [False] * 6 + [True, True]
 
 
 def test_heuristic_solve_does_not_depend_on_blocking(monkeypatch):
@@ -596,17 +706,16 @@ def test_lm_kernel_matches_full_work_oracle(monkeypatch):
     across rejected steps, gives the bits of the full-work kernel on x,
     objective and steps of every row: random k = 1..4 stacks with an exact
     start, a threshold probe's stacks (rows freeze at lam = 1e6), a
-    (14, 6, 4) heuristic level (rows at the roundoff floor) and the
+    (14, 6, 4) LM heuristic level (rows at the roundoff floor) and the
     singular-solve probe's stacks (the LinAlgError fallback), each at 0, 1,
     17 and 120 iterations.  The ftol stop fires on the probe and the
     heuristic level, so these bits cover it."""
-    A, _, y = _heuristic_case(14, 6, 4, 0)
     cases = {
         "random": [_random_kernel_stack(k, 60 + k) for k in range(1, 5)],
         "threshold-probe": _kernel_stacks(
             monkeypatch, lambda: collision_probe_complex(generate_ensemble(Field.COMPLEX, 6, 4, 0), 2, 8, 0)
         ),
-        "heuristic": _kernel_stacks(monkeypatch, lambda: solve_l0_complex(A, y, 4, allow_heuristic=True, seed=0)),
+        "heuristic": _kernel_stacks(monkeypatch, lambda: _heuristic_level(14, 6, 4, 0)),
         "singular-solve": _kernel_stacks(monkeypatch, lambda: collision_probe_complex(_singular_solve_ensemble(), 2, 8, 3)),
     }
     assert [len(v) for v in cases.values()] == [4, 1, 1, 1]
@@ -686,18 +795,18 @@ def test_lm_kernel_solves_at_most_half_the_full_work(monkeypatch):
 
 
 def test_heuristic_level_work_with_the_ftol_stop(monkeypatch):
-    """The (14, 6, 4) seed-0 heuristic solve's one LM level, 15 supports x
-    8 restarts: rows near the roundoff floor keep taking accepted steps
-    that lower the objective by a few ulps, and the ftol test stops them.
-    The level solves at most 6,500 systems (10,535 before the test was
-    added), and the count repeats exactly."""
-    A, _, y = _heuristic_case(14, 6, 4, 0)
+    """The (14, 6, 4) seed-0 LM heuristic level, 15 supports x 8 restarts:
+    rows near the roundoff floor keep taking accepted steps that lower
+    the objective by a few ulps, and the ftol test stops them.  The level
+    solves at most 6,500 systems (10,535 before the test was added), and
+    the count repeats exactly."""
+    _, x0, _ = _heuristic_case(14, 6, 4, 0)
     counts = []
     for _ in range(2):
         counter = _SolveCounter(monkeypatch)
-        sol = solve_l0_complex(A, y, 4, allow_heuristic=True, seed=0)
+        cands = _heuristic_level(14, 6, 4, 0)
         monkeypatch.undo()
-        assert sol.heuristic and sol.k_star == 4
+        assert any(phase_equivalent(c, x0, 1e-6) for c, _, _ in cands)
         counts.append(counter.rows)
     assert counts[0] == counts[1]
     assert 0 < counts[0] <= 6_500
@@ -707,16 +816,19 @@ def test_heuristic_level_work_with_the_ftol_stop(monkeypatch):
 def test_ftol_stop_keeps_verdicts_and_heuristic_classes(monkeypatch):
     """Equivalence gate for the ftol stop: against the full-work kernel with
     ftol = 0 (the rule without the stop), every PROBE_CORPUS probe keeps
-    its verdict, and every heuristic solve at (14, 6, 4), (15, 7, 4),
-    (8, 6, 3) and (12, 6, 4), seeds 0-11, keeps its to_json_dict()
-    exactly."""
-    cases = [_heuristic_case(m, n, k, seed) + (k, seed)
-             for m, n, k in ((14, 6, 4), (15, 7, 4), (8, 6, 3), (12, 6, 4)) for seed in range(12)]
+    its verdict, every heuristic solve at (8, 6, 3) and (12, 6, 4), seeds
+    0-11, keeps its to_json_dict() exactly, and so does the LM heuristic
+    level at (14, 6, 4) and (15, 7, 4), seeds 0-11 (_heuristic_level:
+    the same supports and starts those solves refined before the plane
+    level), on its candidates' supports and values."""
+    cases = [_heuristic_case(m, n, k, seed) + (k, seed) for m, n, k in ((8, 6, 3), (12, 6, 4)) for seed in range(12)]
+    levels = [(m, n, 4, seed) for m, n in ((14, 6), (15, 7)) for seed in range(12)]
 
     def run():
         verdicts = [collision_probe_complex(A, k, restarts, seed).verdict for _, A, k, restarts, seed in PROBE_CORPUS]
         sols = [solve_l0_complex(A, y, k, allow_heuristic=True, seed=seed).to_json_dict()
                 for A, _, y, k, seed in cases]
+        sols += [[(c.support, c.values.tolist()) for c, _, _ in _heuristic_level(*case)] for case in levels]
         return verdicts, sols
 
     def unstopped_kernel(AT, targets, x0, iters=120):
@@ -727,6 +839,7 @@ def test_ftol_stop_keeps_verdicts_and_heuristic_classes(monkeypatch):
     want_verdicts, want_sols = run()
     for (name, *_), got, want in zip(PROBE_CORPUS, verdicts, want_verdicts):
         assert got == want, name
-    for (_, _, _, k, seed), got, want in zip(cases, sols, want_sols):
-        assert got == want, (k, seed)
-    assert all(s["heuristic"] for s in sols)
+    for case, got, want in zip([(A.m, k, seed) for A, _, _, k, seed in cases] + levels, sols, want_sols):
+        assert got == want, case
+    assert all(s["heuristic"] for s in sols[: len(cases)])
+    assert all(sols[len(cases):])  # every LM level finds a class
