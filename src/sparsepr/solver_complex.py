@@ -8,7 +8,9 @@ linear system and extracting the top eigenpair recovers x exactly; a
 candidate is accepted only when the system residual, positive
 semidefiniteness, and the rank-one defect lambda_2 / lambda_1 all pass.
 That unique-lift path is exact for every k at m >= k^2, which the paper's
-m = 4k - 2 threshold meets for k <= 3.
+m = 4k - 2 threshold meets for k <= 3, wherever the lift has full column
+rank under the SVD rank policy (numerics.DEFAULT_RANK_TOL); a consistent
+support whose lift does not (a zero row at m = k^2) is undecided.
 
 Just below m = k^2, at k^2 - 2 <= m < k^2 with m >= 4k - 2 (k = 4 at m =
 14 and 15, k = 5 at m = 23 and 24), the lifted solutions of a support
@@ -20,9 +22,10 @@ of an overdetermined quadratic system, as in Kipnis and Shamir, CRYPTO
 SVD rank policy, that a support has at most one rank-one point and find
 it; it passes the unique-lift path's test (_rank_one_class).  This plane
 level is exact too, and labels its classes "lifted" (_plane_level).  A
-support the policy cannot decide (a rank-deficient lift, as with a zero
-row), and every support size outside both rules, goes to multi-start
-Levenberg-Marquardt refinement, which labels its output heuristic.  A
+support either level cannot decide (a rank-deficient lift, as with a zero
+row, or one that overflows), and every support size outside both rules,
+goes to multi-start Levenberg-Marquardt refinement, which labels its
+output heuristic.  A
 generic (14, 6, 4) solve takes about 3 ms on the plane level, against
 about 25 ms by the refinement it replaces (2-core Intel Xeon, one BLAS
 thread).
@@ -108,6 +111,9 @@ _PROBE_FIRST_ROWS = 300
 # Supports per block of _plane_level: about 3 MB of working arrays at
 # k = 4 (the minor products dominate).
 _PLANE_SUPPORTS = 256
+# What _lifted_support_solve returns for a support whose lift the SVD rank
+# policy cannot decide.
+_UNDECIDED = "undecided"
 
 
 @dataclass(frozen=True)
@@ -168,17 +174,27 @@ def _lifted_support_solve(
     n: int,
     resid_tol: float,
     tol_abs: float,
-) -> tuple[SparseVector, float] | None:
-    """The canonical class and rank-one defect one support's lift G yields, or None.
+) -> tuple[SparseVector, float] | str | None:
+    """The canonical class and rank-one defect one support's lift G yields,
+    None, or _UNDECIDED.
 
     rhs is y^2.  The lifted residual is checked first, so X is assembled
     and eigendecomposed only for a support whose linear system is
-    consistent.
+    consistent.  A consistent lift without full column rank
+    (sigma_(k^2) <= DEFAULT_RANK_TOL sigma_1 among lstsq's singular
+    values, as with a zero row at m = k^2) has a line or more of
+    solutions, of which lstsq's minimum-norm one need not be the rank-one
+    point, and a non-finite lift has no residual to test: both are
+    _UNDECIDED, for the heuristic path.
     """
-    v, *_ = np.linalg.lstsq(G, rhs, rcond=None)
+    if not np.isfinite(G).all():
+        return _UNDECIDED
+    v, _, _, sv = np.linalg.lstsq(G, rhs, rcond=None)
     resid = float(np.linalg.norm(G @ v - rhs))
     if not resid <= resid_tol:  # also rejects a NaN residual
         return None
+    if not sv[-1] > DEFAULT_RANK_TOL * sv[0]:
+        return _UNDECIDED
     return _rank_one_class(_assemble_hermitian(v, len(support)), A_I, y, support, n, tol_abs)
 
 
@@ -220,9 +236,10 @@ def _lift_columns(entries: np.ndarray):
     return columns
 
 
-def _lifted_level(problems: list[_Problem], k: int) -> list[list[_Candidate]]:
+def _lifted_level(problems: list[_Problem], k: int) -> list[tuple[list[_Candidate], list[tuple[int, ...]]]]:
     """Each problem's _lifted_support_solve hits at one support size, as
-    "lifted" candidates in support order; the problems share (m, n).
+    "lifted" candidates in support order, and its _UNDECIDED supports, in
+    support order; the problems share (m, n).
 
     One numerics._lstsq_screen call covers every problem: it gets the
     lifted residual test (right-hand side y^2, no signs, computed norm at
@@ -233,7 +250,8 @@ def _lifted_level(problems: list[_Problem], k: int) -> list[list[_Candidate]]:
     depend on that order.  Only the supports it flags are lifted by
     _lift_system, in its own column order, and run _lifted_support_solve
     on their own problem.  A support the screen rules out would have
-    returned None, so the hits are the full scan's, bit for bit.
+    returned None, so the hits and the undecided supports are the full
+    scan's, bit for bit.
     """
     m, n = problems[0].entries.shape
     rhs = np.stack([p.y**2 for p in problems])  # y^2 is each problem's one right-hand side
@@ -242,13 +260,15 @@ def _lifted_level(problems: list[_Problem], k: int) -> list[list[_Candidate]]:
     flags = _lstsq_screen(_lift_columns(side_by_side), n, k, rhs, np.ones((1, k * k)), resid_tol)
     out = []
     for p, t, rt, row in zip(problems, rhs, resid_tol, flags):
-        hits = []
+        hits, undecided = [], []
         for support in itertools.compress(itertools.combinations(range(n), k), row):
             A_I = p.entries[:, support]
             hit = _lifted_support_solve(_lift_system(A_I[None])[0], A_I, p.y, t, support, n, rt, p.tol_abs)
-            if hit is not None:
+            if hit is _UNDECIDED:
+                undecided.append(support)
+            elif hit is not None:
                 hits.append((hit[0], "lifted", hit[1]))
-        out.append(hits)
+        out.append((hits, undecided))
     return out
 
 
@@ -308,8 +328,10 @@ def _plane_level(p: _Problem, k: int) -> tuple[list[_Candidate], list[tuple[int,
     An undecided support is returned for the heuristic path: G
     rank-deficient (as with a zero row or two phase-proportional columns
     in I), v0 zero or not finite, a Q null space of dimension two or
-    more, or a block whose lifts LAPACK's SVD cannot take (entries near
-    the ends of the float range, where the lift underflows or overflows).
+    more, or a lift that is not finite (entries near the top of the float
+    range, where the lift overflows).  A non-finite lift never enters the
+    batched SVD, which does not return on one, so the other supports of
+    its block are decided as without it.
     """
     m, n = p.entries.shape
     d = k * k - m
@@ -318,17 +340,15 @@ def _plane_level(p: _Problem, k: int) -> tuple[list[_Candidate], list[tuple[int,
     hits, undecided = [], []
     for lo in range(0, len(all_supports), _PLANE_SUPPORTS):
         supports = all_supports[lo : lo + _PLANE_SUPPORTS]
-        A_S = p.entries[:, np.array(supports)].transpose(1, 0, 2)  # (S, m, k)
-        try:
-            U, s, Vt = np.linalg.svd(_lift_system(A_S))
-        except np.linalg.LinAlgError:  # LAPACK fails on lifts near the ends of the float range
-            undecided += supports
-            continue
+        G = _lift_system(p.entries[:, np.array(supports)].transpose(1, 0, 2))  # (S, m, k^2)
+        finite = np.flatnonzero(np.isfinite(G).all(axis=(1, 2)))  # LAPACK's SVD hangs on the rest
+        U, s, Vt = np.linalg.svd(G[finite])
         with np.errstate(all="ignore"):
             v0 = np.einsum("si,sij->sj", (rhs @ U) / s, Vt[:, :m])
             size = np.abs(v0).max(axis=1)
         full = np.flatnonzero((s[:, -1] > DEFAULT_RANK_TOL * s[:, 0]) & (size > 0) & (size < np.inf))
         v0, size, N = v0[full], size[full], Vt[full, m:]
+        full = finite[full]
         B = _assemble_hermitian(np.concatenate([(v0 / size[:, None])[:, None], N], axis=1), k)
         _, qs, qVt = np.linalg.svd(_minor_system(B), full_matrices=False)
         w = qVt[:, -1]
@@ -365,9 +385,9 @@ def solve_l0_complex(
     15, k = 5 at m = 23, 24) finds each support's one rank-one lifted
     solution from two batched SVDs (see _plane_level); its classes are
     also labeled "lifted".  Both are exact.  The other sizes ("refined"),
-    and the supports of a plane size whose lift the SVD rank policy
-    cannot decide, are only scanned when allow_heuristic is set; without
-    it they raise ValueError.  There every support gets
+    and the supports of a lifted or plane size whose lift the SVD rank
+    policy cannot decide, are only scanned when allow_heuristic is set;
+    without it they raise ValueError.  There every support gets
     heuristic_restarts seeded starts, and one batched Levenberg-Marquardt
     call refines all (supports x restarts) of the level; classes found
     there are labeled "refined" and the solution set is flagged
@@ -385,10 +405,11 @@ def _solve_complex_batch(As: list[MeasurementEnsemble], ys: list, k_max: int, to
 
     The level function runs a lifted level as one _lifted_level call for
     all the problems still searching, a plane level as one _plane_level
-    call per problem, each followed by one _refined_level call on the
-    supports it leaves undecided, if any, and a refined level as one
-    _refined_level call per problem.  A problem is flagged heuristic at a
-    refined level, or at a plane level that left it a support.  Each
+    call per problem, each followed by one _refined_level call per
+    problem on the supports left undecided, if any, and a refined level
+    as one _refined_level call per problem.  A problem is flagged
+    heuristic at a refined level, or at a lifted or plane level that left
+    it a support.  Each
     support counts one pattern, plus heuristic_restarts for each support
     the heuristic path refines.
     """
@@ -410,17 +431,15 @@ def _solve_complex_batch(As: list[MeasurementEnsemble], ys: list, k_max: int, to
         for p in live:
             p.stats.supports_tried += comb(n, k)
             p.stats.patterns_tried += comb(n, k) if method != "refined" else 0
-        if method == "lifted":
-            return _lifted_level(live, k), [False] * len(live)
         if method == "refined":
             supports = list(itertools.combinations(range(n), k))
             return [refine(p, supports) for p in live], [True] * len(live)
+        decided = _lifted_level(live, k) if method == "lifted" else [_plane_level(p, k) for p in live]
         found, flagged = [], []
-        for p in live:
-            hits, undecided = _plane_level(p, k)
+        for p, (hits, undecided) in zip(live, decided):
             if undecided and not allow_heuristic:
                 raise ValueError(f"support {undecided[0]} of size {k} needs the heuristic path: the SVD rank "
-                                 "policy cannot decide its lifted plane; pass allow_heuristic=True to enable it")
+                                 "policy cannot decide its lifted system; pass allow_heuristic=True to enable it")
             found.append(sorted(hits + refine(p, undecided), key=lambda c: c[0].support))
             flagged.append(bool(undecided))
         return found, flagged

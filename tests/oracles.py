@@ -39,10 +39,12 @@ from sparsepr.model import (
 from sparsepr.numerics import DEFAULT_RANK_TOL
 from sparsepr.solver_complex import (
     _FTOL,
+    _UNDECIDED,
     CollisionProbe,
     _level_method,
     _lift_system,
     _lifted_support_solve,
+    _refined_level,
     _support_key,
     solve_l0_complex,
 )
@@ -516,9 +518,10 @@ def serial_heuristic_solve(A: MeasurementEnsemble, y: np.ndarray, k_max: int, to
     Same levels, starts (SeedSequence(seed, spawn_key=(k, support key, r))
     scaled by max(1, max y)), acceptance test and first-found dedup; the
     levels where the lift has a unique solution (m >= k^2) call the
-    library's lifted solve.  Every other level, the library's plane
-    levels included, runs serial Gauss-Newton, so for those it is a
-    reference that shares no code with the plane solve.
+    library's lifted solve, and refine the supports it leaves undecided.
+    Every other level, the library's plane levels included, runs serial
+    Gauss-Newton, so for those it is a reference that shares no code with
+    the plane solve.
     Returns (k_star, classes).
     """
     y = np.asarray(y, dtype=float)
@@ -532,11 +535,11 @@ def serial_heuristic_solve(A: MeasurementEnsemble, y: np.ndarray, k_max: int, to
         classes: list[SparseVector] = []
         for I in itertools.combinations(range(A.n), k):
             A_I = entries[:, I]
+            hit = _UNDECIDED
             if A.m >= k * k:
                 hit = _lifted_support_solve(_lift_system(A_I[None])[0], A_I, y, y**2, I, A.n, resid_tol, tol_abs)
-                cands = [] if hit is None else [hit[0]]
-            else:
-                cands = []
+            cands = [] if hit is None or hit is _UNDECIDED else [hit[0]]
+            if hit is _UNDECIDED:
                 for r in range(restarts):
                     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k, _support_key(I), r)))
                     x0 = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) * scale
@@ -627,10 +630,14 @@ def full_scan_feasible_classes(A: MeasurementEnsemble, y, k_max: int, tol: float
             for cand, _resid in _full_scan_level(A, y, k, tol_abs, rhs, stats)]
 
 
-def full_scan_solve_l0_complex(A: MeasurementEnsemble, y, k_max: int, tol: float = 1e-8) -> SolutionSet:
+def full_scan_solve_l0_complex(A: MeasurementEnsemble, y, k_max: int, tol: float = 1e-8,
+                               allow_heuristic: bool = False, heuristic_restarts: int = 8,
+                               seed: int = 0) -> SolutionSet:
     """solve_l0_complex on levels whose lift has a unique solution only
     (_level_method "lifted"), with every support lifted on its own and
-    run through _lifted_support_solve."""
+    run through _lifted_support_solve.  An undecided support raises
+    without allow_heuristic; with it, _refined_level refines that support
+    alone and the solve is flagged heuristic from that level on."""
     y = as_measurement(y).magnitudes
     m, n = A.m, A.n
     if any(_level_method(m, k) != "lifted" for k in range(1, k_max + 1)):
@@ -642,6 +649,7 @@ def full_scan_solve_l0_complex(A: MeasurementEnsemble, y, k_max: int, tol: float
     if np.all(y <= tol_abs):
         return SolutionSet(0, [SparseVector.zero(Field.COMPLEX, n)], [ymax], stats)
     entries = A.entries
+    heuristic = False
     for k in range(1, k_max + 1):
         classes: list = []
         for I in itertools.combinations(range(n), k):
@@ -649,12 +657,19 @@ def full_scan_solve_l0_complex(A: MeasurementEnsemble, y, k_max: int, tol: float
             stats.patterns_tried += 1
             A_I = entries[:, I]
             hit = _lifted_support_solve(_lift_system(A_I[None])[0], A_I, y, y**2, I, n, resid_tol, tol_abs)
-            if hit is not None:
-                _insert_class(classes, hit[0], _max_err(A_I, hit[0].values, y), tol_abs, hit[1])
+            if hit is _UNDECIDED:
+                if not allow_heuristic:
+                    raise ValueError(f"support {I} of size {k} needs the heuristic path")
+                heuristic = True
+                stats.patterns_tried += heuristic_restarts
+                for cand, method, _ in _refined_level(entries, y, [I], tol_abs, heuristic_restarts, seed):
+                    _insert_class(classes, cand, _max_err(A_I, cand.values, y), tol_abs, method, None)
+            elif hit is not None:
+                _insert_class(classes, hit[0], _max_err(A_I, hit[0].values, y), tol_abs, "lifted", hit[1])
         if classes:
-            return SolutionSet(k, [c[0] for c in classes], [c[1] for c in classes], stats,
-                               methods=["lifted"] * len(classes), rank1_defects=[c[2] for c in classes])
-    return SolutionSet(None, [], [], stats, methods=[], rank1_defects=[])
+            return SolutionSet(k, [c[0] for c in classes], [c[1] for c in classes], stats, heuristic,
+                               [c[2] for c in classes], [c[3] for c in classes])
+    return SolutionSet(None, [], [], stats, heuristic, [], [])
 
 
 def per_trial_run_sweep(cfg: SweepConfig) -> list[SweepRow]:
