@@ -22,13 +22,13 @@ of an overdetermined quadratic system, as in Kipnis and Shamir, CRYPTO
 SVD rank policy, that a support has at most one rank-one point and find
 it; it passes the unique-lift path's test (_rank_one_class).  This plane
 level is exact too, and labels its classes "lifted" (_plane_level).  A
-support either level cannot decide (a rank-deficient lift, as with a zero
-row, or one that overflows), and every support size outside both rules,
-goes to multi-start Levenberg-Marquardt refinement, which labels its
-output heuristic.  A
-generic (14, 6, 4) solve takes about 3 ms on the plane level, against
-about 25 ms by the refinement it replaces (2-core Intel Xeon, one BLAS
-thread).
+support either level cannot decide (a rank-deficient lift whose system
+is consistent, as with a zero row, or one that overflows; an
+inconsistent one holds no class), and every support size outside both
+rules, goes to multi-start Levenberg-Marquardt refinement, which labels
+its output heuristic.  A generic (14, 6, 4) solve takes about 3 ms on
+the plane level, against about 25 ms by the refinement it replaces
+(2-core Intel Xeon, one BLAS thread).
 
 Each lifted level is screened in batch: numerics._lstsq_screen builds
 each support's lift from its parent's (adding index c adds 2k - 1
@@ -43,19 +43,32 @@ core (_solve_batch), which this module gives its level function.
 
 A collision probe searches for two non-phase-equivalent sparse vectors
 with identical magnitudes; it is a falsification attempt, never a proof
-of uniqueness.  The probe and the heuristic solve run the same batched
-Levenberg-Marquardt kernel, _batched_levenberg_marquardt, which solves
-no restart frozen at its damping cap and reforms J^T J only after an
-accepted step, with the bits of a kernel that does all that work.  A
-restart also stops after an accepted step that lowers its sum of
-squares by at most _FTOL (sqrt(eps)) of its value, MINPACK lmder's ftol
-test: restarts stalled at a positive local minimum, or at the
-roundoff floor, otherwise keep taking such steps to the iteration cap.
-The test is a ratio, so unlike the absolute 1e-8 verdict, 1e-24 stop
-and damping clip it does not change when A and y are rescaled.  On the
-test corpora it changes no probe verdict and no heuristic solution set;
-the objective a probe without a collision reports can move in its last
-digits (by up to 4e-5 relative there).
+of uniqueness.  It samples a unit u on each support I and asks, for
+each support J, whether some v on J has |A_J v| = |A_I u|.  Where the
+lift has one solution (m >= k^2, the "lifted" sizes), that question is
+linear and the probe answers it on the lift: one batched SVD of the
+C(n, k) lifts gives each full-column-rank G_J's pseudo-inverse, and a
+sample's candidate is the top eigenpair of the Hermitian matrix G_J^+
+|A_I u|^2 (PhaseLift's lift, Candes, Strohmer and Voroninski, 2013).
+A J whose lift is rank deficient, and every other support size, takes
+the batched Levenberg-Marquardt kernel, _batched_levenberg_marquardt.
+Either way the probe's objective is the candidate's measured mismatch
+|| |A_J v| - |A_I u| ||_2, so a negative verdict is evidence over the
+sampled u, not proof.  The probe scales A by an exact power of two
+first, so its verdict and pair do not change when A is scaled by one.
+A (6, 4, 2) probe with 8 restarts takes 2 to 3 ms on the lift, against
+about 16 ms by the kernel (2-core Intel Xeon, one BLAS thread).
+
+The kernel, which the heuristic solve runs too, solves no restart
+frozen at its damping cap and reforms J^T J only after an accepted
+step, with the bits of a kernel that does all that work.  A restart
+also stops after an accepted step that lowers its sum of squares by at
+most _FTOL (sqrt(eps)) of its value, MINPACK lmder's ftol test:
+restarts stalled at a positive local minimum, or at the roundoff
+floor, otherwise keep taking such steps to the iteration cap.  The
+test is a ratio, so unlike the absolute 1e-24 stop and damping clip it
+does not change when A and y are rescaled.  On the test corpora it
+changes no probe verdict and no heuristic solution set.
 """
 
 from __future__ import annotations
@@ -98,15 +111,16 @@ _FTOL = sqrt(np.finfo(float).eps)
 # (the collision probe's first block excepted); bounds the kernel's
 # working arrays to a few MB.
 _PROBE_ROWS = 4096
-# Rows of the collision probe's first kernel call.  A kernel call costs
-# about c0 = 7 ms however few its rows (numpy call overhead per
-# iteration), plus about c1 = 40 us per row (m = 6, k = 2; a linear fit
-# over calls of 8 to 2400 rows; before the ftol stop, c0 = 14 ms and
-# c1 = 65 to 87 us by the same fit).  A probe that needs more rows than
-# the first call holds pays c0 again for a second call; one that stops
-# earlier pays c1 for each row it did not need.  With about c0 / c1 rows
-# (160 to 230 by that fit, both before and after) neither loss exceeds
-# one call's fixed cost; 300 is within 2x of it.
+# Rows of the collision probe's first block.  It sizes the probe's LM
+# kernel calls: rows on the lift cost a few us each and take no kernel
+# call.  A kernel call costs about c0 = 7 ms however few its rows (numpy
+# call overhead per iteration), plus about c1 = 40 us per row (m = 6, k
+# = 2; a linear fit over calls of 8 to 2400 rows; before the ftol stop,
+# c0 = 14 ms and c1 = 65 to 87 us by the same fit).  A probe that needs
+# more rows than the first call holds pays c0 again for a second call;
+# one that stops earlier pays c1 for each row it did not need.  With
+# about c0 / c1 rows (160 to 230 by that fit, both before and after)
+# neither loss exceeds one call's fixed cost; 300 is within 2x of it.
 _PROBE_FIRST_ROWS = 300
 # Supports per block of _plane_level: about 3 MB of working arrays at
 # k = 4 (the minor products dominate).
@@ -256,7 +270,7 @@ def _lifted_level(problems: list[_Problem], k: int) -> list[tuple[list[_Candidat
     m, n = problems[0].entries.shape
     rhs = np.stack([p.y**2 for p in problems])  # y^2 is each problem's one right-hand side
     side_by_side = np.concatenate([p.entries for p in problems], axis=1)
-    resid_tol = np.array([max(1.0, float(p.y.max(initial=0.0)) ** 2) * p.tol for p in problems]) * np.sqrt(m)
+    resid_tol = np.array([_resid_tol(p) for p in problems])
     flags = _lstsq_screen(_lift_columns(side_by_side), n, k, rhs, np.ones((1, k * k)), resid_tol)
     out = []
     for p, t, rt, row in zip(problems, rhs, resid_tol, flags):
@@ -270,6 +284,11 @@ def _lifted_level(problems: list[_Problem], k: int) -> list[tuple[list[_Candidat
                 hits.append((hit[0], "lifted", hit[1]))
         out.append((hits, undecided))
     return out
+
+
+def _resid_tol(p: _Problem) -> float:
+    """The lifted residual tolerance of a problem: tol max(1, max y^2) sqrt(m)."""
+    return max(1.0, float(p.y.max(initial=0.0)) ** 2) * p.tol * sqrt(p.entries.shape[0])
 
 
 def _minor_system(B: np.ndarray) -> np.ndarray:
@@ -325,28 +344,43 @@ def _plane_level(p: _Problem, k: int) -> tuple[list[_Candidate], list[tuple[int,
     one rank-one point, the candidate is that point, and the support
     holds no class unless it passes the test; soundness is the test's.
 
+    A lift without full row rank (as with a zero row or two
+    phase-proportional columns in I) first gets the unique-lift level's
+    residual test: lstsq's solution (the SVD's, singular values at or
+    below lstsq's default cutoff dropped) must fit y^2 to _resid_tol.  One
+    that fails has no Hermitian solution, so the support holds no class
+    and is ruled out.  A full-row-rank lift fits every right-hand side,
+    so the test cannot rule it out and is not applied to it.
+
     An undecided support is returned for the heuristic path: G
-    rank-deficient (as with a zero row or two phase-proportional columns
-    in I), v0 zero or not finite, a Q null space of dimension two or
-    more, or a lift that is not finite (entries near the top of the float
-    range, where the lift overflows).  A non-finite lift never enters the
-    batched SVD, which does not return on one, so the other supports of
-    its block are decided as without it.
+    rank-deficient with a consistent system (as with a zero row), v0 zero
+    or not finite, a Q null space of dimension two or more, or a lift
+    that is not finite (entries near the top of the float range, where
+    the lift overflows).  A non-finite lift never enters the batched SVD,
+    which does not return on one, so the other supports of its block are
+    decided as without it.
     """
     m, n = p.entries.shape
     d = k * k - m
     rhs = p.y**2
+    resid_tol = _resid_tol(p)
     all_supports = list(itertools.combinations(range(n), k))
     hits, undecided = [], []
     for lo in range(0, len(all_supports), _PLANE_SUPPORTS):
         supports = all_supports[lo : lo + _PLANE_SUPPORTS]
         G = _lift_system(p.entries[:, np.array(supports)].transpose(1, 0, 2))  # (S, m, k^2)
         finite = np.flatnonzero(np.isfinite(G).all(axis=(1, 2)))  # LAPACK's SVD hangs on the rest
-        U, s, Vt = np.linalg.svd(G[finite])
+        G = G[finite]
+        U, s, Vt = np.linalg.svd(G)
         with np.errstate(all="ignore"):
-            v0 = np.einsum("si,sij->sj", (rhs @ U) / s, Vt[:, :m])
+            # lstsq's solution: singular values at or below its default cutoff are dropped
+            kept = s > np.finfo(float).eps * k * k * s[:, :1]
+            v0 = np.einsum("si,sij->sj", np.where(kept, (rhs @ U) / s, 0.0), Vt[:, :m])
             size = np.abs(v0).max(axis=1)
-        full = np.flatnonzero((s[:, -1] > DEFAULT_RANK_TOL * s[:, 0]) & (size > 0) & (size < np.inf))
+            resid = _row_norm(np.einsum("sij,sj->si", G, v0) - rhs)
+        full_rank = s[:, -1] > DEFAULT_RANK_TOL * s[:, 0]
+        inconsistent = ~full_rank & ~(resid <= resid_tol)  # also a NaN residual
+        full = np.flatnonzero(full_rank & (size > 0) & (size < np.inf))
         v0, size, N = v0[full], size[full], Vt[full, m:]
         full = finite[full]
         B = _assemble_hermitian(np.concatenate([(v0 / size[:, None])[:, None], N], axis=1), k)
@@ -357,6 +391,7 @@ def _plane_level(p: _Problem, k: int) -> tuple[list[_Candidate], list[tuple[int,
         decided = qs[:, -2] > DEFAULT_RANK_TOL * qs[:, 0]
         known = np.zeros(len(supports), dtype=bool)
         known[full[decided]] = True
+        known[finite[inconsistent]] = True  # ruled out: no Hermitian solution, so no class
         undecided += itertools.compress(supports, ~known)
         # a null vector with w[0] = 0 has no finite point: no class
         for j in np.flatnonzero(decided & np.isfinite(X).all(axis=(1, 2))):
@@ -528,23 +563,23 @@ def refine_gauss_newton(A_I: np.ndarray, y, x_init: np.ndarray, iters: int = 120
 
 
 def column_magnitude_collision_1sparse(A: MeasurementEnsemble, rel_tol: float = 1e-10) -> bool:
-    """True iff two distinct columns have elementwise-proportional magnitudes.
+    """True iff a column is zero or two distinct columns have
+    elementwise-proportional magnitudes.
 
     That is exactly the condition for a 1-sparse collision |c| |a_i| =
-    |c'| |a_j|, so it decides k = 1 uniqueness for the ensemble.  Columns
-    u = |a_i| and v = |a_j| count as proportional when the least-squares
-    fit c v of u misses it by at most rel_tol max u, a test that does not
-    change when A is scaled.
+    |c'| |a_j| between non-phase-equivalent c e_i and c' e_j: with i = j
+    it needs a_i = 0 (c e_i and 2 c e_i both measure 0), with i != j
+    proportional magnitudes.  So it decides k = 1 uniqueness for the
+    ensemble.  Columns u = |a_i| and v = |a_j| count as proportional when
+    the least-squares fit c v of u misses it by at most rel_tol max u, a
+    test that does not change when A is scaled.
     """
     mags = np.abs(A.entries)
+    if not mags.any(axis=0).all():
+        return True
     for i, j in itertools.combinations(range(A.n), 2):
         u, v = mags[:, i], mags[:, j]
-        denom = float(v @ v)
-        if denom == 0.0:
-            if float(u @ u) == 0.0:
-                return True
-            continue
-        c = float(u @ v) / denom
+        c = float(u @ v) / float(v @ v)
         if c <= 0:
             continue
         if np.max(np.abs(u - c * v)) <= rel_tol * float(np.max(u)):
@@ -722,30 +757,66 @@ def collision_probe_complex(
     restarts: int,
     seed: int,
 ) -> CollisionProbe:
-    """Search for a k-sparse collision by optimization over support pairs.
+    """Search for a k-sparse collision over support pairs.
 
-    For each ordered support pair (I, J) a random unit u on I is fixed and
-    || |A_I u| - |A_J v| ||_2 is minimized over v, with `restarts` random
-    starts (u is resampled per restart).  Finding a non-phase-equivalent
-    pair below 1e-8 yields verdict collision_found; otherwise
-    no_collision_found.  A negative verdict is evidence, not proof.
+    For each ordered support pair (I, J) a random unit u on I is fixed, t
+    = |A_I u|, and a candidate v on J is scored by its mismatch
+    || |A_J v| - t ||_2, with `restarts` draws of u per pair.  Finding a
+    non-phase-equivalent pair whose mismatch is at most 1e-8 in
+    normalized units (below) yields verdict collision_found; otherwise
+    no_collision_found.  A negative verdict is evidence over the sampled
+    u, not proof.
 
-    Pairs are scanned in order, I major, and optimized in blocks: first
-    about _PROBE_FIRST_ROWS rows (pairs times restarts), then about
-    _PROBE_ROWS rows at a time.  A threshold probe, (m, n, k) = (6, 4, 2)
-    with 8 restarts (36 pairs), runs in one kernel call, and a probe whose
-    collision lies among the first pairs returns after that call.  Each
-    pair draws its starts from its own seed, so the verdict, objective and
+    Where the lift has one solution (_level_method(m, k) == "lifted", m
+    >= k^2: every k at m >= k^2, so k <= 3 at the paper's m = 4k - 2),
+    one batched SVD of the C(n, k) lifts G_J (_lift_system) decides each
+    J under the SVD rank policy (sigma_min > DEFAULT_RANK_TOL sigma_max).
+    A decided J's candidate is v = sqrt(max(lambda_1, 0)) e_1, the top
+    eigenpair of the Hermitian matrix whose lift unknowns are G_J^+ t^2
+    (_lift_candidates).  A collision for the sampled u is a v with |A_J
+    v| = t, that is G_J vec(v v^*) = t^2, and a full-column-rank lift has
+    one solution, so G_J^+ t^2 is vec(v v^*) and the candidate is v up to
+    its phase: the per-sample question is decided, not searched.  The
+    pairs of an undecided J (a zero column, or two phase-proportional
+    columns, in J), and every pair at a "plane" or "refined" size, are
+    refined from one seeded start per restart by the LM kernel
+    (_batched_levenberg_marquardt), whose objective is its own.
+    Soundness is the measured mismatch either way.
+
+    A is first scaled by an exact power of two, 2^-a with a the exponent
+    np.frexp gives max |A| (so its largest entry lies in [1/2, 1)); both
+    paths run in those units, the verdict's 1e-8 applies there, and the
+    reported objective is scaled back by 2^a.  The pair values do not
+    depend on the scale.  So A and 2^j A give the same verdict and pair,
+    bit for bit, and objectives 2^j apart.
+
+    Pairs are scanned in order, I major, in blocks: first about
+    _PROBE_FIRST_ROWS rows (pairs times restarts), then about _PROBE_ROWS
+    rows at a time, the LM rows of a block in one kernel call.  A
+    threshold probe, (m, n, k) = (6, 4, 2) with 8 restarts (36 pairs, all
+    on the lift), makes no kernel call, and a probe whose collision lies
+    among the first pairs returns after that block.  Each pair draws its
+    u, then (off the lift) its LM starts, from its own seed, and every
+    row's candidate is computed row by row, so the verdict, objective and
     pair do not depend on the blocking.
     """
     _check_int(restarts, "restarts", 1)
     _check_int(k, "k", 1, A.n)
     _check_int(seed, "seed", 0)
-    entries = A.entries.astype(np.complex128)
-    n = A.n
+    entries, a = _pow2_normalized(A.entries)
+    m, n = A.m, A.n
     supports = list(itertools.combinations(range(n), k))
     S = len(supports)
     AT = _support_stack(entries, supports)
+    # lifted[j]: support j's lift is decided; PT[j] = (G_J^+)^T
+    lifted = np.zeros(S, dtype=bool)
+    if _level_method(m, k) == "lifted":
+        # normalized entries keep every lift finite, so the SVD can run on all of them
+        gU, gs, gVt = np.linalg.svd(_lift_system(entries[:, np.array(supports)].transpose(1, 0, 2)),
+                                    full_matrices=False)
+        lifted = gs[:, -1] > DEFAULT_RANK_TOL * gs[:, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            PT = (gU / gs[:, None, :]) @ gVt  # rows of an undecided J are never read
     best_obj = np.inf
     best_pair = None
     lo, size = 0, max(1, _PROBE_FIRST_ROWS // restarts)
@@ -756,12 +827,22 @@ def collision_probe_complex(
         V0 = np.empty_like(U)
         for b, (si, sj) in enumerate(pairs):
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(si, sj)))
-            u = rng.standard_normal((restarts, k)) + 1j * rng.standard_normal((restarts, k))
-            U[b] = u / np.linalg.norm(u, axis=1, keepdims=True)
-            V0[b] = rng.standard_normal((restarts, k)) + 1j * rng.standard_normal((restarts, k))
-        I_idx = [si for si, _ in pairs]
-        J_idx = [sj for _, sj in pairs]
-        V, OBJ, _ = _batched_levenberg_marquardt(AT[J_idx], np.abs(U @ AT[I_idx]), V0)
+            U[b] = rng.standard_normal((restarts, k)) + 1j * rng.standard_normal((restarts, k))
+            if not lifted[sj]:  # LM starts come after u in the pair's stream
+                V0[b] = rng.standard_normal((restarts, k)) + 1j * rng.standard_normal((restarts, k))
+        U /= np.linalg.norm(U, axis=2, keepdims=True)
+        I_idx = np.array([si for si, _ in pairs])
+        J_idx = np.array([sj for _, sj in pairs])
+        T = np.abs(U @ AT[I_idx])
+        V = np.empty_like(U)
+        OBJ = np.empty(U.shape[:2])
+        on_lift = lifted[J_idx]
+        if on_lift.any():
+            Js = J_idx[on_lift]
+            V[on_lift], OBJ[on_lift] = _lift_candidates(PT[Js], AT[Js], T[on_lift])
+        if not on_lift.all():
+            Js = J_idx[~on_lift]
+            V[~on_lift], OBJ[~on_lift], _ = _batched_levenberg_marquardt(AT[Js], T[~on_lift], V0[~on_lift])
         for (si, sj), u, v, obj in zip(pairs, U, V, OBJ):
             I, J = supports[si], supports[sj]
             order = np.argsort(obj, kind="stable")
@@ -782,7 +863,37 @@ def collision_probe_complex(
                     best_obj = float(obj[idx])
                     best_pair = (SparseVector(Field.COMPLEX, n, I, uc), SparseVector(Field.COMPLEX, n, J, vc))
                 if best_obj <= 1e-8:
-                    return CollisionProbe(best_pair, best_obj, restarts, "collision_found")
+                    return CollisionProbe(best_pair, float(np.ldexp(best_obj, a)), restarts, "collision_found")
                 break
-    verdict = "collision_found" if (best_pair is not None and best_obj <= 1e-8) else "no_collision_found"
-    return CollisionProbe(best_pair, best_obj if best_pair else np.inf, restarts, verdict)
+    # best_obj is still inf when no pair passed the filters
+    return CollisionProbe(best_pair, float(np.ldexp(best_obj, a)), restarts, "no_collision_found")
+
+
+def _lift_candidates(PT: np.ndarray, AT: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The lifted candidates of a stack of support pairs and their
+    mismatches.
+
+    PT: (P, m, k^2), PT[p] = (G_J^+)^T of pair p's J; AT: (P, k, m), A_J^T
+    (as _support_stack); T: (P, R, m) targets t.  Row (p, r) gets w = G_J^+
+    t^2, the top eigenpair (lambda_1, e_1) of the Hermitian matrix X whose
+    lift unknowns are w (_assemble_hermitian), v = sqrt(max(lambda_1, 0))
+    e_1 and || |A_J v| - t ||_2; returns (v, mismatch), of shapes (P, R, k)
+    and (P, R).  The matmuls run slice by slice and eigh matrix by matrix,
+    so a row's bits do not depend on the other rows of the stack.
+    """
+    k = AT.shape[1]
+    lam, vecs = np.linalg.eigh(_assemble_hermitian((T * T) @ PT, k))  # eigenvalues ascending
+    V = np.sqrt(np.maximum(lam[..., -1], 0.0))[..., None] * vecs[..., -1]
+    return V, _row_norm(np.abs(V @ AT) - T)
+
+
+def _pow2_normalized(entries: np.ndarray) -> tuple[np.ndarray, int]:
+    """(entries 2^-a as complex, a), a the exponent np.frexp gives max
+    |entries|: the largest magnitude lies in [1/2, 1).  ldexp scales each
+    part exactly (bar subnormal results), so A and 2^j A give the same
+    scaled entries, bit for bit, with exponents j apart."""
+    a = int(np.frexp(np.abs(entries).max())[1])
+    out = np.empty(entries.shape, dtype=np.complex128)
+    out.real = np.ldexp(entries.real, -a)
+    out.imag = np.ldexp(entries.imag, -a)
+    return out, a

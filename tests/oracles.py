@@ -6,7 +6,8 @@ nonzero magnitude, solved directly, verified on the remaining rows), the
 rank oracle is a bare SVD count, the distance oracle enumerates every
 ordered support pair and decides every rank by SVD, the spark oracle
 decides every column subset's rank by SVD, the collision probe oracle
-optimizes one support pair at a time, the full-work LM kernel forms and
+scans one support pair at a time, with lstsq and an eigendecomposition
+per restart on the lift, the full-work LM kernel forms and
 solves the normal equations of every restart its ftol test has not
 stopped on every iteration, the full-scan real solver runs one SVD and
 one lstsq against every sign pattern on every support, the full-scan
@@ -36,7 +37,7 @@ from sparsepr.model import (
     measure,
     phase_equivalent,
 )
-from sparsepr.numerics import DEFAULT_RANK_TOL
+from sparsepr.numerics import DEFAULT_RANK_TOL, hermitian_top_eig
 from sparsepr.solver_complex import (
     _FTOL,
     _UNDECIDED,
@@ -428,18 +429,26 @@ def full_work_levenberg_marquardt(AT: np.ndarray, targets: np.ndarray, x0: np.nd
 
 
 def pairwise_collision_probe(A: MeasurementEnsemble, k: int, restarts: int, seed: int) -> CollisionProbe:
-    """collision_probe_complex with one kernel call per ordered support pair.
+    """collision_probe_complex one ordered support pair at a time.
 
-    Same seeding (SeedSequence(seed, spawn_key=(si, sj)) per pair), pair
-    order, filtering and early return as the library's blocked scan.
+    Same power-of-two normalization, seeding (SeedSequence(seed,
+    spawn_key=(si, sj)) per pair), pair order, filtering and early return
+    as the library's blocked scan.  At a "lifted" size a J whose lift
+    (loop_lift_system) has full column rank under DEFAULT_RANK_TOL gets,
+    per restart, lstsq's solution w of G_J w = t^2, the top eigenpair
+    hermitian_top_eig gives of loop_assemble_hermitian(w) and its
+    mismatch; every other pair runs the pairwise LM kernel.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    entries = A.entries.astype(np.complex128)
+    a = int(np.frexp(np.abs(A.entries).max())[1])
+    entries = np.empty((A.m, A.n), dtype=np.complex128)
+    entries.real, entries.imag = np.ldexp(A.entries.real, -a), np.ldexp(A.entries.imag, -a)
     n = A.n
     best_obj = np.inf
     best_pair = None
     supports = list(itertools.combinations(range(n), k))
+    on_lift = _level_method(A.m, k) == "lifted"
     for si, I in enumerate(supports):
         A_I = entries[:, I]
         for sj, J in enumerate(supports):
@@ -450,7 +459,16 @@ def pairwise_collision_probe(A: MeasurementEnsemble, k: int, restarts: int, seed
             u /= np.linalg.norm(u, axis=1, keepdims=True)
             targets = np.abs(u @ A_I.T)  # (R, m)
             v0 = rng.standard_normal((restarts, k)) + 1j * rng.standard_normal((restarts, k))
-            v, obj = _pairwise_levenberg_marquardt(A_J, targets, v0)
+            G = loop_lift_system(A_J, k) if on_lift else None
+            if G is not None and svd_rank(G, DEFAULT_RANK_TOL) == k * k:
+                v = np.empty_like(v0)
+                for r, t in enumerate(targets):
+                    w = np.linalg.lstsq(G, t**2, rcond=None)[0]
+                    eigs, v1 = hermitian_top_eig(loop_assemble_hermitian(w, k))
+                    v[r] = np.sqrt(max(float(eigs[0]), 0.0)) * v1
+                obj = np.linalg.norm(np.abs(v @ A_J.T) - targets, axis=1)
+            else:
+                v, obj = _pairwise_levenberg_marquardt(A_J, targets, v0)
             order = np.argsort(obj, kind="stable")
             for idx in order:
                 if obj[idx] >= best_obj and obj[idx] > 1e-8:
@@ -466,10 +484,9 @@ def pairwise_collision_probe(A: MeasurementEnsemble, k: int, restarts: int, seed
                     best_obj = float(obj[idx])
                     best_pair = (uu, vv)
                 if best_obj <= 1e-8:
-                    return CollisionProbe(best_pair, best_obj, restarts, "collision_found")
+                    return CollisionProbe(best_pair, float(np.ldexp(best_obj, a)), restarts, "collision_found")
                 break
-    verdict = "collision_found" if (best_pair is not None and best_obj <= 1e-8) else "no_collision_found"
-    return CollisionProbe(best_pair, best_obj if best_pair else np.inf, restarts, verdict)
+    return CollisionProbe(best_pair, float(np.ldexp(best_obj, a)), restarts, "no_collision_found")
 
 
 def serial_gauss_newton(A_I: np.ndarray, y: np.ndarray, x_init: np.ndarray, iters: int = 200, tol: float = 1e-12):

@@ -19,7 +19,7 @@ from sparsepr import (
     solve_l0_real,
 )
 from sparsepr import numerics, solver_complex
-from sparsepr.solver_complex import _assemble_hermitian, _lift_system, _lifted_support_solve
+from sparsepr.solver_complex import CollisionProbe, _assemble_hermitian, _lift_system, _lifted_support_solve
 from sparsepr.solver_real import _tol_abs
 from oracles import (
     full_scan_solve_l0_complex,
@@ -445,9 +445,12 @@ def test_plane_level_sends_undecided_supports_to_the_heuristic(monkeypatch):
     """A support whose lift the SVD rank policy cannot decide goes to the
     LM heuristic and flags the solve; without allow_heuristic the solve
     raises, naming the support.  A zero row leaves every k = 4 lift rank
-    deficient, so every class is "refined".  A column phase-proportional
-    to one in the true support gives two classes, both found exactly,
-    and only the supports holding both columns are refined."""
+    deficient with a consistent system, so every class is "refined".  A
+    column phase-proportional to one in the true support gives two
+    classes, both found exactly; the supports holding both columns have
+    rank-deficient lifts whose systems are inconsistent, so the residual
+    test rules them out and nothing is refined: the solve is exact, with
+    or without allow_heuristic."""
     refined = []
     level = solver_complex._refined_level
 
@@ -468,17 +471,24 @@ def test_plane_level_sends_undecided_supports_to_the_heuristic(monkeypatch):
 
         A, x0, y = _plane_degenerate_case("phase-dup", seed)
         i, j = x0.support[0], next(c for c in range(6) if c not in x0.support)
-        with pytest.raises(ValueError, match="needs the heuristic path"):
-            solve_l0_complex(A, y, 4)
         refined.clear()
         sol = solve_l0_complex(A, y, 4, allow_heuristic=True, seed=seed)
+        assert sol.to_json_dict() == solve_l0_complex(A, y, 4).to_json_dict(), seed
         twin = dict(zip(x0.support, x0.values))
         twin[j] = np.exp(-0.7j) * twin.pop(i)
         twin = SparseVector(Field.COMPLEX, 6, tuple(sorted(twin)), np.array([twin[c] for c in sorted(twin)]))
-        assert sol.heuristic and sol.k_star == 4 and sol.methods == ["lifted", "lifted"], seed
+        assert not sol.heuristic and sol.k_star == 4 and sol.methods == ["lifted", "lifted"], seed
         assert sorted(c.support for c in sol.classes) == sorted([x0.support, twin.support]), seed
         assert all(any(phase_equivalent(c, want, 1e-6) for c in sol.classes) for want in (x0, twin)), seed
-        assert refined == [[I for I in itertools.combinations(range(6), 4) if i in I and j in I]], seed
+        assert refined == [], seed
+        # the supports holding both columns: rank-deficient lifts, inconsistent systems
+        for I in (I for I in itertools.combinations(range(6), 4) if i in I and j in I):
+            G = _lift_system(A.entries[:, I][None])[0]
+            sv = np.linalg.svd(G, compute_uv=False)
+            w = np.linalg.lstsq(G, y.magnitudes**2, rcond=None)[0]
+            resid_tol = 1e-8 * max(1.0, float(y.magnitudes.max()) ** 2) * np.sqrt(14)
+            assert sv[-1] <= numerics.DEFAULT_RANK_TOL * sv[0], (seed, I)
+            assert np.linalg.norm(G @ w - y.magnitudes**2) > 1e6 * resid_tol, (seed, I)
 
 
 def test_plane_level_does_not_depend_on_blocking(monkeypatch):
@@ -502,7 +512,8 @@ def test_plane_level_does_not_depend_on_blocking(monkeypatch):
     default = solve_all()
     monkeypatch.setattr(solver_complex, "_PLANE_SUPPORTS", 1)
     assert [s.to_json_dict() for s in solve_all()] == [s.to_json_dict() for s in default]
-    assert [s.heuristic for s in default] == [False] * 6 + [True, True, True]
+    # the phase-proportional case's rank-deficient lifts are inconsistent, so ruled out, not refined
+    assert [s.heuristic for s in default] == [False] * 6 + [True, False, True]
     overflow = default[-1]
     assert overflow.k_star == 4 and overflow.methods == ["lifted"] and phase_equivalent(overflow.classes[0], x0, 1e-6)
 
@@ -572,7 +583,6 @@ def test_collision_probe_no_collision_k1():
     assert probe.objective > 1e-3
 
 
-@pytest.mark.slow
 def test_collision_probe_k2_threshold():
     for seed in range(10):
         A = generate_ensemble(Field.COMPLEX, 6, 6, seed)
@@ -612,17 +622,37 @@ def test_heuristic_solve_rejects_negative_seed():
 
 def _singular_solve_ensemble():
     """Column 1 = 2 * column 0, scaled by 1e10.  At that scale lambda * I is
-    lost to rounding, so some damped normal-equation systems are exactly
-    singular, on pairs with each of the six J supports."""
+    lost to rounding, so some damped normal-equation systems of its
+    unnormalized kernel stack (_probe_stack) are exactly singular, on
+    pairs with each of the six J supports.  The probe itself normalizes A
+    first; the columns make a real collision (u and v on one support (0,
+    1) with u_0 + 2 u_1 = v_0 + 2 v_1, or on (0, j) and (1, j))."""
     E = generate_ensemble(Field.COMPLEX, 6, 4, 7).entries.copy()
     E[:, 1] = 2.0 * E[:, 0]
     return MeasurementEnsemble.from_entries(Field.COMPLEX, E * 1e10)
+
+
+def _degenerate_probe_ensemble(kind: str):
+    """A complex (6, 5) ensemble, seed 0, with column 2 zero ("zero-col":
+    the lifts of the supports holding it are rank deficient), row 3 zero
+    ("zero-row": every k = 2 lift still has full column rank), or column 4
+    equal to column 1 ("dup") or to e^{0.9 i} times it ("phase-dup"): the
+    lifts holding both are rank deficient."""
+    E = generate_ensemble(Field.COMPLEX, 6, 5, 0).entries.copy()
+    if kind == "zero-col":
+        E[:, 2] = 0.0
+    elif kind == "zero-row":
+        E[3] = 0.0
+    else:
+        E[:, 4] = (np.exp(0.9j) if kind == "phase-dup" else 1.0) * E[:, 1]
+    return MeasurementEnsemble.from_entries(Field.COMPLEX, E)
 
 
 PROBE_CORPUS = (
     [(f"complex-6x4-{s}", generate_ensemble(Field.COMPLEX, 6, 4, s), 2, 8, s) for s in range(40)]
     + [(f"complex-3x6-{s}", generate_ensemble(Field.COMPLEX, 3, 6, s), 2, 8, s) for s in range(20)]
     + [(f"complex-6x6-{s}", generate_ensemble(Field.COMPLEX, 6, 6, s), 2, 4, s) for s in range(6)]
+    + [(f"6x5-{kind}", _degenerate_probe_ensemble(kind), 2, 8, 0) for kind in ("zero-col", "zero-row", "dup", "phase-dup")]
     + [("real-1x2", MeasurementEnsemble.from_entries(Field.REAL, [[1.0, 2.0]]), 1, 5, 0)]
     + [("singular-solve", _singular_solve_ensemble(), 2, 8, 3)]
 )
@@ -640,46 +670,129 @@ def _same_probe(a, b) -> bool:
     return pa is None or all(sa == sb and np.array_equal(xa, xb) for (sa, xa), (sb, xb) in zip(pa, pb))
 
 
+def _close_probe(a, b) -> bool:
+    """Same verdict and supports; without a collision, also values within
+    1e-9 of each other and objectives within 1e-9 relative.  With one,
+    both objectives are at the roundoff floor, and where several restarts
+    of the pair collide their order by objective, and so the restart
+    reported, rests on roundoff."""
+    (va, oa, pa), (vb, ob, pb) = _probe_bits(a), _probe_bits(b)
+    if va != vb or (pa is None) != (pb is None):
+        return False
+    if pa is None or va == "collision_found":
+        return pa is None or [sa for sa, _ in pa] == [sb for sb, _ in pb]
+    return (all(sa == sb and np.allclose(xa, xb, rtol=0, atol=1e-9) for (sa, xa), (sb, xb) in zip(pa, pb))
+            and abs(oa - ob) <= 1e-9 * abs(ob))
+
+
 @pytest.mark.slow
 def test_collision_probe_matches_pairwise_oracle():
-    """The blocked scan reproduces the per-pair scan bit for bit."""
+    """The blocked scan reproduces the per-pair scan: bit for bit where
+    every candidate comes from the LM kernel (the (3, 6) probes, below m
+    = k^2), and on the lift as _close_probe (the oracle solves each
+    restart's lift by lstsq and hermitian_top_eig, which round
+    differently from the batched pseudo-inverse and eigh).  The
+    degenerate (6, 5) entries mix lifted J's with rank-deficient ones,
+    which take the kernel.  The verdicts
+    are the LM probe's, except singular-solve: at scale 1e10 the LM
+    kernel hit singular systems there and found no collision; on the
+    normalized A it finds the real one, whose two vectors measure the
+    same to 1e-10 relative."""
     verdicts = {}
     for name, A, k, restarts, seed in PROBE_CORPUS:
         probe = collision_probe_complex(A, k, restarts, seed)
-        assert _same_probe(probe, pairwise_collision_probe(A, k, restarts, seed)), name
+        want = pairwise_collision_probe(A, k, restarts, seed)
+        same = _close_probe if solver_complex._level_method(A.m, k) == "lifted" else _same_probe
+        assert same(probe, want), name
         verdicts[name] = probe.verdict
-    assert all(verdicts[f"complex-3x6-{s}"] == "collision_found" for s in range(20))
-    assert verdicts["singular-solve"] == "no_collision_found"
+    found = {name for name, *_ in PROBE_CORPUS
+             if name.startswith(("complex-3x6-", "6x5-zero-col", "6x5-dup", "6x5-phase-dup", "real-", "singular-"))}
+    assert verdicts == {name: "collision_found" if name in found else "no_collision_found" for name in verdicts}
+    A = _singular_solve_ensemble()
+    u, v = collision_probe_complex(A, 2, 8, 3).pair
+    assert not phase_equivalent(u, v, 1e-6)
+    mu, mv = measure(A, u).magnitudes, measure(A, v).magnitudes
+    assert np.max(np.abs(mu - mv)) <= 1e-10 * np.max(mu)
 
 
-@pytest.mark.slow
 def test_collision_probe_does_not_depend_on_blocking(monkeypatch):
-    """One pair per kernel call, the first call included, gives the bits
-    of the default blocking, on every third PROBE_CORPUS entry and the
-    real and singular-solve entries."""
+    """One pair per block, the first block included, gives the bits of
+    the default blocking, on every third PROBE_CORPUS entry and the real
+    and singular-solve entries: one pair per _lift_candidates call on the
+    lift, and one per kernel call below it."""
     corpus = PROBE_CORPUS[::3] + PROBE_CORPUS[-2:]
     default = [collision_probe_complex(A, k, restarts, seed) for _, A, k, restarts, seed in corpus]
     monkeypatch.setattr(solver_complex, "_PROBE_FIRST_ROWS", 1)
     monkeypatch.setattr(solver_complex, "_PROBE_ROWS", 1)
-    stacks = _kernel_stacks(monkeypatch, lambda: collision_probe_complex(*corpus[0][1:]))
-    assert len(stacks) == 36 and all(AT.shape[0] == 1 for AT, _, _ in stacks)
+    lifted = _calls(monkeypatch, "_lift_candidates", lambda: collision_probe_complex(*corpus[0][1:]))
+    assert len(lifted) == 36 and all(PT.shape[0] == 1 for PT, _, _ in lifted)
+    stacks = _kernel_stacks(monkeypatch, lambda: collision_probe_complex(*PROBE_CORPUS[40][1:]))
+    assert stacks and all(AT.shape[0] == 1 for AT, _, _ in stacks)
     for (name, A, k, restarts, seed), want in zip(corpus, default):
         assert _same_probe(collision_probe_complex(A, k, restarts, seed), want), name
 
 
 def test_collision_probe_kernel_calls(monkeypatch):
-    """A threshold probe, (6, 4, k = 2) with 8 restarts, optimizes its 36
-    pairs in one kernel call; a below-threshold (3, 6) probe finds its
-    collision in the first call and returns."""
+    """A threshold probe, (6, 4, k = 2) with 8 restarts, takes all 36
+    pairs from the lift in one _lift_candidates call and makes no kernel
+    call; a below-threshold (3, 6) probe (m < k^2) finds its collision in
+    its first kernel call and returns."""
     for seed in range(3):
         A = generate_ensemble(Field.COMPLEX, 6, 4, seed)
-        stacks = _kernel_stacks(monkeypatch, lambda: collision_probe_complex(A, 2, 8, seed))
-        assert [AT.shape[0] for AT, _, _ in stacks] == [36], seed
+        stacks = []
+        lifted = _calls(monkeypatch, "_lift_candidates",
+                        lambda: stacks.extend(_kernel_stacks(monkeypatch, lambda: collision_probe_complex(A, 2, 8, seed))))
+        assert stacks == [] and [PT.shape[0] for PT, _, _ in lifted] == [36], seed
     for name, A, k, restarts, seed in PROBE_CORPUS:
         if name.startswith("complex-3x6-"):
             probes = []
             stacks = _kernel_stacks(monkeypatch, lambda: probes.append(collision_probe_complex(A, k, restarts, seed)))
             assert len(stacks) == 1 and probes[0].verdict == "collision_found", name
+
+
+def test_collision_probe_is_scale_free():
+    """The probe scales A by an exact power of two first, so A and 2^j A,
+    j in {+-4, +-20, +-30, +-60}, give the same verdict and pair, bit for
+    bit, and objectives exactly 2^j apart: (6, 4) threshold probes on the
+    lift, seeds 0-7, and (3, 6) LM probes, seeds 0-3."""
+    cases = [(6, 4, seed, "no_collision_found") for seed in range(8)]
+    cases += [(3, 6, seed, "collision_found") for seed in range(4)]
+    for m, n, seed, verdict in cases:
+        A = generate_ensemble(Field.COMPLEX, m, n, seed)
+        base = collision_probe_complex(A, 2, 8, seed)
+        assert base.verdict == verdict, (m, seed)
+        for j in (4, 20, 30, 60, -4, -20, -30, -60):
+            probe = collision_probe_complex(MeasurementEnsemble.from_entries(Field.COMPLEX, A.entries * 2.0**j), 2, 8, seed)
+            assert _same_probe(probe, CollisionProbe(base.pair, base.objective * 2.0**j, 8, verdict)), (m, seed, j)
+
+
+def test_collision_probe_k1_matches_column_criterion():
+    """At k = 1 every m >= k^2, so the probe decides each sample on the
+    lift (a zero column's lift is rank deficient and takes the LM
+    kernel): its verdict is collision_found exactly when
+    column_magnitude_collision_1sparse holds, on generic ensembles and
+    with a proportional, a phase-proportional or a zero column, or two
+    zero columns, at scales 2^-20, 1 and 2^20."""
+    outcomes = set()
+    for seed in range(6):
+        for m, n in ((2, 4), (4, 5)):
+            E = generate_ensemble(Field.COMPLEX, m, n, seed).entries
+            for kind in ("generic", "proportional", "phase-proportional", "zero", "two-zero"):
+                F = E.copy()
+                if kind == "proportional":
+                    F[:, 3] = 2.5 * F[:, 1]
+                elif kind == "phase-proportional":
+                    F[:, 3] = np.exp(1.3j) * 0.4 * F[:, 0]
+                elif kind != "generic":
+                    F[:, [2, 0] if kind == "two-zero" else 2] = 0.0
+                for j in (-20, 0, 20):
+                    A = MeasurementEnsemble.from_entries(Field.COMPLEX, F * 2.0**j)
+                    collision = column_magnitude_collision_1sparse(A)
+                    probe = collision_probe_complex(A, 1, 8, seed)
+                    assert (probe.verdict == "collision_found") == collision, (seed, m, kind, j)
+                    outcomes.add((kind, collision))
+    assert outcomes == {("generic", False), ("proportional", True), ("phase-proportional", True),
+                        ("zero", True), ("two-zero", True)}
 
 
 def test_k1_uniqueness_matches_column_criterion():
@@ -711,19 +824,46 @@ class _SolveCounter:
             raise
 
 
-def _kernel_stacks(monkeypatch, run) -> list:
-    """The (AT, targets, x0) stacks run() passes to the LM kernel."""
-    stacks = []
-    kernel = solver_complex._batched_levenberg_marquardt
+def _calls(monkeypatch, name: str, run) -> list:
+    """The positional arguments of each call run() makes to
+    solver_complex.<name>, copied when they are arrays."""
+    calls = []
+    function = getattr(solver_complex, name)
 
-    def capture(AT, targets, x0, iters=120):
-        stacks.append((AT, targets, x0.copy()))
-        return kernel(AT, targets, x0, iters)
+    def capture(*args, **kwargs):
+        calls.append(tuple(a.copy() if isinstance(a, np.ndarray) else a for a in args))
+        return function(*args, **kwargs)
 
     with monkeypatch.context() as mp:
-        mp.setattr(solver_complex, "_batched_levenberg_marquardt", capture)
+        mp.setattr(solver_complex, name, capture)
         run()
-    return stacks
+    return calls
+
+
+def _kernel_stacks(monkeypatch, run) -> list:
+    """The (AT, targets, x0) stacks run() passes to the LM kernel."""
+    return [args[:3] for args in _calls(monkeypatch, "_batched_levenberg_marquardt", run)]
+
+
+def _probe_stack(A: MeasurementEnsemble, k: int, restarts: int, seed: int):
+    """The (AT[J], |U AT[I]|, V0) LM kernel stack of every ordered support
+    pair of a probe, on A as given (not normalized), with the probe's
+    per-pair u and starts: at (6, 4, 2) with 8 restarts, one stack of 36
+    pairs, including those the probe itself decides on the lift, so the
+    kernel tests keep rows that freeze, stall and (at 1e10) hit singular
+    systems."""
+    supports = list(itertools.combinations(range(A.n), k))
+    AT = solver_complex._support_stack(A.entries.astype(np.complex128), supports)
+    pairs = list(itertools.product(range(len(supports)), repeat=2))
+    U = np.empty((len(pairs), restarts, k), dtype=np.complex128)
+    V0 = np.empty_like(U)
+    for b, (si, sj) in enumerate(pairs):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(si, sj)))
+        u = rng.standard_normal((restarts, k)) + 1j * rng.standard_normal((restarts, k))
+        U[b] = u / np.linalg.norm(u, axis=1, keepdims=True)
+        V0[b] = rng.standard_normal((restarts, k)) + 1j * rng.standard_normal((restarts, k))
+    I_idx, J_idx = [si for si, _ in pairs], [sj for _, sj in pairs]
+    return AT[J_idx], np.abs(U @ AT[I_idx]), V0
 
 
 def _random_kernel_stack(k: int, seed: int):
@@ -742,18 +882,16 @@ def test_lm_kernel_matches_full_work_oracle(monkeypatch):
     """The kernel, which skips frozen and stopped rows and reuses J^T J
     across rejected steps, gives the bits of the full-work kernel on x,
     objective and steps of every row: random k = 1..4 stacks with an exact
-    start, a threshold probe's stacks (rows freeze at lam = 1e6), a
-    (14, 6, 4) LM heuristic level (rows at the roundoff floor) and the
-    singular-solve probe's stacks (the LinAlgError fallback), each at 0, 1,
-    17 and 120 iterations.  The ftol stop fires on the probe and the
+    start, a threshold probe's stack (_probe_stack; rows freeze at lam =
+    1e6), a (14, 6, 4) LM heuristic level (rows at the roundoff floor)
+    and the singular-solve probe's stack (the LinAlgError fallback), each
+    at 0, 1, 17 and 120 iterations.  The ftol stop fires on the probe and the
     heuristic level, so these bits cover it."""
     cases = {
         "random": [_random_kernel_stack(k, 60 + k) for k in range(1, 5)],
-        "threshold-probe": _kernel_stacks(
-            monkeypatch, lambda: collision_probe_complex(generate_ensemble(Field.COMPLEX, 6, 4, 0), 2, 8, 0)
-        ),
+        "threshold-probe": [_probe_stack(generate_ensemble(Field.COMPLEX, 6, 4, 0), 2, 8, 0)],
         "heuristic": _kernel_stacks(monkeypatch, lambda: _heuristic_level(14, 6, 4, 0)),
-        "singular-solve": _kernel_stacks(monkeypatch, lambda: collision_probe_complex(_singular_solve_ensemble(), 2, 8, 3)),
+        "singular-solve": [_probe_stack(_singular_solve_ensemble(), 2, 8, 3)],
     }
     assert [len(v) for v in cases.values()] == [4, 1, 1, 1]
     work = {}
@@ -814,18 +952,19 @@ def test_lm_kernel_pins_the_layout_of_j(monkeypatch):
 
 
 def test_lm_kernel_solves_at_most_half_the_full_work(monkeypatch):
-    """A generic threshold probe, (m, n, k) = (6, 4, 2) with 8 restarts: the
-    full-work kernel without the ftol stop solves 36 pairs x 8 restarts x
-    120 iterations = 34,560 rows.  Rows frozen at the damping cap get no
-    further solve, and rows stopped by the ftol test none either: the
-    kernel solves at most 7,000 (13,759 before the ftol test, with frozen
-    rows alone), and the count repeats exactly."""
+    """The kernel stack of a generic threshold probe, (m, n, k) = (6, 4, 2)
+    with 8 restarts (_probe_stack): the full-work kernel without the ftol
+    stop solves 36 pairs x 8 restarts x 120 iterations = 34,560 rows.
+    Rows frozen at the damping cap get no further solve, and rows stopped
+    by the ftol test none either: the kernel solves at most 7,000 (13,759
+    before the ftol test, with frozen rows alone), and the count repeats
+    exactly."""
+    stack = _probe_stack(generate_ensemble(Field.COMPLEX, 6, 4, 0), 2, 8, 0)
     counts = []
     for _ in range(2):
         counter = _SolveCounter(monkeypatch)
-        probe = collision_probe_complex(generate_ensemble(Field.COMPLEX, 6, 4, 0), 2, 8, 0)
+        solver_complex._batched_levenberg_marquardt(*stack)
         monkeypatch.undo()
-        assert probe.verdict == "no_collision_found"
         counts.append(counter.rows)
     assert counts[0] == counts[1]
     assert 0 < counts[0] <= 7_000
