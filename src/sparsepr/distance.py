@@ -55,6 +55,7 @@ from .model import Field, MeasurementEnsemble, PhasePattern, sign_table
 from .numerics import (
     _SVD_ERROR,
     DEFAULT_RANK_TOL,
+    _check_tol_rel,
     _combos,
     _laplace_gram,
     _minor_table,
@@ -65,6 +66,7 @@ from .numerics import (
     batched_ranks,
     numerical_rank,
 )
+from .solver_real import _check_int
 
 __all__ = [
     "Witness",
@@ -361,8 +363,8 @@ def phase_gen_min_distance(
         raise ValueError(f"distance requires m < n, got m={m}, n={n}")
     if max_support is None:
         max_support = m - 1
-    if not (1 <= max_support <= m):
-        raise ValueError("max_support must be in [1, m]")
+    _check_int(max_support, "max_support", 1, m)
+    _check_tol_rel(tol_rel)
     max_support = min(max_support, m - 1, n)
     t_max = min(m, 2 * max_support)
 
@@ -471,8 +473,8 @@ def spark_at_least(A: MeasurementEnsemble, s: int, tol_rel: float = DEFAULT_RANK
     sum_R det A[R, S]^2 over the minor table (_laplace_gram with J empty,
     _screen_accepts); only the other sets go to batched_ranks.
     """
-    if s < 1 or s > min(A.m, A.n) + 1:
-        raise ValueError(f"s must be in [1, min(m, n) + 1], got {s}")
+    _check_int(s, "s", 1, min(A.m, A.n) + 1)
+    _check_tol_rel(tol_rel)
     entries = A.entries
     table = _minor_table(entries, s - 1)
     tau = _screen_tau(tol_rel)
@@ -512,8 +514,7 @@ def certify_unique(A: MeasurementEnsemble, k: int, max_support: int | None = Non
     fails, else the deficient spark columns.  The report is fragile when
     a rank decision of the distance or of the spark check was.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_int(k, "k", 1)
     report = phase_gen_min_distance(A, max_support=max_support)
     k_bound_ok = k <= report.certified_k
     if 2 * k <= min(A.m, A.n):

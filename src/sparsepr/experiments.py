@@ -247,6 +247,7 @@ def build_collision_real(A: MeasurementEnsemble, k: int) -> tuple[SparseVector, 
     """
     if A.field is not Field.REAL:
         raise ValueError("build_collision_real requires a real ensemble")
+    _check_int(k, "k", 1)
     if A.m > 2 * k - 1:
         raise ValueError(f"need m <= 2k - 1 = {2 * k - 1}, got m = {A.m}")
     if 2 * k > A.n:

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from math import comb
 
 import numpy as np
@@ -50,8 +51,10 @@ _SVD_ERROR = 2.0 ** -40
 # every rank goes to the SVD.
 _TABLE_ELEMENTS = 1 << 21
 # Float64 elements per block of supports in the least-squares screen
-# (_lstsq_screen), counted as K (m + K) + (m - K) (K + S) per support of K
-# columns and S sign rows; a block's working arrays then take about 1 MB.
+# (_lstsq_screen), counted as K (m + K) + K + S per support of K columns
+# and S sign rows (its stage-1 footprint), and per chunk of the supports
+# its stage 2 bounds on all m - K rows outside the pivots as K (m + K) +
+# (m - K) (K + S); either way the working arrays take about 1 MB.
 _SCREEN_ELEMENTS = 1 << 15
 
 
@@ -79,13 +82,20 @@ class RankDecision:
         return self.gap < FRAGILE_GAP
 
 
+def _check_tol_rel(tol_rel) -> None:
+    """Raise ValueError unless tol_rel is a real number (not a bool) with
+    0 < tol_rel < 1: outside that range, and at NaN, the SVD policy's
+    threshold would keep every nonzero singular value or drop them all."""
+    if isinstance(tol_rel, bool) or not isinstance(tol_rel, numbers.Real) or not 0 < tol_rel < 1:
+        raise ValueError(f"tol_rel must be a real number with 0 < tol_rel < 1, got {tol_rel!r}")
+
+
 def numerical_rank(M, tol_rel: float = DEFAULT_RANK_TOL) -> RankDecision:
     """Rank = number of singular values above tol_rel * sigma_max."""
     M = np.asarray(M)
     if not (np.all(np.isfinite(M.real)) and np.all(np.isfinite(M.imag))):
         raise ValueError("numerical_rank requires finite entries")
-    if tol_rel <= 0:
-        raise ValueError("tol_rel must be positive")
+    _check_tol_rel(tol_rel)
     s = np.linalg.svd(M, compute_uv=False)
     smax = float(s[0]) if s.size else 0.0
     tol = tol_rel * smax
@@ -104,6 +114,7 @@ def batched_ranks(stack: np.ndarray, tol_rel: float = DEFAULT_RANK_TOL):
     (_laplace_gram, _screen_accepts) and send only the rest here, so every
     rank deficiency that is not known in advance is decided by this policy.
     """
+    _check_tol_rel(tol_rel)
     return _svd_ranks(np.asarray(stack), tol_rel)
 
 
@@ -508,19 +519,20 @@ def _lstsq_screen(new_columns, n: int, k: int, t: np.ndarray, signs: np.ndarray,
     bound below).  W is whatever inverse of B = M[R] the bordering
     computes, checked below through Z = B W - I and assumed nothing else.
 
-    Screen.  With C = M[R^c] and T = C B^-1, for each row s of signs, with
-    v = s * t[R], the screen predicts the other rows as P = T v and takes
-    mu = min over s of || |P| - t[R^c] ||_2.
+    Screen.  For a set Q of rows outside R, with C = M[Q] and T = C B^-1,
+    for each row s of signs, with v = s * t[R], the screen predicts the
+    rows of Q as P = T v and takes mu = min over s of || |P| - t[Q] ||_2.
 
     Bound.  Suppose the test accepts r with output X.  Let e = M X - r
     (exact arithmetic on the stored floats), with ||e|| <= rho.  Then
-    B X = r_R + e_R and C X = r_Rc + e_Rc, so T r_R = C X - T e_R =
-    r_Rc + e_Rc - T e_R.  Up to a global flip, r_R is one of the screen's
-    v, and ||a| - |b|| <= |a - b| with |r_Rc| = t[R^c] gives
+    B X = r_R + e_R and C X = r_Q + e_Q, so T r_R = C X - T e_R =
+    r_Q + e_Q - T e_R.  Up to a global flip, r_R is one of the screen's
+    v, and ||a| - |b|| <= |a - b| with |r_Q| = t[Q] gives
 
-        || |T v| - t[R^c] || <= ||e_Rc|| + ||T|| ||e_R|| <= (1 + ||T||) rho.
+        || |T v| - t[Q] || <= ||e_Q|| + ||T|| ||e_R|| <= (1 + ||T||) rho.
 
-    Any R works: ||T|| is bounded from computed quantities, not assumed.
+    Any R and any Q work: ||T|| is bounded from computed quantities, not
+    assumed.  Only rho and g below see all m rows, through ||M||.
 
     Roundoff (u = eps / 2, gamma_j = j u / (1 - j u); a matrix product
     with inner dimension j errs by at most gamma_j |X| |Y| entrywise, and
@@ -561,6 +573,17 @@ def _lstsq_screen(new_columns, n: int, k: int, t: np.ndarray, signs: np.ndarray,
     for m K <= 2^20 (zeta, g <= 1/2 keep the divisions tame), so the
     screen flags when mu_hat <= 2 bound.
 
+    Two stages.  A single row outside R can prove that a support holds no
+    solution, and most supports are proven so.  Stage 1 bounds every
+    support on Q = {q}, q its free row of largest t (the first in row
+    order at a tie): it needs only T_hat_q = C_q W, Z = B W - I and S
+    mismatches per support, where all of R^c takes (m - K) S.  Stage 2
+    bounds the supports stage 1 does not prove on Q = R^c, by the same
+    formulas as a one-stage screen on all of R^c (tests/oracles.py::
+    full_row_screen_block), so the flagged set is never larger than that
+    screen's.  With one row outside R the stages coincide and stage 2 is
+    skipped.
+
     It also flags M when any pivot is at most DEFAULT_RANK_TOL times
     max |M| (so a flag-free M has full column rank with a wide margin),
     when zeta or g exceeds 1/2, when max |M| or its problem's max t is
@@ -571,8 +594,11 @@ def _lstsq_screen(new_columns, n: int, k: int, t: np.ndarray, signs: np.ndarray,
 
     The walk starts from one root per problem whose max t is in range,
     and supports are screened in blocks of about _SCREEN_ELEMENTS / (K (m
-    + K) + (m - K) (K + S)) of them, the elements a support's M, W, T_hat
-    and mismatches take, which bounds the working memory whatever P is.
+    + K) + K + S) of them, the elements a support's M, W, T_hat_q and
+    stage-1 mismatches take; stage 2 takes its supports in chunks of
+    _SCREEN_ELEMENTS / (K (m + K) + (m - K) (K + S)), the same count with
+    T_hat and the mismatches of all of R^c.  That bounds the working
+    memory whatever P is.
     """
     P, m = t.shape
     S, K = signs.shape
@@ -581,7 +607,7 @@ def _lstsq_screen(new_columns, n: int, k: int, t: np.ndarray, signs: np.ndarray,
     roots = np.flatnonzero((t_max >= 2.0 ** -400) & (t_max <= 2.0 ** 400))
     if K >= m or m * K > 1 << 20 or roots.size == 0:
         return flags
-    size = max(1, _SCREEN_ELEMENTS // (K * (m + K) + (m - K) * (K + S)))
+    size = max(1, _SCREEN_ELEMENTS // (K * (m + K) + K + S))
     R = roots.size
     root = _Elimination(roots, np.zeros((0, R), dtype=np.intp), np.zeros((0, m, R)), np.zeros((0, R), dtype=np.intp),
                         np.ones((m, R), dtype=bool), np.zeros((0, 0, R)), np.full(R, np.inf))
@@ -596,23 +622,44 @@ def _lstsq_screen(new_columns, n: int, k: int, t: np.ndarray, signs: np.ndarray,
 def _screen_block(e: _Elimination, t: np.ndarray, nt: np.ndarray, signs: np.ndarray,
                   resid_tol: np.ndarray) -> np.ndarray:
     """_lstsq_screen's mask for one block of eliminated supports, each
-    with its own problem's t, ||t|| and resid_tol.  The large temporaries
-    are dropped as soon as they are used, so that the block's peak memory
-    stays near that of its largest two arrays."""
+    with its own problem's t, ||t|| and resid_tol: stage 1 bounds every
+    support on its free row of largest t (the first in row order at a
+    tie), and stage 2 bounds the supports stage 1 leaves on all of R^c,
+    in chunks that the all-rows footprint fits in the element budget."""
     K, m, N = e.M.shape
+    q = np.argmax(np.where(e.free, t[e.tag].T, -1.0), axis=0)
+    flags = ~_proven(e, q[None], t, nt, signs, resid_tol)
+    left = np.flatnonzero(flags) if m - K > 1 else []  # with one row outside R, stage 1 was stage 2
+    size = max(1, _SCREEN_ELEMENTS // (K * (m + K) + (m - K) * (K + len(signs))))
+    for lo in range(0, len(left), size):
+        idx = left[lo:lo + size]
+        part = _Elimination(*(getattr(e, f.name)[..., idx] for f in fields(e)))
+        rest = np.nonzero(part.free.T)[1].reshape(idx.size, m - K).T  # R^c in row order
+        flags[idx] = ~_proven(part, rest, t, nt, signs, resid_tol)
+    return flags
+
+
+def _proven(e: _Elimination, Q: np.ndarray, t: np.ndarray, nt: np.ndarray, signs: np.ndarray,
+            resid_tol: np.ndarray) -> np.ndarray:
+    """Mask of the supports of e that _lstsq_screen's bound on the rows Q
+    (nq, N) outside R proves hold no accepted r.  The large temporaries are
+    dropped as soon as they are used, so that the peak memory stays near
+    that of the largest two arrays."""
+    K, m, N = e.M.shape
+    nq = len(Q)
     lo, hi, eta = 2.0 ** -400, 2.0 ** 400, 2.0 ** -500
     a_max = np.abs(e.M).reshape(-1, N).max(axis=0)
-    rest = np.nonzero(e.free.T)[1].reshape(N, m - K).T  # R^c in row order, (m - K, N)
-    rows = np.concatenate([e.piv, rest])  # R, then R^c
-    tr = t[e.tag, rows]  # (m, N): each support's own problem's t[R], then t[R^c]
+    rows = np.concatenate([e.piv, Q])
+    tr = t[e.tag, rows]  # (K + nq, N): each support's own problem's t[R], then t[Q]
     nt, resid_tol = nt[e.tag], resid_tol[e.tag]
-    M = e.M.transpose(2, 1, 0)[np.arange(N), rows]  # (m, N, K): B, then C
+    M = e.M.transpose(2, 1, 0)[np.arange(N), rows]  # (K + nq, N, K): B, then C_Q
     sq = np.einsum("rni,rni->rn", M, M)  # squared row norms
     nB, nC = np.sqrt(sq[:K].sum(axis=0)), np.sqrt(sq[K:].sum(axis=0))
-    MW = np.matmul(M.transpose(1, 0, 2), e.W.transpose(2, 0, 1))  # (N, m, K): B W, then T_hat = C W
+    MW = np.matmul(M.transpose(1, 0, 2), e.W.transpose(2, 0, 1))  # (N, K + nq, K): B W, then T_hat = C_Q W
     del M
     T = MW[:, K:]
-    nM = np.sqrt(nB * nB + nC * nC)
+    # ||M||_F over all m rows: from B and C when Q is all of R^c, else from the stored columns
+    nM = np.sqrt(nB * nB + nC * nC) if nq == m - K else np.sqrt(np.einsum("imn,imn->n", e.M, e.M))
     nW = np.sqrt(np.einsum("ijn,ijn->n", e.W, e.W))
     nT = np.sqrt(np.einsum("nrj,nrj->n", T, T))
     Z = MW[:, :K] - np.eye(K)
@@ -624,14 +671,14 @@ def _screen_block(e: _Elimination, t: np.ndarray, nt: np.ndarray, signs: np.ndar
     g = _gamma(K + 1) * nM * beta
     rho = (resid_tol * (1 + _gamma(m + 1)) + _gamma(K + 1) * (1 + nM * beta) * nt + eta) / (1 - g)
     bound = (1 + tau) * rho + (_gamma(K) * (nT + nC * nW) + tau * zeta) * nt + eta
-    X = np.multiply(T.transpose(1, 0, 2), tr[:K].T, out=np.empty((m - K, N, K)))  # T_hat * t[R]
+    X = np.multiply(T.transpose(1, 0, 2), tr[:K].T, out=np.empty((nq, N, K)))  # T_hat * t[R]
     del MW, T
-    P = (X.reshape(-1, K) @ signs.T).reshape(m - K, N, len(signs))
+    P = (X.reshape(-1, K) @ signs.T).reshape(nq, N, len(signs))
     del X
     np.abs(P, out=P)
     P -= tr[K:, :, None]
     mism = np.sqrt(np.sum(np.square(P, out=P), axis=0))
-    proven = (
+    return (
         (e.min_pivot > DEFAULT_RANK_TOL * a_max)
         & (a_max >= lo)
         & (a_max <= hi)
@@ -640,7 +687,6 @@ def _screen_block(e: _Elimination, t: np.ndarray, nt: np.ndarray, signs: np.ndar
         & np.isfinite(bound + mism.sum(axis=1))
         & (mism.min(axis=1) > 2 * bound)
     )
-    return ~proven
 
 
 def hermitian_top_eig(X) -> tuple[np.ndarray, np.ndarray]:
@@ -664,6 +710,7 @@ def null_space_vector(M, tol_rel: float = DEFAULT_RANK_TOL) -> np.ndarray:
 
     Raises when M is numerically full column rank, i.e. has no null space.
     """
+    _check_tol_rel(tol_rel)
     M = np.asarray(M)
     m, c = M.shape
     u, s, vt = np.linalg.svd(M)

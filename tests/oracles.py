@@ -15,7 +15,9 @@ lifted complex solver runs the lifted solve on every support, the
 heuristic complex solve oracle
 refines one start at a time by serial Gauss-Newton with a line search,
 the Hermitian lift oracles build the lifted system and X entry by
-entry, and the per-trial sweep solves each trial of a row on its own.
+entry, the per-trial sweep solves each trial of a row on its own, and
+the full-row screen block bounds every support on all the rows outside
+its pivots in one stage.
 They are slow and simple on purpose.
 """
 
@@ -37,7 +39,7 @@ from sparsepr.model import (
     measure,
     phase_equivalent,
 )
-from sparsepr.numerics import DEFAULT_RANK_TOL, hermitian_top_eig
+from sparsepr.numerics import DEFAULT_RANK_TOL, _Elimination, _gamma, hermitian_top_eig
 from sparsepr.solver_complex import (
     _FTOL,
     _UNDECIDED,
@@ -717,3 +719,54 @@ def per_trial_run_sweep(cfg: SweepConfig) -> list[SweepRow]:
         rows.append(SweepRow(m, cfg.trials_per_m, successes, successes / cfg.trials_per_m,
                              1000.0 * elapsed / cfg.trials_per_m, fragile, heuristic))
     return rows
+
+
+def full_row_screen_block(e: _Elimination, t: np.ndarray, nt: np.ndarray, signs: np.ndarray,
+                          resid_tol: np.ndarray) -> np.ndarray:
+    """numerics._screen_block in one stage: the mask of _lstsq_screen's
+    bound on all of R^c for one block of eliminated supports, each with
+    its own problem's t, ||t|| and resid_tol.  The large temporaries are
+    dropped as soon as they are used, so that the block's peak memory
+    stays near that of its largest two arrays."""
+    K, m, N = e.M.shape
+    lo, hi, eta = 2.0 ** -400, 2.0 ** 400, 2.0 ** -500
+    a_max = np.abs(e.M).reshape(-1, N).max(axis=0)
+    rest = np.nonzero(e.free.T)[1].reshape(N, m - K).T  # R^c in row order, (m - K, N)
+    rows = np.concatenate([e.piv, rest])  # R, then R^c
+    tr = t[e.tag, rows]  # (m, N): each support's own problem's t[R], then t[R^c]
+    nt, resid_tol = nt[e.tag], resid_tol[e.tag]
+    M = e.M.transpose(2, 1, 0)[np.arange(N), rows]  # (m, N, K): B, then C
+    sq = np.einsum("rni,rni->rn", M, M)  # squared row norms
+    nB, nC = np.sqrt(sq[:K].sum(axis=0)), np.sqrt(sq[K:].sum(axis=0))
+    MW = np.matmul(M.transpose(1, 0, 2), e.W.transpose(2, 0, 1))  # (N, m, K): B W, then T_hat = C W
+    del M
+    T = MW[:, K:]
+    nM = np.sqrt(nB * nB + nC * nC)
+    nW = np.sqrt(np.einsum("ijn,ijn->n", e.W, e.W))
+    nT = np.sqrt(np.einsum("nrj,nrj->n", T, T))
+    Z = MW[:, :K] - np.eye(K)
+    nZ = np.sqrt(np.einsum("nij,nij->n", Z, Z))
+    del Z
+    zeta = nZ + _gamma(K + 1) * nB * nW + eta
+    tau = (nT + _gamma(K) * nC * nW + eta) / (1 - zeta)
+    beta = nW / (1 - zeta)
+    g = _gamma(K + 1) * nM * beta
+    rho = (resid_tol * (1 + _gamma(m + 1)) + _gamma(K + 1) * (1 + nM * beta) * nt + eta) / (1 - g)
+    bound = (1 + tau) * rho + (_gamma(K) * (nT + nC * nW) + tau * zeta) * nt + eta
+    X = np.multiply(T.transpose(1, 0, 2), tr[:K].T, out=np.empty((m - K, N, K)))  # T_hat * t[R]
+    del MW, T
+    P = (X.reshape(-1, K) @ signs.T).reshape(m - K, N, len(signs))
+    del X
+    np.abs(P, out=P)
+    P -= tr[K:, :, None]
+    mism = np.sqrt(np.sum(np.square(P, out=P), axis=0))
+    proven = (
+        (e.min_pivot > DEFAULT_RANK_TOL * a_max)
+        & (a_max >= lo)
+        & (a_max <= hi)
+        & (zeta <= 0.5)
+        & (g <= 0.5)
+        & np.isfinite(bound + mism.sum(axis=1))
+        & (mism.min(axis=1) > 2 * bound)
+    )
+    return ~proven

@@ -9,6 +9,8 @@ from sparsepr import (
     PhasePattern,
     certify_unique,
     generate_ensemble,
+    null_space_vector,
+    numerical_rank,
     phase_gen_min_distance,
     spark_at_least,
     witness_rank,
@@ -201,6 +203,47 @@ def test_spark_validates_s():
     A = generate_ensemble(Field.REAL, 3, 5, 0)
     with pytest.raises(ValueError):
         spark_at_least(A, 5)
+
+
+_A46 = generate_ensemble(Field.REAL, 4, 6, 0)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: phase_gen_min_distance(_A46, tol_rel=np.nan), "tol_rel"),
+    (lambda: phase_gen_min_distance(_A46, tol_rel=np.inf), "tol_rel"),
+    (lambda: phase_gen_min_distance(_A46, tol_rel=1.0), "tol_rel"),
+    (lambda: phase_gen_min_distance(_A46, tol_rel=0.0), "tol_rel"),
+    (lambda: phase_gen_min_distance(_A46, max_support=True), "max_support"),
+    (lambda: phase_gen_min_distance(_A46, max_support=2.0), "max_support"),
+    (lambda: spark_at_least(_A46, 3, tol_rel=np.nan), "tol_rel"),
+    (lambda: spark_at_least(_A46, 2.5), "s"),
+    (lambda: spark_at_least(_A46, True), "s"),
+    (lambda: certify_unique(_A46, True), "k"),
+    (lambda: certify_unique(_A46, 2.0), "k"),
+    (lambda: certify_unique(_A46, 2, max_support=True), "max_support"),
+    (lambda: witness_rank(_A46, (0,), (1,), PhasePattern.from_bits(4, 1), tol_rel=np.nan), "tol_rel"),
+    (lambda: numerical_rank(np.eye(3), np.nan), "tol_rel"),
+    (lambda: numerics.batched_ranks(np.eye(3)[None], -1e-10), "tol_rel"),
+    (lambda: null_space_vector(np.ones((2, 3)), np.inf), "tol_rel"),
+], ids=["dist-tol-nan", "dist-tol-inf", "dist-tol-one", "dist-tol-zero", "dist-max-support-bool",
+        "dist-max-support-float", "spark-tol-nan", "spark-s-float", "spark-s-bool", "certify-k-bool",
+        "certify-k-float", "certify-max-support-bool", "witness-tol-nan", "rank-tol-nan", "batched-tol-negative",
+        "null-tol-inf"])
+def test_distance_arguments_are_refused_with_their_name(call, name):
+    """A NaN, infinite or out-of-range tol_rel (0 < tol_rel < 1 is
+    accepted), and a bool or float where an integer belongs, raise
+    ValueError naming the argument: none is read as d = 1, a deficient
+    column, rank 0, max_support 1 or a "k": true report."""
+    with pytest.raises(ValueError, match=rf"^{name} must be "):
+        call()
+
+
+def test_distance_accepts_numpy_scalars():
+    want = phase_gen_min_distance(_A46)
+    assert want.d == 5
+    assert phase_gen_min_distance(_A46, max_support=np.int64(3), tol_rel=np.float64(1e-10)) == want
+    assert certify_unique(_A46, np.int64(2)).to_json_dict() == certify_unique(_A46, 2).to_json_dict()
+    assert spark_at_least(_A46, np.int64(3)) == spark_at_least(_A46, 3)
 
 
 def test_certify_examples():

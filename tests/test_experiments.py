@@ -84,9 +84,12 @@ _A_COMPLEX = generate_ensemble(Field.COMPLEX, 4, 5, 0)
     (lambda: bidirectional_uniqueness_check(_A_REAL, 9), "k"),
     (lambda: bidirectional_uniqueness_check(_A_REAL, True), "k"),
     (lambda: bidirectional_uniqueness_check(_A_REAL, 2.0), "k"),
+    (lambda: build_collision_real(_A_REAL, 2.0), "k"),
+    (lambda: build_collision_real(_A_REAL, True), "k"),
 ], ids=["probe-seed-bool", "probe-restarts-bool", "probe-k-float", "real-kmax-bool", "real-kmax-float",
         "bidirectional-trials-negative", "bidirectional-trials-float", "bidirectional-seed-negative",
-        "bidirectional-k-above-n", "bidirectional-k-bool", "bidirectional-k-float"])
+        "bidirectional-k-above-n", "bidirectional-k-bool", "bidirectional-k-float", "collision-k-float",
+        "collision-k-bool"])
 def test_integer_arguments_are_refused_with_their_name(call, name):
     """A bool, a float or an out-of-range value where an integer count or
     seed belongs raises ValueError naming the argument; none is read as

@@ -17,12 +17,12 @@ from sparsepr import (
     solve_l0_complex,
     solve_l0_real,
 )
-from sparsepr import numerics
-from sparsepr.model import sign_table
+from sparsepr import numerics, solver_real
+from sparsepr.model import phase_equivalent, sign_table
 from sparsepr.numerics import batched_ranks
 from sparsepr.solver_complex import _lift_columns, _lift_system
 from helpers import least_squares
-from oracles import svd_batched_ranks, svd_rank
+from oracles import full_row_screen_block, svd_batched_ranks, svd_rank
 
 
 def test_rank_simple_cases():
@@ -199,12 +199,24 @@ def test_laplace_gram_radius_bounds_the_exact_determinant():
     assert checked > 90
 
 
+def _screen_flags(field: Field, A: np.ndarray, t: np.ndarray, k: int, resid_tol: float) -> np.ndarray:
+    """The screen's flags for every k-subset of A's columns: real supports
+    against every sign vector, lifted supports against their one
+    right-hand side t."""
+    n = A.shape[1]
+    if field is Field.REAL:
+        new_columns, signs = (lambda cols, c: [A[:, c]]), sign_table(k)
+    else:
+        new_columns, signs = _lift_columns(A), np.ones((1, k * k))
+    return numerics._lstsq_screen(new_columns, n, k, t[None], signs, np.array([resid_tol]))[0]
+
+
 def _real_screen_case(A: np.ndarray, t: np.ndarray, k: int, resid_tol: float):
     """(flags, accepted) for every k-subset of A's columns: the screen's
     flags, and whether _exact_support's residual test, lstsq against every
     sign vector r with |r| = t, accepts some r."""
     m, n = A.shape
-    flags = numerics._lstsq_screen(lambda cols, c: [A[:, c]], n, k, t[None], sign_table(k), np.array([resid_tol]))[0]
+    flags = _screen_flags(Field.REAL, A, t, k, resid_tol)
     rhs = (sign_table(m) * t).T
     accepted = []
     for I in itertools.combinations(range(n), k):
@@ -217,7 +229,7 @@ def _lifted_screen_case(A: np.ndarray, t: np.ndarray, k: int, resid_tol: float):
     """(flags, accepted) as _real_screen_case for the Hermitian lift, whose
     one right-hand side is t, in _lift_system's column order."""
     n = A.shape[1]
-    flags = numerics._lstsq_screen(_lift_columns(A), n, k, t[None], np.ones((1, k * k)), np.array([resid_tol]))[0]
+    flags = _screen_flags(Field.COMPLEX, A, t, k, resid_tol)
     accepted = []
     for I in itertools.combinations(range(n), k):
         G = _lift_system(A[:, I][None])[0]
@@ -238,12 +250,18 @@ def _near_tolerance(M: np.ndarray, r: np.ndarray, delta: float, rng) -> np.ndarr
 def _screen_corpus():
     """(field, A, t, k, resid_tol): planted right-hand sides, exact and at
     resid_tol (1 -+ 1e-3); duplicate, negated and zero columns; duplicate
-    and zero rows; exact pivot ties; and scales 2^+-300 and 1e+-150."""
+    and zero rows; exact pivot ties; and scales 2^+-300 and 1e+-150.  Two
+    variants aim the screen's stage-1 row (the free row of largest t) at a
+    degenerate spot: "dup-max-row" copies the row of largest t onto
+    another row, so that wherever one of the two is a pivot the other is
+    predicted exactly, and "flat-t" makes every t equal, so that the first
+    free row wins the tie."""
     rng = np.random.default_rng(41)
     cases = []
     for field, m, n, k in ((Field.REAL, 7, 7, 3), (Field.COMPLEX, 9, 6, 2), (Field.COMPLEX, 10, 6, 3),
                            (Field.COMPLEX, 18, 6, 4)):
-        for variant in ("generic", "dup-col", "neg-col", "zero-col", "dup-row", "zero-row", "ties"):
+        for variant in ("generic", "dup-col", "neg-col", "zero-col", "dup-row", "zero-row", "ties", "dup-max-row",
+                        "flat-t"):
             A = generate_ensemble(field, m, n, int(rng.integers(1 << 30))).entries.copy()
             if variant == "dup-col":
                 A[:, 4] = A[:, 1]
@@ -259,10 +277,15 @@ def _screen_corpus():
                 A = np.round(2 * A.real) + (1j * np.round(2 * A.imag) if field is Field.COMPLEX else 0)
             I = (0, 1, 4, 5)[:k]
             x = rng.standard_normal(k) + (1j * rng.standard_normal(k) if field is Field.COMPLEX else 0)
+            if variant == "dup-max-row":
+                top = int(np.argmax(np.abs(A[:, I] @ x)))
+                A[(top + 1) % m] = A[top]
             if field is Field.REAL:
                 M, r = A[:, I], A[:, I] @ x
             else:
                 M, r = _lift_system(A[:, I][None])[0], np.abs(A[:, I] @ x) ** 2
+            if variant == "flat-t":
+                r = np.full(m, np.abs(r).max())
             tol = 1e-8 * np.sqrt(m) * max(1.0, float(np.abs(r).max()))
             cases.append((field, A, np.abs(r), k, tol))
             if variant == "generic":
@@ -280,7 +303,9 @@ def test_lstsq_screen_never_rules_out_an_accepted_support():
     """The screen may flag anything, but no support on which the exact
     residual test accepts is ruled out: real supports against every sign
     vector (sign_table(k) rows), lifted supports against their one
-    right-hand side, on the degenerate corpus.  The same holds when one
+    right-hand side, on the degenerate corpus, whose "dup-max-row" and
+    "flat-t" cases aim the stage-1 row at a repeated pivot row and at a
+    tie.  The same holds when one
     screen call covers every case of one shape, so that supports of cases
     at scales 2^+-300 and 1e+-150 share blocks with unit-scale ones."""
     accepted = ruled_out = 0
@@ -307,6 +332,47 @@ def test_lstsq_screen_never_rules_out_an_accepted_support():
         assert flags.shape == (len(cases), comb(n, level))
         for j, (f, (*_, acc)) in enumerate(zip(flags, cases)):
             assert not np.any(acc & ~f), (field, level, j)
+
+
+def test_two_stage_screen_flags_no_support_the_full_row_screen_rules_out(monkeypatch):
+    """Stage 1 bounds each support on one row outside its pivots, and
+    stage 2 gives the supports stage 1 leaves the bound on all of them, so
+    the flagged set is never larger than the full-row screen's: on the
+    degenerate corpus (both fields, every level) and on real (14, 18, 7)
+    solves at m = 2k, seeds 0-5.  Each of those solves reruns exactly one
+    support, the true one; one stage alone reruns two on some seeds."""
+    blocks = []
+    screen_block = numerics._screen_block
+
+    def both(e, *args):
+        flags = screen_block(e, *args)
+        assert not np.any(flags & ~full_row_screen_block(e, *args))
+        blocks.append(e.M.shape[2])
+        return flags
+
+    monkeypatch.setattr(numerics, "_screen_block", both)
+    for field, A, t, k, tol in _screen_corpus():
+        for level in range(1, k + 1):
+            _screen_flags(field, A, t, level, tol)
+    corpus_blocks = len(blocks)
+    reruns = []
+    exact = solver_real._exact_support
+
+    def counted(entries, I, *args):
+        reruns.append(I)
+        return exact(entries, I, *args)
+
+    monkeypatch.setattr(solver_real, "_exact_support", counted)
+    for seed in range(6):
+        A = generate_ensemble(Field.REAL, 14, 18, seed)
+        rng = np.random.default_rng(seed)
+        support = tuple(sorted(rng.choice(18, 7, replace=False).tolist()))
+        x0 = SparseVector(Field.REAL, 18, support, rng.standard_normal(7))
+        reruns.clear()
+        sol = solve_l0_real(A, measure(A, x0), 7)
+        assert sol.k_star == 7 and len(sol.classes) == 1 and phase_equivalent(sol.classes[0], x0, 1e-8), seed
+        assert reruns == [support], seed
+    assert corpus_blocks > 100 and len(blocks) > corpus_blocks
 
 
 def test_screen_borders_each_support_once_and_inverts_no_block(monkeypatch):
