@@ -58,7 +58,6 @@ from .experiments import (
     draw_sparse_signal,
     emit_results,
     bidirectional_uniqueness_check,
-    parse_sweep_csv,
     run_sweep,
 )
 

@@ -43,7 +43,6 @@ __all__ = [
     "BidirectionalReport",
     "bidirectional_uniqueness_check",
     "emit_results",
-    "parse_sweep_csv",
 ]
 
 MIN_SIGNAL_MAGNITUDE = 0.1
@@ -424,29 +423,3 @@ def emit_results(result: SweepResult, fmt: str, path) -> Path:
     except OSError as exc:
         raise OSError(f"failed writing results to {path}: {exc}") from exc
     return path
-
-
-def parse_sweep_csv(path) -> list[SweepRow]:
-    """Parse back a CSV written by emit_results."""
-    lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    if not lines or lines[0] != _CSV_HEADER:
-        raise ValueError(f"{path}:1: missing sweep CSV header")
-    rows = []
-    for i, ln in enumerate(lines[1:], start=2):
-        parts = ln.split(",")
-        if len(parts) != 7:
-            raise ValueError(f"{path}:{i}: expected 7 columns, got {len(parts)}")
-        if parts[6] not in ("0", "1"):
-            raise ValueError(f"{path}:{i}: heuristic must be 0 or 1, got {parts[6]!r}")
-        rows.append(
-            SweepRow(
-                m=int(parts[0]),
-                trials=int(parts[1]),
-                successes=int(parts[2]),
-                rate=float(parts[3]),
-                mean_ms=float(parts[4]),
-                fragile=int(parts[5]),
-                heuristic=parts[6] == "1",
-            )
-        )
-    return rows

@@ -56,8 +56,8 @@ Either way the probe's objective is the candidate's measured mismatch
 || |A_J v| - |A_I u| ||_2, so a negative verdict is evidence over the
 sampled u, not proof.  The probe scales A by an exact power of two
 first, so its verdict and pair do not change when A is scaled by one.
-A (6, 4, 2) probe with 8 restarts takes 2 to 3 ms on the lift, against
-about 16 ms by the kernel (2-core Intel Xeon, one BLAS thread).
+A (6, 4, 2) probe with 8 restarts takes about 1 to 2 ms on the lift,
+against about 16 ms by the kernel (2-core Intel Xeon, one BLAS thread).
 
 The kernel, which the heuristic solve runs too, solves no restart
 frozen at its damping cap and reforms J^T J only after an accepted
@@ -84,8 +84,6 @@ from .model import (
     MeasurementEnsemble,
     SparseVector,
     _canonical_values,
-    _dense,
-    _phase_equivalent_dense,
     as_measurement,
 )
 from .numerics import DEFAULT_RANK_TOL, _lstsq_screen, hermitian_top_eig
@@ -426,8 +424,8 @@ def solve_l0_complex(
     heuristic_restarts seeded starts, and one batched Levenberg-Marquardt
     call refines all (supports x restarts) of the level; classes found
     there are labeled "refined" and the solution set is flagged
-    heuristic.  heuristic_restarts must be an integer >= 1 whether or not
-    the heuristic path runs.
+    heuristic.  heuristic_restarts must be an integer >= 1 and seed an
+    integer >= 0, whether or not the heuristic path runs.
     """
     return _solve_complex_batch([A], [y], k_max, tol, allow_heuristic, heuristic_restarts, seed)[0]
 
@@ -450,6 +448,7 @@ def _solve_complex_batch(As: list[MeasurementEnsemble], ys: list, k_max: int, to
     """
     problems = [_prepare(A, y, k_max, tol, Field.COMPLEX) for A, y in zip(As, ys)]
     _check_int(heuristic_restarts, "heuristic_restarts", 1)
+    _check_int(seed, "seed", 0)
     bad = [(A.m, k) for k in range(1, k_max + 1) for A in As if _level_method(A.m, k) == "refined"]
     if bad and not allow_heuristic:
         raise ValueError(f"support size {bad[0][1]} needs the heuristic path at m = {bad[0][0]} (exact only for "
@@ -505,7 +504,6 @@ def _refined_level(entries: np.ndarray, y: np.ndarray, supports: list[tuple[int,
     _PROBE_ROWS rows; the kernel's rows are independent, so the
     candidates do not depend on the blocking.
     """
-    _check_int(seed, "seed", 0)
     n = entries.shape[1]
     k = len(supports[0])
     scale = max(1.0, float(y.max(initial=0.0)))
@@ -795,10 +793,16 @@ def collision_probe_complex(
     rows at a time, the LM rows of a block in one kernel call.  A
     threshold probe, (m, n, k) = (6, 4, 2) with 8 restarts (36 pairs, all
     on the lift), makes no kernel call, and a probe whose collision lies
-    among the first pairs returns after that block.  Each pair draws its
-    u, then (off the lift) its LM starts, from its own seed, and every
-    row's candidate is computed row by row, so the verdict, objective and
-    pair do not depend on the blocking.
+    among the first pairs returns after that block.
+
+    Support I has one generator, default_rng(SeedSequence(seed,
+    spawn_key=(si,))).  It gives each J in turn, in J order, 4 x restarts x
+    k normals: u's real and imaginary parts, then the LM starts', which
+    only a J off the lift uses.  It lives on from one block to the next,
+    so the draws do not depend on the blocking, and a block holds only
+    its own.  Every row's candidate is computed row by row, and the block
+    filter (_block_best) gives the result of a loop over the pairs, so
+    the verdict, objective and pair do not depend on the blocking either.
     """
     _check_int(restarts, "restarts", 1)
     _check_int(k, "k", 1, A.n)
@@ -817,22 +821,21 @@ def collision_probe_complex(
         lifted = gs[:, -1] > DEFAULT_RANK_TOL * gs[:, 0]
         with np.errstate(divide="ignore", invalid="ignore"):
             PT = (gU / gs[:, None, :]) @ gVt  # rows of an undecided J are never read
-    best_obj = np.inf
-    best_pair = None
+    best_obj, best_pair = np.inf, None
+    rng, rng_si = None, -1
     lo, size = 0, max(1, _PROBE_FIRST_ROWS // restarts)
     while lo < S * S:
-        pairs = [divmod(p, S) for p in range(lo, min(lo + size, S * S))]
-        lo, size = lo + len(pairs), max(1, _PROBE_ROWS // restarts)
-        U = np.empty((len(pairs), restarts, k), dtype=np.complex128)
-        V0 = np.empty_like(U)
-        for b, (si, sj) in enumerate(pairs):
-            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(si, sj)))
-            U[b] = rng.standard_normal((restarts, k)) + 1j * rng.standard_normal((restarts, k))
-            if not lifted[sj]:  # LM starts come after u in the pair's stream
-                V0[b] = rng.standard_normal((restarts, k)) + 1j * rng.standard_normal((restarts, k))
+        hi = min(lo + size, S * S)
+        I_idx, J_idx = np.divmod(np.arange(lo, hi), S)
+        draws = []
+        for si in range(lo // S, (hi - 1) // S + 1):
+            if si != rng_si:  # I's generator lives on into the next block
+                rng, rng_si = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(si,))), si
+            draws.append(rng.standard_normal((min(hi, si * S + S) - max(lo, si * S), 4, restarts, k)))
+        Z = np.concatenate(draws)
+        lo, size = hi, max(1, _PROBE_ROWS // restarts)
+        U = Z[:, 0] + 1j * Z[:, 1]
         U /= np.linalg.norm(U, axis=2, keepdims=True)
-        I_idx = np.array([si for si, _ in pairs])
-        J_idx = np.array([sj for _, sj in pairs])
         T = np.abs(U @ AT[I_idx])
         V = np.empty_like(U)
         OBJ = np.empty(U.shape[:2])
@@ -842,31 +845,65 @@ def collision_probe_complex(
             V[on_lift], OBJ[on_lift] = _lift_candidates(PT[Js], AT[Js], T[on_lift])
         if not on_lift.all():
             Js = J_idx[~on_lift]
-            V[~on_lift], OBJ[~on_lift], _ = _batched_levenberg_marquardt(AT[Js], T[~on_lift], V0[~on_lift])
-        for (si, sj), u, v, obj in zip(pairs, U, V, OBJ):
-            I, J = supports[si], supports[sj]
-            order = np.argsort(obj, kind="stable")
-            for idx in order:
-                if obj[idx] >= best_obj and obj[idx] > 1e-8:
-                    break
-                small = np.abs(v[idx]) <= 1e-12
-                if small.any():
-                    continue
-                # The canonical classes' values and phase_equivalent's
-                # decision, without building the two SparseVectors.
-                uc = _canonical_values(Field.COMPLEX, u[idx])
-                vc = _canonical_values(Field.COMPLEX, v[idx])
-                if _phase_equivalent_dense(Field.COMPLEX, _dense(Field.COMPLEX, n, I, uc),
-                                           _dense(Field.COMPLEX, n, J, vc), 1e-6):
-                    continue
-                if obj[idx] < best_obj:
-                    best_obj = float(obj[idx])
-                    best_pair = (SparseVector(Field.COMPLEX, n, I, uc), SparseVector(Field.COMPLEX, n, J, vc))
-                if best_obj <= 1e-8:
-                    return CollisionProbe(best_pair, float(np.ldexp(best_obj, a)), restarts, "collision_found")
-                break
+            V0 = Z[~on_lift, 2] + 1j * Z[~on_lift, 3]
+            V[~on_lift], OBJ[~on_lift], _ = _batched_levenberg_marquardt(AT[Js], T[~on_lift], V0)
+        hit = _block_best(U, V, OBJ, I_idx, J_idx, supports, n, best_obj)
+        if hit is not None:
+            best_obj, best_pair = hit
+            if best_obj <= 1e-8:
+                return CollisionProbe(best_pair, float(np.ldexp(best_obj, a)), restarts, "collision_found")
     # best_obj is still inf when no pair passed the filters
     return CollisionProbe(best_pair, float(np.ldexp(best_obj, a)), restarts, "no_collision_found")
+
+
+def _block_best(U: np.ndarray, V: np.ndarray, OBJ: np.ndarray, I_idx: np.ndarray, J_idx: np.ndarray,
+                supports: list[tuple[int, ...]], n: int, best_obj: float):
+    """What one block of the probe's scan adds: (objective, (u, v)) of the
+    pair that becomes the best, or None.
+
+    U, V: (P, R, k) samples and candidates of the block's pairs (I_idx[p],
+    J_idx[p]) (indices into supports), OBJ: (P, R) their mismatches,
+    best_obj: the best objective of the blocks before.  Each pair's row
+    is its first, in stable order by objective, whose v has no entry of
+    modulus at most 1e-12 and which is not phase equivalent at 1e-6 to
+    its u (two supports' dense vectors).  A pair beats the running best
+    only when its row's objective is strictly lower, so ties keep the
+    earlier pair, and the first pair at or below 1e-8 ends the scan: it
+    is returned even when a later pair of the block is lower.  All of
+    that is array operations over the (P, R) rows; only the returned
+    pair's u and v are made canonical, by the scalar _canonical_values.
+    So the result is bit for bit that of a loop over the pairs and their
+    rows in that order (tests/oracles.py::pairwise_block_best).
+    """
+    P, R, k = U.shape
+    sup = np.array(supports, dtype=int, ndmin=2)
+    at = (np.arange(P)[:, None, None], np.arange(R)[None, :, None])
+    Ud = np.zeros((P, R, n), dtype=np.complex128)
+    Vd = np.zeros_like(Ud)
+    Ud[at + (sup[I_idx][:, None],)] = U
+    Vd[at + (sup[J_idx][:, None],)] = V
+    # phase_equivalent's test, row by row: align v to u by c = h / |h|,
+    # h = <v, u>; with h = 0 both vectors must be within tol of zero
+    h = np.einsum("pri,pri->pr", np.conj(Vd), Ud)
+    size = np.abs(h)
+    c = h / np.where(size > 0, size, 1.0)
+    equivalent = np.where(size > 0, np.abs(Ud - c[..., None] * Vd).max(axis=2) <= 1e-6,
+                          (np.abs(Ud).max(axis=2) <= 1e-6) & (np.abs(Vd).max(axis=2) <= 1e-6))
+    passing = ~(np.abs(V) <= 1e-12).any(axis=2) & ~equivalent
+    order = np.argsort(OBJ, axis=1, kind="stable")
+    ranked = np.take_along_axis(passing, order, axis=1)
+    rows = order[np.arange(P), ranked.argmax(axis=1)]
+    obj = OBJ[np.arange(P), rows]
+    # a pair with no passing row, or whose row's objective is NaN, adds nothing
+    obj = np.where(ranked.any(axis=1) & ~np.isnan(obj), obj, np.inf)
+    found = np.flatnonzero(obj <= 1e-8)
+    p = int(found[0]) if found.size else int(np.argmin(obj))
+    if not obj[p] < best_obj:
+        return None
+    u = _canonical_values(Field.COMPLEX, U[p, rows[p]])
+    v = _canonical_values(Field.COMPLEX, V[p, rows[p]])
+    return float(obj[p]), (SparseVector(Field.COMPLEX, n, supports[I_idx[p]], u),
+                           SparseVector(Field.COMPLEX, n, supports[J_idx[p]], v))
 
 
 def _lift_candidates(PT: np.ndarray, AT: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

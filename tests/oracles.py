@@ -7,7 +7,8 @@ rank oracle is a bare SVD count, the distance oracle enumerates every
 ordered support pair and decides every rank by SVD, the spark oracle
 decides every column subset's rank by SVD, the collision probe oracle
 scans one support pair at a time, with lstsq and an eigendecomposition
-per restart on the lift, the full-work LM kernel forms and
+per restart on the lift, the probe's block filter oracle tests one
+pair and one row at a time, the full-work LM kernel forms and
 solves the normal equations of every restart its ftol test has not
 stopped on every iteration, the full-scan real solver runs one SVD and
 one lstsq against every sign pattern on every support, the full-scan
@@ -34,6 +35,9 @@ from sparsepr.model import (
     Field,
     MeasurementEnsemble,
     SparseVector,
+    _canonical_values,
+    _dense,
+    _phase_equivalent_dense,
     as_measurement,
     generate_ensemble,
     measure,
@@ -433,13 +437,15 @@ def full_work_levenberg_marquardt(AT: np.ndarray, targets: np.ndarray, x0: np.nd
 def pairwise_collision_probe(A: MeasurementEnsemble, k: int, restarts: int, seed: int) -> CollisionProbe:
     """collision_probe_complex one ordered support pair at a time.
 
-    Same power-of-two normalization, seeding (SeedSequence(seed,
-    spawn_key=(si, sj)) per pair), pair order, filtering and early return
-    as the library's blocked scan.  At a "lifted" size a J whose lift
-    (loop_lift_system) has full column rank under DEFAULT_RANK_TOL gets,
-    per restart, lstsq's solution w of G_J w = t^2, the top eigenpair
-    hermitian_top_eig gives of loop_assemble_hermitian(w) and its
-    mismatch; every other pair runs the pairwise LM kernel.
+    Same power-of-two normalization, seeding, pair order, filtering and
+    early return as the library's blocked scan.  Support I's generator,
+    default_rng(SeedSequence(seed, spawn_key=(si,))), gives each J in
+    turn u's real and imaginary parts, then the LM starts'.  At a
+    "lifted" size a J whose lift (loop_lift_system) has full column rank
+    under DEFAULT_RANK_TOL gets, per restart, lstsq's solution w of G_J w
+    = t^2, the top eigenpair hermitian_top_eig gives of
+    loop_assemble_hermitian(w) and its mismatch; every other pair runs
+    the pairwise LM kernel.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -453,10 +459,9 @@ def pairwise_collision_probe(A: MeasurementEnsemble, k: int, restarts: int, seed
     on_lift = _level_method(A.m, k) == "lifted"
     for si, I in enumerate(supports):
         A_I = entries[:, I]
-        for sj, J in enumerate(supports):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(si,)))
+        for J in supports:
             A_J = entries[:, J]
-            ss = np.random.SeedSequence(seed, spawn_key=(si, sj))
-            rng = np.random.default_rng(ss)
             u = rng.standard_normal((restarts, k)) + 1j * rng.standard_normal((restarts, k))
             u /= np.linalg.norm(u, axis=1, keepdims=True)
             targets = np.abs(u @ A_I.T)  # (R, m)
@@ -489,6 +494,33 @@ def pairwise_collision_probe(A: MeasurementEnsemble, k: int, restarts: int, seed
                     return CollisionProbe(best_pair, float(np.ldexp(best_obj, a)), restarts, "collision_found")
                 break
     return CollisionProbe(best_pair, float(np.ldexp(best_obj, a)), restarts, "no_collision_found")
+
+
+def pairwise_block_best(U: np.ndarray, V: np.ndarray, OBJ: np.ndarray, I_idx, J_idx,
+                        supports: list[tuple[int, ...]], n: int, best_obj: float):
+    """solver_complex._block_best one pair and one row at a time: per pair,
+    its rows in stable order by objective, each made canonical and tested
+    by phase_equivalent's dense check, until the first that passes."""
+    best_pair = None
+    for (si, sj), u, v, obj in zip(zip(I_idx, J_idx), U, V, OBJ):
+        I, J = supports[si], supports[sj]
+        for idx in np.argsort(obj, kind="stable"):
+            if obj[idx] >= best_obj and obj[idx] > 1e-8:
+                break
+            if (np.abs(v[idx]) <= 1e-12).any():
+                continue
+            uc = _canonical_values(Field.COMPLEX, u[idx])
+            vc = _canonical_values(Field.COMPLEX, v[idx])
+            if _phase_equivalent_dense(Field.COMPLEX, _dense(Field.COMPLEX, n, I, uc),
+                                       _dense(Field.COMPLEX, n, J, vc), 1e-6):
+                continue
+            if obj[idx] < best_obj:
+                best_obj = float(obj[idx])
+                best_pair = (SparseVector(Field.COMPLEX, n, I, uc), SparseVector(Field.COMPLEX, n, J, vc))
+            if best_obj <= 1e-8:
+                return best_obj, best_pair
+            break
+    return None if best_pair is None else (best_obj, best_pair)
 
 
 def serial_gauss_newton(A_I: np.ndarray, y: np.ndarray, x_init: np.ndarray, iters: int = 200, tol: float = 1e-12):

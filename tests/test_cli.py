@@ -269,6 +269,20 @@ def test_solve_rejects_negative_heuristic_seed(tmp_path, capsys):
     assert code == 0 and json.loads(stdout)["k_star"] == 2
 
 
+def test_solve_rejects_negative_seed_on_the_lift(tmp_path, capsys):
+    """A complex solve that ends on the lift never draws, but a negative
+    --seed is still a usage error: exit 1, no stdout."""
+    A = generate_ensemble(Field.COMPLEX, 6, 4, 1)
+    write_matrix(A, tmp_path / "A.mat")
+    y = measure(A, SparseVector(Field.COMPLEX, 4, (0, 2), [1.0 + 0.5j, -0.7j]))
+    inline = ",".join(repr(float(v)) for v in y.magnitudes)
+    args = ("solve", str(tmp_path / "A.mat"), "--y", inline, "--kmax", "2")
+    code, stdout, err = run_cli(capsys, *args, "--seed", "-1")
+    assert code == 1 and stdout == "" and "seed must be a non-negative integer" in err
+    code, stdout, _ = run_cli(capsys, *args, "--seed", "0")
+    assert code == 0 and json.loads(stdout)["k_star"] == 2
+
+
 def test_solve_at_the_complex_threshold_needs_no_heuristic(tmp_path, capsys):
     """k = 4 at the paper's m = 4k - 2 = 14 takes the exact plane level:
     no --allow-heuristic, exit 0, "heuristic": false, one "lifted" class."""

@@ -10,6 +10,7 @@ from sparsepr import (
     MeasurementEnsemble,
     SparseVector,
     SweepConfig,
+    SweepRow,
     build_collision_real,
     collision_probe_complex,
     draw_sparse_signal,
@@ -17,7 +18,6 @@ from sparsepr import (
     generate_ensemble,
     bidirectional_uniqueness_check,
     measure,
-    parse_sweep_csv,
     phase_equivalent,
     run_sweep,
     solve_l0_complex,
@@ -134,6 +134,15 @@ def test_sweep_flags_heuristic_rows():
     assert res.rows[0].heuristic
 
 
+def _read_sweep_csv(path) -> list[SweepRow]:
+    """The rows of a CSV written by emit_results, after its header line."""
+    header, *lines = path.read_text(encoding="utf-8").splitlines()
+    assert header == "m,trials,successes,rate,mean_ms,fragile,heuristic"
+    fields = [ln.split(",") for ln in lines]
+    assert all(len(f) == 7 and f[6] in ("0", "1") for f in fields)
+    return [SweepRow(int(m), int(t), int(s), float(r), float(ms), int(fr), h == "1") for m, t, s, r, ms, fr, h in fields]
+
+
 def test_sweep_determinism_and_emission(tmp_path):
     cfg = SweepConfig(Field.REAL, 7, 2, (3, 4), 12, base_seed=11)
     res1 = run_sweep(cfg)
@@ -145,7 +154,7 @@ def test_sweep_determinism_and_emission(tmp_path):
     p1 = emit_results(res1, "csv", tmp_path / "a.csv")
     p2 = emit_results(res1, "csv", tmp_path / "b.csv")
     assert p1.read_bytes() == p2.read_bytes()
-    rows = parse_sweep_csv(p1)
+    rows = _read_sweep_csv(p1)
     assert [(r.m, r.trials, r.successes, r.rate, r.mean_ms, r.fragile, r.heuristic) for r in rows] == [
         (r.m, r.trials, r.successes, r.rate, r.mean_ms, r.fragile, r.heuristic) for r in res1.rows
     ]
@@ -153,7 +162,7 @@ def test_sweep_determinism_and_emission(tmp_path):
     # complex k = 2 at m = 3 < k^2 runs the heuristic path; the flag survives the round trip
     heur = run_sweep(SweepConfig(Field.COMPLEX, 4, 2, (3, 3), 1, base_seed=11))
     assert [r.heuristic for r in heur.rows] == [True]
-    assert parse_sweep_csv(emit_results(heur, "csv", tmp_path / "h.csv")) == list(heur.rows)
+    assert _read_sweep_csv(emit_results(heur, "csv", tmp_path / "h.csv")) == list(heur.rows)
     gp_lines = emit_results(heur, "gnuplot", tmp_path / "h.dat").read_text().splitlines()
     assert gp_lines[2] == "# columns: m trials successes rate mean_ms fragile heuristic"
     assert gp_lines[3].split()[-1] == "1"

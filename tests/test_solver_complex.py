@@ -26,6 +26,7 @@ from oracles import (
     full_work_levenberg_marquardt,
     loop_assemble_hermitian,
     loop_lift_system,
+    pairwise_block_best,
     pairwise_collision_probe,
     serial_heuristic_solve,
 )
@@ -565,6 +566,7 @@ def test_column_magnitude_collision_is_scale_free():
                 assert column_magnitude_collision_1sparse(A) is expect, (seed, c)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_collision_probe_real_embedding():
     A = MeasurementEnsemble.from_entries(Field.REAL, [[1.0, 2.0]])
     probe = collision_probe_complex(A, 1, 5, 0)
@@ -574,6 +576,7 @@ def test_collision_probe_real_embedding():
     assert not phase_equivalent(u, v, 1e-6)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_collision_probe_no_collision_k1():
     A = generate_ensemble(Field.COMPLEX, 2, 4, 11)
     # exact criterion: no two columns have proportional magnitudes
@@ -583,6 +586,7 @@ def test_collision_probe_no_collision_k1():
     assert probe.objective > 1e-3
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_collision_probe_k2_threshold():
     for seed in range(10):
         A = generate_ensemble(Field.COMPLEX, 6, 6, seed)
@@ -590,6 +594,7 @@ def test_collision_probe_k2_threshold():
         assert probe.verdict == "no_collision_found", f"seed {seed}"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_collision_probe_rejects_k_outside_1_to_n():
     A = generate_ensemble(Field.COMPLEX, 4, 5, 0)
     for k in (-1, 0, 6):
@@ -598,6 +603,7 @@ def test_collision_probe_rejects_k_outside_1_to_n():
     assert collision_probe_complex(A, 5, 1, 0).restarts == 1  # k = n is a valid probe
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_collision_probe_rejects_bad_seed_and_restarts():
     A = generate_ensemble(Field.COMPLEX, 4, 5, 0)
     for seed in (-1, 1.5, "3"):
@@ -610,14 +616,25 @@ def test_collision_probe_rejects_bad_seed_and_restarts():
 
 
 def test_heuristic_solve_rejects_negative_seed():
-    """The seed is checked where a heuristic level uses it; a solve that
-    ends on the lifted path never uses it."""
+    """The seed is checked up front, so a solve that ends on the lifted
+    path, which never uses it, refuses it too."""
     A, _, y = _heuristic_case(8, 6, 4, 0)
-    with pytest.raises(ValueError, match="seed"):
-        solve_l0_complex(A, y, 4, allow_heuristic=True, seed=-1)
     lifted = SparseVector(Field.COMPLEX, 6, (2,), np.array([1.5 - 0.5j]))
-    sol = solve_l0_complex(A, measure(A, lifted), 4, allow_heuristic=True, seed=-1)
-    assert sol.k_star == 1 and not sol.heuristic
+    for target in (y, measure(A, lifted)):
+        with pytest.raises(ValueError, match="seed"):
+            solve_l0_complex(A, target, 4, allow_heuristic=True, seed=-1)
+    assert solve_l0_complex(A, measure(A, lifted), 4, allow_heuristic=True, seed=np.int64(0)).k_star == 1
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "a", None])
+def test_complex_solve_checks_seed_up_front(seed):
+    """A (6, 4) threshold solve of a 2-sparse x ends on the lift and never
+    draws, but refuses a seed that is not a non-negative integer."""
+    A = generate_ensemble(Field.COMPLEX, 6, 4, 1)
+    y = measure(A, SparseVector(Field.COMPLEX, 4, (0, 2), np.array([1.0 + 0.5j, -0.7j])))
+    assert solve_l0_complex(A, y, 2).k_star == 2
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        solve_l0_complex(A, y, 2, seed=seed)
 
 
 def _singular_solve_ensemble():
@@ -686,6 +703,7 @@ def _close_probe(a, b) -> bool:
 
 
 @pytest.mark.slow
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_collision_probe_matches_pairwise_oracle():
     """The blocked scan reproduces the per-pair scan: bit for bit where
     every candidate comes from the LM kernel (the (3, 6) probes, below m
@@ -715,6 +733,7 @@ def test_collision_probe_matches_pairwise_oracle():
     assert np.max(np.abs(mu - mv)) <= 1e-10 * np.max(mu)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_collision_probe_does_not_depend_on_blocking(monkeypatch):
     """One pair per block, the first block included, gives the bits of
     the default blocking, on every third PROBE_CORPUS entry and the real
@@ -732,6 +751,7 @@ def test_collision_probe_does_not_depend_on_blocking(monkeypatch):
         assert _same_probe(collision_probe_complex(A, k, restarts, seed), want), name
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_collision_probe_kernel_calls(monkeypatch):
     """A threshold probe, (6, 4, k = 2) with 8 restarts, takes all 36
     pairs from the lift in one _lift_candidates call and makes no kernel
@@ -750,6 +770,7 @@ def test_collision_probe_kernel_calls(monkeypatch):
             assert len(stacks) == 1 and probes[0].verdict == "collision_found", name
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_collision_probe_is_scale_free():
     """The probe scales A by an exact power of two first, so A and 2^j A,
     j in {+-4, +-20, +-30, +-60}, give the same verdict and pair, bit for
@@ -766,6 +787,63 @@ def test_collision_probe_is_scale_free():
             assert _same_probe(probe, CollisionProbe(base.pair, base.objective * 2.0**j, 8, verdict)), (m, seed, j)
 
 
+def _same_hit(a, b) -> bool:
+    """Two block filter results: both None, or the same objective bits and
+    the same pair, support and value bytes."""
+    if a is None or b is None:
+        return a is b
+    return a[0] == b[0] and all(x.support == y.support and x.values.tobytes() == y.values.tobytes()
+                                for x, y in zip(a[1], b[1]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_collision_probe_block_filter_matches_pairwise_oracle(monkeypatch):
+    """Fed the U, V and objectives of every block of every PROBE_CORPUS
+    probe, the block filter (_block_best) returns what the per-pair loop
+    returns (pairwise_block_best), objective bits and pair bytes.  The
+    blocks cover each branch: a v entry at most 1e-12 ("6x5-zero-col"),
+    same-support pairs whose rows are phase equivalent, pairs whose rows
+    tie on objective, and an early return in the first block (every
+    "complex-3x6-*" probe).  Each block is also fed twice over, so that
+    every pair ties with a later copy, which must not replace it."""
+    blocks = {}
+    for name, A, k, restarts, seed in PROBE_CORPUS:
+        blocks[name] = _calls(monkeypatch, "_block_best", lambda: collision_probe_complex(A, k, restarts, seed))
+    covered = set()
+    for name, calls in blocks.items():
+        for U, V, OBJ, I_idx, J_idx, supports, n, best_obj in calls:
+            got = solver_complex._block_best(U, V, OBJ, I_idx, J_idx, supports, n, best_obj)
+            assert _same_hit(got, pairwise_block_best(U, V, OBJ, I_idx, J_idx, supports, n, best_obj)), name
+            twice = [np.concatenate([a, a]) for a in (U, V, OBJ, I_idx, J_idx)]
+            assert _same_hit(solver_complex._block_best(*twice, supports, n, best_obj), got), name
+            if name == "6x5-zero-col" and (np.abs(V) <= 1e-12).any():
+                covered.add("small v")
+            if any(len(np.unique(obj)) < len(obj) for obj in OBJ):
+                covered.add("tie")
+            for p in np.flatnonzero(I_idx == J_idx):
+                u = SparseVector(Field.COMPLEX, n, supports[I_idx[p]], U[p, 0]).canonical()
+                v = SparseVector(Field.COMPLEX, n, supports[J_idx[p]], V[p, 0]).canonical()
+                if np.abs(V[p, 0]).min() > 1e-12 and phase_equivalent(u, v, 1e-6):
+                    covered.add("same support")
+        if name.startswith("complex-3x6-"):
+            assert len(calls) == 1 and solver_complex._block_best(*calls[0])[0] <= 1e-8, name
+    assert covered == {"small v", "tie", "same support"}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_collision_probe_makes_one_generator_per_support(monkeypatch):
+    """A (6, 8, k = 2) threshold probe with 8 restarts scans all 28 x 28
+    support pairs and draws from one generator per support I: 28
+    default_rng calls, not one per pair."""
+    A = generate_ensemble(Field.COMPLEX, 6, 8, 0)
+    made = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda *args: made.append(args) or default_rng(*args))
+    probe = collision_probe_complex(A, 2, 8, 0)
+    assert probe.verdict == "no_collision_found" and len(made) == 28
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_collision_probe_k1_matches_column_criterion():
     """At k = 1 every m >= k^2, so the probe decides each sample on the
     lift (a zero column's lift is rank deficient and takes the LM
@@ -847,23 +925,21 @@ def _kernel_stacks(monkeypatch, run) -> list:
 
 def _probe_stack(A: MeasurementEnsemble, k: int, restarts: int, seed: int):
     """The (AT[J], |U AT[I]|, V0) LM kernel stack of every ordered support
-    pair of a probe, on A as given (not normalized), with the probe's
-    per-pair u and starts: at (6, 4, 2) with 8 restarts, one stack of 36
-    pairs, including those the probe itself decides on the lift, so the
-    kernel tests keep rows that freeze, stall and (at 1e10) hit singular
+    pair of a probe, on A as given (not normalized), with the probe's u
+    and starts (one generator per support I, drawing u, then the starts,
+    J by J): at (6, 4, 2) with 8 restarts, one stack of 36 pairs,
+    including those the probe itself decides on the lift, so the kernel
+    tests keep rows that freeze, stall and (at 1e10) hit singular
     systems."""
     supports = list(itertools.combinations(range(A.n), k))
+    S = len(supports)
     AT = solver_complex._support_stack(A.entries.astype(np.complex128), supports)
-    pairs = list(itertools.product(range(len(supports)), repeat=2))
-    U = np.empty((len(pairs), restarts, k), dtype=np.complex128)
-    V0 = np.empty_like(U)
-    for b, (si, sj) in enumerate(pairs):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(si, sj)))
-        u = rng.standard_normal((restarts, k)) + 1j * rng.standard_normal((restarts, k))
-        U[b] = u / np.linalg.norm(u, axis=1, keepdims=True)
-        V0[b] = rng.standard_normal((restarts, k)) + 1j * rng.standard_normal((restarts, k))
-    I_idx, J_idx = [si for si, _ in pairs], [sj for _, sj in pairs]
-    return AT[J_idx], np.abs(U @ AT[I_idx]), V0
+    Z = np.concatenate([np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(si,)))
+                        .standard_normal((S, 4, restarts, k)) for si in range(S)])
+    U = Z[:, 0] + 1j * Z[:, 1]
+    U /= np.linalg.norm(U, axis=2, keepdims=True)
+    I_idx, J_idx = np.divmod(np.arange(S * S), S)
+    return AT[J_idx], np.abs(U @ AT[I_idx]), Z[:, 2] + 1j * Z[:, 3]
 
 
 def _random_kernel_stack(k: int, seed: int):
@@ -956,8 +1032,9 @@ def test_lm_kernel_solves_at_most_half_the_full_work(monkeypatch):
     with 8 restarts (_probe_stack): the full-work kernel without the ftol
     stop solves 36 pairs x 8 restarts x 120 iterations = 34,560 rows.
     Rows frozen at the damping cap get no further solve, and rows stopped
-    by the ftol test none either: the kernel solves at most 7,000 (13,759
-    before the ftol test, with frozen rows alone), and the count repeats
+    by the ftol test none either: the kernel solves at most 7,000 (5,281
+    on the probe's draws; 13,759 before the ftol test, with frozen rows
+    alone, on the per-pair draws it had then), and the count repeats
     exactly."""
     stack = _probe_stack(generate_ensemble(Field.COMPLEX, 6, 4, 0), 2, 8, 0)
     counts = []
