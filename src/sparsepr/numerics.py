@@ -238,12 +238,13 @@ def _pattern_products(m: int, t: int, a: int, signs: np.ndarray) -> np.ndarray:
     return H
 
 
-def _laplace_gram(table: _MinorTable, cols_i: np.ndarray, cols_j: np.ndarray, H: np.ndarray):
+def _laplace_gram(table: _MinorTable, a: int, b: int, ri: np.ndarray, rj: np.ndarray, H: np.ndarray):
     """Gram determinants of M = [A_I, P A_J] from the minor table, with an error radius.
 
-    cols_i (N, a) and cols_j (N, b) hold N support pairs, t = a + b <= m;
-    b = 0 gives det(A_I^T A_I).  H is _pattern_products(m, t, a, signs).
-    Returns G (N, npat), for every pair and pattern, and B (N,).
+    ri and rj (N,) hold N support pairs as the positions of I and J in
+    _combos(n, a) and _combos(n, b), t = a + b <= m; b = 0 (rj = 0, the
+    empty support) gives det(A_I^T A_I).  H is _pattern_products(m, t, a,
+    signs).  Returns G (N, npat), for every pair and pattern, and B (N,).
 
     For each t-row set R the generalized Laplace expansion along the first
     a columns gives
@@ -289,10 +290,8 @@ def _laplace_gram(table: _MinorTable, cols_i: np.ndarray, cols_j: np.ndarray, H:
     value below 2^600, so nothing overflows.  _screen_accepts turns G and
     B into proofs.
     """
-    a, b = cols_i.shape[1], cols_j.shape[1]
     sidx, cidx, eps, _ = _row_splits(table.m, a + b, a)
     nR, nS = sidx.shape
-    ri, rj = _lex_rank(cols_i, table.n), _lex_rank(cols_j, table.n)
     X = (table.det[a][ri][:, sidx] * eps) * table.det[b][rj][:, cidx]  # (N, nR, nS)
     D = np.matmul(X.transpose(1, 0, 2), H)  # (nR, N, npat)
     G = np.einsum("rnq,rnq->nq", D, D)

@@ -105,6 +105,20 @@ def test_certify_strict_exits_3_on_fragile_spark(tmp_path, capsys):
     assert code_strict == 3
 
 
+def test_one_row_matrix_dist_and_certify(tmp_path, capsys):
+    # m = 1: no admissible sign pattern, so d = m + 1 with no witness, and
+    # 2k = 2 columns cannot be independent in one row
+    write_matrix(MeasurementEnsemble.from_entries(Field.REAL, [[1.0, -2.0, 0.5]]), tmp_path / "R.mat")
+    code, stdout, _ = run_cli(capsys, "dist", str(tmp_path / "R.mat"))
+    payload = json.loads(stdout)
+    jsonschema.validate(payload, load_schema("distance.schema.json"))
+    assert code == 0 and payload["d"] == 2 and payload["witness"] is None
+    code, stdout, _ = run_cli(capsys, "certify", str(tmp_path / "R.mat"), "--k", "1")
+    payload = json.loads(stdout)
+    jsonschema.validate(payload, load_schema("certify.schema.json"))
+    assert code == 2 and payload["spark_ok"] is False and payload["certified"] is False
+
+
 def test_solve_json_and_usage_errors(workdir, capsys):
     code, stdout, _ = run_cli(capsys, "solve", str(workdir / "A.mat"), str(workdir / "y.txt"),
                               "--kmax", "2")

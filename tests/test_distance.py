@@ -15,10 +15,13 @@ from sparsepr import (
     spark_at_least,
     witness_rank,
 )
-from sparsepr import numerics
+from sparsepr import distance, numerics
 from sparsepr.distance import _overlaps
 from helpers import schur_reduced_block
 from oracles import exhaustive_distance, svd_rank, svd_spark
+
+# The distance and spark code runs here without a single RuntimeWarning.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 CRAFTED = MeasurementEnsemble.from_entries(Field.REAL, [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
 
@@ -178,6 +181,123 @@ def test_distance_sends_few_matrices_to_svd(monkeypatch):
         sent.clear()
         phase_gen_min_distance(ensemble)
         assert sum(sent) <= 400
+
+
+def _inheritance_corpus():
+    """Ensembles where the smaller configurations' inheritance meets its edge cases."""
+    rng = np.random.default_rng(2026)
+    corpus = [(generate_ensemble(Field.REAL, m, m + 1, seed).entries, None) for m in (4, 5, 6) for seed in (0, 1)]
+    E = rng.standard_normal((5, 7))
+    E[:, 2] = 0.0  # a zero column: it is never a fresh column
+    corpus.append((E, None))
+    E = rng.standard_normal((5, 7))
+    E[:, 3:] = E[:, [0, 1, 0, 2]] * [1.0, -1.0, -1.0, 1.0]  # three classes: too few fresh ones
+    corpus.append((E, None))
+    for m, n in ((4, 7), (5, 7)):  # small integers: extensions with proven and SVD-decided patterns
+        corpus.append((np.round(rng.standard_normal((m, n))), None))
+    E = rng.standard_normal((6, 8))
+    E[:, 7] = -E[:, 1]
+    corpus.append((E, 3))
+    for m, n in ((6, 8), (7, 9)):
+        for max_support in (2, 3):  # the extension fills J, then I
+            corpus.append((generate_ensemble(Field.REAL, m, n, 3).entries, max_support))
+    return [(MeasurementEnsemble.from_entries(Field.REAL, np.asarray(E)), s) for E, s in corpus]
+
+
+@pytest.mark.slow
+def test_inheritance_matches_exhaustive_oracle():
+    for A, max_support in _inheritance_corpus():
+        got = phase_gen_min_distance(A, max_support=max_support)
+        assert got == exhaustive_distance(A, max_support=max_support), (A.entries, max_support)
+
+
+def _decider_totals(monkeypatch):
+    """Spy on _RankDecider.ranks: the totals |I| + |J| of every pair sent to it,
+    and the totals of the calls inside which each _laplace_gram call ran."""
+    sent, gram, current = [], [], []
+    ranks, laplace_gram = distance._RankDecider.ranks, distance._laplace_gram
+
+    def spy_ranks(self, cols_i, cols_j, pos_i, pos_j):
+        current.append(cols_i.shape[1] + cols_j.shape[1])
+        sent.extend((tuple(i), tuple(j)) for i, j in zip(cols_i.tolist(), cols_j.tolist()))
+        try:
+            return ranks(self, cols_i, cols_j, pos_i, pos_j)
+        finally:
+            current.pop()
+
+    def spy_gram(table, a, b, ri, rj, H):
+        gram.append(current[-1] if current else None)
+        return laplace_gram(table, a, b, ri, rj, H)
+
+    monkeypatch.setattr(distance._RankDecider, "ranks", spy_ranks)
+    monkeypatch.setattr(distance, "_laplace_gram", spy_gram)
+    return sent, gram
+
+
+def test_minor_table_proofs_run_at_the_largest_total_only(monkeypatch):
+    # every pair below |I| + |J| = m inherits the proof of one extension, so the
+    # decider and the minor table see only pairs of m columns
+    sent, gram = _decider_totals(monkeypatch)
+    A = generate_ensemble(Field.REAL, 6, 7, 5)
+    repeated = np.array(A.entries)
+    repeated[:, -1] = repeated[:, 0]
+    for ensemble in (A, MeasurementEnsemble.from_entries(Field.REAL, repeated)):
+        sent.clear()
+        gram.clear()
+        phase_gen_min_distance(ensemble)
+        assert sent and gram and {len(i) + len(j) for i, j in sent} == {6} and set(gram) == {6}
+    # At (7, 9) one pair falls back: its extension J + (0,) has a pattern the
+    # SVD decided, so the pair goes to the decider itself.
+    sent.clear()
+    gram.clear()
+    phase_gen_min_distance(generate_ensemble(Field.REAL, 7, 9, 0))
+    assert [p for p in sent if len(p[0]) + len(p[1]) < 7] == [((2, 3, 5), (2, 4, 8))]
+    assert ((2, 3, 5), (0, 2, 4, 8)) in sent and set(gram) <= {6, 7}
+
+
+def test_spark_screens_only_its_largest_sets(monkeypatch):
+    # the sets of fewer than 2k = 6 columns inherit the proofs of the 6-column sets
+    sizes = []
+    real = distance._laplace_gram
+    monkeypatch.setattr(distance, "_laplace_gram",
+                        lambda table, a, b, ri, rj, H: sizes.append(a) or real(table, a, b, ri, rj, H))
+    assert spark_at_least(generate_ensemble(Field.REAL, 6, 7, 5), 7).ok
+    assert set(sizes) == {6}
+
+
+def test_extensions_skip_classes_already_present():
+    # the extension keeps e: a column equal to one of the row up to sign, or a
+    # zero column, is never added
+    E = np.array([[1.0, 0.0, 1.0, 0.0, 2.0, 0.0], [0.0, 1.0, 0.0, 0.0, 1.0, 3.0]])
+    classes = distance._column_classes(E)
+    leaders = distance._leaders(E, classes)
+    assert classes.tolist() == [0, 1, 0, 3, 4, 5] and leaders.tolist() == [0, 1, 4, 5]
+    new, ok = distance._fresh_columns(classes, leaders, np.array([[2, 4], [0, 3], [0, 2]]), 3)
+    assert ok.tolist() == [False, True, True] and new[ok].tolist() == [[1, 4, 5], [1, 4, 5]]
+
+
+def test_certify_builds_one_minor_table(monkeypatch):
+    built = []
+    real = distance._minor_table
+    monkeypatch.setattr(distance, "_minor_table", lambda entries, top: built.append(top) or real(entries, top))
+    A = generate_ensemble(Field.REAL, 6, 7, 5)
+    want = certify_unique(A, 3)
+    assert built == [6]
+    built.clear()
+    assert phase_gen_min_distance(A).d == want.d and spark_at_least(A, 7).ok == want.spark_ok
+    assert built == [5, 6]
+
+
+def test_one_row_ensemble_needs_no_max_support():
+    # the default max_support m - 1 = 0 is not an argument error at m = 1
+    A = MeasurementEnsemble.from_entries(Field.REAL, [[1.0, -2.0, 0.5]])
+    rep = phase_gen_min_distance(A)
+    assert (rep.d, rep.min_rank, rep.witness, rep.certified_k) == (2, 1, None, 0)
+    assert phase_gen_min_distance(A, max_support=1) == rep
+    cert = certify_unique(A, 1)
+    assert not cert.certified and not cert.spark_ok and cert.d == 2
+    with pytest.raises(ValueError, match="^max_support must be "):
+        phase_gen_min_distance(A, max_support=0)
 
 
 def test_distance_counts_overlaps_past_column_63():

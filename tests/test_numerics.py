@@ -187,7 +187,7 @@ def test_laplace_gram_radius_bounds_the_exact_determinant():
                 if kind == 1:
                     pi[0], pj[0] = 0, len(cj) - 1  # both near-duplicate columns in one pair
                 H = numerics._pattern_products(m, t, a, signs)
-                G, B = numerics._laplace_gram(table, ci[pi], cj[pj], H)
+                G, B = numerics._laplace_gram(table, a, t - a, pi, pj, H)
                 for k in range(3):
                     for q in rng.integers(len(signs), size=2):
                         M = np.concatenate([A[:, ci[pi[k]]], signs[q][:, None] * A[:, cj[pj[k]]]], axis=1)
