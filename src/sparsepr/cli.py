@@ -109,7 +109,7 @@ def _build_parser() -> _Parser:
     sw.add_argument("--m-range", help="inclusive range as lo:hi")
     sw.add_argument("--trials", type=int)
     sw.add_argument("--seed", type=int)
-    sw.add_argument("--tol", type=float, default=1e-8)
+    sw.add_argument("--tol", type=float, help="residual tolerance (default 1e-8)")
     sw.add_argument("--outdir", default="results")
     sw.add_argument("--formats", default="csv,json,gnuplot",
                     help="comma-separated subset of csv,json,gnuplot")
@@ -216,16 +216,23 @@ def _cmd_collide(args) -> int:
     return EXIT_NEGATIVE
 
 
+# The sweep flags a config file replaces, with their argparse destinations.
+_SWEEP_FLAGS = (("--field", "field"), ("--n", "n"), ("--k", "k"), ("--m-range", "m_range"),
+                ("--trials", "trials"), ("--seed", "seed"))
+
+
 def _sweep_config(args) -> SweepConfig:
     if args.config is not None:
+        given = [flag for flag, dest in (*_SWEEP_FLAGS, ("--tol", "tol")) if getattr(args, dest) is not None]
+        if given:
+            raise _UsageError(f"{given[0]} cannot be combined with a config file; set it in the file")
         with open(args.config, "r", encoding="utf-8") as fh:
             try:
                 raw = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{args.config}:{exc.lineno}: invalid JSON ({exc.msg})") from None
         return SweepConfig.from_json_dict(raw, source=args.config)
-    flags = (args.field, args.n, args.k, args.m_range, args.trials, args.seed)
-    if any(v is None for v in flags):
+    if any(getattr(args, dest) is None for _, dest in _SWEEP_FLAGS):
         raise _UsageError(
             "sweep needs a config file or all of --field --n --k --m-range --trials --seed"
         )
@@ -240,7 +247,7 @@ def _sweep_config(args) -> SweepConfig:
         m_range=(lo, hi),
         trials_per_m=args.trials,
         base_seed=args.seed,
-        tol=args.tol,
+        **({} if args.tol is None else {"tol": args.tol}),
     )
 
 

@@ -55,9 +55,6 @@ import numpy as np
 
 from .model import Field, MeasurementEnsemble, PhasePattern, sign_table
 from .numerics import (
-    _SVD_ERROR,
-    DEFAULT_RANK_TOL,
-    _check_tol_rel,
     _combos,
     _laplace_gram,
     _lex_rank,
@@ -65,7 +62,6 @@ from .numerics import (
     _need,
     _pattern_products,
     _screen_accepts,
-    _screen_tau,
     batched_ranks,
     numerical_rank,
 )
@@ -261,7 +257,7 @@ class _RankDecider:
     (class_counts).
     """
 
-    def __init__(self, A: MeasurementEnsemble, table, tol_rel: float):
+    def __init__(self, A: MeasurementEnsemble, table):
         self.entries = A.entries
         self.m = A.m
         self.signs, l_counts = sign_patterns(A.m)
@@ -272,8 +268,6 @@ class _RankDecider:
         self.defects = np.maximum(w - l_counts, 0) + np.maximum(w - (A.m - l_counts), 0)
         self.table = table
         self.classes = _column_classes(A.entries)
-        self.tau = _screen_tau(tol_rel)
-        self.tol_rel = tol_rel
         self.fragile = False
         self._products = {}
 
@@ -304,9 +298,8 @@ class _RankDecider:
             col_sq = self.table.col_sq
             fro2 = col_sq[cols_i].sum(axis=1) + col_sq[cols_j].sum(axis=1)
             G, B = _laplace_gram(self.table, a, b, pos_i, pos_j, self._H(t, a)[1])
-            undecided &= ~_screen_accepts(G, B[:, None], _need(self.tau, fro2, fro2, t)[:, None])
-            # Rank t - e needs the SVD's roundoff below tol_rel (see _screen_accepts).
-            if self.tol_rel >= 2 * _SVD_ERROR and undecided.any():
+            undecided &= ~_screen_accepts(G, B[:, None], _need(fro2, fro2, t)[:, None])
+            if undecided.any():
                 self._exact_defects(cols_i, cols_j, fro2, ranks, undecided)
         proven = ~undecided
         pairs, codes = np.nonzero(undecided)
@@ -316,7 +309,7 @@ class _RankDecider:
             stack = np.empty((p.size, self.m, t))
             stack[:, :, :a] = self.entries[:, cols_i[p]].transpose(1, 0, 2)
             stack[:, :, a:] = self.signs[q][:, :, None] * self.entries[:, cols_j[p]].transpose(1, 0, 2)
-            ranks[p, q], fragile = batched_ranks(stack, self.tol_rel)
+            ranks[p, q], fragile = batched_ranks(stack)
             self.fragile = self.fragile or bool(fragile.any())
         return ranks, proven
 
@@ -383,7 +376,7 @@ class _RankDecider:
                     G, B = _laplace_gram(self.table, a2, b2, _lex_rank(sub_i[part], n),
                                          _lex_rank(sub_j[part], n), H)
                     fro2_sub = col_sq[sub_i[part]].sum(axis=1) + col_sq[sub_j[part]].sum(axis=1)
-                    need = _need(self.tau, fro2[pairs[part]], fro2_sub, a2 + b2)
+                    need = _need(fro2[pairs[part]], fro2_sub, a2 + b2)
                     proven = _screen_accepts(G, B[:, None], need[:, None])
                     rows = pairs[part, None]
                     ranks[rows, patterns] = np.where(proven, a + b - e, ranks[rows, patterns])
@@ -417,7 +410,7 @@ def _inherits(classes: np.ndarray, leaders: np.ndarray, proven: dict, cols_i: np
     return ok & proven[a2][np.where(ok, index, 0)]
 
 
-def _check_distance_args(A: MeasurementEnsemble, max_support, tol_rel) -> int:
+def _check_distance_args(A: MeasurementEnsemble, max_support) -> int:
     """Validate the distance's arguments; returns the effective max_support,
     min(max_support, m - 1, n), which is 0 only at m = 1."""
     if A.field is not Field.REAL:
@@ -428,15 +421,10 @@ def _check_distance_args(A: MeasurementEnsemble, max_support, tol_rel) -> int:
         max_support = A.m - 1
     else:
         _check_int(max_support, "max_support", 1, A.m)
-    _check_tol_rel(tol_rel)
     return min(max_support, A.m - 1, A.n)
 
 
-def phase_gen_min_distance(
-    A: MeasurementEnsemble,
-    max_support: int | None = None,
-    tol_rel: float = DEFAULT_RANK_TOL,
-) -> DistanceReport:
+def phase_gen_min_distance(A: MeasurementEnsemble, max_support: int | None = None) -> DistanceReport:
     """Exhaustive phase-generalized minimum distance of a real ensemble.
 
     The reported witness is the first configuration achieving the minimum
@@ -487,11 +475,11 @@ def phase_gen_min_distance(
     reaches the same rank and flag, by proof or by the SVD, so every
     output is the same as without inheritance.
     """
-    max_support = _check_distance_args(A, max_support, tol_rel)
-    return _distance(A, max_support, tol_rel, None)
+    max_support = _check_distance_args(A, max_support)
+    return _distance(A, max_support, None)
 
 
-def _distance(A: MeasurementEnsemble, max_support: int, tol_rel: float, table) -> DistanceReport:
+def _distance(A: MeasurementEnsemble, max_support: int, table) -> DistanceReport:
     """phase_gen_min_distance on checked arguments, with a minor table of
     top at least max_support, or None to build one here."""
     m, n = A.m, A.n
@@ -509,7 +497,7 @@ def _distance(A: MeasurementEnsemble, max_support: int, tol_rel: float, table) -
     lex_pos = {a: np.array([order[s] for s in c]) for a, c in by_size.items()}
     if table is None:
         table = _minor_table(A.entries, max_support)
-    decider = _RankDecider(A, table, tol_rel)
+    decider = _RankDecider(A, table)
     leaders = _leaders(A.entries, decider.classes)
 
     best_key = None  # (score, total, lo, hi, code)
@@ -596,13 +584,7 @@ def _distance(A: MeasurementEnsemble, max_support: int, tol_rel: float, table) -
     )
 
 
-def witness_rank(
-    A: MeasurementEnsemble,
-    I,
-    J,
-    P: PhasePattern,
-    tol_rel: float = DEFAULT_RANK_TOL,
-) -> int:
+def witness_rank(A: MeasurementEnsemble, I, J, P: PhasePattern) -> int:
     """Numerical rank of the concatenated configuration [A_I, P A_J]."""
     I = tuple(int(i) for i in I)
     J = tuple(int(j) for j in J)
@@ -613,10 +595,10 @@ def witness_rank(
         raise ValueError("phase pattern length does not match ensemble rows")
     phases = P.phases.astype(A.field.dtype)
     M = np.concatenate([A.columns(I), phases[:, None] * A.columns(J)], axis=1)
-    return numerical_rank(M, tol_rel).rank
+    return numerical_rank(M).rank
 
 
-def spark_at_least(A: MeasurementEnsemble, s: int, tol_rel: float = DEFAULT_RANK_TOL) -> SparkReport:
+def spark_at_least(A: MeasurementEnsemble, s: int) -> SparkReport:
     """Brute-force check that every subset of fewer than s columns is independent.
 
     On failure the first (smallest, then lexicographic) dependent subset is
@@ -637,11 +619,10 @@ def spark_at_least(A: MeasurementEnsemble, s: int, tol_rel: float = DEFAULT_RANK
     the report is the same as without inheritance.
     """
     _check_int(s, "s", 1, min(A.m, A.n) + 1)
-    _check_tol_rel(tol_rel)
-    return _spark(A, s, tol_rel, None)
+    return _spark(A, s, None)
 
 
-def _spark(A: MeasurementEnsemble, s: int, tol_rel: float, table) -> SparkReport:
+def _spark(A: MeasurementEnsemble, s: int, table) -> SparkReport:
     """spark_at_least on checked arguments, with a minor table of top at
     least s - 1, or None to build one here."""
     entries, n, top = A.entries, A.n, s - 1
@@ -649,7 +630,6 @@ def _spark(A: MeasurementEnsemble, s: int, tol_rel: float, table) -> SparkReport
         return SparkReport(s=s, deficient_columns=None, fragile=False)
     if table is None:
         table = _minor_table(entries, top)
-    tau = _screen_tau(tol_rel)
 
     def screen(combos: np.ndarray, pos: np.ndarray) -> np.ndarray:
         """Mask of the column sets combos[pos] that the minor table proves full rank."""
@@ -663,7 +643,7 @@ def _spark(A: MeasurementEnsemble, s: int, tol_rel: float, table) -> SparkReport
             p = pos[first:first + step]
             G, B = _laplace_gram(table, size, 0, p, np.zeros_like(p), H)
             fro2 = table.col_sq[combos[p]].sum(axis=1)
-            out[first:first + step] = _screen_accepts(G[:, 0], B, _need(tau, fro2, fro2, size))
+            out[first:first + step] = _screen_accepts(G[:, 0], B, _need(fro2, fro2, size))
         return out
 
     top_combos = _combos(n, top)
@@ -690,7 +670,7 @@ def _spark(A: MeasurementEnsemble, s: int, tol_rel: float, table) -> SparkReport
         rest = np.flatnonzero(~proven)
         if rest.size:
             stack = entries[:, combos[rest].T].transpose(2, 0, 1)  # (nrest, m, size)
-            ranks[rest], fragile = batched_ranks(stack, tol_rel)
+            ranks[rest], fragile = batched_ranks(stack)
             fragile_any = fragile_any or bool(fragile.any())
         bad = ranks < size
         if bad.any():
@@ -700,7 +680,7 @@ def _spark(A: MeasurementEnsemble, s: int, tol_rel: float, table) -> SparkReport
     return SparkReport(s=s, deficient_columns=None, fragile=fragile_any)
 
 
-def certify_unique(A: MeasurementEnsemble, k: int, max_support: int | None = None) -> CertificationReport:
+def certify_unique(A: MeasurementEnsemble, k: int) -> CertificationReport:
     """Certify unique k-sparse recovery from phaseless measurements.
 
     Certified when k <= floor((d - 1) / 2) and additionally every 2k
@@ -708,18 +688,19 @@ def certify_unique(A: MeasurementEnsemble, k: int, max_support: int | None = Non
     collision the distance definition excludes).  When not certified the
     binding witness is returned: the distance witness if the d-bound
     fails, else the deficient spark columns.  The report is fragile when
-    a rank decision of the distance or of the spark check was.  The two
-    share one minor table, of top max(max_support, 2k); where that one
-    would be too large, each builds the smaller one it needs.
+    a rank decision of the distance or of the spark check was.  The
+    distance searches every support size up to m - 1.  The two share one
+    minor table, of top max(m - 1, 2k); where that one would be too large,
+    each builds the smaller one it needs.
     """
     _check_int(k, "k", 1)
-    max_support = _check_distance_args(A, max_support, DEFAULT_RANK_TOL)
+    max_support = _check_distance_args(A, None)
     spark_runs = 2 * k <= min(A.m, A.n)
     table = _minor_table(A.entries, max(max_support, 2 * k) if spark_runs else max_support)
-    report = _distance(A, max_support, DEFAULT_RANK_TOL, table)
+    report = _distance(A, max_support, table)
     k_bound_ok = k <= report.certified_k
     if spark_runs:
-        spark_report = _spark(A, 2 * k + 1, DEFAULT_RANK_TOL, table)
+        spark_report = _spark(A, 2 * k + 1, table)
         spark_ok = spark_report.ok
     else:
         # Fewer than 2k rows or columns: 2k independent columns are impossible.

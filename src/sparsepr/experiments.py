@@ -25,6 +25,7 @@ from .model import (
     Field,
     MeasurementEnsemble,
     SparseVector,
+    _dense,
     generate_ensemble,
     measure,
     phase_equivalent,
@@ -46,6 +47,10 @@ __all__ = [
 ]
 
 MIN_SIGNAL_MAGNITUDE = 0.1
+# The forward direction of bidirectional_uniqueness_check: random trials
+# and the base seed they derive from.
+FORWARD_TRIALS = 100
+FORWARD_SEED = 2024
 
 
 @dataclass(frozen=True)
@@ -92,12 +97,15 @@ class SweepConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict, source: str = "sweep config") -> "SweepConfig":
-        """The config a JSON object describes; a missing or malformed key
-        raises ValueError naming source and the key.  The values go to
-        SweepConfig as they are, so its checks refuse a float, bool or
-        string where an integer or tol belongs."""
+        """The config a JSON object describes; a missing, unknown or
+        malformed key raises ValueError naming source and the key.  The
+        values go to SweepConfig as they are, so its checks refuse a float,
+        bool or string where an integer or tol belongs."""
         if not isinstance(d, dict):
             raise ValueError(f"{source}: expected a JSON object, got {type(d).__name__}")
+        unknown = [key for key in d if key not in _CONFIG_KEYS]
+        if unknown:
+            raise ValueError(f"{source}: unknown key {unknown[0]!r}")
         values = {}
         for key, parse in _CONFIG_KEYS.items():
             if key not in d:
@@ -152,21 +160,16 @@ class SweepResult:
     rows: tuple[SweepRow, ...]
 
 
-def draw_sparse_signal(
-    fld: Field,
-    n: int,
-    k: int,
-    rng: np.random.Generator,
-    min_magnitude: float = MIN_SIGNAL_MAGNITUDE,
-) -> SparseVector:
-    """Uniform random support; values redrawn until none is near zero."""
+def draw_sparse_signal(fld: Field, n: int, k: int, rng: np.random.Generator) -> SparseVector:
+    """Uniform random support; values redrawn until every magnitude is at
+    least MIN_SIGNAL_MAGNITUDE."""
     support = tuple(int(i) for i in np.sort(rng.choice(n, size=k, replace=False)))
     while True:
         if fld is Field.REAL:
             values = rng.standard_normal(k)
         else:
             values = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        if k == 0 or np.min(np.abs(values)) >= min_magnitude:
+        if k == 0 or np.min(np.abs(values)) >= MIN_SIGNAL_MAGNITUDE:
             return SparseVector(fld, n, support, values)
 
 
@@ -274,14 +277,11 @@ class BidirectionalReport:
     details: dict
 
 
-def bidirectional_uniqueness_check(
-    A: MeasurementEnsemble,
-    k: int,
-    trials: int = 100,
-    base_seed: int = 2024,
-) -> BidirectionalReport:
-    """Forward: certification implies unique recovery on random trials.
-    Converse: a failed certificate is backed by an exhibited ambiguity.
+def bidirectional_uniqueness_check(A: MeasurementEnsemble, k: int) -> BidirectionalReport:
+    """Forward: certification implies unique recovery on FORWARD_TRIALS
+    random trials; trial t draws its signal from SeedSequence(FORWARD_SEED,
+    spawn_key=(k, t)).  Converse: a failed certificate is backed by an
+    exhibited ambiguity.
 
     The converse exhibit is, in order of preference: an explicit
     disjoint-support collision (m <= 2k - 1); a non-equivalent pair split
@@ -291,17 +291,15 @@ def bidirectional_uniqueness_check(
     most 2k for the witness-derived measurement.
     """
     _check_int(k, "k", 1, A.n)
-    _check_int(trials, "trials", 1)
-    _check_int(base_seed, "base_seed", 0)
     cert = certify_unique(A, k)
     details: dict = {"d": cert.d, "certified_k": (cert.d - 1) // 2, "spark_ok": cert.spark_ok}
 
     if cert.certified:
         truths = [draw_sparse_signal(Field.REAL, A.n, k, np.random.default_rng(
-            np.random.SeedSequence(base_seed, spawn_key=(k, t)))) for t in range(trials)]
-        sols = _solve_real_batch([A] * trials, [measure(A, truth) for truth in truths], k, 1e-8)
+            np.random.SeedSequence(FORWARD_SEED, spawn_key=(k, t)))) for t in range(FORWARD_TRIALS)]
+        sols = _solve_real_batch([A] * FORWARD_TRIALS, [measure(A, truth) for truth in truths], k, 1e-8)
         failures = sum(not _recovered(sol, truth) for sol, truth in zip(sols, truths))
-        details["forward_trials"] = trials
+        details["forward_trials"] = FORWARD_TRIALS
         details["forward_failures"] = failures
         return BidirectionalReport(True, failures == 0, None, details)
 
@@ -322,8 +320,8 @@ def bidirectional_uniqueness_check(
         M = np.concatenate([A.columns(w.I), -phases[:, None] * A.columns(w.J)], axis=1)
         v = null_space_vector(M)
         x_part, z_part = v[: len(w.I)], v[len(w.I) :]
-        x = SparseVector.from_dense(Field.REAL, _place(A.n, w.I, x_part), tol=1e-12)
-        z = SparseVector.from_dense(Field.REAL, _place(A.n, w.J, z_part), tol=1e-12)
+        x = SparseVector.from_dense(Field.REAL, _dense(Field.REAL, A.n, w.I, x_part), tol=1e-12)
+        z = SparseVector.from_dense(Field.REAL, _dense(Field.REAL, A.n, w.J, z_part), tol=1e-12)
         y = measure(A, x)
         if x.sparsity and z.sparsity and not phase_equivalent(x, z, 1e-6):
             mismatch = float(np.max(np.abs(y.magnitudes - measure(A, z).magnitudes)))
@@ -345,8 +343,8 @@ def bidirectional_uniqueness_check(
     cols = tuple(sol_cols)
     v = null_space_vector(A.columns(cols))
     half = (len(cols) + 1) // 2
-    x = SparseVector.from_dense(Field.REAL, _place(A.n, cols[:half], v[:half]), tol=1e-12)
-    z = SparseVector.from_dense(Field.REAL, _place(A.n, cols[half:], -v[half:]), tol=1e-12)
+    x = SparseVector.from_dense(Field.REAL, _dense(Field.REAL, A.n, cols[:half], v[:half]), tol=1e-12)
+    z = SparseVector.from_dense(Field.REAL, _dense(Field.REAL, A.n, cols[half:], -v[half:]), tol=1e-12)
     ok = (
         x.sparsity <= k
         and z.sparsity <= k
@@ -354,12 +352,6 @@ def bidirectional_uniqueness_check(
         and float(np.max(np.abs(measure(A, x).magnitudes - measure(A, z).magnitudes))) <= 1e-8
     )
     return BidirectionalReport(False, None, ok, details)
-
-
-def _place(n: int, support, values) -> np.ndarray:
-    x = np.zeros(n)
-    x[list(support)] = values
-    return x
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Small dense linear-algebra kernels with an explicit tolerance policy.
 
-One global policy: numerical rank counts singular values above a relative
-SVD threshold (default 1e-10 of the largest).  Desk-scale Gaussian matrices
+One global policy: numerical rank counts singular values above a fixed
+relative SVD threshold, DEFAULT_RANK_TOL = 1e-10 of the largest; no caller
+chooses another.  Desk-scale Gaussian matrices
 have singular-value gaps many orders above this, so decisions are crisp;
 the gap is recorded anyway so borderline calls can be surfaced as fragile.
 
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import numbers
 from dataclasses import dataclass, fields
 from math import comb
 
@@ -47,6 +47,8 @@ DEFAULT_RANK_TOL = 1e-10
 FRAGILE_GAP = 10.0
 # Relative backward error assumed of LAPACK's SVD (see _screen_accepts).
 _SVD_ERROR = 2.0 ** -40
+# The screens' acceptance threshold tau (_need, _screen_accepts): 1e-8.
+_SCREEN_TAU = 100.0 * max(DEFAULT_RANK_TOL, _SVD_ERROR)
 # Numbers per minor table (_minor_table); a larger A gets no table and
 # every rank goes to the SVD.
 _TABLE_ELEMENTS = 1 << 21
@@ -82,30 +84,21 @@ class RankDecision:
         return self.gap < FRAGILE_GAP
 
 
-def _check_tol_rel(tol_rel) -> None:
-    """Raise ValueError unless tol_rel is a real number (not a bool) with
-    0 < tol_rel < 1: outside that range, and at NaN, the SVD policy's
-    threshold would keep every nonzero singular value or drop them all."""
-    if isinstance(tol_rel, bool) or not isinstance(tol_rel, numbers.Real) or not 0 < tol_rel < 1:
-        raise ValueError(f"tol_rel must be a real number with 0 < tol_rel < 1, got {tol_rel!r}")
-
-
-def numerical_rank(M, tol_rel: float = DEFAULT_RANK_TOL) -> RankDecision:
-    """Rank = number of singular values above tol_rel * sigma_max."""
+def numerical_rank(M) -> RankDecision:
+    """Rank = number of singular values above DEFAULT_RANK_TOL * sigma_max."""
     M = np.asarray(M)
     if not (np.all(np.isfinite(M.real)) and np.all(np.isfinite(M.imag))):
         raise ValueError("numerical_rank requires finite entries")
-    _check_tol_rel(tol_rel)
     s = np.linalg.svd(M, compute_uv=False)
     smax = float(s[0]) if s.size else 0.0
-    tol = tol_rel * smax
+    tol = DEFAULT_RANK_TOL * smax
     rank = int(np.sum(s > tol))
     kept = float(s[rank - 1]) if rank > 0 else 0.0
     dropped = float(s[rank]) if rank < s.size else 0.0
     return RankDecision(rank=rank, smallest_kept_sv=kept, largest_dropped_sv=dropped, tol_used=tol)
 
 
-def batched_ranks(stack: np.ndarray, tol_rel: float = DEFAULT_RANK_TOL):
+def batched_ranks(stack: np.ndarray):
     """Ranks and fragility flags for a (..., m, k) stack of matrices.
 
     Returns (ranks, fragile) with the leading batch shape: numerical_rank's
@@ -114,15 +107,9 @@ def batched_ranks(stack: np.ndarray, tol_rel: float = DEFAULT_RANK_TOL):
     (_laplace_gram, _screen_accepts) and send only the rest here, so every
     rank deficiency that is not known in advance is decided by this policy.
     """
-    _check_tol_rel(tol_rel)
-    return _svd_ranks(np.asarray(stack), tol_rel)
-
-
-def _svd_ranks(stack: np.ndarray, tol_rel: float):
-    """The numerical_rank policy, batched: one SVD per matrix."""
-    s = np.linalg.svd(stack, compute_uv=False)
+    s = np.linalg.svd(np.asarray(stack), compute_uv=False)
     smax = s[..., 0]
-    tol = tol_rel * smax
+    tol = DEFAULT_RANK_TOL * smax
     ranks = np.sum(s > tol[..., None], axis=-1)
     nsv = s.shape[-1]
     idx_kept = np.clip(ranks - 1, 0, nsv - 1)
@@ -305,17 +292,12 @@ def _laplace_gram(table: _MinorTable, a: int, b: int, ri: np.ndarray, rj: np.nda
     return G, B
 
 
-def _screen_tau(tol_rel: float) -> float:
-    """The screens' acceptance threshold, 100 max(tol_rel, _SVD_ERROR)."""
-    return 100.0 * max(tol_rel, _SVD_ERROR)
-
-
-def _need(tau: float, fro2: np.ndarray, fro2_sub: np.ndarray, t_sub: int) -> np.ndarray:
-    """tau ||M||_F ||M'||_F^(t' - 1) / (t' - 1)^((t' - 1) / 2): the sqrt(det G')
-    that _screen_accepts requires of a t'-column M' to prove sigma_min(M') >
-    tau ||M||_F."""
+def _need(fro2: np.ndarray, fro2_sub: np.ndarray, t_sub: int) -> np.ndarray:
+    """tau ||M||_F ||M'||_F^(t' - 1) / (t' - 1)^((t' - 1) / 2), tau =
+    _SCREEN_TAU: the sqrt(det G') that _screen_accepts requires of a
+    t'-column M' to prove sigma_min(M') > tau ||M||_F."""
     k = t_sub - 1
-    return tau * np.sqrt(fro2) * fro2_sub ** (k / 2) / float(k) ** (k / 2)
+    return _SCREEN_TAU * np.sqrt(fro2) * fro2_sub ** (k / 2) / float(k) ** (k / 2)
 
 
 def _screen_accepts(G: np.ndarray, B: np.ndarray, need: np.ndarray) -> np.ndarray:
@@ -337,22 +319,23 @@ def _screen_accepts(G: np.ndarray, B: np.ndarray, need: np.ndarray) -> np.ndarra
     _laplace_gram is not negligible), and anything not finite, is not
     accepted.
 
-    What an accepted M' proves (phi = _SVD_ERROR: LAPACK's SVD returns the
-    singular values of M + dM with ||dM||_2 <= p(m, t) u ||M||_2 <= phi
-    sigma_max(M), p a modest polynomial; phi allows p up to 2^13; tau =
-    100 max(tol_rel, phi)).  With M' = M (the full-rank screen), the
-    computed sigma_min exceeds (tau - phi) sigma_max >= 99 max(tol_rel,
-    phi) sigma_max while the computed sigma_max is at most (1 + phi)
-    sigma_max: the SVD policy keeps all t singular values, drops none, and
-    the decision is not fragile.  With M' = M minus e columns and e null
-    vectors of M that hold exactly in the stored floats (the exact-defect
-    ranks of the distance enumeration), interlacing gives sigma_(t-e)(M)
-    >= sigma_min(M') > tau sigma_max(M) while sigma_(t-e+1)(M) = 0.  The
-    computed sigma_(t-e+1) is then at most phi sigma_max, below tol_rel
-    times the computed sigma_max when tol_rel >= 2 phi, and the computed
-    sigma_(t-e) is above it: the policy returns rank t - e, and its gap is
-    at least (tau - phi) / phi > 10, so the decision is not fragile.  A
-    mask entry that is False decides nothing.
+    What an accepted M' proves (phi = _SVD_ERROR = 2^-40: LAPACK's SVD
+    returns the singular values of M + dM with ||dM||_2 <= p(m, t) u
+    ||M||_2 <= phi sigma_max(M), p a modest polynomial; phi allows p up to
+    2^13; delta = DEFAULT_RANK_TOL = 1e-10, the policy's threshold; tau =
+    _SCREEN_TAU = 100 delta).  With M' = M (the full-rank screen), the
+    computed sigma_min exceeds (tau - phi) sigma_max >= 99 delta sigma_max
+    while the computed sigma_max is at most (1 + phi) sigma_max: the SVD
+    policy keeps all t singular values, drops none, and the decision is not
+    fragile.  With M' = M minus e columns and e null vectors of M that hold
+    exactly in the stored floats (the exact-defect ranks of the distance
+    enumeration), interlacing gives sigma_(t-e)(M) >= sigma_min(M') > tau
+    sigma_max(M) while sigma_(t-e+1)(M) = 0.  The computed sigma_(t-e+1)
+    is then at most phi sigma_max, below delta times the computed
+    sigma_max because delta >= 2 phi (tests/test_numerics.py pins this),
+    and the computed sigma_(t-e) is above it: the policy returns rank
+    t - e, and its gap is at least (tau - phi) / phi > 10, so the decision
+    is not fragile.  A mask entry that is False decides nothing.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         thr = (need + B) * (1 + 1e-8)
@@ -704,17 +687,16 @@ def hermitian_top_eig(X) -> tuple[np.ndarray, np.ndarray]:
     return w, v1
 
 
-def null_space_vector(M, tol_rel: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def null_space_vector(M) -> np.ndarray:
     """A unit right-null vector of M (the smallest right singular vector).
 
     Raises when M is numerically full column rank, i.e. has no null space.
     """
-    _check_tol_rel(tol_rel)
     M = np.asarray(M)
     m, c = M.shape
     u, s, vt = np.linalg.svd(M)
     smax = float(s[0]) if s.size else 0.0
-    rank = int(np.sum(s > tol_rel * smax))
+    rank = int(np.sum(s > DEFAULT_RANK_TOL * smax))
     if rank >= c:
         raise ValueError("matrix is numerically full column rank; no null vector")
     v = vt[-1].conj()

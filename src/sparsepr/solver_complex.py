@@ -100,6 +100,8 @@ __all__ = [
 
 RANK1_TOL = 1e-6
 PSD_TOL = 1e-8
+# Seeded starts per support on the heuristic path (_refined_level).
+HEURISTIC_RESTARTS = 8
 # MINPACK lmder's ftol: an LM restart whose accepted step lowers its sum
 # of squares || |A_J v|^2 - t^2 ||_2^2 by at most this fraction of its
 # value stops after that step.  A ratio, so it does not change when A and
@@ -406,7 +408,6 @@ def solve_l0_complex(
     k_max: int,
     tol: float = 1e-8,
     allow_heuristic: bool = False,
-    heuristic_restarts: int = 8,
     seed: int = 0,
 ) -> SolutionSet:
     """Solve min ||x||_0 subject to |Ax| = y over the complexes.
@@ -421,18 +422,17 @@ def solve_l0_complex(
     and the supports of a lifted or plane size whose lift the SVD rank
     policy cannot decide, are only scanned when allow_heuristic is set;
     without it they raise ValueError.  There every support gets
-    heuristic_restarts seeded starts, and one batched Levenberg-Marquardt
+    HEURISTIC_RESTARTS seeded starts, and one batched Levenberg-Marquardt
     call refines all (supports x restarts) of the level; classes found
     there are labeled "refined" and the solution set is flagged
-    heuristic.  heuristic_restarts must be an integer >= 1 and seed an
-    integer >= 0, whether or not the heuristic path runs.
+    heuristic.  seed must be an integer >= 0, whether or not the heuristic
+    path runs.
     """
-    return _solve_complex_batch([A], [y], k_max, tol, allow_heuristic, heuristic_restarts, seed)[0]
+    return _solve_complex_batch([A], [y], k_max, tol, allow_heuristic, seed)[0]
 
 
 def _solve_complex_batch(As: list[MeasurementEnsemble], ys: list, k_max: int, tol: float = 1e-8,
-                         allow_heuristic: bool = False, heuristic_restarts: int = 8,
-                         seed: int = 0) -> list[SolutionSet]:
+                         allow_heuristic: bool = False, seed: int = 0) -> list[SolutionSet]:
     """solve_l0_complex(A, y, k_max, ...) for each pair, as a list; every
     A has the same (m, n).  A sweep row runs it.
 
@@ -443,11 +443,10 @@ def _solve_complex_batch(As: list[MeasurementEnsemble], ys: list, k_max: int, to
     as one _refined_level call per problem.  A problem is flagged
     heuristic at a refined level, or at a lifted or plane level that left
     it a support.  Each
-    support counts one pattern, plus heuristic_restarts for each support
+    support counts one pattern, plus HEURISTIC_RESTARTS for each support
     the heuristic path refines.
     """
     problems = [_prepare(A, y, k_max, tol, Field.COMPLEX) for A, y in zip(As, ys)]
-    _check_int(heuristic_restarts, "heuristic_restarts", 1)
     _check_int(seed, "seed", 0)
     bad = [(A.m, k) for k in range(1, k_max + 1) for A in As if _level_method(A.m, k) == "refined"]
     if bad and not allow_heuristic:
@@ -456,8 +455,8 @@ def _solve_complex_batch(As: list[MeasurementEnsemble], ys: list, k_max: int, to
                          "pass allow_heuristic=True to enable it")
 
     def refine(p: _Problem, supports: list[tuple[int, ...]]) -> list[_Candidate]:
-        p.stats.patterns_tried += len(supports) * heuristic_restarts
-        return _refined_level(p.entries, p.y, supports, p.tol_abs, heuristic_restarts, seed) if supports else []
+        p.stats.patterns_tried += len(supports) * HEURISTIC_RESTARTS
+        return _refined_level(p.entries, p.y, supports, p.tol_abs, seed) if supports else []
 
     def level(live: list[_Problem], k: int):
         m, n = live[0].entries.shape
@@ -494,29 +493,30 @@ def _level_method(m: int, k: int) -> str:
 
 
 def _refined_level(entries: np.ndarray, y: np.ndarray, supports: list[tuple[int, ...]], tol_abs: float,
-                   restarts: int, seed: int) -> list[_Candidate]:
+                   seed: int) -> list[_Candidate]:
     """Multi-start LM candidates of one support size, labeled "refined",
     in (support, restart) order.
 
-    Restart r on support I starts from SeedSequence(seed, spawn_key=(k,
-    support key of I, r)), scaled by max(1, max y), and refines toward the
-    targets y.  The supports go through the kernel in blocks of about
-    _PROBE_ROWS rows; the kernel's rows are independent, so the
-    candidates do not depend on the blocking.
+    Each support gets HEURISTIC_RESTARTS restarts; restart r on support I
+    starts from SeedSequence(seed, spawn_key=(k, support key of I, r)),
+    scaled by max(1, max y), and refines toward the targets y.  The
+    supports go through the kernel in blocks of about _PROBE_ROWS rows;
+    the kernel's rows are independent, so the candidates do not depend on
+    the blocking.
     """
     n = entries.shape[1]
     k = len(supports[0])
     scale = max(1.0, float(y.max(initial=0.0)))
-    block = max(1, _PROBE_ROWS // restarts)
+    block = max(1, _PROBE_ROWS // HEURISTIC_RESTARTS)
     out = []
     for lo in range(0, len(supports), block):
         chunk = supports[lo : lo + block]
-        X0 = np.empty((len(chunk), restarts, k), dtype=np.complex128)
+        X0 = np.empty((len(chunk), HEURISTIC_RESTARTS, k), dtype=np.complex128)
         for b, support in enumerate(chunk):
-            for r in range(restarts):
+            for r in range(HEURISTIC_RESTARTS):
                 rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k, _support_key(support), r)))
                 X0[b, r] = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) * scale
-        targets = np.broadcast_to(y, (len(chunk), restarts, y.size))
+        targets = np.broadcast_to(y, (len(chunk), HEURISTIC_RESTARTS, y.size))
         X, _, _ = _batched_levenberg_marquardt(_support_stack(entries, chunk), targets, X0)
         for support, xs in zip(chunk, X):
             A_I = entries[:, support]

@@ -47,6 +47,7 @@ from sparsepr.numerics import DEFAULT_RANK_TOL, _Elimination, _gamma, hermitian_
 from sparsepr.solver_complex import (
     _FTOL,
     _UNDECIDED,
+    HEURISTIC_RESTARTS,
     CollisionProbe,
     _level_method,
     _lift_system,
@@ -58,11 +59,11 @@ from sparsepr.solver_complex import (
 from sparsepr.solver_real import SearchStats, SolutionSet, solve_l0_real
 
 
-def svd_rank(M, tol_rel: float = 1e-10) -> int:
+def svd_rank(M) -> int:
     s = np.linalg.svd(np.asarray(M), compute_uv=False)
     if s.size == 0 or s[0] == 0:
         return 0
-    return int(np.sum(s > tol_rel * s[0]))
+    return int(np.sum(s > 1e-10 * s[0]))
 
 
 def _canonical_real(x: np.ndarray) -> np.ndarray:
@@ -137,16 +138,16 @@ def classes_match(oracle_classes, solver_classes, tol: float = 1e-8) -> bool:
     return True
 
 
-def svd_batched_ranks(stack: np.ndarray, tol_rel: float = 1e-10):
+def svd_batched_ranks(stack: np.ndarray):
     """Ranks and fragility flags of a (..., m, k) stack, every one by SVD.
 
     The rank policy of numerics.numerical_rank: singular values above
-    tol_rel * sigma_max count, and a deficient decision whose kept/dropped
+    1e-10 * sigma_max count, and a deficient decision whose kept/dropped
     gap is under 10x is fragile.
     """
     s = np.linalg.svd(stack, compute_uv=False)
     smax = s[..., 0]
-    tol = tol_rel * smax
+    tol = 1e-10 * smax
     ranks = np.sum(s > tol[..., None], axis=-1)
     nsv = s.shape[-1]
     idx_kept = np.clip(ranks - 1, 0, nsv - 1)
@@ -157,12 +158,12 @@ def svd_batched_ranks(stack: np.ndarray, tol_rel: float = 1e-10):
     return ranks, fragile
 
 
-def svd_spark(A: MeasurementEnsemble, s: int, tol_rel: float = 1e-10) -> SparkReport:
+def svd_spark(A: MeasurementEnsemble, s: int) -> SparkReport:
     """spark_at_least with every column subset's rank decided by SVD."""
     fragile_any = False
     for size in range(1, s):
         combos = np.array(list(itertools.combinations(range(A.n), size)), dtype=int)
-        ranks, fragile = svd_batched_ranks(A.entries[:, combos.T].transpose(2, 0, 1), tol_rel)
+        ranks, fragile = svd_batched_ranks(A.entries[:, combos.T].transpose(2, 0, 1))
         fragile_any = fragile_any or bool(fragile.any())
         if np.any(ranks < size):
             first = int(np.argmax(ranks < size))
@@ -170,9 +171,7 @@ def svd_spark(A: MeasurementEnsemble, s: int, tol_rel: float = 1e-10) -> SparkRe
     return SparkReport(s=s, deficient_columns=None, fragile=fragile_any)
 
 
-def exhaustive_distance(
-    A: MeasurementEnsemble, max_support: int | None = None, tol_rel: float = 1e-10
-) -> DistanceReport:
+def exhaustive_distance(A: MeasurementEnsemble, max_support: int | None = None) -> DistanceReport:
     """Phase-generalized minimum distance over every ordered support pair.
 
     Enumerates ordered pairs (I, J) by increasing |I| + |J|, then
@@ -222,7 +221,7 @@ def exhaustive_distance(
                 stack = np.empty((sel.shape[0], cj, npat, m, total))
                 stack[..., :a] = left[:, None, None, :, :]
                 stack[..., a:] = signs[None, None, :, :, None] * right[None, :, None, :, :]
-                ranks, fragile = svd_batched_ranks(stack, tol_rel)
+                ranks, fragile = svd_batched_ranks(stack)
                 fragile_any = fragile_any or bool(fragile.any())
 
                 w = np.sum(sel[:, None, :, None] == combos_j[None, :, None, :], axis=(2, 3))
@@ -467,7 +466,7 @@ def pairwise_collision_probe(A: MeasurementEnsemble, k: int, restarts: int, seed
             targets = np.abs(u @ A_I.T)  # (R, m)
             v0 = rng.standard_normal((restarts, k)) + 1j * rng.standard_normal((restarts, k))
             G = loop_lift_system(A_J, k) if on_lift else None
-            if G is not None and svd_rank(G, DEFAULT_RANK_TOL) == k * k:
+            if G is not None and svd_rank(G) == k * k:
                 v = np.empty_like(v0)
                 for r, t in enumerate(targets):
                     w = np.linalg.lstsq(G, t**2, rcond=None)[0]
@@ -682,8 +681,7 @@ def full_scan_feasible_classes(A: MeasurementEnsemble, y, k_max: int, tol: float
 
 
 def full_scan_solve_l0_complex(A: MeasurementEnsemble, y, k_max: int, tol: float = 1e-8,
-                               allow_heuristic: bool = False, heuristic_restarts: int = 8,
-                               seed: int = 0) -> SolutionSet:
+                               allow_heuristic: bool = False, seed: int = 0) -> SolutionSet:
     """solve_l0_complex on levels whose lift has a unique solution only
     (_level_method "lifted"), with every support lifted on its own and
     run through _lifted_support_solve.  An undecided support raises
@@ -712,8 +710,8 @@ def full_scan_solve_l0_complex(A: MeasurementEnsemble, y, k_max: int, tol: float
                 if not allow_heuristic:
                     raise ValueError(f"support {I} of size {k} needs the heuristic path")
                 heuristic = True
-                stats.patterns_tried += heuristic_restarts
-                for cand, method, _ in _refined_level(entries, y, [I], tol_abs, heuristic_restarts, seed):
+                stats.patterns_tried += HEURISTIC_RESTARTS
+                for cand, method, _ in _refined_level(entries, y, [I], tol_abs, seed):
                     _insert_class(classes, cand, _max_err(A_I, cand.values, y), tol_abs, method, None)
             elif hit is not None:
                 _insert_class(classes, hit[0], _max_err(A_I, hit[0].values, y), tol_abs, "lifted", hit[1])

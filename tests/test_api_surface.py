@@ -1,14 +1,17 @@
-"""Every name the benchmark and the demos import from sparsepr still resolves.
+"""Every name the benchmark and the demos import from sparsepr still
+resolves, and every call they make to one still fits its signature.
 
 perfbench/ and demos/ are scripts outside the test suite's import graph, so
-a renamed or deleted public name would otherwise surface only when one of
-them runs.  This reads their imports with ast instead of running them.
+a renamed or deleted public name or parameter would otherwise surface only
+when one of them runs.  This reads their imports and calls with ast instead
+of running them.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -17,32 +20,32 @@ ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
 
 
-def _sparsepr_imports(path: Path) -> list[tuple[str, str | None]]:
-    """(module, name) for each `from sparsepr... import name`, and
-    (module, None) for each `import sparsepr...`, anywhere in the file."""
-    out = []
+def _sparsepr_imports(path: Path) -> dict[str, tuple[str, str | None]]:
+    """The local name each `from sparsepr... import name` binds, mapped to
+    (module, name), and each `import sparsepr...` to (module, None),
+    anywhere in the file."""
+    out = {}
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
             if node.module == "sparsepr" or node.module.startswith("sparsepr."):
-                out.extend((node.module, alias.name) for alias in node.names)
+                out.update({alias.asname or alias.name: (node.module, alias.name) for alias in node.names})
         elif isinstance(node, ast.Import):
-            out.extend(
-                (alias.name, None)
-                for alias in node.names
-                if alias.name == "sparsepr" or alias.name.startswith("sparsepr.")
-            )
+            out.update({alias.asname or alias.name: (alias.name, None) for alias in node.names
+                        if alias.name == "sparsepr" or alias.name.startswith("sparsepr.")})
     return out
 
 
-def _resolves(module: str, name: str | None) -> bool:
+def _target(module: str, name: str | None):
+    """The module, or its attribute or submodule name; None when neither exists."""
     mod = importlib.import_module(module)
-    if name is None or hasattr(mod, name):
-        return True
+    if name is None:
+        return mod
+    if hasattr(mod, name):
+        return getattr(mod, name)
     try:  # `from package import submodule`
-        importlib.import_module(f"{module}.{name}")
+        return importlib.import_module(f"{module}.{name}")
     except ModuleNotFoundError:
-        return False
-    return True
+        return None
 
 
 def test_scripts_import_sparsepr():
@@ -53,5 +56,47 @@ def test_scripts_import_sparsepr():
 
 @pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_imported_names_resolve(path):
-    missing = [f"{mod}.{name}" for mod, name in _sparsepr_imports(path) if not _resolves(mod, name)]
+    missing = [f"{mod}.{name}" for mod, name in _sparsepr_imports(path).values() if _target(mod, name) is None]
     assert not missing, f"{path.name} imports names sparsepr no longer has: {missing}"
+
+
+def _sparsepr_calls(path: Path) -> list[tuple[int, str, object, int, list[str]]]:
+    """(line, text, callee, positional count, keyword names) for each call
+    of an imported sparsepr name, or of an attribute of one (a module's
+    function, a class's method), that passes no *args or **kwargs."""
+    names = _sparsepr_imports(path)
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in names:
+            callee = _target(*names[func.id])
+        elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id in names:
+            callee = getattr(_target(*names[func.value.id]), func.attr, None)
+        else:
+            continue
+        if any(isinstance(a, ast.Starred) for a in node.args) or any(kw.arg is None for kw in node.keywords):
+            continue
+        out.append((node.lineno, ast.unparse(func), callee, len(node.args), [kw.arg for kw in node.keywords]))
+    return out
+
+
+def test_script_calls_are_found():
+    assert sum(len(_sparsepr_calls(p)) for p in SCRIPTS) >= 70
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_script_calls_bind_to_signatures(path):
+    unfit = []
+    for line, text, callee, npos, keywords in _sparsepr_calls(path):
+        if callee is None:
+            unfit.append(f"line {line}: {text} does not exist")
+            continue
+        try:
+            inspect.signature(callee).bind(*[None] * npos, **dict.fromkeys(keywords))
+        except TypeError as exc:
+            unfit.append(f"line {line}: {text}: {exc}")
+        except ValueError:  # no signature to check (a builtin)
+            pass
+    assert not unfit, f"{path.name} calls sparsepr with arguments its signatures no longer take: {unfit}"

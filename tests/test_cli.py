@@ -174,6 +174,22 @@ def test_sweep_files_and_schema(workdir, capsys):
     assert payload["rows"][0]["rate"] == 1.0
 
 
+def test_sweep_refuses_flags_next_to_a_config(workdir, capsys):
+    """A config file fixes the whole sweep: a flag it would override is
+    refused by name, before any work; --outdir and --formats stay valid."""
+    cfg_path = workdir / "cfg.json"
+    cfg_path.write_text(json.dumps({"field": "real", "n": 7, "k": 2, "m_range": [4, 4], "trials_per_m": 2,
+                                    "base_seed": 1}))
+    outdir = workdir / "res"
+    for flag, value in [("--field", "complex"), ("--n", "8"), ("--k", "3"), ("--m-range", "3:5"),
+                        ("--trials", "50"), ("--seed", "9"), ("--tol", "1e-3")]:
+        code, stdout, err = run_cli(capsys, "sweep", str(cfg_path), flag, value, "--outdir", str(outdir))
+        assert code == 1 and stdout == "" and f"{flag} cannot be combined with a config file" in err, flag
+        assert not outdir.exists()
+    code, stdout, _ = run_cli(capsys, "sweep", str(cfg_path), "--outdir", str(outdir), "--formats", "csv")
+    assert code == 0 and json.loads(stdout)["config"]["trials_per_m"] == 2
+
+
 def test_stdout_deterministic_with_no_log(workdir, capsys):
     _, out1, _ = run_cli(capsys, "certify", str(workdir / "A.mat"), "--k", "2")
     _, out2, _ = run_cli(capsys, "certify", str(workdir / "A.mat"), "--k", "2")
@@ -243,6 +259,8 @@ def test_sweep_rejects_unknown_format_before_running(workdir, capsys):
     ({"field": "real", "n": 7, "k": 2, "m_range": [4, 4], "trials_per_m": True, "base_seed": 1}, "trials_per_m"),
     ({"field": "real", "n": 7, "k": 2, "m_range": [4, 4], "trials_per_m": 3, "base_seed": -5}, "base_seed"),
     ({"field": "real", "n": 7, "k": 2, "m_range": [4, 4.0], "trials_per_m": 3, "base_seed": 1}, "m_range"),
+    ({"field": "real", "n": 7, "k": 2, "m_range": [4, 4], "trials_per_m": 3, "base_seed": 1, "tolerance": 1e-3},
+     "tolerance"),
 ])
 def test_sweep_malformed_config_is_a_usage_error(workdir, capsys, raw, key):
     cfg_path = workdir / "bad.json"

@@ -9,13 +9,11 @@ from sparsepr import (
     PhasePattern,
     certify_unique,
     generate_ensemble,
-    null_space_vector,
-    numerical_rank,
     phase_gen_min_distance,
     spark_at_least,
     witness_rank,
 )
-from sparsepr import distance, numerics
+from sparsepr import distance
 from sparsepr.distance import _overlaps
 from helpers import schur_reduced_block
 from oracles import exhaustive_distance, svd_rank, svd_spark
@@ -151,16 +149,6 @@ def test_distance_matches_exhaustive_oracle_on_generic_sweep(generic_distance_sw
         assert rep == exhaustive_distance(A), (k, seed)
 
 
-def test_distance_matches_exhaustive_oracle_at_other_tolerances():
-    # a looser tol_rel raises the screen's margin; below 2^-39 the exact-defect
-    # path is off and the SVD decides every deficiency
-    for A, max_support in _degenerate_corpus()[::4]:
-        if A.m <= 5:
-            for tol_rel in (1e-6, 1e-13):
-                got = phase_gen_min_distance(A, max_support=max_support, tol_rel=tol_rel)
-                assert got == exhaustive_distance(A, max_support=max_support, tol_rel=tol_rel), tol_rel
-
-
 def test_spark_matches_svd_only_spark_on_degenerates():
     # the deficient columns and fragile flag equal an SVD-only check at every s
     for A, _ in _degenerate_corpus():
@@ -172,8 +160,8 @@ def test_distance_sends_few_matrices_to_svd(monkeypatch):
     # the minor table decides full ranks and exact deficiencies; before it,
     # these two ensembles sent thousands of matrices to the SVD
     sent = []
-    real = numerics._svd_ranks
-    monkeypatch.setattr(numerics, "_svd_ranks", lambda stack, tol: sent.append(len(stack)) or real(stack, tol))
+    real = distance.batched_ranks
+    monkeypatch.setattr(distance, "batched_ranks", lambda stack: sent.append(len(stack)) or real(stack))
     A = generate_ensemble(Field.REAL, 6, 7, 5)
     repeated = np.array(A.entries)
     repeated[:, -1] = repeated[:, 0]
@@ -329,31 +317,18 @@ _A46 = generate_ensemble(Field.REAL, 4, 6, 0)
 
 
 @pytest.mark.parametrize("call, name", [
-    (lambda: phase_gen_min_distance(_A46, tol_rel=np.nan), "tol_rel"),
-    (lambda: phase_gen_min_distance(_A46, tol_rel=np.inf), "tol_rel"),
-    (lambda: phase_gen_min_distance(_A46, tol_rel=1.0), "tol_rel"),
-    (lambda: phase_gen_min_distance(_A46, tol_rel=0.0), "tol_rel"),
     (lambda: phase_gen_min_distance(_A46, max_support=True), "max_support"),
     (lambda: phase_gen_min_distance(_A46, max_support=2.0), "max_support"),
-    (lambda: spark_at_least(_A46, 3, tol_rel=np.nan), "tol_rel"),
     (lambda: spark_at_least(_A46, 2.5), "s"),
     (lambda: spark_at_least(_A46, True), "s"),
     (lambda: certify_unique(_A46, True), "k"),
     (lambda: certify_unique(_A46, 2.0), "k"),
-    (lambda: certify_unique(_A46, 2, max_support=True), "max_support"),
-    (lambda: witness_rank(_A46, (0,), (1,), PhasePattern.from_bits(4, 1), tol_rel=np.nan), "tol_rel"),
-    (lambda: numerical_rank(np.eye(3), np.nan), "tol_rel"),
-    (lambda: numerics.batched_ranks(np.eye(3)[None], -1e-10), "tol_rel"),
-    (lambda: null_space_vector(np.ones((2, 3)), np.inf), "tol_rel"),
-], ids=["dist-tol-nan", "dist-tol-inf", "dist-tol-one", "dist-tol-zero", "dist-max-support-bool",
-        "dist-max-support-float", "spark-tol-nan", "spark-s-float", "spark-s-bool", "certify-k-bool",
-        "certify-k-float", "certify-max-support-bool", "witness-tol-nan", "rank-tol-nan", "batched-tol-negative",
-        "null-tol-inf"])
+], ids=["dist-max-support-bool", "dist-max-support-float", "spark-s-float", "spark-s-bool", "certify-k-bool",
+        "certify-k-float"])
 def test_distance_arguments_are_refused_with_their_name(call, name):
-    """A NaN, infinite or out-of-range tol_rel (0 < tol_rel < 1 is
-    accepted), and a bool or float where an integer belongs, raise
-    ValueError naming the argument: none is read as d = 1, a deficient
-    column, rank 0, max_support 1 or a "k": true report."""
+    """A bool or float where an integer belongs raises ValueError naming
+    the argument: none is read as d = 1, a deficient column, max_support 1
+    or a "k": true report."""
     with pytest.raises(ValueError, match=rf"^{name} must be "):
         call()
 
@@ -361,7 +336,7 @@ def test_distance_arguments_are_refused_with_their_name(call, name):
 def test_distance_accepts_numpy_scalars():
     want = phase_gen_min_distance(_A46)
     assert want.d == 5
-    assert phase_gen_min_distance(_A46, max_support=np.int64(3), tol_rel=np.float64(1e-10)) == want
+    assert phase_gen_min_distance(_A46, max_support=np.int64(3)) == want
     assert certify_unique(_A46, np.int64(2)).to_json_dict() == certify_unique(_A46, 2).to_json_dict()
     assert spark_at_least(_A46, np.int64(3)) == spark_at_least(_A46, 3)
 

@@ -24,6 +24,7 @@ from sparsepr import (
     solve_l0_real,
 )
 from sparsepr import numerics, solver_complex, solver_real
+from sparsepr.experiments import FORWARD_SEED, FORWARD_TRIALS
 from sparsepr.solver_complex import _solve_complex_batch
 from sparsepr.solver_real import _solve_real_batch
 
@@ -62,7 +63,7 @@ def test_collision_preconditions():
 
 def test_bidirectional_forward():
     A = generate_ensemble(Field.REAL, 4, 8, 42)
-    rep = bidirectional_uniqueness_check(A, 2, trials=100)
+    rep = bidirectional_uniqueness_check(A, 2)
     assert rep.certified and rep.forward_ok
     assert rep.details["forward_failures"] == 0
 
@@ -78,16 +79,12 @@ _A_COMPLEX = generate_ensemble(Field.COMPLEX, 4, 5, 0)
     (lambda: collision_probe_complex(_A_COMPLEX, 2.0, 2, 0), "k"),
     (lambda: solve_l0_real(_A_REAL, _Y_REAL, True), "k_max"),
     (lambda: solve_l0_real(_A_REAL, _Y_REAL, 2.5), "k_max"),
-    (lambda: bidirectional_uniqueness_check(_A_REAL, 2, trials=-3), "trials"),
-    (lambda: bidirectional_uniqueness_check(_A_REAL, 2, trials=2.0), "trials"),
-    (lambda: bidirectional_uniqueness_check(_A_REAL, 2, base_seed=-1), "base_seed"),
     (lambda: bidirectional_uniqueness_check(_A_REAL, 9), "k"),
     (lambda: bidirectional_uniqueness_check(_A_REAL, True), "k"),
     (lambda: bidirectional_uniqueness_check(_A_REAL, 2.0), "k"),
     (lambda: build_collision_real(_A_REAL, 2.0), "k"),
     (lambda: build_collision_real(_A_REAL, True), "k"),
 ], ids=["probe-seed-bool", "probe-restarts-bool", "probe-k-float", "real-kmax-bool", "real-kmax-float",
-        "bidirectional-trials-negative", "bidirectional-trials-float", "bidirectional-seed-negative",
         "bidirectional-k-above-n", "bidirectional-k-bool", "bidirectional-k-float", "collision-k-float",
         "collision-k-bool"])
 def test_integer_arguments_are_refused_with_their_name(call, name):
@@ -233,6 +230,9 @@ def test_sweep_config_validation():
         with pytest.raises(ValueError, match="tol"):
             SweepConfig.from_json_dict({**raw, "tol": bad})
     assert SweepConfig.from_json_dict({**raw, "tol": 1e-6}).tol == 1e-6
+    # an unknown key is refused, not ignored: "tolerance" would otherwise run at tol 1e-8
+    with pytest.raises(ValueError, match="unknown key 'tolerance'"):
+        SweepConfig.from_json_dict({**raw, "tolerance": 1e-3})
 
 
 def _signal(field: Field, n: int, support, rng, scale: float = 1.0) -> SparseVector:
@@ -371,14 +371,15 @@ def test_forward_trials_match_one_solve_per_trial():
     """The forward trials of the bidirectional check run as one batch with
     the same seeds: the same failure count as one solve per trial."""
     A = generate_ensemble(Field.REAL, 4, 8, 42)
-    rep = bidirectional_uniqueness_check(A, 2, trials=40, base_seed=9)
+    rep = bidirectional_uniqueness_check(A, 2)
     failures = 0
-    for t in range(40):
-        truth = draw_sparse_signal(Field.REAL, 8, 2, np.random.default_rng(np.random.SeedSequence(9, spawn_key=(2, t))))
+    for t in range(FORWARD_TRIALS):
+        rng = np.random.default_rng(np.random.SeedSequence(FORWARD_SEED, spawn_key=(2, t)))
+        truth = draw_sparse_signal(Field.REAL, 8, 2, rng)
         sol = solve_l0_real(A, measure(A, truth), 2)
         failures += not (sol.k_star is not None and len(sol.classes) == 1
                          and phase_equivalent(sol.classes[0], truth, 1e-8))
-    assert rep.certified and rep.details["forward_trials"] == 40
+    assert rep.certified and rep.details["forward_trials"] == FORWARD_TRIALS
     assert rep.details["forward_failures"] == failures
 
 

@@ -41,8 +41,14 @@ def test_rank_decision_fields():
     assert d.rank == 1
     assert d.largest_dropped_sv <= d.tol_used < d.smallest_kept_sv
     assert not d.fragile
-    flaky = numerical_rank(np.diag([1.0, 5e-10]), tol_rel=1e-10)
+    flaky = numerical_rank(np.diag([1.0, 5e-10]))
     assert flaky.rank == 2 or flaky.fragile  # near the threshold the gap is surfaced
+
+
+def test_rank_tolerance_clears_the_svd_error():
+    # _screen_accepts proves an exact-defect rank t - e only when the SVD's
+    # roundoff on a zero singular value stays below half the policy's threshold
+    assert numerics.DEFAULT_RANK_TOL >= 2 * numerics._SVD_ERROR
 
 
 def test_rank_rejects_nonfinite():
