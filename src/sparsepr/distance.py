@@ -30,19 +30,20 @@ A k-sparse signal is certifiably unique when k <= floor((d - 1) / 2) AND
 every 2k columns of A are independent (the spark condition covers the
 phase-free P = I collision, which the admissible-P distance excludes).
 
-How ranks are decided.  Every rank is the SVD policy's (numerical_rank),
-with its fragile flag, but most are proven without an SVD.  A per-call
-table of the minors det A[S, I] gives det(M^T M) for every pair of a
-block and every sign pattern at once (numerics._laplace_gram); a
-configuration whose determinant clears a proven margin is full rank.  A
-configuration with exact null vectors -- columns equal up to sign, or
-class-shared columns meeting an unbalanced pattern -- gets rank t - e when
-the configuration M' left after removing e of its columns clears the same
-margin (_RankDecider._exact_defects).  These proofs run only at the
-largest |I| + |J|: a smaller configuration inherits the proof of one
-extension by fresh columns, by interlacing (phase_gen_min_distance).  Only
-the remaining configurations go to the SVD.  The spark check proves full
-column rank from the same table, and inherits the same way.
+How ranks are decided.  Every rank is the SVD policy's
+(numerics._policy_ranks), with its fragile flag, but most are proven
+without an SVD.  A per-call table of the minors det A[S, I] gives
+det(M^T M) for every pair of a block and every sign pattern at once
+(numerics._laplace_gram); a configuration whose determinant clears a
+proven margin is full rank.  A configuration with exact null vectors --
+columns equal up to sign, or class-shared columns meeting an unbalanced
+pattern -- gets rank t - e when the configuration M' left after removing
+e of its columns clears the same margin (_RankDecider._exact_defects).
+These proofs run only at the largest |I| + |J|: a smaller configuration
+inherits the proof of one extension by fresh columns, by interlacing
+(phase_gen_min_distance).  Only the remaining configurations go to the
+SVD.  The spark check proves full column rank from the same table, and
+inherits by the same rule (_inherits).
 """
 
 from __future__ import annotations
@@ -391,6 +392,7 @@ def _inherits(classes: np.ndarray, leaders: np.ndarray, proven: dict, cols_i: np
     max_support, then to I; that keeps |I'| <= |J'|, and at |I'| = |J'| the
     two are put in the order the enumeration visits.  proven[a'] holds one
     bit per visited pair of the split (a', t_max - a'), in visiting order.
+    The spark check passes J empty and max_support 0: every column goes to I.
     """
     n = classes.size
     a, b = cols_i.shape[1], cols_j.shape[1]
@@ -412,7 +414,7 @@ def _inherits(classes: np.ndarray, leaders: np.ndarray, proven: dict, cols_i: np
 
 def _check_distance_args(A: MeasurementEnsemble, max_support) -> int:
     """Validate the distance's arguments; returns the effective max_support,
-    min(max_support, m - 1, n), which is 0 only at m = 1."""
+    min(max_support, m - 1), which is 0 only at m = 1."""
     if A.field is not Field.REAL:
         raise ValueError("phase-generalized minimum distance is defined for real ensembles only")
     if A.m >= A.n:
@@ -421,7 +423,7 @@ def _check_distance_args(A: MeasurementEnsemble, max_support) -> int:
         max_support = A.m - 1
     else:
         _check_int(max_support, "max_support", 1, A.m)
-    return min(max_support, A.m - 1, A.n)
+    return min(max_support, A.m - 1)
 
 
 def phase_gen_min_distance(A: MeasurementEnsemble, max_support: int | None = None) -> DistanceReport:
@@ -609,7 +611,7 @@ def spark_at_least(A: MeasurementEnsemble, s: int) -> SparkReport:
 
     Inheritance.  The sets of the largest size s - 1 are screened first,
     keeping one bit (a byte) per set, C(n, s - 1) in all.  A smaller set S
-    extended by fresh columns X (_fresh_columns: nonzero, of classes absent
+    extended by fresh columns X (_inherits: nonzero, of classes absent
     from S, one per class) to size s - 1 is proven when S + X was:
     interlacing for a column submatrix gives sigma_min(A_S) >=
     sigma_min(A_(S+X)) > tau ||A_(S+X)||_F >= tau ||A_S||_F, what
@@ -661,9 +663,8 @@ def _spark(A: MeasurementEnsemble, s: int, table) -> SparkReport:
                 step = max(1, _BLOCK_ELEMENTS // n)
                 for first in range(0, len(combos), step):
                     cols = combos[first:first + step]
-                    new, ok = _fresh_columns(classes, leaders, cols, top - size)
-                    index = _lex_rank(np.sort(np.concatenate([cols, new], axis=1), axis=1), n)
-                    proven[first:first + step] = ok & top_proven[np.where(ok, index, 0)]
+                    proven[first:first + step] = _inherits(classes, leaders, {top: top_proven}, cols,
+                                                           cols[:, :0], top, 0)
             rest = np.flatnonzero(~proven)
             proven[rest] = screen(combos, rest)
         ranks = np.full(len(combos), size)

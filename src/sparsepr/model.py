@@ -211,14 +211,6 @@ class PhasePattern:
             raise ValueError("real phase entries must be exactly +1 or -1")
         object.__setattr__(self, "phases", _freeze(phases))
 
-    @property
-    def admissible(self) -> bool:
-        return bool(np.any(self.phases != self.phases[0]))
-
-    @classmethod
-    def identity(cls, field: Field, m: int) -> "PhasePattern":
-        return cls(field, m, np.ones(m, dtype=field.dtype))
-
     @classmethod
     def from_bits(cls, m: int, bits: int) -> "PhasePattern":
         """Real sign pattern: entry 0 is +1, bit i flips entry i+1 (row bits of sign_table(m))."""
@@ -229,17 +221,6 @@ class PhasePattern:
             if (bits >> i) & 1:
                 phases[i + 1] = -1.0
         return cls(Field.REAL, m, phases)
-
-    @property
-    def bits(self) -> int:
-        """Inverse of from_bits for real patterns with phases[0] = +1."""
-        if self.field is not Field.REAL or self.phases[0] != 1.0:
-            raise ValueError("bits defined only for real patterns with leading +1")
-        b = 0
-        for i in range(self.m - 1):
-            if self.phases[i + 1] < 0:
-                b |= 1 << i
-        return b
 
 
 def sign_table(p: int) -> np.ndarray:
@@ -365,6 +346,12 @@ def _parse_scalar(token: str, field: Field, where: str):
         raise ValueError(f"{where}: bad scalar {token!r} ({exc})") from None
 
 
+def _numbered_lines(path) -> list[tuple[int, str]]:
+    """The non-blank lines of a text file, stripped, with their 1-based line numbers."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return [(i, ln) for i, ln in enumerate((raw.strip() for raw in fh), start=1) if ln]
+
+
 def write_matrix(A: MeasurementEnsemble, path) -> None:
     lines = [f"{A.field.value} {A.m} {A.n}"]
     for i in range(A.m):
@@ -374,9 +361,7 @@ def write_matrix(A: MeasurementEnsemble, path) -> None:
 
 
 def read_matrix(path) -> MeasurementEnsemble:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = [ln.strip() for ln in fh]
-    lines = [(i + 1, ln) for i, ln in enumerate(raw) if ln]
+    lines = _numbered_lines(path)
     if not lines:
         raise ValueError(f"{path}:1: empty matrix file")
     lineno, header = lines[0]
@@ -410,9 +395,7 @@ def write_sparse_vector(x: SparseVector, path) -> None:
 
 def read_sparse_vector(path, field: Field | None = None) -> SparseVector:
     """Read a sparse vector; the field is inferred from 're,im' values unless given."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = [ln.strip() for ln in fh]
-    lines = [(i + 1, ln) for i, ln in enumerate(raw) if ln]
+    lines = _numbered_lines(path)
     if not lines:
         raise ValueError(f"{path}:1: empty vector file")
     lineno, header = lines[0]
@@ -445,16 +428,12 @@ def write_measurements(y: MeasurementVector, path) -> None:
 
 
 def read_measurements(path) -> MeasurementVector:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = [ln.strip() for ln in fh]
     mags = []
-    for i, ln in enumerate(raw):
-        if not ln:
-            continue
+    for lineno, ln in _numbered_lines(path):
         try:
             mags.append(float(ln))
         except ValueError:
-            raise ValueError(f"{path}:{i + 1}: bad magnitude {ln!r}") from None
+            raise ValueError(f"{path}:{lineno}: bad magnitude {ln!r}") from None
     if not mags:
         raise ValueError(f"{path}:1: empty measurement file")
     return MeasurementVector(np.array(mags))

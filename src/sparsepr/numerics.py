@@ -2,9 +2,11 @@
 
 One global policy: numerical rank counts singular values above a fixed
 relative SVD threshold, DEFAULT_RANK_TOL = 1e-10 of the largest; no caller
-chooses another.  Desk-scale Gaussian matrices
-have singular-value gaps many orders above this, so decisions are crisp;
-the gap is recorded anyway so borderline calls can be surfaced as fragile.
+chooses another.  _policy_ranks alone applies it, to singular values
+already computed, for every rank decision in the package.  Desk-scale
+Gaussian matrices have singular-value gaps many orders above this, so
+decisions are crisp; the gap is recorded anyway so borderline calls can
+be surfaced as fragile (_fragile).
 
 The distance enumeration and the spark check share one minor table
 (_minor_table): every minor det A[S, I] up to the largest support size.
@@ -70,32 +72,38 @@ class RankDecision:
     tol_used: float
 
     @property
-    def gap(self) -> float:
-        """Ratio smallest kept / largest dropped; inf when nothing was dropped."""
-        if self.largest_dropped_sv <= 0.0:
-            return np.inf
-        if self.rank == 0:
-            return 0.0
-        return self.smallest_kept_sv / self.largest_dropped_sv
-
-    @property
     def fragile(self) -> bool:
-        """A decision within a 10x gap of the threshold is flagged as flaky."""
-        return self.gap < FRAGILE_GAP
+        """A decision within a 10x gap of the threshold is flagged as flaky (_fragile)."""
+        return bool(_fragile(self.rank, self.smallest_kept_sv, self.largest_dropped_sv))
+
+
+def _policy_ranks(s: np.ndarray):
+    """The SVD rank policy on singular values s (..., r), each row descending
+    as LAPACK returns them: the rank counts those above DEFAULT_RANK_TOL
+    times the largest.  Returns (ranks, kept, dropped) of the batch shape:
+    the smallest value counted and the largest not counted, 0 if none."""
+    r = s.shape[-1]
+    ranks = np.sum(s > DEFAULT_RANK_TOL * s[..., :1], axis=-1)
+    padded = np.zeros((*s.shape[:-1], r + 2))
+    padded[..., 1:-1] = s
+    at = np.arange(0, padded.size, r + 2).reshape(ranks.shape) + ranks  # s[rank - 1] in the flat padded
+    flat = padded.reshape(-1)
+    return ranks, flat[at], flat[at + 1]
+
+
+def _fragile(ranks, kept, dropped):
+    """The fragile rule: something kept within FRAGILE_GAP of a positive dropped value."""
+    return (ranks > 0) & (dropped > 0) & (kept < FRAGILE_GAP * dropped)
 
 
 def numerical_rank(M) -> RankDecision:
-    """Rank = number of singular values above DEFAULT_RANK_TOL * sigma_max."""
+    """Rank = number of singular values above DEFAULT_RANK_TOL * sigma_max (_policy_ranks)."""
     M = np.asarray(M)
     if not (np.all(np.isfinite(M.real)) and np.all(np.isfinite(M.imag))):
         raise ValueError("numerical_rank requires finite entries")
     s = np.linalg.svd(M, compute_uv=False)
-    smax = float(s[0]) if s.size else 0.0
-    tol = DEFAULT_RANK_TOL * smax
-    rank = int(np.sum(s > tol))
-    kept = float(s[rank - 1]) if rank > 0 else 0.0
-    dropped = float(s[rank]) if rank < s.size else 0.0
-    return RankDecision(rank=rank, smallest_kept_sv=kept, largest_dropped_sv=dropped, tol_used=tol)
+    rank, kept, dropped = _policy_ranks(s)
+    return RankDecision(int(rank), float(kept), float(dropped), DEFAULT_RANK_TOL * (float(s[0]) if s.size else 0.0))
 
 
 def batched_ranks(stack: np.ndarray):
@@ -107,17 +115,8 @@ def batched_ranks(stack: np.ndarray):
     (_laplace_gram, _screen_accepts) and send only the rest here, so every
     rank deficiency that is not known in advance is decided by this policy.
     """
-    s = np.linalg.svd(np.asarray(stack), compute_uv=False)
-    smax = s[..., 0]
-    tol = DEFAULT_RANK_TOL * smax
-    ranks = np.sum(s > tol[..., None], axis=-1)
-    nsv = s.shape[-1]
-    idx_kept = np.clip(ranks - 1, 0, nsv - 1)
-    idx_drop = np.clip(ranks, 0, nsv - 1)
-    kept = np.take_along_axis(s, idx_kept[..., None], axis=-1)[..., 0]
-    dropped = np.where(ranks < nsv, np.take_along_axis(s, idx_drop[..., None], axis=-1)[..., 0], 0.0)
-    fragile = (ranks > 0) & (ranks < nsv) & (dropped > 0) & (kept < FRAGILE_GAP * dropped)
-    return ranks, fragile
+    ranks, kept, dropped = _policy_ranks(np.linalg.svd(np.asarray(stack), compute_uv=False))
+    return ranks, _fragile(ranks, kept, dropped)
 
 
 _UNIT_ROUNDOFF = 2.0 ** -53  # u = eps / 2 of float64
@@ -696,8 +695,7 @@ def null_space_vector(M) -> np.ndarray:
     m, c = M.shape
     u, s, vt = np.linalg.svd(M)
     smax = float(s[0]) if s.size else 0.0
-    rank = int(np.sum(s > DEFAULT_RANK_TOL * smax))
-    if rank >= c:
+    if _policy_ranks(s)[0] >= c:
         raise ValueError("matrix is numerically full column rank; no null vector")
     v = vt[-1].conj()
     resid = float(np.linalg.norm(M @ v))

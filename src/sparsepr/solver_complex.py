@@ -9,7 +9,7 @@ candidate is accepted only when the system residual, positive
 semidefiniteness, and the rank-one defect lambda_2 / lambda_1 all pass.
 That unique-lift path is exact for every k at m >= k^2, which the paper's
 m = 4k - 2 threshold meets for k <= 3, wherever the lift has full column
-rank under the SVD rank policy (numerics.DEFAULT_RANK_TOL); a consistent
+rank under the SVD rank policy (numerics._policy_ranks); a consistent
 support whose lift does not (a zero row at m = k^2) is undecided.
 
 Just below m = k^2, at k^2 - 2 <= m < k^2 with m >= 4k - 2 (k = 4 at m =
@@ -86,7 +86,7 @@ from .model import (
     _canonical_values,
     as_measurement,
 )
-from .numerics import DEFAULT_RANK_TOL, _lstsq_screen, hermitian_top_eig
+from .numerics import _lstsq_screen, _policy_ranks, hermitian_top_eig
 from .solver_real import SolutionSet, _Candidate, _check_int, _meas_err, _prepare, _Problem, _solve_batch
 
 __all__ = [
@@ -195,8 +195,8 @@ def _lifted_support_solve(
     rhs is y^2.  The lifted residual is checked first, so X is assembled
     and eigendecomposed only for a support whose linear system is
     consistent.  A consistent lift without full column rank
-    (sigma_(k^2) <= DEFAULT_RANK_TOL sigma_1 among lstsq's singular
-    values, as with a zero row at m = k^2) has a line or more of
+    (numerics._policy_ranks on lstsq's singular values counts fewer than
+    all of them, as with a zero row at m = k^2) has a line or more of
     solutions, of which lstsq's minimum-norm one need not be the rank-one
     point, and a non-finite lift has no residual to test: both are
     _UNDECIDED, for the heuristic path.
@@ -207,7 +207,7 @@ def _lifted_support_solve(
     resid = float(np.linalg.norm(G @ v - rhs))
     if not resid <= resid_tol:  # also rejects a NaN residual
         return None
-    if not sv[-1] > DEFAULT_RANK_TOL * sv[0]:
+    if _policy_ranks(sv)[0] < sv.size:
         return _UNDECIDED
     return _rank_one_class(_assemble_hermitian(v, len(support)), A_I, y, support, n, tol_abs)
 
@@ -257,7 +257,7 @@ def _lifted_level(problems: list[_Problem], k: int) -> list[tuple[list[_Candidat
 
     One numerics._lstsq_screen call covers every problem: it gets the
     lifted residual test (right-hand side y^2, no signs, computed norm at
-    most resid_tol, tol max(1, max y^2) sqrt(m) on this y^2 scale) and
+    most the problem's resid_tol, on this y^2 scale) and
     proves that most supports fail it.  It builds each support's lift from
     its parent's with _lift_columns, so its columns are _lift_system's in
     the order the levels introduce them; the residual test does not
@@ -270,25 +270,20 @@ def _lifted_level(problems: list[_Problem], k: int) -> list[tuple[list[_Candidat
     m, n = problems[0].entries.shape
     rhs = np.stack([p.y**2 for p in problems])  # y^2 is each problem's one right-hand side
     side_by_side = np.concatenate([p.entries for p in problems], axis=1)
-    resid_tol = np.array([_resid_tol(p) for p in problems])
+    resid_tol = np.array([p.resid_tol for p in problems])
     flags = _lstsq_screen(_lift_columns(side_by_side), n, k, rhs, np.ones((1, k * k)), resid_tol)
     out = []
-    for p, t, rt, row in zip(problems, rhs, resid_tol, flags):
+    for p, t, row in zip(problems, rhs, flags):
         hits, undecided = [], []
         for support in itertools.compress(itertools.combinations(range(n), k), row):
             A_I = p.entries[:, support]
-            hit = _lifted_support_solve(_lift_system(A_I[None])[0], A_I, p.y, t, support, n, rt, p.tol_abs)
+            hit = _lifted_support_solve(_lift_system(A_I[None])[0], A_I, p.y, t, support, n, p.resid_tol, p.tol_abs)
             if hit is _UNDECIDED:
                 undecided.append(support)
             elif hit is not None:
                 hits.append((hit[0], "lifted", hit[1]))
         out.append((hits, undecided))
     return out
-
-
-def _resid_tol(p: _Problem) -> float:
-    """The lifted residual tolerance of a problem: tol max(1, max y^2) sqrt(m)."""
-    return max(1.0, float(p.y.max(initial=0.0)) ** 2) * p.tol * sqrt(p.entries.shape[0])
 
 
 def _minor_system(B: np.ndarray) -> np.ndarray:
@@ -321,7 +316,7 @@ def _plane_level(p: _Problem, k: int) -> tuple[list[_Candidate], list[tuple[int,
     Per support I, in blocks of _PLANE_SUPPORTS supports, with no loop
     over iterations:
     - One SVD of the lift G (m x k^2) of A_I.  When G has full row rank
-      (sigma_m > DEFAULT_RANK_TOL sigma_1), the Hermitian solutions of
+      (numerics._policy_ranks counts all m), the Hermitian solutions of
       G v = y^2 are v0 + N c over real c: v0 the pseudo-inverse solution,
       N the d = k^2 - m null vectors.
     - With B_0 = H(v0 / max |v0|) and B_j = H(N_j) (H as
@@ -347,7 +342,7 @@ def _plane_level(p: _Problem, k: int) -> tuple[list[_Candidate], list[tuple[int,
     A lift without full row rank (as with a zero row or two
     phase-proportional columns in I) first gets the unique-lift level's
     residual test: lstsq's solution (the SVD's, singular values at or
-    below lstsq's default cutoff dropped) must fit y^2 to _resid_tol.  One
+    below lstsq's default cutoff dropped) must fit y^2 to p.resid_tol.  One
     that fails has no Hermitian solution, so the support holds no class
     and is ruled out.  A full-row-rank lift fits every right-hand side,
     so the test cannot rule it out and is not applied to it.
@@ -363,7 +358,6 @@ def _plane_level(p: _Problem, k: int) -> tuple[list[_Candidate], list[tuple[int,
     m, n = p.entries.shape
     d = k * k - m
     rhs = p.y**2
-    resid_tol = _resid_tol(p)
     all_supports = list(itertools.combinations(range(n), k))
     hits, undecided = [], []
     for lo in range(0, len(all_supports), _PLANE_SUPPORTS):
@@ -378,8 +372,8 @@ def _plane_level(p: _Problem, k: int) -> tuple[list[_Candidate], list[tuple[int,
             v0 = np.einsum("si,sij->sj", np.where(kept, (rhs @ U) / s, 0.0), Vt[:, :m])
             size = np.abs(v0).max(axis=1)
             resid = _row_norm(np.einsum("sij,sj->si", G, v0) - rhs)
-        full_rank = s[:, -1] > DEFAULT_RANK_TOL * s[:, 0]
-        inconsistent = ~full_rank & ~(resid <= resid_tol)  # also a NaN residual
+        full_rank = _policy_ranks(s)[0] == m
+        inconsistent = ~full_rank & ~(resid <= p.resid_tol)  # also a NaN residual
         full = np.flatnonzero(full_rank & (size > 0) & (size < np.inf))
         v0, size, N = v0[full], size[full], Vt[full, m:]
         full = finite[full]
@@ -388,7 +382,7 @@ def _plane_level(p: _Problem, k: int) -> tuple[list[_Candidate], list[tuple[int,
         w = qVt[:, -1]
         with np.errstate(divide="ignore", invalid="ignore"):
             X = _assemble_hermitian(v0 + size[:, None] * np.einsum("sj,sji->si", w[:, 1 : d + 1] / w[:, :1], N), k)
-        decided = qs[:, -2] > DEFAULT_RANK_TOL * qs[:, 0]
+        decided = _policy_ranks(qs)[0] >= qs.shape[1] - 1
         known = np.zeros(len(supports), dtype=bool)
         known[full[decided]] = True
         known[finite[inconsistent]] = True  # ruled out: no Hermitian solution, so no class
@@ -768,7 +762,7 @@ def collision_probe_complex(
     Where the lift has one solution (_level_method(m, k) == "lifted", m
     >= k^2: every k at m >= k^2, so k <= 3 at the paper's m = 4k - 2),
     one batched SVD of the C(n, k) lifts G_J (_lift_system) decides each
-    J under the SVD rank policy (sigma_min > DEFAULT_RANK_TOL sigma_max).
+    J under the SVD rank policy (numerics._policy_ranks: full column rank).
     A decided J's candidate is v = sqrt(max(lambda_1, 0)) e_1, the top
     eigenpair of the Hermitian matrix whose lift unknowns are G_J^+ t^2
     (_lift_candidates).  A collision for the sampled u is a v with |A_J
@@ -818,7 +812,7 @@ def collision_probe_complex(
         # normalized entries keep every lift finite, so the SVD can run on all of them
         gU, gs, gVt = np.linalg.svd(_lift_system(entries[:, np.array(supports)].transpose(1, 0, 2)),
                                     full_matrices=False)
-        lifted = gs[:, -1] > DEFAULT_RANK_TOL * gs[:, 0]
+        lifted = _policy_ranks(gs)[0] == k * k
         with np.errstate(divide="ignore", invalid="ignore"):
             PT = (gU / gs[:, None, :]) @ gVt  # rows of an undecided J are never read
     best_obj, best_pair = np.inf, None

@@ -28,13 +28,13 @@ from __future__ import annotations
 import itertools
 import numbers
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, sqrt
 from typing import Callable
 
 import numpy as np
 
 from .model import Field, MeasurementEnsemble, SparseVector, as_measurement, phase_equivalent, sign_table
-from .numerics import DEFAULT_RANK_TOL, _lstsq_screen
+from .numerics import _lstsq_screen, _policy_ranks
 
 __all__ = [
     "SearchStats",
@@ -139,13 +139,16 @@ _Candidate = tuple[SparseVector, str | None, float | None]
 @dataclass
 class _Problem:
     """One validated solve of either field: A's entries, the magnitudes y,
-    the relative tolerance tol, tol_abs = _tol_abs(tol, y) and the search
+    the relative tolerance tol, tol_abs = _tol_abs(tol, y), the bound
+    resid_tol on a least-squares residual's 2-norm (tol_abs sqrt(m), and
+    tol max(1, max y)^2 sqrt(m) for the complex lift's y^2) and the search
     counters."""
 
     entries: np.ndarray
     y: np.ndarray
     tol: float
     tol_abs: float
+    resid_tol: float
     stats: SearchStats = field(default_factory=SearchStats)
 
 
@@ -158,7 +161,9 @@ def _prepare(A: MeasurementEnsemble, y, k_max: int, tol: float, fld: Field) -> _
     _check_int(k_max, "k_max", 0, min(A.m, A.n))
     _check_tol(tol)
     yv = y.magnitudes
-    return _Problem(A.entries, yv, tol, _tol_abs(tol, yv))
+    tol_abs = _tol_abs(tol, yv)
+    scale = tol_abs if fld is Field.REAL else max(1.0, float(yv.max(initial=0.0)) ** 2) * tol
+    return _Problem(A.entries, yv, tol, tol_abs, scale * sqrt(A.m))
 
 
 def _dedup(p: _Problem, candidates: list[_Candidate]) -> list[tuple[_Candidate, float]]:
@@ -231,25 +236,22 @@ def _sign_rhs(y_eff: np.ndarray) -> np.ndarray:
     return rhs
 
 
-def _exact_support(entries: np.ndarray, I: tuple[int, ...], y: np.ndarray, tol_abs: float,
-                   rhs: np.ndarray) -> list[_Candidate]:
-    """The canonical classes one support accepts, in sign-column order:
-    SVD rank check, lstsq against every sign column of rhs, then the
-    residual, support-entry and measurement tests."""
-    resid_tol = tol_abs * np.sqrt(entries.shape[0])
-    A_I = entries[:, I]
-    s = np.linalg.svd(A_I, compute_uv=False)
-    if s[-1] <= DEFAULT_RANK_TOL * s[0]:
+def _exact_support(p: _Problem, I: tuple[int, ...], rhs: np.ndarray) -> list[_Candidate]:
+    """The canonical classes support I of p accepts, in sign-column order:
+    SVD rank check (numerics._policy_ranks), lstsq against every sign column
+    of rhs, then the residual, support-entry and measurement tests."""
+    A_I = p.entries[:, I]
+    if _policy_ranks(np.linalg.svd(A_I, compute_uv=False))[0] < len(I):
         # Rank-deficient support: any solution here has a sparser
         # representative on a subset, found at a smaller k.
         return []
     X, *_ = np.linalg.lstsq(A_I, rhs, rcond=None)
     R = rhs - A_I @ X
-    ok = (np.linalg.norm(R, axis=0) <= resid_tol) & (np.min(np.abs(X), axis=0) > tol_abs)
+    ok = (np.linalg.norm(R, axis=0) <= p.resid_tol) & (np.min(np.abs(X), axis=0) > p.tol_abs)
     out: list[_Candidate] = []
     for col in np.nonzero(ok)[0]:
-        x_hat = SparseVector(Field.REAL, entries.shape[1], I, X[:, col]).canonical()
-        if _meas_err(entries[:, I], x_hat.values, y) <= tol_abs:
+        x_hat = SparseVector(Field.REAL, p.entries.shape[1], I, X[:, col]).canonical()
+        if _meas_err(A_I, x_hat.values, p.y) <= p.tol_abs:
             out.append((x_hat, None, None))
     return out
 
@@ -267,10 +269,10 @@ def _scan_level(problems: list[_Problem], k: int) -> tuple[list[list[_Candidate]
     every column of _sign_rhs has magnitudes y_eff (y with the rows at or
     below tol_abs set to 0), sign_table(k) covers its signs on any k rows,
     and the accepted columns' computed residual norms are at most
-    tol_abs sqrt(m).  Adding index c to a support adds the column
+    resid_tol.  Adding index c to a support adds the column
     A[:, c], so the screen's M is A_I, in support order.
     """
-    m, n = problems[0].entries.shape
+    n = problems[0].entries.shape[1]
     count = comb(n, k)
     y = np.stack([p.y for p in problems])
     tol_abs = np.array([p.tol_abs for p in problems])
@@ -279,13 +281,13 @@ def _scan_level(problems: list[_Problem], k: int) -> tuple[list[list[_Candidate]
         p.stats.supports_tried += count
         p.stats.patterns_tried += count << (above - 1)
     side_by_side = np.concatenate([p.entries for p in problems], axis=1)
-    resid_tol = tol_abs * np.sqrt(m)
+    resid_tol = np.array([p.resid_tol for p in problems])
     flags = _lstsq_screen(lambda cols, c: [side_by_side[:, c]], n, k, y_eff, sign_table(k), resid_tol)
     out = []
     for p, row, flagged in zip(problems, y_eff, flags):
         supports = list(itertools.compress(itertools.combinations(range(n), k), flagged))
         rhs = _sign_rhs(row) if supports else None
-        out.append([c for I in supports for c in _exact_support(p.entries, I, p.y, p.tol_abs, rhs)])
+        out.append([c for I in supports for c in _exact_support(p, I, rhs)])
     return out, [False] * len(problems)
 
 

@@ -368,7 +368,7 @@ def test_witness_rank_cases():
         P = PhasePattern.from_bits(4, bits)
         assert witness_rank(A, (0, 1), (2, 3), P) == 4
     # identity-like pattern duplicates the columns
-    P_id = PhasePattern.identity(Field.REAL, 4)
+    P_id = PhasePattern.from_bits(4, 0)
     assert witness_rank(A, (0, 1), (0, 1), P_id) == 2
     P = PhasePattern.from_bits(2, 1)
     assert witness_rank(CRAFTED, (0,), (0,), P) == 1

@@ -1,7 +1,9 @@
+import ast
 import itertools
 import tracemalloc
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,6 +155,40 @@ def test_batched_ranks_match_svd_policy():
     ranks, fragile = batched_ranks(stack)
     assert ranks.shape == fragile.shape == (400, 2)
     assert np.array_equal(ranks, svd_batched_ranks(stack)[0])
+
+
+def test_numerical_rank_and_batched_ranks_agree():
+    # one policy and one fragile rule: each matrix of a stack gets the rank
+    # and flag numerical_rank gives it on its own
+    for shape, stack in _rank_stacks():
+        ranks, fragile = batched_ranks(stack)
+        for idx in np.ndindex(ranks.shape):
+            d = numerical_rank(stack[idx])
+            assert (d.rank, d.fragile) == (ranks[idx], fragile[idx]), (shape, idx)
+
+
+def _rank_tol_references(path: Path) -> list[int]:
+    """Line numbers where a module's code names DEFAULT_RANK_TOL, as a
+    name, an attribute or an imported name (docstrings are not code)."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        named = getattr(node, "id", None) or getattr(node, "attr", None)
+        if isinstance(node, ast.alias):
+            named = node.name
+        if named == "DEFAULT_RANK_TOL":
+            lines.append(getattr(node, "lineno", 0))
+    return lines
+
+
+def test_rank_threshold_is_read_only_in_numerics():
+    # every rank decision goes through numerics._policy_ranks, so no other
+    # module of the package applies the threshold itself
+    package = Path(numerics.__file__).parent
+    modules = sorted(p for p in package.glob("*.py") if p.name != "numerics.py")
+    assert len(modules) >= 7
+    found = {p.name: _rank_tol_references(p) for p in modules}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert _rank_tol_references(package / "numerics.py")  # the check sees the name where it is read
 
 
 def _rational_gram_det(M: np.ndarray) -> Fraction:
