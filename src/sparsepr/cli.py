@@ -206,8 +206,8 @@ def _cmd_collide(args) -> int:
             "m": A.m,
             "n": A.n,
             "k": args.k,
-            "x": {"support": list(x.support), "values": [float(v) for v in x.values]},
-            "z": {"support": list(z.support), "values": [float(v) for v in z.values]},
+            "x": x.to_json_dict(),
+            "z": z.to_json_dict(),
             "max_abs_mismatch": float(np.max(np.abs(yx - yz))),
             "verdict": "collision_found",
         }

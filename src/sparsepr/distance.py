@@ -54,7 +54,7 @@ from math import comb
 
 import numpy as np
 
-from .model import Field, MeasurementEnsemble, PhasePattern, sign_table
+from .model import Field, MeasurementEnsemble, PhasePattern, SparseVector, _dense, sign_table
 from .numerics import (
     _combos,
     _laplace_gram,
@@ -64,6 +64,7 @@ from .numerics import (
     _pattern_products,
     _screen_accepts,
     batched_ranks,
+    null_space_vector,
     numerical_rank,
 )
 from .solver_real import _check_int
@@ -86,7 +87,7 @@ _BLOCK_ELEMENTS = 1 << 18
 
 @dataclass(frozen=True)
 class Witness:
-    """A distance-minimizing configuration (supports plus sign-pattern bits)."""
+    """A rank-deficient configuration: supports plus sign-pattern bits (0 for P = I)."""
 
     I: tuple[int, ...]
     J: tuple[int, ...]
@@ -94,6 +95,15 @@ class Witness:
 
     def pattern(self, m: int) -> PhasePattern:
         return PhasePattern.from_bits(m, self.pattern_bits)
+
+    def collision(self, A: MeasurementEnsemble) -> tuple[SparseVector, SparseVector]:
+        """x on I and z on J with A x = P A z, so |Ax| = |Az|: the null vector of
+        [A_I, -P A_J] (null_space_vector), entries at or below 1e-12 dropped, each canonical."""
+        phases = self.pattern(A.m).phases
+        v = null_space_vector(np.concatenate([A.columns(self.I), -phases[:, None] * A.columns(self.J)], axis=1))
+        a = len(self.I)
+        return tuple(SparseVector.from_dense(A.field, _dense(A.field, A.n, S, part), tol=1e-12).canonical()
+                     for S, part in ((self.I, v[:a]), (self.J, v[a:])))
 
     def to_json_dict(self) -> dict:
         return {"I": list(self.I), "J": list(self.J), "P_bits": self.pattern_bits}
@@ -142,6 +152,12 @@ class SparkReport:
     def ok(self) -> bool:
         return self.deficient_columns is None
 
+    @property
+    def witness(self) -> Witness | None:
+        """The deficient columns as a P = I witness, I their first half (rounded up)."""
+        cols = self.deficient_columns
+        return None if cols is None else Witness(cols[:(len(cols) + 1) // 2], cols[(len(cols) + 1) // 2:], 0)
+
 
 @dataclass(frozen=True)
 class CertificationReport:
@@ -156,7 +172,7 @@ class CertificationReport:
     spark_ok: bool
     witness: Witness | None
     fragile: bool
-    limiting_witness: object  # Witness, tuple of spark columns, or None
+    limiting_witness: Witness | None  # of the first condition that failed
 
     def to_json_dict(self) -> dict:
         return {
@@ -708,11 +724,6 @@ def certify_unique(A: MeasurementEnsemble, k: int) -> CertificationReport:
         spark_report = SparkReport(s=2 * k + 1, deficient_columns=None, fragile=False)
         spark_ok = False
     certified = k_bound_ok and spark_ok
-    limiting: object = None
-    if not k_bound_ok:
-        limiting = report.witness
-    elif not spark_ok:
-        limiting = spark_report.deficient_columns
     return CertificationReport(
         m=A.m,
         n=A.n,
@@ -723,5 +734,5 @@ def certify_unique(A: MeasurementEnsemble, k: int) -> CertificationReport:
         spark_ok=spark_ok,
         witness=report.witness,
         fragile=report.fragile or spark_report.fragile,
-        limiting_witness=limiting,
+        limiting_witness=spark_report.witness if k_bound_ok else report.witness,
     )

@@ -20,17 +20,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .distance import certify_unique
+from .distance import Witness, certify_unique, spark_at_least
 from .model import (
     Field,
     MeasurementEnsemble,
     SparseVector,
-    _dense,
     generate_ensemble,
     measure,
     phase_equivalent,
 )
-from .numerics import null_space_vector
 from .solver_complex import _level_method, _solve_complex_batch
 from .solver_real import SolutionSet, _check_int, _check_tol, _solve_real_batch, _tol_abs, feasible_classes
 
@@ -244,8 +242,9 @@ def build_collision_real(A: MeasurementEnsemble, k: int) -> tuple[SparseVector, 
 
     Requires m <= 2k - 1 (so the stacked matrix [A_I, -A_J] has a null
     vector) and 2k <= n (disjoint supports exist).  Support pairs are
-    tried in lexicographic order; a null vector with a numerically zero
-    coordinate is rejected and the next pair is tried.
+    tried in lexicographic order, each split by Witness.collision with
+    P = I; a null vector with a coordinate at or below 1e-8 is rejected
+    and the next pair is tried.
     """
     if A.field is not Field.REAL:
         raise ValueError("build_collision_real requires a real ensemble")
@@ -257,13 +256,9 @@ def build_collision_real(A: MeasurementEnsemble, k: int) -> tuple[SparseVector, 
     for I in itertools.combinations(range(A.n), k):
         rest = [j for j in range(A.n) if j not in I]
         for J in itertools.combinations(rest, k):
-            M = np.concatenate([A.columns(I), -A.columns(J)], axis=1)
-            v = null_space_vector(M)
-            if np.min(np.abs(v)) <= 1e-8:
-                continue  # a zero coordinate would break genuine k-sparsity
-            x = SparseVector(Field.REAL, A.n, I, v[:k]).canonical()
-            z = SparseVector(Field.REAL, A.n, tuple(J), v[k:]).canonical()
-            return x, z
+            x, z = Witness(I, J, 0).collision(A)
+            if x.sparsity == z.sparsity == k and np.min(np.abs([*x.values, *z.values])) > 1e-8:
+                return x, z  # genuinely k-sparse
     raise RuntimeError("no non-degenerate disjoint collision pair found")
 
 
@@ -283,12 +278,15 @@ def bidirectional_uniqueness_check(A: MeasurementEnsemble, k: int) -> Bidirectio
     spawn_key=(k, t)).  Converse: a failed certificate is backed by an
     exhibited ambiguity.
 
-    The converse exhibit is, in order of preference: an explicit
-    disjoint-support collision (m <= 2k - 1); a non-equivalent pair split
-    from the distance witness's null vector; or, when the witness null
-    vector collapses to a phase-equivalent pair (possible on crafted
-    matrices), two distinct feasible classes of |Ax| = y with l0 norm at
-    most 2k for the witness-derived measurement.
+    The converse exhibit is the first that applies, named by details["path"]:
+    "disjoint_collision" (m <= 2k - 1, 2k <= n, some pair non-degenerate);
+    "witness_collision", the split (Witness.collision) of the distance
+    witness when d <= m; "spark_collision", the P = I split of the
+    deficient spark columns, also when the distance witness's split
+    collapses to a phase-equivalent pair (possible on crafted matrices);
+    "feasible_multiplicity" for a collapsed split with no deficient spark
+    columns: two distinct feasible classes of |Ax| = y with l0 norm at most
+    2k for the witness-derived measurement; else "no_exhibit".
     """
     _check_int(k, "k", 1, A.n)
     cert = certify_unique(A, k)
@@ -305,52 +303,39 @@ def bidirectional_uniqueness_check(A: MeasurementEnsemble, k: int) -> Bidirectio
 
     # Converse: exhibit the ambiguity behind the failed certificate.
     if A.m <= 2 * k - 1 and 2 * k <= A.n:
-        x, z = build_collision_real(A, k)
-        y = measure(A, x)
-        mismatch = float(np.max(np.abs(y.magnitudes - measure(A, z).magnitudes)))
-        ok = mismatch <= 1e-10 * max(1.0, float(y.magnitudes.max())) and not phase_equivalent(
-            x, z, 1e-6
-        )
-        details.update({"path": "disjoint_collision", "mismatch": mismatch})
-        return BidirectionalReport(False, None, ok, details)
-
-    if k > (cert.d - 1) // 2 and cert.witness is not None:
-        w = cert.witness
-        phases = w.pattern(A.m).phases
-        M = np.concatenate([A.columns(w.I), -phases[:, None] * A.columns(w.J)], axis=1)
-        v = null_space_vector(M)
-        x_part, z_part = v[: len(w.I)], v[len(w.I) :]
-        x = SparseVector.from_dense(Field.REAL, _dense(Field.REAL, A.n, w.I, x_part), tol=1e-12)
-        z = SparseVector.from_dense(Field.REAL, _dense(Field.REAL, A.n, w.J, z_part), tol=1e-12)
-        y = measure(A, x)
-        if x.sparsity and z.sparsity and not phase_equivalent(x, z, 1e-6):
+        try:
+            x, z = build_collision_real(A, k)
+        except RuntimeError:
+            pass  # every disjoint pair is degenerate: try the next exhibit
+        else:
+            y = measure(A, x)
             mismatch = float(np.max(np.abs(y.magnitudes - measure(A, z).magnitudes)))
-            details.update({"path": "witness_collision", "mismatch": mismatch})
-            return BidirectionalReport(False, None, mismatch <= 1e-8, details)
-        # Phase-collapsed witness: show the feasible set of the witness
-        # measurement holds >= 2 classes within sparsity 2k.
-        classes = feasible_classes(A, y, min(2 * k, min(A.m, A.n)))
-        details.update(
-            {"path": "feasible_multiplicity", "classes_found": len(classes)}
-        )
-        return BidirectionalReport(False, None, len(classes) >= 2, details)
+            ok = mismatch <= 1e-10 * max(1.0, float(y.magnitudes.max())) and not phase_equivalent(x, z, 1e-6)
+            details.update({"path": "disjoint_collision", "mismatch": mismatch})
+            return BidirectionalReport(False, None, ok, details)
 
-    # Certificate failed on the spark side: exhibit a P = I linear collision.
-    sol_cols = cert.limiting_witness
-    details["path"] = "spark_collision"
-    if not isinstance(sol_cols, tuple) or not sol_cols:
+    w = cert.limiting_witness
+    if w is None or (w.pattern_bits and cert.d > A.m):  # at d = m + 1, w is the full-rank cap
+        details["path"] = "no_exhibit"
         return BidirectionalReport(False, None, False, details)
-    cols = tuple(sol_cols)
-    v = null_space_vector(A.columns(cols))
-    half = (len(cols) + 1) // 2
-    x = SparseVector.from_dense(Field.REAL, _dense(Field.REAL, A.n, cols[:half], v[:half]), tol=1e-12)
-    z = SparseVector.from_dense(Field.REAL, _dense(Field.REAL, A.n, cols[half:], -v[half:]), tol=1e-12)
-    ok = (
-        x.sparsity <= k
-        and z.sparsity <= k
-        and not phase_equivalent(x, z, 1e-6)
-        and float(np.max(np.abs(measure(A, x).magnitudes - measure(A, z).magnitudes))) <= 1e-8
-    )
+    x, z = w.collision(A)
+    collapsed = not (x.sparsity and z.sparsity) or phase_equivalent(x, z, 1e-6)
+    if w.pattern_bits and collapsed:
+        if cert.spark_ok or 2 * k > min(A.m, A.n):
+            # Phase-collapsed witness and no deficient spark columns: show the
+            # feasible set of the witness measurement holds >= 2 classes within sparsity 2k.
+            classes = feasible_classes(A, measure(A, x), min(2 * k, A.m, A.n))
+            details.update({"path": "feasible_multiplicity", "classes_found": len(classes)})
+            return BidirectionalReport(False, None, len(classes) >= 2, details)
+        w = spark_at_least(A, 2 * k + 1).witness  # the report holds only the distance witness
+        x, z = w.collision(A)
+    mismatch = float(np.max(np.abs(measure(A, x).magnitudes - measure(A, z).magnitudes)))
+    if w.pattern_bits:
+        details.update({"path": "witness_collision", "mismatch": mismatch})
+        return BidirectionalReport(False, None, mismatch <= 1e-8, details)
+    # The spark check failed: a P = I linear collision on its deficient columns.
+    details["path"] = "spark_collision"
+    ok = x.sparsity <= k and z.sparsity <= k and not phase_equivalent(x, z, 1e-6) and mismatch <= 1e-8
     return BidirectionalReport(False, None, ok, details)
 
 

@@ -187,6 +187,13 @@ class SparseVector:
     def scaled(self, c) -> "SparseVector":
         return SparseVector(self.field, self.n, self.support, self.values * c)
 
+    def to_json_dict(self) -> dict:
+        if self.field is Field.REAL:
+            values = [float(v) for v in self.values]
+        else:
+            values = [[float(v.real), float(v.imag)] for v in self.values]
+        return {"support": list(self.support), "values": values}
+
 
 @dataclass(frozen=True)
 class PhasePattern:

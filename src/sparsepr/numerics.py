@@ -689,9 +689,11 @@ def hermitian_top_eig(X) -> tuple[np.ndarray, np.ndarray]:
 def null_space_vector(M) -> np.ndarray:
     """A unit right-null vector of M (the smallest right singular vector).
 
-    Raises when M is numerically full column rank, i.e. has no null space.
+    Raises ValueError when M is not finite or numerically full column rank.
     """
     M = np.asarray(M)
+    if not (np.all(np.isfinite(M.real)) and np.all(np.isfinite(M.imag))):
+        raise ValueError("null_space_vector requires finite entries")
     m, c = M.shape
     u, s, vt = np.linalg.svd(M)
     smax = float(s[0]) if s.size else 0.0
@@ -699,6 +701,6 @@ def null_space_vector(M) -> np.ndarray:
         raise ValueError("matrix is numerically full column rank; no null vector")
     v = vt[-1].conj()
     resid = float(np.linalg.norm(M @ v))
-    if smax > 0 and resid > 1e-10 * smax:
-        raise ValueError(f"null vector residual {resid:.3e} exceeds 1e-10 * sigma_max")
+    if smax > 0 and resid > DEFAULT_RANK_TOL * smax:
+        raise ValueError(f"null vector residual {resid:.3e} exceeds DEFAULT_RANK_TOL * sigma_max")
     return v

@@ -128,6 +128,7 @@ _PLANE_SUPPORTS = 256
 # What _lifted_support_solve returns for a support whose lift the SVD rank
 # policy cannot decide.
 _UNDECIDED = "undecided"
+_PROPORTIONAL_TOL = 1e-10  # column_magnitude_collision_1sparse's relative fit miss
 
 
 @dataclass(frozen=True)
@@ -554,7 +555,7 @@ def refine_gauss_newton(A_I: np.ndarray, y, x_init: np.ndarray, iters: int = 120
     return GaussNewtonResult(x=X[0, 0], residual=float(obj[0, 0]), iterations=int(steps[0, 0]))
 
 
-def column_magnitude_collision_1sparse(A: MeasurementEnsemble, rel_tol: float = 1e-10) -> bool:
+def column_magnitude_collision_1sparse(A: MeasurementEnsemble) -> bool:
     """True iff a column is zero or two distinct columns have
     elementwise-proportional magnitudes.
 
@@ -563,8 +564,8 @@ def column_magnitude_collision_1sparse(A: MeasurementEnsemble, rel_tol: float = 
     it needs a_i = 0 (c e_i and 2 c e_i both measure 0), with i != j
     proportional magnitudes.  So it decides k = 1 uniqueness for the
     ensemble.  Columns u = |a_i| and v = |a_j| count as proportional when
-    the least-squares fit c v of u misses it by at most rel_tol max u, a
-    test that does not change when A is scaled.
+    the least-squares fit c v of u misses it by at most _PROPORTIONAL_TOL
+    max u, a test that does not change when A is scaled.
     """
     mags = np.abs(A.entries)
     if not mags.any(axis=0).all():
@@ -574,7 +575,7 @@ def column_magnitude_collision_1sparse(A: MeasurementEnsemble, rel_tol: float = 
         c = float(u @ v) / float(v @ v)
         if c <= 0:
             continue
-        if np.max(np.abs(u - c * v)) <= rel_tol * float(np.max(u)):
+        if np.max(np.abs(u - c * v)) <= _PROPORTIONAL_TOL * float(np.max(u)):
             return True
     return False
 

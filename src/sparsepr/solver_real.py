@@ -75,16 +75,9 @@ class SolutionSet:
     rank1_defects: list[float | None] | None = None
 
     def to_json_dict(self) -> dict:
-        def values_json(v: SparseVector):
-            if v.field is Field.REAL:
-                return [float(x) for x in v.values]
-            return [[float(x.real), float(x.imag)] for x in v.values]
-
         out = {
             "k_star": self.k_star,
-            "classes": [
-                {"support": list(c.support), "values": values_json(c)} for c in self.classes
-            ],
+            "classes": [c.to_json_dict() for c in self.classes],
             "residuals": [float(r) for r in self.residuals],
             "stats": {
                 "supports_tried": self.stats.supports_tried,

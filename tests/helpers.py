@@ -2,7 +2,8 @@
 
 schur_reduced_block backs the rank identity test of the partial-overlap
 reduction in tests/test_distance.py; least_squares backs the consistent
-system properties.  Neither is part of the library's API.
+system properties; with_column builds the degenerate ensembles of the
+collision tests.  None is part of the library's API.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sparsepr.model import MeasurementEnsemble, PhasePattern
+from sparsepr.model import Field, MeasurementEnsemble, PhasePattern
 from sparsepr.numerics import numerical_rank
 
 
@@ -87,3 +88,10 @@ def schur_reduced_block(
     C_prime = reduce_group(rows_plus, negate_j=False)
     D_prime = reduce_group(rows_minus, negate_j=True)
     return np.vstack([C_prime, D_prime])
+
+
+def with_column(A: MeasurementEnsemble, j: int, column) -> MeasurementEnsemble:
+    """The real ensemble A with column j replaced."""
+    E = np.array(A.entries)
+    E[:, j] = column
+    return MeasurementEnsemble.from_entries(Field.REAL, E)

@@ -16,6 +16,9 @@ from pathlib import Path
 
 import pytest
 
+import sparsepr
+from sparsepr import numerics
+
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
 
@@ -100,3 +103,27 @@ def test_script_calls_bind_to_signatures(path):
         except ValueError:  # no signature to check (a builtin)
             pass
     assert not unfit, f"{path.name} calls sparsepr with arguments its signatures no longer take: {unfit}"
+
+
+# Every optional parameter of a function sparsepr exports, and of
+# numerics.batched_ranks: each is a knob that tests and callers must cover,
+# so adding one means editing this list.
+OPTIONAL_PARAMETERS = [
+    ("feasible_classes", "tol"),
+    ("phase_gen_min_distance", "max_support"),
+    ("read_sparse_vector", "field"),
+    ("refine_gauss_newton", "iters"),
+    ("solve_l0_complex", "tol"),
+    ("solve_l0_complex", "allow_heuristic"),
+    ("solve_l0_complex", "seed"),
+    ("solve_l0_real", "tol"),
+]
+
+
+def test_public_optional_parameters():
+    functions = {name: getattr(sparsepr, name) for name in dir(sparsepr) if not name.startswith("_")}
+    functions = {name: f for name, f in functions.items() if inspect.isfunction(f)}
+    functions["batched_ranks"] = numerics.batched_ranks
+    found = [(name, p.name) for name, f in sorted(functions.items())
+             for p in inspect.signature(f).parameters.values() if p.default is not p.empty]
+    assert found == OPTIONAL_PARAMETERS

@@ -7,15 +7,17 @@ from sparsepr import (
     Field,
     MeasurementEnsemble,
     PhasePattern,
+    Witness,
     certify_unique,
     generate_ensemble,
+    measure,
     phase_gen_min_distance,
     spark_at_least,
     witness_rank,
 )
 from sparsepr import distance
 from sparsepr.distance import _overlaps
-from helpers import schur_reduced_block
+from helpers import schur_reduced_block, with_column
 from oracles import exhaustive_distance, svd_rank, svd_spark
 
 # The distance and spark code runs here without a single RuntimeWarning.
@@ -352,6 +354,30 @@ def test_certify_examples():
     repc = certify_unique(CRAFTED, 1)
     assert not repc.certified and repc.d == 2
     assert repc.limiting_witness is not None
+
+
+def test_limiting_witness_splits_into_a_collision():
+    # the distance side's witness, and the spark side's deficient columns as
+    # a P = I witness split in halves, each give x on I and z on J with
+    # |Ax| = |Az| exactly
+    A = generate_ensemble(Field.REAL, 6, 7, 3)
+    flipped = with_column(A, 1, np.array([1.0, -1.0, 1.0, 1.0, 1.0, 1.0]) * A.entries[:, 0])
+    repeated = with_column(A, 6, A.entries[:, 0])
+    for ens, k, want in [(flipped, 1, Witness((0,), (1,), 1)), (repeated, 1, Witness((0,), (6,), 0)),
+                         (A, 3, None)]:
+        w = certify_unique(ens, k).limiting_witness
+        assert w == want
+        if w is None:
+            continue
+        x, z = w.collision(ens)
+        assert x.support == w.I and z.support == w.J
+        assert x.values[0] > 0 and z.values[0] > 0  # canonical
+        assert np.array_equal(measure(ens, x).magnitudes, measure(ens, z).magnitudes)
+    B = generate_ensemble(Field.REAL, 5, 7, 0)
+    summed = with_column(B, 1, B.entries[:, 0] + B.entries[:, 2])
+    assert spark_at_least(summed, 4).witness == Witness((0, 1), (2,), 0)
+    with pytest.raises(ValueError, match="full column rank"):
+        Witness((0, 1), (2,), 0).collision(A)
 
 
 def test_certify_json_shape():

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from helpers import with_column
 from oracles import full_scan_solve_l0_complex, full_scan_solve_l0_real, per_trial_run_sweep
 from sparsepr import (
     Field,
@@ -107,6 +108,66 @@ def test_bidirectional_converse_crafted():
     assert not rep.certified and rep.converse_ok
     assert rep.details["path"] == "feasible_multiplicity"
     assert rep.details["classes_found"] >= 2
+
+
+_A682 = generate_ensemble(Field.REAL, 6, 8, 2)
+# column 1 = diag(1, -1, 1, 1, 1, 1) column 0: d = 2, witness ((0,), (1,), P_bits 1)
+SIGN_FLIPPED = with_column(_A682, 1, np.array([1.0, -1.0, 1.0, 1.0, 1.0, 1.0]) * _A682.entries[:, 0])
+_A673 = generate_ensemble(Field.REAL, 6, 7, 3)
+REPEATED = with_column(_A673, 6, _A673.entries[:, 0])  # spark fails on (0, 6)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_bidirectional_converse_witness_collision(k):
+    rep = bidirectional_uniqueness_check(SIGN_FLIPPED, k)
+    assert not rep.certified and rep.converse_ok
+    assert rep.details["path"] == "witness_collision"
+    assert rep.details["mismatch"] == 0.0
+
+
+def test_bidirectional_converse_spark_collision():
+    rep = bidirectional_uniqueness_check(REPEATED, 1)
+    assert not rep.certified and rep.converse_ok
+    assert rep.details["path"] == "spark_collision"
+    assert "mismatch" not in rep.details
+
+
+def _column_sum(A) -> MeasurementEnsemble:
+    """A with column 1 replaced by column 0 + column 2."""
+    return with_column(A, 1, A.entries[:, 0] + A.entries[:, 2])
+
+
+@pytest.mark.parametrize("A, k", [(REPEATED, 2), (REPEATED, 3),
+                                  (_column_sum(generate_ensemble(Field.REAL, 4, 5, 0)), 2),
+                                  (_column_sum(generate_ensemble(Field.REAL, 4, 5, 1)), 2)],
+                         ids=["repeated-k2", "repeated-k3", "column-sum-seed0", "column-sum-seed1"])
+def test_bidirectional_converse_collapsed_witness_falls_back_to_spark(A, k):
+    # the distance witness's null vector is the repeated column's, so x is
+    # empty; the deficient spark columns still give an exact collision
+    rep = bidirectional_uniqueness_check(A, k)
+    assert not rep.certified and not rep.details["spark_ok"]
+    assert rep.details["path"] == "spark_collision" and rep.converse_ok
+
+
+@pytest.mark.parametrize("A, k", [*[(generate_ensemble(Field.REAL, 4, 5, s), 3) for s in range(6)],
+                                  (generate_ensemble(Field.REAL, 6, 7, 3), 4)],
+                         ids=[*[f"4x5-seed{s}" for s in range(6)], "6x7-seed3"])
+def test_bidirectional_converse_capped_distance_has_no_exhibit(A, k):
+    # 2k > n skips the disjoint search, and at d = m + 1 the witness is the
+    # full-rank cap configuration, which has no null vector
+    rep = bidirectional_uniqueness_check(A, k)
+    assert rep.details["d"] == A.m + 1
+    assert not rep.certified and rep.converse_ok is False
+    assert rep.details["path"] == "no_exhibit"
+
+
+def test_bidirectional_converse_moves_past_a_failed_disjoint_search():
+    A = _column_sum(generate_ensemble(Field.REAL, 5, 6, 0))
+    with pytest.raises(RuntimeError, match="no non-degenerate disjoint collision pair"):
+        build_collision_real(A, 3)
+    rep = bidirectional_uniqueness_check(A, 3)
+    assert not rep.certified and rep.converse_ok is False
+    assert rep.details["path"] == "feasible_multiplicity"
 
 
 def test_sweep_thresholds_real():

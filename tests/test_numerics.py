@@ -124,6 +124,14 @@ def test_null_space_vector_rejects_full_rank():
         null_space_vector(np.eye(3))
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_null_space_vector_refuses_non_finite_entries(bad):
+    # with inf the SVD returned [0, 0, 1], which M does not annihilate; with
+    # NaN it raised LinAlgError "SVD did not converge"
+    with pytest.raises(ValueError, match="null_space_vector requires finite entries"):
+        null_space_vector(np.array([[bad, 1.0, 0.0], [1.0, 2.0, 3.0]]))
+
+
 def _rank_stacks():
     """Seeded stacks per shape: generic, duplicated or near-duplicated column,
     integer entries, extreme scales, and singular values spread down to 1e-12."""
