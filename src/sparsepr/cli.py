@@ -90,7 +90,8 @@ def _build_parser() -> _Parser:
     s.add_argument("measurements", nargs="?", help="file with one magnitude per line")
     s.add_argument("--y", help="inline comma-separated magnitudes (alternative to the file)")
     s.add_argument("--kmax", type=int, required=True)
-    s.add_argument("--tol", type=float, default=1e-8)
+    s.add_argument("--tol", type=float, default=1e-8,
+                   help="solve tolerance, relative to max y (default 1e-8)")
     s.add_argument("--allow-heuristic", action="store_true",
                    help="enable the labeled-heuristic complex path: support sizes k outside the exact rule "
                         "(m >= k^2, or k^2 - 2 <= m with m >= 4k - 2) and supports whose lift the SVD "
@@ -109,7 +110,7 @@ def _build_parser() -> _Parser:
     sw.add_argument("--m-range", help="inclusive range as lo:hi")
     sw.add_argument("--trials", type=int)
     sw.add_argument("--seed", type=int)
-    sw.add_argument("--tol", type=float, help="residual tolerance (default 1e-8)")
+    sw.add_argument("--tol", type=float, help="solve tolerance, relative to max y (default 1e-8)")
     sw.add_argument("--outdir", default="results")
     sw.add_argument("--formats", default="csv,json,gnuplot",
                     help="comma-separated subset of csv,json,gnuplot")

@@ -216,7 +216,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
         successes = sum(_recovered(sol, truth) for sol, truth in zip(sols, truths))
         fragile = 0
         for sol, y in zip(sols, ys):
-            if sol.residuals and max(sol.residuals) > _tol_abs(cfg.tol, y.magnitudes) / 10.0:
+            if sol.residuals and max(sol.residuals) > _tol_abs(cfg.tol, float(y.magnitudes.max())) / 10.0:
                 fragile += 1
         rows.append(
             SweepRow(
@@ -281,12 +281,19 @@ def bidirectional_uniqueness_check(A: MeasurementEnsemble, k: int) -> Bidirectio
     The converse exhibit is the first that applies, named by details["path"]:
     "disjoint_collision" (m <= 2k - 1, 2k <= n, some pair non-degenerate);
     "witness_collision", the split (Witness.collision) of the distance
-    witness when d <= m; "spark_collision", the P = I split of the
-    deficient spark columns, also when the distance witness's split
-    collapses to a phase-equivalent pair (possible on crafted matrices);
-    "feasible_multiplicity" for a collapsed split with no deficient spark
-    columns: two distinct feasible classes of |Ax| = y with l0 norm at most
-    2k for the witness-derived measurement; else "no_exhibit".
+    witness when d <= m and the split is no phase-equivalent pair;
+    "feasible_multiplicity" when that split collapses and every 2k columns
+    are independent: two distinct feasible classes of |Ax| = y with l0
+    norm at most 2k for the witness-derived measurement; else
+    "spark_collision", the P = I split of the deficient columns of
+    spark_at_least(A, min(2k, m, n) + 1), or, when there are none, of the
+    first m + 1 columns.  Those are dependent, since the distance needs m
+    < n, and each half has at most k of them: with 2k <= m a failed
+    certificate has a witness with d <= m or deficient spark columns, so
+    the spark check here passes only when 2k > m.  An exhibit is accepted
+    when its two vectors are not phase equivalent and their measurements
+    differ by at most 1e-10 max |Ax|, a test that does not change when A
+    is scaled; a spark exhibit also needs both vectors at most k-sparse.
     """
     _check_int(k, "k", 1, A.n)
     cert = certify_unique(A, k)
@@ -301,6 +308,12 @@ def bidirectional_uniqueness_check(A: MeasurementEnsemble, k: int) -> Bidirectio
         details["forward_failures"] = failures
         return BidirectionalReport(True, failures == 0, None, details)
 
+    def exhibited(x: SparseVector, z: SparseVector) -> tuple[bool, float]:
+        """Whether x and z are an ambiguity, and their measurement mismatch."""
+        y = measure(A, x).magnitudes
+        mismatch = float(np.max(np.abs(y - measure(A, z).magnitudes)))
+        return not phase_equivalent(x, z, 1e-6) and mismatch <= 1e-10 * float(y.max()), mismatch
+
     # Converse: exhibit the ambiguity behind the failed certificate.
     if A.m <= 2 * k - 1 and 2 * k <= A.n:
         try:
@@ -308,34 +321,29 @@ def bidirectional_uniqueness_check(A: MeasurementEnsemble, k: int) -> Bidirectio
         except RuntimeError:
             pass  # every disjoint pair is degenerate: try the next exhibit
         else:
-            y = measure(A, x)
-            mismatch = float(np.max(np.abs(y.magnitudes - measure(A, z).magnitudes)))
-            ok = mismatch <= 1e-10 * max(1.0, float(y.magnitudes.max())) and not phase_equivalent(x, z, 1e-6)
+            ok, mismatch = exhibited(x, z)
             details.update({"path": "disjoint_collision", "mismatch": mismatch})
             return BidirectionalReport(False, None, ok, details)
 
     w = cert.limiting_witness
-    if w is None or (w.pattern_bits and cert.d > A.m):  # at d = m + 1, w is the full-rank cap
-        details["path"] = "no_exhibit"
-        return BidirectionalReport(False, None, False, details)
-    x, z = w.collision(A)
-    collapsed = not (x.sparsity and z.sparsity) or phase_equivalent(x, z, 1e-6)
-    if w.pattern_bits and collapsed:
-        if cert.spark_ok or 2 * k > min(A.m, A.n):
+    if w is not None and w.pattern_bits and cert.d <= A.m:  # at d = m + 1, w is the full-rank cap
+        x, z = w.collision(A)
+        if x.sparsity and z.sparsity and not phase_equivalent(x, z, 1e-6):
+            ok, mismatch = exhibited(x, z)
+            details.update({"path": "witness_collision", "mismatch": mismatch})
+            return BidirectionalReport(False, None, ok, details)
+        if cert.spark_ok:
             # Phase-collapsed witness and no deficient spark columns: show the
             # feasible set of the witness measurement holds >= 2 classes within sparsity 2k.
-            classes = feasible_classes(A, measure(A, x), min(2 * k, A.m, A.n))
+            classes = feasible_classes(A, measure(A, x), 2 * k)
             details.update({"path": "feasible_multiplicity", "classes_found": len(classes)})
             return BidirectionalReport(False, None, len(classes) >= 2, details)
-        w = spark_at_least(A, 2 * k + 1).witness  # the report holds only the distance witness
-        x, z = w.collision(A)
-    mismatch = float(np.max(np.abs(measure(A, x).magnitudes - measure(A, z).magnitudes)))
-    if w.pattern_bits:
-        details.update({"path": "witness_collision", "mismatch": mismatch})
-        return BidirectionalReport(False, None, mismatch <= 1e-8, details)
-    # The spark check failed: a P = I linear collision on its deficient columns.
+    # A P = I linear collision on at most 2k columns.
+    cols = spark_at_least(A, min(2 * k, A.m, A.n) + 1).deficient_columns or tuple(range(A.m + 1))
+    half = (len(cols) + 1) // 2
+    x, z = Witness(cols[:half], cols[half:], 0).collision(A)
     details["path"] = "spark_collision"
-    ok = x.sparsity <= k and z.sparsity <= k and not phase_equivalent(x, z, 1e-6) and mismatch <= 1e-8
+    ok = x.sparsity <= k and z.sparsity <= k and exhibited(x, z)[0]
     return BidirectionalReport(False, None, ok, details)
 
 

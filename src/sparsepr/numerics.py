@@ -671,13 +671,15 @@ def _proven(e: _Elimination, Q: np.ndarray, t: np.ndarray, nt: np.ndarray, signs
 
 
 def hermitian_top_eig(X) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and a unit top eigenvector of a Hermitian X."""
+    """Eigenvalues (descending) and a unit top eigenvector of a Hermitian X.
+
+    X is Hermitian when max |X - X^*| <= 1e-12 max |X|, a test that does
+    not change when X is scaled."""
     X = np.asarray(X)
     if X.ndim != 2 or X.shape[0] != X.shape[1]:
         raise ValueError("hermitian_top_eig requires a square matrix")
-    scale = max(1.0, float(np.max(np.abs(X))))
-    if np.max(np.abs(X - X.conj().T)) > 1e-12 * scale:
-        raise ValueError("matrix is not Hermitian within tolerance 1e-12")
+    if np.max(np.abs(X - X.conj().T)) > 1e-12 * np.max(np.abs(X)):
+        raise ValueError("matrix is not Hermitian within tolerance 1e-12 max |X|")
     w, v = np.linalg.eigh((X + X.conj().T) / 2.0)
     order = np.argsort(w)[::-1]
     w = w[order]

@@ -23,12 +23,13 @@ SVD rank policy, that a support has at most one rank-one point and find
 it; it passes the unique-lift path's test (_rank_one_class).  This plane
 level is exact too, and labels its classes "lifted" (_plane_level).  A
 support either level cannot decide (a rank-deficient lift whose system
-is consistent, as with a zero row, or one that overflows; an
-inconsistent one holds no class), and every support size outside both
-rules, goes to multi-start Levenberg-Marquardt refinement, which labels
-its output heuristic.  A generic (14, 6, 4) solve takes about 3 ms on
-the plane level, against about 25 ms by the refinement it replaces
-(2-core Intel Xeon, one BLAS thread).
+is consistent, as with a zero row, or a lift that overflows, which takes
+entries of A near the top of the float range, since the solve scales y
+into [1/2, 1) but not A; an inconsistent one holds no class), and every
+support size outside both rules, goes to multi-start Levenberg-Marquardt
+refinement, which labels its output heuristic.  A generic (14, 6, 4)
+solve takes about 3 ms on the plane level, against about 25 ms by the
+refinement it replaces (2-core Intel Xeon, one BLAS thread).
 
 Each lifted level is screened in batch: numerics._lstsq_screen builds
 each support's lift from its parent's (adding index c adds 2k - 1
@@ -66,16 +67,21 @@ also stops after an accepted step that lowers its sum of squares by at
 most _FTOL (sqrt(eps)) of its value, MINPACK lmder's ftol test:
 restarts stalled at a positive local minimum, or at the roundoff
 floor, otherwise keep taking such steps to the iteration cap.  The
-test is a ratio, so unlike the absolute 1e-24 stop and damping clip it
-does not change when A and y are rescaled.  On the test corpora it
-changes no probe verdict and no heuristic solution set.
+test is a ratio.  The absolute 1e-24 stop and damping clip are not, so
+both callers run the kernel in fixed units: A scaled by a power of two
+so that max |A| lies in [1/2, 1) (_pow2_normalized), and targets of
+order one (the solve's y, whose maximum _prepare puts in [1/2, 1) too,
+or the probe's |A_I u| of a unit u).  So neither a verdict nor a
+heuristic class changes when A or y is scaled by a power of two.  On
+the test corpora the ftol test changes no probe verdict and no
+heuristic solution set.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb, sqrt
+from math import comb, ldexp, sqrt
 
 import numpy as np
 
@@ -87,7 +93,7 @@ from .model import (
     as_measurement,
 )
 from .numerics import _lstsq_screen, _policy_ranks, hermitian_top_eig
-from .solver_real import SolutionSet, _Candidate, _check_int, _meas_err, _prepare, _Problem, _solve_batch
+from .solver_real import SolutionSet, _Candidate, _check_int, _ldexp, _meas_err, _prepare, _Problem, _solve_batch
 
 __all__ = [
     "CollisionProbe",
@@ -183,17 +189,14 @@ def _assemble_hermitian(v: np.ndarray, k: int) -> np.ndarray:
 def _lifted_support_solve(
     G: np.ndarray,
     A_I: np.ndarray,
-    y: np.ndarray,
+    p: _Problem,
     rhs: np.ndarray,
     support: tuple[int, ...],
-    n: int,
-    resid_tol: float,
-    tol_abs: float,
 ) -> tuple[SparseVector, float] | str | None:
-    """The canonical class and rank-one defect one support's lift G yields,
-    None, or _UNDECIDED.
+    """The canonical class and rank-one defect one support's lift G yields
+    on problem p, None, or _UNDECIDED.
 
-    rhs is y^2.  The lifted residual is checked first, so X is assembled
+    rhs is p.y^2.  The lifted residual is checked first, so X is assembled
     and eigendecomposed only for a support whose linear system is
     consistent.  A consistent lift without full column rank
     (numerics._policy_ranks on lstsq's singular values counts fewer than
@@ -206,21 +209,21 @@ def _lifted_support_solve(
         return _UNDECIDED
     v, _, _, sv = np.linalg.lstsq(G, rhs, rcond=None)
     resid = float(np.linalg.norm(G @ v - rhs))
-    if not resid <= resid_tol:  # also rejects a NaN residual
+    if not resid <= p.resid_tol:  # also rejects a NaN residual
         return None
     if _policy_ranks(sv)[0] < sv.size:
         return _UNDECIDED
-    return _rank_one_class(_assemble_hermitian(v, len(support)), A_I, y, support, n, tol_abs)
+    return _rank_one_class(_assemble_hermitian(v, len(support)), A_I, p, support)
 
 
-def _rank_one_class(X: np.ndarray, A_I: np.ndarray, y: np.ndarray, support: tuple[int, ...], n: int,
-                    tol_abs: float) -> tuple[SparseVector, float] | None:
+def _rank_one_class(X: np.ndarray, A_I: np.ndarray, p: _Problem,
+                    support: tuple[int, ...]) -> tuple[SparseVector, float] | None:
     """The canonical class of a finite Hermitian X that is a lifted
-    solution on support, and its rank-one defect, or None: the acceptance
-    rule of both exact levels.  X must be positive semidefinite (lambda_k
-    >= -PSD_TOL lambda_1, lambda_1 > 0) and rank one (lambda_2 / lambda_1
-    <= RANK1_TOL); x = sqrt(lambda_1) v_1 must have every entry above
-    tol_abs and fit y to tol_abs."""
+    solution on support of problem p, and its rank-one defect, or None:
+    the acceptance rule of both exact levels.  X must be positive
+    semidefinite (lambda_k >= -PSD_TOL lambda_1, lambda_1 > 0) and rank one
+    (lambda_2 / lambda_1 <= RANK1_TOL); x = sqrt(lambda_1) v_1 must have
+    every entry above p.tol_x and fit p.y to p.tol_abs."""
     k = len(support)
     eigs, v1 = hermitian_top_eig(X)
     lam1 = float(eigs[0])
@@ -228,8 +231,9 @@ def _rank_one_class(X: np.ndarray, A_I: np.ndarray, y: np.ndarray, support: tupl
     if not (lam1 > 0 and float(eigs[-1]) >= -PSD_TOL * lam1 and defect <= RANK1_TOL):
         return None
     x_vals = np.sqrt(lam1) * v1
-    if np.min(np.abs(x_vals)) > tol_abs and _meas_err(A_I, x_vals, y) <= tol_abs:
-        return SparseVector(Field.COMPLEX, n, support, x_vals).canonical(), defect
+    if np.min(np.abs(x_vals)) > p.tol_x and _meas_err(A_I, x_vals, p.y) <= p.tol_abs:
+        x_vals = _canonical_values(Field.COMPLEX, x_vals)
+        return SparseVector(Field.COMPLEX, p.entries.shape[1], support, x_vals), defect
     return None
 
 
@@ -278,7 +282,7 @@ def _lifted_level(problems: list[_Problem], k: int) -> list[tuple[list[_Candidat
         hits, undecided = [], []
         for support in itertools.compress(itertools.combinations(range(n), k), row):
             A_I = p.entries[:, support]
-            hit = _lifted_support_solve(_lift_system(A_I[None])[0], A_I, p.y, t, support, n, p.resid_tol, p.tol_abs)
+            hit = _lifted_support_solve(_lift_system(A_I[None])[0], A_I, p, t, support)
             if hit is _UNDECIDED:
                 undecided.append(support)
             elif hit is not None:
@@ -391,7 +395,7 @@ def _plane_level(p: _Problem, k: int) -> tuple[list[_Candidate], list[tuple[int,
         # a null vector with w[0] = 0 has no finite point: no class
         for j in np.flatnonzero(decided & np.isfinite(X).all(axis=(1, 2))):
             support = supports[full[j]]
-            hit = _rank_one_class(X[j], p.entries[:, support], p.y, support, n, p.tol_abs)
+            hit = _rank_one_class(X[j], p.entries[:, support], p, support)
             if hit is not None:
                 hits.append((hit[0], "lifted", hit[1]))
     return hits, undecided
@@ -451,7 +455,7 @@ def _solve_complex_batch(As: list[MeasurementEnsemble], ys: list, k_max: int, to
 
     def refine(p: _Problem, supports: list[tuple[int, ...]]) -> list[_Candidate]:
         p.stats.patterns_tried += len(supports) * HEURISTIC_RESTARTS
-        return _refined_level(p.entries, p.y, supports, p.tol_abs, seed) if supports else []
+        return _refined_level(p, supports, seed) if supports else []
 
     def level(live: list[_Problem], k: int):
         m, n = live[0].entries.shape
@@ -487,21 +491,26 @@ def _level_method(m: int, k: int) -> str:
     return "refined"
 
 
-def _refined_level(entries: np.ndarray, y: np.ndarray, supports: list[tuple[int, ...]], tol_abs: float,
-                   seed: int) -> list[_Candidate]:
-    """Multi-start LM candidates of one support size, labeled "refined",
-    in (support, restart) order.
+def _refined_level(p: _Problem, supports: list[tuple[int, ...]], seed: int) -> list[_Candidate]:
+    """Multi-start LM candidates of one support size of problem p, labeled
+    "refined", in (support, restart) order.
 
-    Each support gets HEURISTIC_RESTARTS restarts; restart r on support I
-    starts from SeedSequence(seed, spawn_key=(k, support key of I, r)),
-    scaled by max(1, max y), and refines toward the targets y.  The
-    supports go through the kernel in blocks of about _PROBE_ROWS rows;
-    the kernel's rows are independent, so the candidates do not depend on
-    the blocking.
+    The kernel runs on A scaled as the collision probe scales it
+    (_pow2_normalized, by 2^-a) and on the targets p.y, whose maximum lies
+    in [1/2, 1), so its absolute stop and damping clip act in the units
+    the probe uses, at any scale of A and y.  Each support gets
+    HEURISTIC_RESTARTS restarts; restart r on support I starts from
+    SeedSequence(seed, spawn_key=(k, support key of I, r)), standard normal
+    real and imaginary parts.  A candidate is tested in those units (its
+    entries against p.tol_x 2^a), made canonical and scaled back to A's
+    units by 2^-a.  The supports go through the kernel in blocks of about
+    _PROBE_ROWS rows; the kernel's rows are independent, so the candidates
+    do not depend on the blocking.
     """
+    entries, a = _pow2_normalized(p.entries)
+    y, tol_x = p.y, ldexp(p.tol_x, a)
     n = entries.shape[1]
     k = len(supports[0])
-    scale = max(1.0, float(y.max(initial=0.0)))
     block = max(1, _PROBE_ROWS // HEURISTIC_RESTARTS)
     out = []
     for lo in range(0, len(supports), block):
@@ -510,14 +519,15 @@ def _refined_level(entries: np.ndarray, y: np.ndarray, supports: list[tuple[int,
         for b, support in enumerate(chunk):
             for r in range(HEURISTIC_RESTARTS):
                 rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k, _support_key(support), r)))
-                X0[b, r] = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) * scale
+                X0[b, r] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
         targets = np.broadcast_to(y, (len(chunk), HEURISTIC_RESTARTS, y.size))
         X, _, _ = _batched_levenberg_marquardt(_support_stack(entries, chunk), targets, X0)
         for support, xs in zip(chunk, X):
             A_I = entries[:, support]
             for x in xs:
-                if np.min(np.abs(x)) > tol_abs and _meas_err(A_I, x, y) <= tol_abs:
-                    out.append((SparseVector(Field.COMPLEX, n, support, x).canonical(), "refined", None))
+                if np.min(np.abs(x)) > tol_x and _meas_err(A_I, x, y) <= p.tol_abs:
+                    x = _ldexp(_canonical_values(Field.COMPLEX, x), -a)
+                    out.append((SparseVector(Field.COMPLEX, n, support, x), "refined", None))
     return out
 
 
@@ -925,7 +935,4 @@ def _pow2_normalized(entries: np.ndarray) -> tuple[np.ndarray, int]:
     part exactly (bar subnormal results), so A and 2^j A give the same
     scaled entries, bit for bit, with exponents j apart."""
     a = int(np.frexp(np.abs(entries).max())[1])
-    out = np.empty(entries.shape, dtype=np.complex128)
-    out.real = np.ldexp(entries.real, -a)
-    out.imag = np.ldexp(entries.imag, -a)
-    return out, a
+    return _ldexp(np.asarray(entries, dtype=np.complex128), -a), a

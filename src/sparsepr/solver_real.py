@@ -18,7 +18,7 @@ screen builds each support's pivots and inverse from those of its
 whole stack of problems of one shape.
 
 Both fields' solvers are one core, _solve_batch, over one problem type
-(_Problem, from _prepare, with the one tolerance policy _tol_abs) and one
+(_Problem, from _prepare, with the one tolerance rule _tol_abs) and one
 class dedup (_dedup); a field gives it only its level function, here
 _scan_level.
 """
@@ -28,12 +28,20 @@ from __future__ import annotations
 import itertools
 import numbers
 from dataclasses import dataclass, field
-from math import comb, sqrt
+from math import comb, frexp, ldexp, sqrt
 from typing import Callable
 
 import numpy as np
 
-from .model import Field, MeasurementEnsemble, SparseVector, as_measurement, phase_equivalent, sign_table
+from .model import (
+    Field,
+    MeasurementEnsemble,
+    SparseVector,
+    _canonical_values,
+    as_measurement,
+    phase_equivalent,
+    sign_table,
+)
 from .numerics import _lstsq_screen, _policy_ranks
 
 __all__ = [
@@ -114,10 +122,21 @@ def _check_tol(tol) -> None:
         raise ValueError(f"tol must be a real number with 0 < tol < inf, got {tol!r}")
 
 
-def _tol_abs(tol: float, y: np.ndarray) -> float:
-    """The absolute tolerance of a solve with magnitudes y: on |Ax| - y,
-    on support entries, on zero rows and between classes."""
-    return tol * max(1.0, float(y.max(initial=0.0)))
+def _tol_abs(tol: float, t_max: float) -> float:
+    """tol t_max: the absolute tolerance on values whose largest magnitude
+    is t_max, the one rule every threshold of a solve follows."""
+    return tol * t_max
+
+
+def _ldexp(values: np.ndarray, e: int) -> np.ndarray:
+    """values 2^e, exact bar subnormal results.  A complex array is scaled
+    part by part: a complex multiply can turn a -0.0 part into +0.0."""
+    if not np.iscomplexobj(values):
+        return np.ldexp(values, e)
+    out = np.empty_like(values)
+    out.real = np.ldexp(values.real, e)
+    out.imag = np.ldexp(values.imag, e)
+    return out
 
 
 def _meas_err(A_I: np.ndarray, values: np.ndarray, y: np.ndarray) -> float:
@@ -131,16 +150,23 @@ _Candidate = tuple[SparseVector, str | None, float | None]
 
 @dataclass
 class _Problem:
-    """One validated solve of either field: A's entries, the magnitudes y,
-    the relative tolerance tol, tol_abs = _tol_abs(tol, y), the bound
-    resid_tol on a least-squares residual's 2-norm (tol_abs sqrt(m), and
-    tol max(1, max y)^2 sqrt(m) for the complex lift's y^2) and the search
-    counters."""
+    """One validated solve of either field, in the units of y 2^-b: A's
+    entries, the magnitudes y scaled so that max y lies in [1/2, 1) (b the
+    exponent np.frexp gives max y), the thresholds and the search counters.
+    A solve in these units gives the same bits for y and 2^j y; classes and
+    residuals are scaled back by 2^b at the end (_solve_batch).
+
+    tol_abs = tol max y bounds |Ax| - y and decides the zero rows; tol_x =
+    tol_abs / max |A| bounds support entries and class dedup; resid_tol =
+    tol max(rhs) sqrt(m) bounds a least-squares residual's 2-norm, rhs
+    being y over R and y^2 on the complex lift.  Every one is relative, so
+    a solve of (2^i A, 2^j y) makes the decisions of (A, y)."""
 
     entries: np.ndarray
     y: np.ndarray
-    tol: float
+    b: int
     tol_abs: float
+    tol_x: float
     resid_tol: float
     stats: SearchStats = field(default_factory=SearchStats)
 
@@ -153,19 +179,28 @@ def _prepare(A: MeasurementEnsemble, y, k_max: int, tol: float, fld: Field) -> _
         raise ValueError(f"measurement length {y.m} does not match m={A.m}")
     _check_int(k_max, "k_max", 0, min(A.m, A.n))
     _check_tol(tol)
-    yv = y.magnitudes
-    tol_abs = _tol_abs(tol, yv)
-    scale = tol_abs if fld is Field.REAL else max(1.0, float(yv.max(initial=0.0)) ** 2) * tol
-    return _Problem(A.entries, yv, tol, tol_abs, scale * sqrt(A.m))
+    y_max = float(y.magnitudes.max(initial=0.0))
+    b = frexp(y_max)[1]
+    y_max = ldexp(y_max, -b)  # max of y 2^-b, exactly
+    tol_abs = _tol_abs(tol, y_max)
+    a_max = float(np.abs(A.entries).max())
+    rhs_max = y_max if fld is Field.REAL else y_max * y_max  # max y^2 = (max y)^2: rounding is monotone
+    return _Problem(A.entries, np.ldexp(y.magnitudes, -b), b, tol_abs, tol_abs / a_max if a_max else np.inf,
+                    _tol_abs(tol, rhs_max) * sqrt(A.m))
+
+
+def _unscaled(p: _Problem, x: SparseVector) -> SparseVector:
+    """x, a class of p, in the units of the caller's y: x 2^b."""
+    return SparseVector(x.field, x.n, x.support, _ldexp(x.values, p.b))
 
 
 def _dedup(p: _Problem, candidates: list[_Candidate]) -> list[tuple[_Candidate, float]]:
     """The candidates no earlier kept one is phase_equivalent to at
-    p.tol_abs, in order, each with its _meas_err."""
+    p.tol_x, in order, each with its _meas_err."""
     kept: list[tuple[_Candidate, float]] = []
     for cand in candidates:
         x = cand[0]
-        if not any(phase_equivalent(c[0], x, p.tol_abs) for c, _ in kept):
+        if not any(phase_equivalent(c[0], x, p.tol_x) for c, _ in kept):
             kept.append((cand, _meas_err(p.entries[:, x.support], x.values, p.y)))
     return kept
 
@@ -180,13 +215,14 @@ def _solve_batch(problems: list[_Problem], k_max: int, fld: Field, level: Callab
     _dedup keeps a candidate.  A problem's SolutionSet made at or after a
     level heuristic for it is flagged heuristic.  A level decides each
     problem's candidates and flag from its own data only, so every
-    SolutionSet is bit for bit that of a solve on its own.
+    SolutionSet is bit for bit that of a solve on its own.  Its classes
+    and residuals are scaled back from the problem's units by 2^b.
     """
 
     def solution(k: int | None, i: int, kept: list[tuple[_Candidate, float]]) -> SolutionSet:
         p = problems[i]
-        classes = [c[0] for c, _ in kept]
-        residuals = [r for _, r in kept]
+        classes = [_unscaled(p, c[0]) for c, _ in kept]
+        residuals = [ldexp(r, p.b) for _, r in kept]
         if fld is Field.REAL:
             return SolutionSet(k, classes, residuals, p.stats)
         return SolutionSet(k, classes, residuals, p.stats, heuristic[i], [c[1] for c, _ in kept],
@@ -195,8 +231,8 @@ def _solve_batch(problems: list[_Problem], k_max: int, fld: Field, level: Callab
     out: list[SolutionSet | None] = [None] * len(problems)
     for i, p in enumerate(problems):
         if not (p.y > p.tol_abs).any():
-            out[i] = SolutionSet(0, [SparseVector.zero(fld, p.entries.shape[1])], [float(p.y.max(initial=0.0))],
-                                 p.stats)
+            out[i] = SolutionSet(0, [SparseVector.zero(fld, p.entries.shape[1])],
+                                 [ldexp(float(p.y.max(initial=0.0)), p.b)], p.stats)
     live = [i for i, sol in enumerate(out) if sol is None]
     heuristic = [False] * len(problems)
     for k in range(1, k_max + 1):
@@ -240,10 +276,10 @@ def _exact_support(p: _Problem, I: tuple[int, ...], rhs: np.ndarray) -> list[_Ca
         return []
     X, *_ = np.linalg.lstsq(A_I, rhs, rcond=None)
     R = rhs - A_I @ X
-    ok = (np.linalg.norm(R, axis=0) <= p.resid_tol) & (np.min(np.abs(X), axis=0) > p.tol_abs)
+    ok = (np.linalg.norm(R, axis=0) <= p.resid_tol) & (np.min(np.abs(X), axis=0) > p.tol_x)
     out: list[_Candidate] = []
     for col in np.nonzero(ok)[0]:
-        x_hat = SparseVector(Field.REAL, p.entries.shape[1], I, X[:, col]).canonical()
+        x_hat = SparseVector(Field.REAL, p.entries.shape[1], I, _canonical_values(Field.REAL, X[:, col]))
         if _meas_err(A_I, x_hat.values, p.y) <= p.tol_abs:
             out.append((x_hat, None, None))
     return out
@@ -294,8 +330,10 @@ def solve_l0_real(
 
     Returns every phase class at the minimal feasible sparsity; classes
     are canonical representatives (first support entry positive).  The
-    acceptance tolerance, support-entry threshold, and class-dedup
-    tolerance are all tol scaled by max(1, ||y||_inf).
+    tolerances are tol relative to the scale of the problem: |Ax| - y
+    and the zero rows at tol max y, support entries and class dedup at
+    tol max y / max |A|.  So (2^i A, 2^j y) gives the classes of (A, y)
+    times 2^(j-i), bit for bit (bar subnormal or overflowing values).
     """
     return _solve_real_batch([A], [y], k_max, tol)[0]
 
@@ -323,4 +361,4 @@ def feasible_classes(
     p = _prepare(A, y, k_max, tol, Field.REAL)
     if not (p.y > p.tol_abs).any():
         return [(0, SparseVector.zero(Field.REAL, A.n))]
-    return [(k, c[0]) for k in range(1, k_max + 1) for c, _ in _dedup(p, _scan_level([p], k)[0][0])]
+    return [(k, _unscaled(p, c[0])) for k in range(1, k_max + 1) for c, _ in _dedup(p, _scan_level([p], k)[0][0])]

@@ -52,11 +52,12 @@ from sparsepr.solver_complex import (
     _level_method,
     _lift_system,
     _lifted_support_solve,
+    _pow2_normalized,
     _refined_level,
     _support_key,
     solve_l0_complex,
 )
-from sparsepr.solver_real import SearchStats, SolutionSet, solve_l0_real
+from sparsepr.solver_real import SearchStats, SolutionSet, _ldexp, _prepare, solve_l0_real
 
 
 def svd_rank(M) -> int:
@@ -82,7 +83,8 @@ def naive_l0_classes(entries: np.ndarray, y: np.ndarray, k_max: int, tol: float 
     entries = np.asarray(entries, dtype=float)
     y = np.asarray(y, dtype=float)
     m, n = entries.shape
-    tol_abs = tol * max(1.0, float(y.max(initial=0.0)))
+    tol_abs = tol * float(y.max(initial=0.0))
+    tol_x = tol_abs / float(np.abs(entries).max())
     pos = [i for i in range(m) if y[i] > tol_abs]
     if not pos:
         return 0, [np.zeros(n)]
@@ -103,14 +105,14 @@ def naive_l0_classes(entries: np.ndarray, y: np.ndarray, k_max: int, tol: float 
                         continue
                     if not np.all(np.isfinite(sol)):
                         continue
-                    if np.min(np.abs(sol)) <= tol_abs:
+                    if np.min(np.abs(sol)) <= tol_x:
                         continue
                     x = np.zeros(n)
                     x[list(I)] = sol
                     if np.max(np.abs(np.abs(entries @ x) - y)) > tol_abs:
                         continue
                     x = _canonical_real(x)
-                    if not any(np.max(np.abs(x - g)) <= tol_abs for g in found):
+                    if not any(np.max(np.abs(x - g)) <= tol_x for g in found):
                         found.append(x)
         if found:
             return k, found
@@ -565,72 +567,80 @@ def serial_heuristic_solve(A: MeasurementEnsemble, y: np.ndarray, k_max: int, to
     """solve_l0_complex(..., allow_heuristic=True) with one serial_gauss_newton
     call per (support, restart).
 
-    Same levels, starts (SeedSequence(seed, spawn_key=(k, support key, r))
-    scaled by max(1, max y)), acceptance test and first-found dedup; the
-    levels where the lift has a unique solution (m >= k^2) call the
-    library's lifted solve, and refine the supports it leaves undecided.
-    Every other level, the library's plane levels included, runs serial
-    Gauss-Newton, so for those it is a reference that shares no code with
-    the plane solve.
-    Returns (k_star, classes).
+    Same problem (_prepare: y scaled by 2^-b into [1/2, 1), the
+    tolerances), starts (SeedSequence(seed, spawn_key=(k, support key,
+    r)), on A scaled by 2^-a as _pow2_normalized scales it), acceptance
+    test and first-found dedup; the levels where the lift has a unique
+    solution (m >= k^2) call the library's lifted solve, and refine the
+    supports it leaves undecided.  Every other level, the library's plane
+    levels included, runs serial Gauss-Newton, so for those it is a
+    reference that shares no code with the plane solve.
+    Returns (k_star, classes), the classes scaled back by 2^b.
     """
-    y = np.asarray(y, dtype=float)
-    entries = A.entries
-    tol_abs = tol * max(1.0, float(y.max(initial=0.0)))
-    resid_tol = tol * max(1.0, float(y.max(initial=0.0)) ** 2) * np.sqrt(A.m)
-    scale = max(1.0, float(y.max(initial=0.0)))
-    if np.all(y <= tol_abs):
+    p = _prepare(A, y, k_max, tol, Field.COMPLEX)
+    entries, a = _pow2_normalized(A.entries)
+    tol_x = np.ldexp(p.tol_x, a)  # in the units of entries
+    if np.all(p.y <= p.tol_abs):
         return 0, [SparseVector.zero(Field.COMPLEX, A.n)]
     for k in range(1, k_max + 1):
         classes: list[SparseVector] = []
         for I in itertools.combinations(range(A.n), k):
-            A_I = entries[:, I]
             hit = _UNDECIDED
             if A.m >= k * k:
-                hit = _lifted_support_solve(_lift_system(A_I[None])[0], A_I, y, y**2, I, A.n, resid_tol, tol_abs)
+                A_I = A.entries[:, I]
+                hit = _lifted_support_solve(_lift_system(A_I[None])[0], A_I, p, p.y**2, I)
             cands = [] if hit is None or hit is _UNDECIDED else [hit[0]]
             if hit is _UNDECIDED:
+                A_I = entries[:, I]
                 for r in range(restarts):
                     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k, _support_key(I), r)))
-                    x0 = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) * scale
-                    x = serial_gauss_newton(A_I, y, x0)
-                    if np.min(np.abs(x)) > tol_abs and np.max(np.abs(np.abs(A_I @ x) - y)) <= tol_abs:
-                        cands.append(SparseVector(Field.COMPLEX, A.n, I, x).canonical())
+                    x = serial_gauss_newton(A_I, p.y, rng.standard_normal(k) + 1j * rng.standard_normal(k))
+                    if np.min(np.abs(x)) > tol_x and np.max(np.abs(np.abs(A_I @ x) - p.y)) <= p.tol_abs:
+                        cands.append(SparseVector(Field.COMPLEX, A.n, I, _ldexp(x, -a)).canonical())
             for cand in cands:
-                if not any(phase_equivalent(c, cand, tol_abs) for c in classes):
+                if not any(phase_equivalent(c, cand, p.tol_x) for c in classes):
                     classes.append(cand)
         if classes:
-            return k, classes
+            return k, [_scaled_back(c, p.b) for c in classes]
     return None, []
+
+
+def _scaled_back(x: SparseVector, b: int) -> SparseVector:
+    """x 2^b: a class found on y 2^-b, for y."""
+    return SparseVector(x.field, x.n, x.support, _ldexp(x.values, b))
 
 
 def _max_err(A_I: np.ndarray, values: np.ndarray, y: np.ndarray) -> float:
     return float(np.max(np.abs(np.abs(A_I @ values) - y)))
 
 
-def _insert_class(classes: list, cand: SparseVector, resid: float, tol_abs: float, *extra) -> None:
+def _insert_class(classes: list, cand: SparseVector, resid: float, tol_x: float, *extra) -> None:
     """Append (cand, resid, *extra) to classes unless an earlier class is
-    phase-equivalent to cand at tol_abs (first found wins)."""
-    if not any(phase_equivalent(c[0], cand, tol_abs) for c in classes):
+    phase-equivalent to cand at tol_x (first found wins)."""
+    if not any(phase_equivalent(c[0], cand, tol_x) for c in classes):
         classes.append((cand, resid, *extra))
 
 
 def _real_problem(A: MeasurementEnsemble, y, tol: float):
-    """y's magnitudes, tol_abs, and every sign assignment of the rows above
-    tol_abs as (m, 2^(p-1)) right-hand-side columns: the first such row
-    keeps +1 and bit i of the column index flips the (i+2)-th; rows at or
-    below tol_abs are zero equations.  rhs is None when no row is above."""
+    """y's magnitudes scaled by 2^-b into [1/2, 1) (b the exponent np.frexp
+    gives max y), b, tol_abs = tol max y, and every sign assignment of the
+    rows above tol_abs as (m, 2^(p-1)) right-hand-side columns: the first
+    such row keeps +1 and bit i of the column index flips the (i+2)-th;
+    rows at or below tol_abs are zero equations.  rhs is None when no row
+    is above."""
     y = as_measurement(y).magnitudes
-    tol_abs = tol * max(1.0, float(y.max(initial=0.0)))
+    b = int(np.frexp(y.max(initial=0.0))[1])
+    y = np.ldexp(y, -b)
+    tol_abs = tol * float(y.max(initial=0.0))
     pos = [i for i in range(y.size) if y[i] > tol_abs]
     if not pos:
-        return y, tol_abs, None
+        return y, b, tol_abs, None
     rhs = np.zeros((y.size, 2 ** (len(pos) - 1)))
-    for b in range(rhs.shape[1]):
+    for col in range(rhs.shape[1]):
         for j, row in enumerate(pos):
-            flip = j > 0 and (b >> (j - 1)) & 1
-            rhs[row, b] = -y[row] if flip else y[row]
-    return y, tol_abs, rhs
+            flip = j > 0 and (col >> (j - 1)) & 1
+            rhs[row, col] = -y[row] if flip else y[row]
+    return y, b, tol_abs, rhs
 
 
 def _full_scan_level(A: MeasurementEnsemble, y: np.ndarray, k: int, tol_abs: float, rhs: np.ndarray,
@@ -638,6 +648,7 @@ def _full_scan_level(A: MeasurementEnsemble, y: np.ndarray, k: int, tol_abs: flo
     m, n = A.m, A.n
     resid_tol = tol_abs * np.sqrt(m)
     entries = A.entries
+    tol_x = tol_abs / float(np.abs(entries).max())
     found: list = []
     for I in itertools.combinations(range(n), k):
         stats.supports_tried += 1
@@ -648,35 +659,36 @@ def _full_scan_level(A: MeasurementEnsemble, y: np.ndarray, k: int, tol_abs: flo
             continue
         X, *_ = np.linalg.lstsq(A_I, rhs, rcond=None)
         R = rhs - A_I @ X
-        ok = (np.linalg.norm(R, axis=0) <= resid_tol) & (np.min(np.abs(X), axis=0) > tol_abs)
+        ok = (np.linalg.norm(R, axis=0) <= resid_tol) & (np.min(np.abs(X), axis=0) > tol_x)
         for col in np.nonzero(ok)[0]:
             x_hat = SparseVector(Field.REAL, n, I, X[:, col]).canonical()
             resid = _max_err(entries[:, I], x_hat.values, y)
             if resid <= tol_abs:
-                _insert_class(found, x_hat, resid, tol_abs)
+                _insert_class(found, x_hat, resid, tol_x)
     return found
 
 
 def full_scan_solve_l0_real(A: MeasurementEnsemble, y, k_max: int, tol: float = 1e-8) -> SolutionSet:
     """solve_l0_real with every support going through SVD and lstsq."""
-    y, tol_abs, rhs = _real_problem(A, y, tol)
+    y, b, tol_abs, rhs = _real_problem(A, y, tol)
     stats = SearchStats()
     if rhs is None:
-        return SolutionSet(0, [SparseVector.zero(Field.REAL, A.n)], [float(y.max(initial=0.0))], stats)
+        return SolutionSet(0, [SparseVector.zero(Field.REAL, A.n)], [float(np.ldexp(y.max(initial=0.0), b))], stats)
     for k in range(1, k_max + 1):
         hits = _full_scan_level(A, y, k, tol_abs, rhs, stats)
         if hits:
-            return SolutionSet(k, [h[0] for h in hits], [h[1] for h in hits], stats)
+            return SolutionSet(k, [_scaled_back(h[0], b) for h in hits], [float(np.ldexp(h[1], b)) for h in hits],
+                               stats)
     return SolutionSet(None, [], [], stats)
 
 
 def full_scan_feasible_classes(A: MeasurementEnsemble, y, k_max: int, tol: float = 1e-8):
     """feasible_classes with every support going through SVD and lstsq."""
-    y, tol_abs, rhs = _real_problem(A, y, tol)
+    y, b, tol_abs, rhs = _real_problem(A, y, tol)
     if rhs is None:
         return [(0, SparseVector.zero(Field.REAL, A.n))]
     stats = SearchStats()
-    return [(k, cand) for k in range(1, k_max + 1)
+    return [(k, _scaled_back(cand, b)) for k in range(1, k_max + 1)
             for cand, _resid in _full_scan_level(A, y, k, tol_abs, rhs, stats)]
 
 
@@ -686,17 +698,17 @@ def full_scan_solve_l0_complex(A: MeasurementEnsemble, y, k_max: int, tol: float
     (_level_method "lifted"), with every support lifted on its own and
     run through _lifted_support_solve.  An undecided support raises
     without allow_heuristic; with it, _refined_level refines that support
-    alone and the solve is flagged heuristic from that level on."""
-    y = as_measurement(y).magnitudes
+    alone and the solve is flagged heuristic from that level on.  Both run
+    on _prepare's problem, in its units, and the classes and residuals are
+    scaled back by 2^b."""
     m, n = A.m, A.n
     if any(_level_method(m, k) != "lifted" for k in range(1, k_max + 1)):
         raise ValueError("full_scan_solve_l0_complex covers lifted levels only")
-    ymax = float(y.max(initial=0.0))
-    tol_abs = tol * max(1.0, ymax)
-    resid_tol = tol * max(1.0, ymax**2) * np.sqrt(m)
+    p = _prepare(A, y, k_max, tol, Field.COMPLEX)
+    y, b = p.y, p.b
     stats = SearchStats()
-    if np.all(y <= tol_abs):
-        return SolutionSet(0, [SparseVector.zero(Field.COMPLEX, n)], [ymax], stats)
+    if np.all(y <= p.tol_abs):
+        return SolutionSet(0, [SparseVector.zero(Field.COMPLEX, n)], [float(np.ldexp(y.max(initial=0.0), b))], stats)
     entries = A.entries
     heuristic = False
     for k in range(1, k_max + 1):
@@ -705,18 +717,19 @@ def full_scan_solve_l0_complex(A: MeasurementEnsemble, y, k_max: int, tol: float
             stats.supports_tried += 1
             stats.patterns_tried += 1
             A_I = entries[:, I]
-            hit = _lifted_support_solve(_lift_system(A_I[None])[0], A_I, y, y**2, I, n, resid_tol, tol_abs)
+            hit = _lifted_support_solve(_lift_system(A_I[None])[0], A_I, p, y**2, I)
             if hit is _UNDECIDED:
                 if not allow_heuristic:
                     raise ValueError(f"support {I} of size {k} needs the heuristic path")
                 heuristic = True
                 stats.patterns_tried += HEURISTIC_RESTARTS
-                for cand, method, _ in _refined_level(entries, y, [I], tol_abs, seed):
-                    _insert_class(classes, cand, _max_err(A_I, cand.values, y), tol_abs, method, None)
+                for cand, method, _ in _refined_level(p, [I], seed):
+                    _insert_class(classes, cand, _max_err(A_I, cand.values, y), p.tol_x, method, None)
             elif hit is not None:
-                _insert_class(classes, hit[0], _max_err(A_I, hit[0].values, y), tol_abs, "lifted", hit[1])
+                _insert_class(classes, hit[0], _max_err(A_I, hit[0].values, y), p.tol_x, "lifted", hit[1])
         if classes:
-            return SolutionSet(k, [c[0] for c in classes], [c[1] for c in classes], stats, heuristic,
+            return SolutionSet(k, [_scaled_back(c[0], b) for c in classes],
+                               [float(np.ldexp(c[1], b)) for c in classes], stats, heuristic,
                                [c[2] for c in classes], [c[3] for c in classes])
     return SolutionSet(None, [], [], stats, heuristic, [], [])
 
@@ -743,7 +756,7 @@ def per_trial_run_sweep(cfg: SweepConfig) -> list[SweepRow]:
             elapsed += time.perf_counter() - t0
             if sol.k_star is not None and len(sol.classes) == 1 and phase_equivalent(sol.classes[0], truth, 1e-8):
                 successes += 1
-            tol_abs = cfg.tol * max(1.0, float(y.magnitudes.max(initial=0.0)))
+            tol_abs = cfg.tol * float(y.magnitudes.max(initial=0.0))
             if sol.residuals and max(sol.residuals) > tol_abs / 10.0:
                 fragile += 1
         rows.append(SweepRow(m, cfg.trials_per_m, successes, successes / cfg.trials_per_m,

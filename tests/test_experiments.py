@@ -137,13 +137,21 @@ def _column_sum(A) -> MeasurementEnsemble:
     return with_column(A, 1, A.entries[:, 0] + A.entries[:, 2])
 
 
+def _scaled(A, e: int) -> MeasurementEnsemble:
+    return MeasurementEnsemble.from_entries(A.field, np.ldexp(A.entries, e))
+
+
 @pytest.mark.parametrize("A, k", [(REPEATED, 2), (REPEATED, 3),
                                   (_column_sum(generate_ensemble(Field.REAL, 4, 5, 0)), 2),
-                                  (_column_sum(generate_ensemble(Field.REAL, 4, 5, 1)), 2)],
-                         ids=["repeated-k2", "repeated-k3", "column-sum-seed0", "column-sum-seed1"])
+                                  (_column_sum(generate_ensemble(Field.REAL, 4, 5, 1)), 2),
+                                  (_scaled(_column_sum(generate_ensemble(Field.REAL, 4, 5, 0)), 40), 2),
+                                  (_scaled(_column_sum(generate_ensemble(Field.REAL, 4, 5, 0)), 60), 2)],
+                         ids=["repeated-k2", "repeated-k3", "column-sum-seed0", "column-sum-seed1",
+                              "column-sum-seed0-times-2^40", "column-sum-seed0-times-2^60"])
 def test_bidirectional_converse_collapsed_witness_falls_back_to_spark(A, k):
     # the distance witness's null vector is the repeated column's, so x is
-    # empty; the deficient spark columns still give an exact collision
+    # empty; the deficient spark columns still give an exact collision, and
+    # its mismatch is judged relative to max |Ax|, so at any scale of A
     rep = bidirectional_uniqueness_check(A, k)
     assert not rep.certified and not rep.details["spark_ok"]
     assert rep.details["path"] == "spark_collision" and rep.converse_ok
@@ -153,12 +161,14 @@ def test_bidirectional_converse_collapsed_witness_falls_back_to_spark(A, k):
                                   (generate_ensemble(Field.REAL, 6, 7, 3), 4)],
                          ids=[*[f"4x5-seed{s}" for s in range(6)], "6x7-seed3"])
 def test_bidirectional_converse_capped_distance_has_no_exhibit(A, k):
-    # 2k > n skips the disjoint search, and at d = m + 1 the witness is the
-    # full-rank cap configuration, which has no null vector
+    # 2k > n skips the disjoint search, and at d = m + 1 the distance
+    # witness is the full-rank cap configuration, which has no null vector;
+    # every m columns are independent, so the exhibit is the P = I split of
+    # the first m + 1, two vectors of at most k entries since m + 1 <= 2k
     rep = bidirectional_uniqueness_check(A, k)
     assert rep.details["d"] == A.m + 1
-    assert not rep.certified and rep.converse_ok is False
-    assert rep.details["path"] == "no_exhibit"
+    assert not rep.certified and rep.converse_ok is True
+    assert rep.details["path"] == "spark_collision"
 
 
 def test_bidirectional_converse_moves_past_a_failed_disjoint_search():
@@ -166,8 +176,9 @@ def test_bidirectional_converse_moves_past_a_failed_disjoint_search():
     with pytest.raises(RuntimeError, match="no non-degenerate disjoint collision pair"):
         build_collision_real(A, 3)
     rep = bidirectional_uniqueness_check(A, 3)
-    assert not rep.certified and rep.converse_ok is False
-    assert rep.details["path"] == "feasible_multiplicity"
+    # 2k > m: the deficient spark columns (0, 1, 2) split into (0, 1) and (2,)
+    assert not rep.certified and rep.converse_ok is True
+    assert rep.details["path"] == "spark_collision"
 
 
 def test_sweep_thresholds_real():
@@ -307,10 +318,11 @@ def _batch_corpus():
     holding problems that stop at different levels (0, 1, k_max and None)
     and degenerate problems next to generic ones: y = 0, rows at and below
     tol_abs, a repeated column, and A (or A and x) scaled by 2^+-300 (with
-    2^450 real and 2^210 complex, max t is above the screen's range, so
-    that problem alone is flagged whole).  The fourth is a complex row at
-    m = 14, k = 4, the plane level, where a zero row sends one problem's
-    supports to the heuristic path and no other problem's."""
+    2^450 real and 2^210 complex, the entries of A or of its lift are above
+    the screen's range, so that problem alone is flagged whole).  The
+    fourth is a complex row at m = 14, k = 4, the plane level, where a zero
+    row sends one problem's supports to the heuristic path and no other
+    problem's."""
     rng = np.random.default_rng(14)
     batches = []
     for field, m, n, k_max in ((Field.REAL, 6, 8, 3), (Field.COMPLEX, 10, 7, 3)):
@@ -333,7 +345,7 @@ def _batch_corpus():
         E[np.ix_([1, 4], [0, 3])] = 0.0  # rows 1 and 4 measure 0
         x = _signal(field, n, (0, 3), rng)
         y = measure(MeasurementEnsemble.from_entries(field, E), x).magnitudes.copy()
-        y[4] = 1e-8 * max(1.0, float(y.max()))  # exactly at tol_abs
+        y[4] = 1e-8 * float(y.max())  # exactly at tol_abs
         add(E, y=y)
         E = gauss()
         E[:, 5] = E[:, 2]  # two classes at k = 2

@@ -104,8 +104,10 @@ def test_hermitian_top_eig_reconstruction():
 
 
 def test_hermitian_top_eig_rejects_nonhermitian():
-    with pytest.raises(ValueError):
-        hermitian_top_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # the test is relative to max |X|, so no scale of X passes it
+    for scale in (1.0, 1e-6, 1e-20):
+        with pytest.raises(ValueError):
+            hermitian_top_eig(scale * np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_null_space_vector_examples():

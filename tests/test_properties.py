@@ -7,6 +7,7 @@ All randomness is seeded so failures reproduce exactly.
 import itertools
 
 import numpy as np
+import pytest
 
 from sparsepr import (
     Field,
@@ -180,7 +181,7 @@ def test_solver_real_soundness_and_canonical():
         A, x0 = _random_instance(rng, Field.REAL)
         y = measure(A, x0)
         sol = solve_l0_real(A, y, x0.sparsity)
-        tol_abs = 1e-8 * max(1.0, y.magnitudes.max())
+        tol_abs = 1e-8 * y.magnitudes.max()
         assert sol.k_star is not None
         for c in sol.classes:
             assert np.max(np.abs(measure(A, c).magnitudes - y.magnitudes)) <= tol_abs
@@ -215,6 +216,54 @@ def test_complex_phase_and_scale_invariance():
         c = float(rng.uniform(0.5, 2.0))
         scaled = solve_l0_complex(A, y.magnitudes * c, k)
         assert phase_equivalent(scaled.classes[0], base.classes[0].scaled(c), 1e-7)
+
+
+def _ldexp_parts(values, e: int) -> np.ndarray:
+    """values 2^e, the real and imaginary parts scaled apart (exact)."""
+    values = np.asarray(values)
+    if not np.iscomplexobj(values):
+        return np.ldexp(values, e)
+    out = np.empty_like(values)
+    out.real, out.imag = np.ldexp(values.real, e), np.ldexp(values.imag, e)
+    return out
+
+
+def _bits(sol, e: int):
+    """k*, class count, heuristic flag, and each class's support and the
+    bits of its values times 2^e."""
+    classes = [(c.support, _ldexp_parts(c.values, e).tobytes()) for c in sol.classes]
+    return sol.k_star, len(sol.classes), sol.heuristic, classes
+
+
+@pytest.mark.parametrize("field, m, n, k, allow_heuristic", [
+    (Field.REAL, 10, 14, 5, False),
+    (Field.COMPLEX, 10, 12, 3, False),
+    (Field.COMPLEX, 14, 6, 4, False),
+    (Field.COMPLEX, 8, 6, 3, True),
+], ids=["real", "lifted", "plane", "heuristic"])
+def test_solve_is_scale_free(field, m, n, k, allow_heuristic):
+    """Every path of the solve (the real scan, the unique lift, the plane
+    level and the LM heuristic) gives, for 2^e A and for 2^e y, the k*,
+    class count and heuristic flag of (A, y), and its classes times 2^-e
+    and 2^e, bit for bit, for e = +-4, +-20, +-60 and +-200; the residuals
+    are the same, and 2^e times, too."""
+
+    def solve(A, y):
+        if field is Field.REAL:
+            return solve_l0_real(A, y, k)
+        return solve_l0_complex(A, y, k, allow_heuristic=allow_heuristic)
+
+    for seed in range(4):
+        A = generate_ensemble(field, m, n, seed)
+        y = measure(A, draw_sparse_signal(field, n, k, np.random.default_rng(seed))).magnitudes
+        base = solve(A, y)
+        assert base.k_star == k and base.heuristic == allow_heuristic, seed
+        for e in (4, 20, 60, 200, -4, -20, -60, -200):
+            sol = solve(MeasurementEnsemble.from_entries(field, _ldexp_parts(A.entries, e)), y)
+            assert _bits(sol, e) == _bits(base, 0) and sol.residuals == base.residuals, (seed, "A", e)
+            sol = solve(A, np.ldexp(y, e))
+            assert _bits(sol, -e) == _bits(base, 0), (seed, "y", e)
+            assert sol.residuals == [float(np.ldexp(r, e)) for r in base.residuals], (seed, "y", e)
 
 
 def test_gauss_newton_monotone_objective():

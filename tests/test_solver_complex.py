@@ -20,7 +20,7 @@ from sparsepr import (
 )
 from sparsepr import numerics, solver_complex
 from sparsepr.solver_complex import CollisionProbe, _assemble_hermitian, _lift_system, _lifted_support_solve
-from sparsepr.solver_real import _tol_abs
+from sparsepr.solver_real import _prepare, _unscaled
 from oracles import (
     full_scan_solve_l0_complex,
     full_work_levenberg_marquardt,
@@ -87,10 +87,10 @@ def test_lifted_exactness_on_true_support():
         x0 = SparseVector(Field.COMPLEX, 8, support, vals)
         y = measure(A, x0).magnitudes
         A_I = A.entries[:, support]
-        resid_tol, tol_abs = 1e-8 * max(1.0, y.max() ** 2) * np.sqrt(m), 1e-8 * max(1.0, y.max())
-        hit = _lifted_support_solve(_lift_system(A_I[None])[0], A_I, y, y**2, support, 8, resid_tol, tol_abs)
+        p = _prepare(A, y, k, 1e-8, Field.COMPLEX)
+        hit = _lifted_support_solve(_lift_system(A_I[None])[0], A_I, p, p.y**2, support)
         assert hit is not None
-        x_hat, defect = hit
+        x_hat, defect = _unscaled(p, hit[0]), hit[1]
         X_hat = np.outer(x_hat.values, x_hat.values.conj())
         X_true = np.outer(vals, vals.conj())
         err = np.linalg.norm(X_hat - X_true) / max(1.0, np.linalg.norm(vals) ** 2)
@@ -172,7 +172,7 @@ def _near_tol_case(m, n, k, seed, factor):
     E = E / np.abs(E @ x.to_dense())[:, None]
     y = np.abs(E @ x.to_dense())
     w = np.linalg.svd(_lift_system(E[:, x.support][None])[0])[0][:, -1]
-    resid_tol = 1e-8 * max(1.0, y.max() ** 2) * np.sqrt(m)
+    resid_tol = 1e-8 * y.max() ** 2 * np.sqrt(m)
     return MeasurementEnsemble.from_entries(Field.COMPLEX, E), np.sqrt(y**2 + factor * resid_tol * w), k, 1e-8
 
 
@@ -325,8 +325,9 @@ def test_solution_json_keys_and_counts_on_every_path():
         (1, False, ["lifted"], [0.0])
     assert lifted["stats"] == {"supports_tried": 5, "patterns_tried": 5}
     assert refined["k_star"] == 2 and refined["heuristic"]
-    assert len(refined["classes"]) == 8  # 3 rows fix a 2-sparse class only up to finitely many
-    assert refined["methods"] == ["refined"] * 8 and refined["rank1_defects"] == [None] * 8
+    # 3 rows fix a 2-sparse class only up to finitely many; the LM starts find 7 of them
+    assert len(refined["classes"]) == 7
+    assert refined["methods"] == ["refined"] * 7 and refined["rank1_defects"] == [None] * 7
     assert refined["stats"] == {"supports_tried": 15, "patterns_tried": 5 + 10 * 8}
     assert none == {"k_star": None, "classes": [], "residuals": [], "heuristic": True, "methods": [],
                     "rank1_defects": [], "stats": {"supports_tried": 15, "patterns_tried": 85}}
@@ -374,8 +375,9 @@ def _heuristic_level(m: int, n: int, k: int, seed: int):
     solve made at support size k before that size took the plane level
     (m = 14, 15 at k = 4), on the same supports and starts."""
     A, _, y = _heuristic_case(m, n, k, seed)
+    p = _prepare(A, y, k, 1e-8, Field.COMPLEX)
     supports = list(itertools.combinations(range(n), k))
-    return solver_complex._refined_level(A.entries, y.magnitudes, supports, _tol_abs(1e-8, y.magnitudes), seed)
+    return [(_unscaled(p, c), *rest) for c, *rest in solver_complex._refined_level(p, supports, seed)]
 
 
 def test_heuristic_solve_matches_serial_oracle():
@@ -445,9 +447,9 @@ def test_plane_level_sends_undecided_supports_to_the_heuristic(monkeypatch):
     refined = []
     level = solver_complex._refined_level
 
-    def spy(entries, y, supports, *args):
+    def spy(p, supports, seed):
         refined.append(supports)
-        return level(entries, y, supports, *args)
+        return level(p, supports, seed)
 
     monkeypatch.setattr(solver_complex, "_refined_level", spy)
     for seed in range(3):
@@ -477,7 +479,7 @@ def test_plane_level_sends_undecided_supports_to_the_heuristic(monkeypatch):
             G = _lift_system(A.entries[:, I][None])[0]
             sv = np.linalg.svd(G, compute_uv=False)
             w = np.linalg.lstsq(G, y.magnitudes**2, rcond=None)[0]
-            resid_tol = 1e-8 * max(1.0, float(y.magnitudes.max()) ** 2) * np.sqrt(14)
+            resid_tol = 1e-8 * float(y.magnitudes.max()) ** 2 * np.sqrt(14)
             assert sv[-1] <= numerics.DEFAULT_RANK_TOL * sv[0], (seed, I)
             assert np.linalg.norm(G @ w - y.magnitudes**2) > 1e6 * resid_tol, (seed, I)
 
