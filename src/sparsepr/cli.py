@@ -89,7 +89,9 @@ def _build_parser() -> _Parser:
     s.add_argument("matrix")
     s.add_argument("measurements", nargs="?", help="file with one magnitude per line")
     s.add_argument("--y", help="inline comma-separated magnitudes (alternative to the file)")
-    s.add_argument("--kmax", type=int, required=True)
+    s.add_argument("--kmax", type=int, required=True,
+                   help="largest support size searched; the search screens once at this size, so its cost is "
+                        "set by kmax, not by the answer")
     s.add_argument("--tol", type=float, default=1e-8,
                    help="solve tolerance, relative to max y (default 1e-8)")
     s.add_argument("--allow-heuristic", action="store_true",

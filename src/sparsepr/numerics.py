@@ -19,11 +19,14 @@ only where nothing is proven.
 Both exact solvers share one least-squares screen (_lstsq_screen): it
 proves, in batch and with an explicit roundoff margin, that most
 candidate systems fail their residual test, so only the rest are solved.
-It walks the support sizes level by level, and each support extends its
-parent's elimination by one pivot and one bordered inverse per new
-column instead of eliminating and inverting from scratch.  One walk
-screens a whole stack of problems of one shape, so a sweep row of many
-small solves pays the screen's fixed cost once per support size.
+A solve screens once, at its largest screened support size: a support
+the screen rules out rules out all its subsets too, so the smaller sizes
+take their candidates from that one screen (_subset_candidates).  The
+walk to that size extends each support's elimination from its prefix's,
+one pivot and one bordered inverse per new column, instead of
+eliminating and inverting from scratch.  One walk screens a whole stack
+of problems of one shape, so a sweep row of many small solves pays the
+screen's fixed cost once.
 """
 
 from __future__ import annotations
@@ -141,6 +144,23 @@ def _lex_rank(combos: np.ndarray, n: int) -> np.ndarray:
     """Position of each sorted row of an (N, a) index array in _combos(n, a)."""
     a = combos.shape[1]
     return comb(n, a) - 1 - _binomials(n)[n - 1 - combos, np.arange(a, 0, -1)].sum(axis=1)
+
+
+def _lex_unrank(ranks: np.ndarray, n: int, a: int) -> np.ndarray:
+    """The rows of _combos(n, a) at positions ranks, as an (N, a) array,
+    without building _combos(n, a): _lex_rank's inverse.  _lex_rank writes
+    C(n, a) - 1 - rank as sum_i C(n - 1 - c_i, a - i) with n - 1 - c_i
+    strictly falling, the combinatorial number system, so the greedy
+    largest binomial at each step recovers the c_i."""
+    binom = _binomials(n)
+    rest = comb(n, a) - 1 - np.asarray(ranks, dtype=np.intp)
+    out = np.empty((rest.size, a), dtype=np.intp)
+    for i in range(a):
+        column = binom[:, a - i]  # C(d, a - i), non-decreasing in d
+        d = np.searchsorted(column, rest, side="right") - 1
+        out[:, i] = n - 1 - d
+        rest = rest - column[d]
+    return out
 
 
 @dataclass(frozen=True)
@@ -423,7 +443,7 @@ def _children(parents: _Elimination, pidx: np.ndarray, c: np.ndarray, new_column
     return e
 
 
-def _walk(new_columns, n: int, k: int, size: int, parents: _Elimination, visit) -> None:
+def _walk(new_columns, n: int, k: int, size: int, inner: int, parents: _Elimination, visit) -> None:
     """Call visit on the _Elimination of every k-subset of range(n) that
     extends one of parents' supports, in parents' order and then in
     itertools.combinations order, in blocks.
@@ -431,23 +451,25 @@ def _walk(new_columns, n: int, k: int, size: int, parents: _Elimination, visit) 
     In that order the children I + (c), c > max I, of each support I are
     contiguous, so a block is a range of whole parents: those whose
     children start within one window of size supports (at most size +
-    n - 1 supports per block), whichever problems they belong to.  Only
-    supports with a k-subset extension are built, and only the current
-    block of each level is alive, so memory does not grow with the number
-    of problems times C(n, j).
+    n - 1 supports per block) at size k, of inner supports at the sizes
+    below it, whichever problems they belong to.  Only supports with a
+    k-subset extension are built, and only the current block of each
+    level is alive, so memory does not grow with the number of problems
+    times C(n, j).
     """
     j = len(parents.cols) + 1
+    window = size if j == k else inner
     off = parents.tag * n  # where each support's problem starts among the side-by-side columns
     last = parents.cols[-1] if j > 1 else off - 1
     count = off + (n - k + j - 1) - last  # children take c < n - k + j, so that k - j more indices fit above c
     start = np.cumsum(count) - count
-    cuts = np.flatnonzero(np.diff(start // size)) + 1
+    cuts = np.flatnonzero(np.diff(start // window)) + 1
     for lo, hi in zip([0, *cuts], [*cuts, len(count)]):
         pidx = np.repeat(np.arange(lo, hi), count[lo:hi])
         c = np.arange(len(pidx)) + (last + 1 - start + start[lo])[pidx]
         block = _children(parents, pidx, c, new_columns)
         if j < k:
-            _walk(new_columns, n, k, size, block, visit)
+            _walk(new_columns, n, k, size, inner, block, visit)
         else:
             visit(block)
         del block  # before the next block is built
@@ -544,6 +566,23 @@ def _lstsq_screen(new_columns, n: int, k: int, t: np.ndarray, signs: np.ndarray,
 
         bound = (1 + tau) rho + (gamma_K (||T_hat|| + ||C|| ||W||) + tau zeta) ||t||.
 
+    Subsets.  A False entry for a support I' also proves that the test
+    accepts no such r on any subset I of I', so one screen at the largest
+    support size serves every smaller one (_subset_candidates).  I's M
+    (K columns) is K of the K' columns of I''s M', bit for bit: the real
+    A_I, and the lift of I, whose unknowns are among those of I'.  Let the
+    test accept r on I with output X, e = M X - r, and let X' be X padded
+    with zeros to I'.  Then:
+    - the exact e' = M' X' - r equals e;
+    - the I test's rounding term gamma_(K+1) (||t|| + ||M|| ||X||) is at
+      most gamma_(K'+1) (||t|| + ||M'|| ||X'||), as ||M|| <= ||M'|| and
+      ||X|| = ||X'||;
+    - B' X' = r_R' + e'_R' gives ||X'|| <= beta' (||t|| + ||e'||).
+    So ||e'|| <= rho', I''s rho, and the signs of r on R' are a row of
+    I''s signs up to a global flip whenever those signs cover every sign
+    vector (the real solver's sign_table(k)) or r = t (the lift's one
+    right-hand side, a row of ones).  The bound for I' then covers r.
+
     Underflow adds at most 2^-1074 per operation.  The screen runs only
     when max |M| and max t lie in [2^-400, 2^400], so no norm or product
     overflows unless it returns inf, and every underflow error, amplified
@@ -578,8 +617,10 @@ def _lstsq_screen(new_columns, n: int, k: int, t: np.ndarray, signs: np.ndarray,
     + K) + K + S) of them, the elements a support's M, W, T_hat_q and
     stage-1 mismatches take; stage 2 takes its supports in chunks of
     _SCREEN_ELEMENTS / (K (m + K) + (m - K) (K + S)), the same count with
-    T_hat and the mismatches of all of R^c.  That bounds the working
-    memory whatever P is.
+    T_hat and the mismatches of all of R^c.  The walk's blocks at the
+    sizes below k, which hold fewer than K columns and no mismatches, take
+    about _SCREEN_ELEMENTS / (K (m + K)) supports each.  That bounds the
+    working memory whatever P is.
     """
     P, m = t.shape
     S, K = signs.shape
@@ -589,15 +630,51 @@ def _lstsq_screen(new_columns, n: int, k: int, t: np.ndarray, signs: np.ndarray,
     if K >= m or m * K > 1 << 20 or roots.size == 0:
         return flags
     size = max(1, _SCREEN_ELEMENTS // (K * (m + K) + K + S))
+    inner = max(1, _SCREEN_ELEMENTS // (K * (m + K)))
     R = roots.size
     root = _Elimination(roots, np.zeros((0, R), dtype=np.intp), np.zeros((0, m, R)), np.zeros((0, R), dtype=np.intp),
                         np.ones((m, R), dtype=bool), np.zeros((0, 0, R)), np.full(R, np.inf))
     blocks = []
     with np.errstate(all="ignore"):
         nt = np.sqrt(np.einsum("pi,pi->p", t, t))
-        _walk(new_columns, n, k, size, root, lambda e: blocks.append(_screen_block(e, t, nt, signs, resid_tol)))
+        _walk(new_columns, n, k, size, inner, root, lambda e: blocks.append(_screen_block(e, t, nt, signs, resid_tol)))
     flags[roots] = np.concatenate(blocks).reshape(R, -1)
     return flags
+
+
+def _subset_candidates(flags: np.ndarray, n: int, top: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The supports of every size j = 1, ..., top that _lstsq_screen's
+    flags (P, C(n, top)) at size top leave as candidates: those every
+    top-superset of which is flagged (see Subsets there).  Returns one
+    (owner, supports) pair per size j, owner (N,) each candidate's problem
+    and supports (N, j) its indices, ordered by problem, then in
+    itertools.combinations order.
+
+    One-step descent: a j-support, j < top <= n, is a candidate when all
+    n - j of its one-index extensions are candidates of size j + 1, since
+    every top-superset of it contains one of them.  So each (j + 1)-
+    candidate's one-index deletions are ranked (_lex_rank) and counted,
+    and the j-supports counted n - j times are kept: the work scales with
+    the candidates, not with C(n, j), beyond one count per support.  The
+    candidates are counted in chunks whose deletions take about
+    _SCREEN_ELEMENTS numbers, or as many as the counts when those are more.
+    """
+    P = flags.shape[0]
+    owner, rank = np.nonzero(flags)
+    levels = [(owner, _lex_unrank(rank, n, top))]
+    for j in range(top - 1, 0, -1):
+        owner, supports = levels[-1]
+        size = comb(n, j)
+        counts = np.zeros(P * size, dtype=np.intp)
+        drop = _combos(j + 1, j)  # the j + 1 one-index deletions, as positions
+        rows = max(1, max(_SCREEN_ELEMENTS, counts.size) // ((j + 1) * j))
+        for lo in range(0, len(owner), rows):
+            deleted = _lex_rank(supports[lo:lo + rows, drop].reshape(-1, j), n)
+            deleted += np.repeat(owner[lo:lo + rows] * size, j + 1)
+            counts += np.bincount(deleted, minlength=counts.size)
+        owner, rank = np.divmod(np.flatnonzero(counts == n - j), size)
+        levels.append((owner, _lex_unrank(rank, n, j)))
+    return levels[::-1]
 
 
 def _screen_block(e: _Elimination, t: np.ndarray, nt: np.ndarray, signs: np.ndarray,
@@ -658,15 +735,19 @@ def _proven(e: _Elimination, Q: np.ndarray, t: np.ndarray, nt: np.ndarray, signs
     del X
     np.abs(P, out=P)
     P -= tr[K:, :, None]
-    mism = np.sqrt(np.sum(np.square(P, out=P), axis=0))
+    sq = np.sum(np.square(P, out=P), axis=0)  # (N, S): each sign row's squared mismatch
+    del P
+    # sqrt is monotone, so the square root of the least square is the least
+    # mismatch, bit for bit, and max is NaN or inf exactly when some entry is
     return (
         (e.min_pivot > DEFAULT_RANK_TOL * a_max)
         & (a_max >= lo)
         & (a_max <= hi)
         & (zeta <= 0.5)
         & (g <= 0.5)
-        & np.isfinite(bound + mism.sum(axis=1))
-        & (mism.min(axis=1) > 2 * bound)
+        & np.isfinite(bound)
+        & np.isfinite(sq.max(axis=1))
+        & (np.sqrt(sq.min(axis=1)) > 2 * bound)
     )
 
 

@@ -31,16 +31,21 @@ refinement, which labels its output heuristic.  A generic (14, 6, 4)
 solve takes about 3 ms on the plane level, against about 25 ms by the
 refinement it replaces (2-core Intel Xeon, one BLAS thread).
 
-Each lifted level is screened in batch: numerics._lstsq_screen builds
-each support's lift from its parent's (adding index c adds 2k - 1
-columns: c's diagonal unknown and the (Re, Im) pair of (i, c) for each
-earlier i), proves that most supports fail the residual test, and only
-the supports it flags are lifted in full and run lstsq and the rest of
-the per-support test.  So the output is bit for bit that of a scan that
+The lifted levels are screened in batch, once per solve, at the largest
+size whose lift has a row outside its pivots (_lifted_screen):
+numerics._lstsq_screen builds each support's lift from its parent's
+(adding index c adds 2k - 1 columns: c's diagonal unknown and the (Re,
+Im) pair of (i, c) for each earlier i) and proves that most supports
+fail the residual test.  A support it rules out rules out its subsets,
+whose lifts are part of its own, so each smaller size takes as
+candidates only the supports all of whose supersets it flagged.  Only
+the candidates are lifted in full and run lstsq and the rest of the
+per-support test.  So the output is bit for bit that of a scan that
 solves every support, and a generic (m, n, k) = (10, 12, 3) solve runs
 lstsq on one of its 298 supports.  One screen call covers a whole stack
 of problems of one shape.  The level loop around it is solver_real's
-core (_solve_batch), which this module gives its level function.
+core (_solve_batch), which this module gives its screen and its level
+function.
 
 A collision probe searches for two non-phase-equivalent sparse vectors
 with identical magnitudes; it is a falsification attempt, never a proof
@@ -81,7 +86,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb, ldexp, sqrt
+from math import comb, frexp, isqrt, ldexp, sqrt
 
 import numpy as np
 
@@ -92,7 +97,7 @@ from .model import (
     _canonical_values,
     as_measurement,
 )
-from .numerics import _lstsq_screen, _policy_ranks, hermitian_top_eig
+from .numerics import _lstsq_screen, _policy_ranks, _subset_candidates, hermitian_top_eig
 from .solver_real import SolutionSet, _Candidate, _check_int, _ldexp, _meas_err, _prepare, _Problem, _solve_batch
 
 __all__ = [
@@ -255,32 +260,46 @@ def _lift_columns(entries: np.ndarray):
     return columns
 
 
-def _lifted_level(problems: list[_Problem], k: int) -> list[tuple[list[_Candidate], list[tuple[int, ...]]]]:
-    """Each problem's _lifted_support_solve hits at one support size, as
-    "lifted" candidates in support order, and its _UNDECIDED supports, in
-    support order; the problems share (m, n).
+def _lifted_screen(problems: list[_Problem], k_max: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """_solve_batch's screen over the complexes: one numerics._lstsq_screen
+    call for every problem at top, the largest size up to k_max whose
+    lift has fewer than m columns (top^2 < m; the screen flags every
+    support of m or more), and its _subset_candidates.  Every size up to
+    top is lifted (_level_method).
 
-    One numerics._lstsq_screen call covers every problem: it gets the
-    lifted residual test (right-hand side y^2, no signs, computed norm at
-    most the problem's resid_tol, on this y^2 scale) and
-    proves that most supports fail it.  It builds each support's lift from
-    its parent's with _lift_columns, so its columns are _lift_system's in
-    the order the levels introduce them; the residual test does not
-    depend on that order.  Only the supports it flags are lifted by
-    _lift_system, in its own column order, and run _lifted_support_solve
-    on their own problem.  A support the screen rules out would have
-    returned None, so the hits and the undecided supports are the full
-    scan's, bit for bit.
+    It gets the lifted residual test (right-hand side y^2, no signs,
+    computed norm at most the problem's resid_tol, on this y^2 scale).  It
+    builds each support's lift from its parent's with _lift_columns, so
+    its columns are _lift_system's in the order the levels introduce
+    them; the residual test does not depend on that order.
     """
     m, n = problems[0].entries.shape
+    top = min(k_max, isqrt(m - 1))
+    if top < 1:
+        return []
     rhs = np.stack([p.y**2 for p in problems])  # y^2 is each problem's one right-hand side
     side_by_side = np.concatenate([p.entries for p in problems], axis=1)
     resid_tol = np.array([p.resid_tol for p in problems])
-    flags = _lstsq_screen(_lift_columns(side_by_side), n, k, rhs, np.ones((1, k * k)), resid_tol)
+    flags = _lstsq_screen(_lift_columns(side_by_side), n, top, rhs, np.ones((1, top * top)), resid_tol)
+    return _subset_candidates(flags, n, top)
+
+
+def _lifted_level(problems: list[_Problem], supports: list[list[tuple[int, ...]]]
+                  ) -> list[tuple[list[_Candidate], list[tuple[int, ...]]]]:
+    """Each problem's _lifted_support_solve hits among its candidate
+    supports of one size (from _lifted_screen), as "lifted" candidates in
+    support order, and its _UNDECIDED supports, in support order.
+
+    Each candidate is lifted by _lift_system, in its own column order,
+    and runs _lifted_support_solve on its own problem.  A support the
+    screen rules out would have returned None, so the hits and the
+    undecided supports are the full scan's, bit for bit.
+    """
     out = []
-    for p, t, row in zip(problems, rhs, flags):
+    for p, candidates in zip(problems, supports):
+        t = p.y**2
         hits, undecided = [], []
-        for support in itertools.compress(itertools.combinations(range(n), k), row):
+        for support in candidates:
             A_I = p.entries[:, support]
             hit = _lifted_support_solve(_lift_system(A_I[None])[0], A_I, p, t, support)
             if hit is _UNDECIDED:
@@ -411,9 +430,10 @@ def solve_l0_complex(
 ) -> SolutionSet:
     """Solve min ||x||_0 subject to |Ax| = y over the complexes.
 
-    _level_method(m, k) picks each support size's path.  A "lifted" size
-    (m >= k^2) is screened in batch, and only the supports the screen
-    flags run lstsq on their lifted system (see _lifted_level).  A
+    _level_method(m, k) picks each support size's path.  The "lifted"
+    sizes (m >= k^2) are screened in batch, once, at the largest of them
+    below m = k^2 (see _lifted_screen), and only the candidate supports
+    run lstsq on their lifted system (see _lifted_level).  A
     "plane" size (k^2 - 2 <= m < k^2 and m >= 4k - 2: k = 4 at m = 14,
     15, k = 5 at m = 23, 24) finds each support's one rank-one lifted
     solution from two batched SVDs (see _plane_level); its classes are
@@ -435,8 +455,10 @@ def _solve_complex_batch(As: list[MeasurementEnsemble], ys: list, k_max: int, to
     """solve_l0_complex(A, y, k_max, ...) for each pair, as a list; every
     A has the same (m, n).  A sweep row runs it.
 
+    One _lifted_screen call screens every problem before the first level.
     The level function runs a lifted level as one _lifted_level call for
-    all the problems still searching, a plane level as one _plane_level
+    all the problems still searching, on their candidates, a plane level
+    as one _plane_level
     call per problem, each followed by one _refined_level call per
     problem on the supports left undecided, if any, and a refined level
     as one _refined_level call per problem.  A problem is flagged
@@ -457,16 +479,15 @@ def _solve_complex_batch(As: list[MeasurementEnsemble], ys: list, k_max: int, to
         p.stats.patterns_tried += len(supports) * HEURISTIC_RESTARTS
         return _refined_level(p, supports, seed) if supports else []
 
-    def level(live: list[_Problem], k: int):
+    def level(live: list[_Problem], k: int, supports: list[list[tuple[int, ...]]]):
         m, n = live[0].entries.shape
         method = _level_method(m, k)
         for p in live:
             p.stats.supports_tried += comb(n, k)
             p.stats.patterns_tried += comb(n, k) if method != "refined" else 0
-        if method == "refined":
-            supports = list(itertools.combinations(range(n), k))
-            return [refine(p, supports) for p in live], [True] * len(live)
-        decided = _lifted_level(live, k) if method == "lifted" else [_plane_level(p, k) for p in live]
+        if method == "refined":  # above every screened size, so supports holds every k-subset
+            return [refine(p, every) for p, every in zip(live, supports)], [True] * len(live)
+        decided = _lifted_level(live, supports) if method == "lifted" else [_plane_level(p, k) for p in live]
         found, flagged = [], []
         for p, (hits, undecided) in zip(live, decided):
             if undecided and not allow_heuristic:
@@ -476,7 +497,7 @@ def _solve_complex_batch(As: list[MeasurementEnsemble], ys: list, k_max: int, to
             flagged.append(bool(undecided))
         return found, flagged
 
-    return _solve_batch(problems, k_max, Field.COMPLEX, level)
+    return _solve_batch(problems, k_max, Field.COMPLEX, _lifted_screen, level)
 
 
 def _level_method(m: int, k: int) -> str:
@@ -553,6 +574,12 @@ def refine_gauss_newton(A_I: np.ndarray, y, x_init: np.ndarray, iters: int = 120
 
     One row of _batched_levenberg_marquardt: a step is accepted only when
     || f ||_2 decreases, so that objective is non-increasing in iters.
+    The kernel runs in the units _refined_level gives it: A_I scaled by
+    2^-a (_pow2_normalized), y by 2^-b, b the exponent np.frexp gives max
+    y, and x_init by 2^(a - b); x and the residual are scaled back
+    exactly.  So (2^i A_I, 2^j y, 2^(j - i) x_init) gives the steps of
+    (A_I, y, x_init), x times 2^(j - i) and the residual times 2^j, bit
+    for bit (bar subnormal or overflowing values).
     """
     y = as_measurement(y).magnitudes
     x = np.asarray(x_init, dtype=np.complex128).reshape(1, 1, -1)
@@ -560,9 +587,12 @@ def refine_gauss_newton(A_I: np.ndarray, y, x_init: np.ndarray, iters: int = 120
         raise ValueError("x_init must be nonzero")
     if iters < 0:
         raise ValueError("iters must be >= 0")
-    AT = _support_stack(np.asarray(A_I, dtype=np.complex128), [tuple(range(x.shape[-1]))])
-    X, obj, steps = _batched_levenberg_marquardt(AT, y[None, None], x, iters)
-    return GaussNewtonResult(x=X[0, 0], residual=float(obj[0, 0]), iterations=int(steps[0, 0]))
+    entries, a = _pow2_normalized(A_I)
+    b = frexp(float(y.max(initial=0.0)))[1]
+    AT = _support_stack(entries, [tuple(range(x.shape[-1]))])
+    X, obj, steps = _batched_levenberg_marquardt(AT, np.ldexp(y, -b)[None, None], _ldexp(x, a - b), iters)
+    return GaussNewtonResult(x=_ldexp(X[0, 0], b - a), residual=ldexp(float(obj[0, 0]), b),
+                             iterations=int(steps[0, 0]))
 
 
 def column_magnitude_collision_1sparse(A: MeasurementEnsemble) -> bool:

@@ -10,17 +10,20 @@ ascends in sparsity and stops at the first level admitting solutions,
 which realizes the l0 minimum exactly.  This is the ground-truth oracle
 the certification machinery is checked against.
 
-A batched screen (numerics._lstsq_screen) first proves, on k pivot rows
-of each support, that most supports admit no accepted sign pattern; only
-the supports it cannot rule out get the exact least-squares test.  The
-screen builds each support's pivots and inverse from those of its
-(k-1)-prefix, one new column at a time, and one screen call covers a
-whole stack of problems of one shape.
+A batched screen (numerics._lstsq_screen) first proves, on the pivot
+rows of each support, that most supports admit no accepted sign pattern;
+only the supports it cannot rule out get the exact least-squares test.
+It runs once per solve, at the largest support size it can screen, and a
+support it rules out rules out every subset, so each smaller size takes
+as candidates only the supports all of whose supersets it flagged
+(numerics._subset_candidates).  The screen builds each support's pivots
+and inverse from those of its prefix, one new column at a time, and one
+screen call covers a whole stack of problems of one shape.
 
 Both fields' solvers are one core, _solve_batch, over one problem type
 (_Problem, from _prepare, with the one tolerance rule _tol_abs) and one
-class dedup (_dedup); a field gives it only its level function, here
-_scan_level.
+class dedup (_dedup); a field gives it only its screen and its level
+function, here _real_screen and _scan_level.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .model import (
     phase_equivalent,
     sign_table,
 )
-from .numerics import _lstsq_screen, _policy_ranks
+from .numerics import _lstsq_screen, _policy_ranks, _subset_candidates
 
 __all__ = [
     "SearchStats",
@@ -205,18 +208,24 @@ def _dedup(p: _Problem, candidates: list[_Candidate]) -> list[tuple[_Candidate, 
     return kept
 
 
-def _solve_batch(problems: list[_Problem], k_max: int, fld: Field, level: Callable) -> list[SolutionSet]:
+def _solve_batch(problems: list[_Problem], k_max: int, fld: Field, screen: Callable,
+                 level: Callable) -> list[SolutionSet]:
     """The SolutionSet of each problem; the problems share (m, n) and fld.
 
     A problem with no row of y above tol_abs is solved by the zero
-    vector.  For k = 1, ..., k_max, level(live, k) returns each live
-    problem's candidates at support size k and whether it reached the
-    heuristic path there; a problem leaves at the first level where
-    _dedup keeps a candidate.  A problem's SolutionSet made at or after a
-    level heuristic for it is flagged heuristic.  A level decides each
-    problem's candidates and flag from its own data only, so every
-    SolutionSet is bit for bit that of a solve on its own.  Its classes
-    and residuals are scaled back from the problem's units by 2^b.
+    vector.  The others are screened once, before the level loop:
+    screen(problems, k_max) returns numerics._subset_candidates of one
+    screen call, one entry per support size up to the largest it screens
+    (_level_supports).  For k = 1, ..., k_max, level(live, k, supports)
+    returns each live problem's candidate classes at support size k,
+    looking only at that problem's candidate supports, and whether it
+    reached the heuristic path there; a problem leaves at the first level
+    where _dedup keeps a candidate.  A problem's SolutionSet made at or
+    after a level heuristic for it is flagged heuristic.  The screen and
+    a level decide each problem's candidates and flag from its own data
+    only, so every SolutionSet is bit for bit that of a solve on its own.
+    Its classes and residuals are scaled back from the problem's units by
+    2^b.
     """
 
     def solution(k: int | None, i: int, kept: list[tuple[_Candidate, float]]) -> SolutionSet:
@@ -235,10 +244,13 @@ def _solve_batch(problems: list[_Problem], k_max: int, fld: Field, level: Callab
                                  [ldexp(float(p.y.max(initial=0.0)), p.b)], p.stats)
     live = [i for i, sol in enumerate(out) if sol is None]
     heuristic = [False] * len(problems)
+    screened = screen([problems[i] for i in live], k_max) if live else []
+    row = {i: r for r, i in enumerate(live)}  # each problem's row in the screen
     for k in range(1, k_max + 1):
         if not live:
             break
-        found, level_heuristic = level([problems[i] for i in live], k)
+        supports = _level_supports(screened, problems[0].entries.shape[1], k, [row[i] for i in live])
+        found, level_heuristic = level([problems[i] for i in live], k, supports)
         for i, cands, h in zip(live, found, level_heuristic):
             heuristic[i] = heuristic[i] or h
             kept = _dedup(problems[i], cands)
@@ -248,6 +260,26 @@ def _solve_batch(problems: list[_Problem], k_max: int, fld: Field, level: Callab
     for i in live:
         out[i] = solution(None, i, [])
     return out
+
+
+def _level_supports(screened: list[tuple[np.ndarray, np.ndarray]], n: int, k: int,
+                    rows: list[int]) -> list[list[tuple[int, ...]]]:
+    """The candidate k-supports of the screened problems at rows, each in
+    itertools.combinations order: from screened, the _subset_candidates
+    of one screen, up to its size, and every k-subset of range(n) above
+    it, where the screen proves nothing."""
+    if k > len(screened):
+        every = list(itertools.combinations(range(n), k))
+        return [every] * len(rows)
+    owner, supports = screened[k - 1]
+    bounds = np.searchsorted(owner, np.arange(max(rows) + 2))
+    return [list(map(tuple, supports[bounds[r]:bounds[r + 1]].tolist())) for r in rows]
+
+
+def _y_eff(problems: list[_Problem]) -> np.ndarray:
+    """(P, m): each problem's y with the rows at or below its tol_abs set to 0."""
+    y = np.stack([p.y for p in problems])
+    return np.where(y > np.array([p.tol_abs for p in problems])[:, None], y, 0.0)
 
 
 def _sign_rhs(y_eff: np.ndarray) -> np.ndarray:
@@ -285,38 +317,49 @@ def _exact_support(p: _Problem, I: tuple[int, ...], rhs: np.ndarray) -> list[_Ca
     return out
 
 
-def _scan_level(problems: list[_Problem], k: int) -> tuple[list[list[_Candidate]], list[bool]]:
+def _real_screen(problems: list[_Problem], k_max: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """_solve_batch's screen over the reals: one numerics._lstsq_screen
+    call for every problem at top = min(k_max, m - 1), the largest size
+    with a row outside the pivots (the screen flags every support of m or
+    more columns), and its _subset_candidates.
+
+    It gets _exact_support's residual test: every column of _sign_rhs has
+    magnitudes y_eff (_y_eff), sign_table(top) covers its signs on any
+    top rows, and the accepted columns' computed residual norms are at
+    most resid_tol.  Adding index c to a support adds the column A[:, c],
+    so the screen's M is A_I, in support order.
+    """
+    m, n = problems[0].entries.shape
+    top = min(k_max, m - 1)
+    if top < 1:
+        return []
+    side_by_side = np.concatenate([p.entries for p in problems], axis=1)
+    resid_tol = np.array([p.resid_tol for p in problems])
+    flags = _lstsq_screen(lambda cols, c: [side_by_side[:, c]], n, top, _y_eff(problems), sign_table(top),
+                          resid_tol)
+    return _subset_candidates(flags, n, top)
+
+
+def _scan_level(problems: list[_Problem], k: int,
+                supports: list[list[tuple[int, ...]]]) -> tuple[list[list[_Candidate]], list[bool]]:
     """Each problem's accepted k-sparse candidates, in support order, and
     a False heuristic flag for each (no real level is heuristic); the
     problems share (m, n).
 
     Every support counts as tried with all 2^(p-1) sign patterns, p the
-    rows of y above tol_abs, but only the supports numerics._lstsq_screen
-    flags get _exact_support, against sign columns built once per problem
-    and level, and only for a problem with a flagged support.  One screen
-    call covers every problem.  It gets _exact_support's residual test:
-    every column of _sign_rhs has magnitudes y_eff (y with the rows at or
-    below tol_abs set to 0), sign_table(k) covers its signs on any k rows,
-    and the accepted columns' computed residual norms are at most
-    resid_tol.  Adding index c to a support adds the column
-    A[:, c], so the screen's M is A_I, in support order.
+    rows of y above tol_abs, but only each problem's candidate supports
+    (from _real_screen) get _exact_support, against sign columns built
+    once per problem and level, and only for a problem with a candidate.
     """
-    n = problems[0].entries.shape[1]
-    count = comb(n, k)
-    y = np.stack([p.y for p in problems])
-    tol_abs = np.array([p.tol_abs for p in problems])
-    y_eff = np.where(y > tol_abs[:, None], y, 0.0)
+    count = comb(problems[0].entries.shape[1], k)
+    y_eff = _y_eff(problems)
     for p, above in zip(problems, np.count_nonzero(y_eff, axis=1).tolist()):
         p.stats.supports_tried += count
         p.stats.patterns_tried += count << (above - 1)
-    side_by_side = np.concatenate([p.entries for p in problems], axis=1)
-    resid_tol = np.array([p.resid_tol for p in problems])
-    flags = _lstsq_screen(lambda cols, c: [side_by_side[:, c]], n, k, y_eff, sign_table(k), resid_tol)
     out = []
-    for p, row, flagged in zip(problems, y_eff, flags):
-        supports = list(itertools.compress(itertools.combinations(range(n), k), flagged))
-        rhs = _sign_rhs(row) if supports else None
-        out.append([c for I in supports for c in _exact_support(p, I, rhs)])
+    for p, row, candidates in zip(problems, y_eff, supports):
+        rhs = _sign_rhs(row) if candidates else None
+        out.append([c for I in candidates for c in _exact_support(p, I, rhs)])
     return out, [False] * len(problems)
 
 
@@ -343,7 +386,7 @@ def _solve_real_batch(As: list[MeasurementEnsemble], ys: list, k_max: int, tol: 
     has the same (m, n).  A sweep row and the forward trials of the
     bidirectional check run it."""
     problems = [_prepare(A, y, k_max, tol, Field.REAL) for A, y in zip(As, ys)]
-    return _solve_batch(problems, k_max, Field.REAL, _scan_level)
+    return _solve_batch(problems, k_max, Field.REAL, _real_screen, _scan_level)
 
 
 def feasible_classes(
@@ -356,9 +399,12 @@ def feasible_classes(
 
     Unlike solve_l0_real this does not stop at the minimal sparsity; it
     is the ambiguity probe used by the necessity checks.  Candidates with
-    a below-tolerance entry are pruned (they live at a smaller k).
+    a below-tolerance entry are pruned (they live at a smaller k).  Every
+    size searches the candidates of one screen, as in solve_l0_real.
     """
     p = _prepare(A, y, k_max, tol, Field.REAL)
     if not (p.y > p.tol_abs).any():
         return [(0, SparseVector.zero(Field.REAL, A.n))]
-    return [(k, _unscaled(p, c[0])) for k in range(1, k_max + 1) for c, _ in _dedup(p, _scan_level([p], k)[0][0])]
+    screened = _real_screen([p], k_max)
+    return [(k, _unscaled(p, c[0])) for k in range(1, k_max + 1)
+            for c, _ in _dedup(p, _scan_level([p], k, _level_supports(screened, A.n, k, [0]))[0][0])]

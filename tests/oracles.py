@@ -18,7 +18,8 @@ refines one start at a time by serial Gauss-Newton with a line search,
 the Hermitian lift oracles build the lifted system and X entry by
 entry, the per-trial sweep solves each trial of a row on its own, and
 the full-row screen block bounds every support on all the rows outside
-its pivots in one stage.
+its pivots in one stage, and the residual-test oracle runs the full
+scans' residual test alone on every support of one size.
 They are slow and simple on purpose.
 """
 
@@ -813,3 +814,30 @@ def full_row_screen_block(e: _Elimination, t: np.ndarray, nt: np.ndarray, signs:
         & (mism.min(axis=1) > 2 * bound)
     )
     return ~proven
+
+
+def residual_accepted_supports(field: Field, entries: np.ndarray, t: np.ndarray, k: int,
+                               resid_tol: float) -> list[tuple[int, ...]]:
+    """The k-supports, in order, on which the full scans' residual test
+    accepts.  Real: lstsq of A_I against every sign vector r with |r| = t
+    (t is y with its zero rows set to 0, as _full_scan_level's right-hand
+    sides).  Complex: lstsq of the support's lift against t = y^2, as
+    full_scan_solve_l0_complex runs it.  The full scans accept a support
+    only where this test does, and test rank, entries and fit after it."""
+    m, n = entries.shape
+    pos = np.flatnonzero(t)
+    rhs = np.zeros((m, 2 ** max(pos.size - 1, 0)))
+    for col in range(rhs.shape[1]):
+        for j, row in enumerate(pos):
+            rhs[row, col] = -t[row] if j > 0 and (col >> (j - 1)) & 1 else t[row]
+    accepted = []
+    for I in itertools.combinations(range(n), k):
+        if field is Field.REAL:
+            M, b = entries[:, I], rhs
+        else:
+            M, b = _lift_system(entries[:, I][None])[0], t[:, None]
+        X, *_ = np.linalg.lstsq(M, b, rcond=None)
+        with np.errstate(over="ignore"):  # an overflowing residual is not accepted
+            if np.any(np.linalg.norm(b - M @ X, axis=0) <= resid_tol):
+                accepted.append(I)
+    return accepted

@@ -472,18 +472,19 @@ def _count_screens(monkeypatch) -> list[int]:
 
 def test_sweep_row_screens_once_per_support_size(monkeypatch):
     """A real row of 60 trials and a lifted row of 15 each call the screen
-    once per support size, with every trial still searching in the call."""
+    once, at the largest support size, for every trial of the row; the
+    smaller sizes take their candidates from that call."""
     calls = _count_screens(monkeypatch)
     real = SweepConfig(Field.REAL, 8, 2, (4, 4), 60, base_seed=3)
     assert run_sweep(real).rows[0].rate == 1.0
-    assert calls == [60, 60]
+    assert calls == [60]
     calls.clear()
     lifted = SweepConfig(Field.COMPLEX, 12, 3, (10, 10), 15, base_seed=4)
     assert run_sweep(lifted).rows[0].rate == 1.0
-    assert calls == [15, 15, 15]
+    assert calls == [15]
     calls.clear()
     per_trial_run_sweep(lifted)
-    assert calls == [1, 1, 1] * 15
+    assert calls == [1] * 15
 
 
 def _traced_peak(fn, cfg) -> int:

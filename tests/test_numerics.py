@@ -1,5 +1,6 @@
 import ast
 import itertools
+from dataclasses import replace
 import tracemalloc
 from fractions import Fraction
 from math import comb
@@ -10,6 +11,7 @@ import pytest
 
 from sparsepr import (
     Field,
+    MeasurementEnsemble,
     SparseVector,
     generate_ensemble,
     hermitian_top_eig,
@@ -19,12 +21,12 @@ from sparsepr import (
     solve_l0_complex,
     solve_l0_real,
 )
-from sparsepr import numerics, solver_real
+from sparsepr import numerics, solver_complex, solver_real
 from sparsepr.model import phase_equivalent, sign_table
 from sparsepr.numerics import batched_ranks
 from sparsepr.solver_complex import _lift_columns, _lift_system
 from helpers import least_squares
-from oracles import full_row_screen_block, svd_batched_ranks, svd_rank
+from oracles import full_row_screen_block, residual_accepted_supports, svd_batched_ranks, svd_rank
 
 
 def test_rank_simple_cases():
@@ -427,11 +429,102 @@ def test_two_stage_screen_flags_no_support_the_full_row_screen_rules_out(monkeyp
     assert corpus_blocks > 100 and len(blocks) > corpus_blocks
 
 
+def _descent_corpus():
+    """(field, A, x, k_max, y_scale) around a real (7, 9), a real (10, 14)
+    and a lifted (10, 12) ensemble, each with a signal sparser than k_max,
+    so that supports are accepted at sizes below the screen's: the
+    generic case, a zero column and a repeated one outside the signal's
+    support, a zero row of y_eff, A times 2^+-60, and y whose max lies
+    above 2^400 or below 2^-400 (y_scale, applied in the problem's units)."""
+    cases = []
+    for field, m, n, k, k_max, seed in ((Field.REAL, 7, 9, 2, 3, 51), (Field.REAL, 10, 14, 3, 5, 52),
+                                        (Field.COMPLEX, 10, 12, 2, 3, 53)):
+        rng = np.random.default_rng(seed)
+        base = generate_ensemble(field, m, n, seed).entries
+        support = tuple(sorted(rng.choice(n, k, replace=False).tolist()))
+        x = SparseVector(field, n, support, rng.standard_normal(k) + (
+            1j * rng.standard_normal(k) if field is Field.COMPLEX else 0.0))
+        outside = [c for c in range(n) if c not in support]
+        for variant in ("generic", "zero-col", "rep-col", "zero-y-row", "A*2^60", "A*2^-60", "y-high", "y-low"):
+            A = base.copy()
+            if variant == "zero-col":
+                A[:, outside[0]] = 0.0
+            elif variant == "rep-col":
+                A[:, outside[0]] = A[:, support[0]]
+            elif variant == "zero-y-row":
+                A[2, support[-1]] = -(A[2, support[:-1]] @ x.values[:-1]) / x.values[-1]
+            elif variant.startswith("A*"):
+                A = np.ldexp(A.real, int(variant[4:])) + (
+                    1j * np.ldexp(A.imag, int(variant[4:])) if field is Field.COMPLEX else 0.0)
+            y_scale = {"y-high": 500, "y-low": -500}.get(variant, 0)
+            cases.append((field, A, x, k_max, y_scale, variant))
+    return cases
+
+
+def test_screen_descent_keeps_every_accepted_support():
+    """Every support that the full scans' residual test accepts, at any
+    size up to k_max, is among that size's candidates from the one screen
+    (numerics._subset_candidates via each field's screen), on the
+    degenerate corpus.  Where max y_eff (max y^2 on the lift) lies outside
+    [2^-400, 2^400] the screen flags every support, and every support of
+    every size is a candidate."""
+    below_top = 0
+    for field, A, x, k_max, y_scale, variant in _descent_corpus():
+        E = MeasurementEnsemble.from_entries(field, A)
+        p = solver_real._prepare(E, measure(E, x), k_max, 1e-8, field)
+        # _prepare puts max y in [1/2, 1); the screen's t is y (real) or y^2 (lift)
+        e = y_scale if field is Field.REAL else y_scale // 2
+        p = replace(p, y=np.ldexp(p.y, e), tol_abs=np.ldexp(p.tol_abs, e),
+                    resid_tol=np.ldexp(p.resid_tol, y_scale))
+        if field is Field.REAL:
+            screened, t = solver_real._real_screen([p], k_max), solver_real._y_eff([p])[0]
+        else:
+            screened, t = solver_complex._lifted_screen([p], k_max), p.y**2
+        assert len(screened) == k_max, variant
+        n = A.shape[1]
+        for j in range(1, k_max + 1):
+            candidates = solver_real._level_supports(screened, n, j, [0])[0]
+            accepted = residual_accepted_supports(field, p.entries, t, j, p.resid_tol)
+            assert set(accepted) <= set(candidates), (field, A.shape, variant, j)
+            if y_scale:
+                assert candidates == list(itertools.combinations(range(n), j)), (field, variant, j)
+            elif j < k_max:
+                below_top += len(accepted)
+    assert below_top >= 30
+
+
+def test_solve_screens_once_at_the_largest_screened_size(monkeypatch):
+    """A generic real (10, 14, 5), lifted (10, 16, 3) and plane-topped
+    (14, 6, 4) solve each call the screen once, at size 5, 3 and 3: the
+    smaller sizes take their candidates from it, and the plane level is
+    not screened."""
+    calls = []
+    for module in (solver_real, solver_complex):
+        def counted(new_columns, n, k, *args, screen=module._lstsq_screen):
+            calls.append(k)
+            return screen(new_columns, n, k, *args)
+        monkeypatch.setattr(module, "_lstsq_screen", counted)
+    for field, m, n, k, want in ((Field.REAL, 10, 14, 5, 5), (Field.COMPLEX, 10, 16, 3, 3),
+                                 (Field.COMPLEX, 14, 6, 4, 3)):
+        A = generate_ensemble(field, m, n, 7)
+        rng = np.random.default_rng(7)
+        support = tuple(sorted(rng.choice(n, k, replace=False).tolist()))
+        values = rng.standard_normal(k) + (1j * rng.standard_normal(k) if field is Field.COMPLEX else 0.0)
+        x = SparseVector(field, n, support, values)
+        solve = solve_l0_real if field is Field.REAL else solve_l0_complex
+        calls.clear()
+        sol = solve(A, measure(A, x), k)
+        assert sol.k_star == k and len(sol.classes) == 1 and phase_equivalent(sol.classes[0], x, 1e-8), field
+        assert calls == [want], (field, m, n, k)
+
+
 def test_screen_borders_each_support_once_and_inverts_no_block(monkeypatch):
     """A real (10, 14, 5) solve borders every support it screens from its
-    parent, one pivot per new column, and calls np.linalg.inv nowhere:
-    level k' of the walk borders the C(n - k' + j, j) j-subsets that have a
-    k'-subset extension, for j = 1..k'."""
+    parent, one pivot per new column, and calls np.linalg.inv nowhere.  It
+    screens once, at size 5, and the walk borders the C(n - 5 + j, j)
+    j-subsets that have a 5-subset extension, for j = 1..5; the sizes
+    below 5 take their candidates from that screen, with no walk of their
+    own."""
     bordered = []
     border = numerics._border
 
@@ -449,10 +542,10 @@ def test_screen_borders_each_support_once_and_inverts_no_block(monkeypatch):
     x0 = SparseVector(Field.REAL, 14, (1, 4, 6, 9, 12), [1.0, -0.7, 2.2, 0.4, -1.3])
     sol = solve_l0_real(A, measure(A, x0), 5)
     assert sol.k_star == 5
-    want = sum(comb(14 - level + j, j) for level in range(1, 6) for j in range(1, level + 1))
-    # re-pivoting each screened support from scratch chooses k' pivots for each of the
-    # C(14, k') supports of level k': 15,302
-    assert sum(bordered) == want == 4938
+    want = sum(comb(14 - 5 + j, j) for j in range(1, 6))
+    # one walk per support size bordered 4,938 columns; re-pivoting each screened support
+    # from scratch chooses k' pivots for each of the C(14, k') supports of size k': 15,302
+    assert sum(bordered) == want == 3002
 
 
 @pytest.mark.parametrize("field, m, n, k, repivot_mb", [

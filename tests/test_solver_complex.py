@@ -779,6 +779,31 @@ def test_collision_probe_is_scale_free():
             assert _same_probe(probe, CollisionProbe(base.pair, base.objective * 2.0**j, 8, verdict)), (m, seed, j)
 
 
+def test_refine_gauss_newton_is_scale_free():
+    """refine_gauss_newton runs the LM kernel in fixed units, so (2^i A_I,
+    2^j y, 2^(j - i) x0) takes the steps of (A_I, y, x0) and returns x
+    times 2^(j - i) and the residual times 2^j, bit for bit: A_I and y
+    both scaled by 2^+-20, and y alone by 2^+-20.  In the caller's units
+    the kernel's absolute stop and damping clip took 0 steps at those
+    scales where it takes 16 at scale 1."""
+    A = generate_ensemble(Field.COMPLEX, 6, 3, 0).entries
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    x0 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    y = np.abs(A @ x)
+    base = refine_gauss_newton(A, y, x0)
+    assert base.iterations == 16 and base.residual < 0.06 * np.linalg.norm(y)
+
+    def scaled(v, e):
+        return np.ldexp(v.real, e) + 1j * np.ldexp(v.imag, e)
+
+    for i, j in ((20, 20), (-20, -20), (0, 20), (0, -20)):
+        res = refine_gauss_newton(scaled(A, i), np.ldexp(y, j), scaled(x0, j - i))
+        assert res.iterations == base.iterations, (i, j)
+        assert res.residual == np.ldexp(base.residual, j), (i, j)
+        assert scaled(res.x, i - j).tobytes() == base.x.tobytes(), (i, j)
+
+
 def _same_hit(a, b) -> bool:
     """Two block filter results: both None, or the same objective bits and
     the same pair, support and value bytes."""
